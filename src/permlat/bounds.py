@@ -205,16 +205,21 @@ def normal_node_indices(lat: SubgroupLattice) -> list[int]:
     return list(normal_subgroups(lat).members)
 
 
+def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
+    """Whether NH = G, decided by |NH| = |N||H| / |N n H| without the product set."""
+    nm, hm = lat.masks[n_idx], lat.masks[h_idx]
+    return nm.bit_count() * hm.bit_count() == lat.group.order * (nm & hm).bit_count()
+
+
+def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
+    """Nodes H with NH = G."""
+    return [h for h in range(len(lat)) if factorizes(lat, n_idx, h)]
+
+
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
     """Nodes H with |H| = |G : N| and NH = G; such an H is isomorphic to G/N."""
-    g = lat.group
-    nm = lat.masks[n_idx]
-    index = g.order // nm.bit_count()
-    out = []
-    for h, hm in enumerate(lat.masks):
-        if hm.bit_count() == index and g.product_mask(nm, hm) == g.full_mask:
-            out.append(h)
-    return out
+    index = lat.group.order // lat.node_order(n_idx)
+    return [h for h in factor_partners(lat, n_idx) if lat.node_order(h) == index]
 
 
 @dataclass(frozen=True)
@@ -244,11 +249,10 @@ def _child_selection_parent_masks(lat: SubgroupLattice, idx: int,
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
                             convention: str = RAW) -> FactorConditions:
-    g = lat.group
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
     if not _is_normal_node(lat, n_idx):
         raise ValueError(f"N = {_node_str(lat, n_idx)} is not normal")
-    if g.product_mask(nm, hm) != g.full_mask:
+    if not factorizes(lat, n_idx, h_idx):
         raise ValueError("NH is not the whole group")
     if nm.bit_count() == 1 or hm.bit_count() == 1:
         raise ValueError("N and H must be nontrivial (maximal sets undefined)")
@@ -302,7 +306,7 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if not reasons and not is_prime(index):
         reasons.append(f"index {index} is not prime")
     if not reasons and (hm.bit_count() != index
-                        or g.product_mask(nm, hm) != g.full_mask):
+                        or not factorizes(lat, n_idx, h_idx)):
         reasons.append("H is not a complement with NH = G")
     if not reasons:
         cond = check_factor_conditions(lat, n_idx, h_idx, convention)
@@ -402,7 +406,7 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     common = []
     if not _is_normal_node(lat, n_idx):
         common.append("N is not normal")
-    elif g.product_mask(nm, hm) != g.full_mask:
+    elif not factorizes(lat, n_idx, h_idx):
         common.append("NH is not the whole group")
 
     # restricted-degree version
@@ -452,7 +456,7 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     elif not _is_normal_node(lat, n_idx):
         reasons.append("N is not normal")
     elif (hm.bit_count() != g.order // n_order
-          or g.product_mask(nm, hm) != g.full_mask):
+          or not factorizes(lat, n_idx, h_idx)):
         reasons.append("H is not a complement with NH = G")
     else:
         cond = check_factor_conditions(lat, n_idx, h_idx, convention)
@@ -552,13 +556,11 @@ def sweep_factorization_bounds(lat: SubgroupLattice,
     g = lat.group
     out = []
     for n_idx in normal_node_indices(lat):
-        nm = lat.masks[n_idx]
-        for h_idx, hm in enumerate(lat.masks):
-            if g.product_mask(nm, hm) != g.full_mask:
-                continue
+        index = g.order // lat.node_order(n_idx)
+        for h_idx in factor_partners(lat, n_idx):
             spd_res, sd_res = cauchy_bound_checks(lat, n_idx, h_idx, convention)
             out.append(spd_res)
             out.append(sd_res)
-            if hm.bit_count() == g.order // nm.bit_count():
+            if lat.node_order(h_idx) == index:
                 out.append(decomposition_bound_check(lat, n_idx, h_idx, convention))
     return out

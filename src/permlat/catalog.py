@@ -20,8 +20,7 @@ STRETCH_SPECS: tuple[str, ...] = ("S6",)
 NILPOTENT_SPECS: tuple[str, ...] = ("C12", "D4", "Q8", "Z:2,2,2", "Z:3,3")
 
 
-def catalog_specs(max_order: int = DEFAULT_ORDER_CAP,
-                  stretch: bool = False) -> list[str]:
+def catalog_specs(stretch: bool = False) -> list[str]:
     specs = list(CATALOG_SPECS)
     if stretch:
         specs += list(STRETCH_SPECS)
@@ -32,7 +31,7 @@ def catalog_groups(max_order: int = DEFAULT_ORDER_CAP,
                    stretch: bool = False) -> list[FiniteGroup]:
     """Catalog groups with order <= max_order, in catalog order."""
     out = []
-    for spec in catalog_specs(max_order, stretch):
+    for spec in catalog_specs(stretch):
         g = make_named(spec, max_order=DEFAULT_ORDER_CAP)
         if g.order <= max_order:
             out.append(g)

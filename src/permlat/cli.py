@@ -25,6 +25,7 @@ from .bounds import (
     cauchy_bound_checks,
     complement_candidates,
     decomposition_bound_check,
+    factor_partners,
     fitting_centralizer_check,
     normal_node_indices,
     sd_rank2_bound_check,
@@ -381,12 +382,10 @@ def _gather_bound_results(config: RunConfig, lat: SubgroupLattice, claim: str,
             return [h_node]
         return complement_candidates(lat, n_idx)
 
-    def factor_partners(n_idx):
+    def partners(n_idx):
         if h_node is not None:
             return [h_node]
-        nm = lat.masks[n_idx]
-        return [h for h, hm in enumerate(lat.masks)
-                if g.product_mask(nm, hm) == g.full_mask]
+        return factor_partners(lat, n_idx)
 
     if claim in ("lemma1", "all"):
         for n_idx in n_indices():
@@ -400,7 +399,7 @@ def _gather_bound_results(config: RunConfig, lat: SubgroupLattice, claim: str,
             out.append(abelian_prime_index_sd_check(lat, n_idx))
     if claim in ("cauchy", "all"):
         for n_idx in n_indices():
-            for h_idx in factor_partners(n_idx):
+            for h_idx in partners(n_idx):
                 out.extend(cauchy_bound_checks(lat, n_idx, h_idx, conv))
     if claim in ("lb3", "all"):
         for n_idx in n_indices():

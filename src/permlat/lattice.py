@@ -6,9 +6,11 @@ order), so two runs of the same table index the nodes identically. Selections
 (normal, subnormal, maximal, Sylow, perp, ...) are index sets into that fixed
 node list; they never copy subgroups.
 
-Pairwise permutability over the whole lattice is cached as one bitrow per
-node (see :meth:`SubgroupLattice.chi_rows`), which every degree, perp and
-bound computation downstream shares.
+Meets, joins, permutability and modularity are all read off the node orders
+and the order masks ``up_masks``/``down_masks``; deciding them computes no
+product set and no closure. Pairwise permutability over the whole lattice is
+cached as one bitrow per node (see :meth:`SubgroupLattice.chi_rows`), which
+every degree, perp and bound computation downstream shares.
 """
 from __future__ import annotations
 
@@ -68,9 +70,6 @@ class SubgroupLattice:
         )
         self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
-        self._join: dict[tuple[int, int], int] = {}
-        self._join_table: Optional[list[list[int]]] = None
-        self._meet_table: Optional[list[list[int]]] = None
         self._rerooted: dict[int, tuple] = {}
         self._normal_mask: Optional[int] = None
         self._subnormal_mask: Optional[int] = None
@@ -88,62 +87,39 @@ class SubgroupLattice:
         return bool(self.up_masks[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
-        # the intersection of two subgroups is a subgroup, hence a node
-        return self.index_of[self.masks[a] & self.masks[b]]
+        # common lower bounds are sorted by order and all lie under the meet,
+        # so the meet is the highest one
+        return (self.down_masks[a] & self.down_masks[b]).bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        hit = self._join.get(key)
-        if hit is not None:
-            return hit
-        u = self.masks[a] | self.masks[b]
-        idx = self.index_of.get(u)
-        if idx is None:
-            g = self.group
-            m = g.closure_mask(self.node_gens[a] + self.node_gens[b])
-            idx = self.index_of[m]
-        self._join[key] = idx
-        return idx
-
-    def meet_table(self) -> list[list[int]]:
-        if self._meet_table is None:
-            L = len(self)
-            self._meet_table = [[self.meet(i, j) for j in range(L)] for i in range(L)]
-        return self._meet_table
-
-    def join_table(self) -> list[list[int]]:
-        if self._join_table is None:
-            L = len(self)
-            self._join_table = [[self.join(i, j) for j in range(L)] for i in range(L)]
-        return self._join_table
+        # dually, the join is the lowest common upper bound
+        common = self.up_masks[a] & self.up_masks[b]
+        return (common & -common).bit_length() - 1
 
     def chi_rows(self) -> list[int]:
         """Permutability bitmatrix: bit j of row i set iff nodes i and j permute.
 
-        Permutability is decided by computing both raw product sets; when one
-        node contains the other the product is the larger node on both sides,
-        so those pairs are skipped.
+        X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
+        |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
+        |X v Y| |X ^ Y| = |X| |Y|, which needs only node orders, :meth:`join`
+        and :meth:`meet`. Comparable pairs always permute and are not tested.
+        The product-set definition is kept as the oracle
+        (:func:`permlat.degrees.permutes`, :func:`permlat.degrees.chi_naive`).
         """
         if self._chi is None:
-            g = self.group
-            masks = self.masks
-            L = len(masks)
-            rows = [0] * L
-            pm = g.product_mask
-            for i in range(L):
-                mi = masks[i]
-                rows[i] |= 1 << i
-                for j in range(i + 1, L):
-                    mj = masks[j]
-                    mm = mi & mj
-                    if mm == mi or mm == mj:
-                        ok = True
-                    else:
-                        ok = pm(mi, mj) == pm(mj, mi)
-                    if ok:
-                        rows[i] |= 1 << j
+            sizes = [m.bit_count() for m in self.masks]
+            up, down = self.up_masks, self.down_masks
+            full = self.all_nodes_mask
+            rows = [u | d for u, d in zip(up, down)]
+            for i, si in enumerate(sizes):
+                # incomparable nodes after i; comparable pairs always permute
+                rest = (full ^ (up[i] | down[i])) >> (i + 1) << (i + 1)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    j = low.bit_length() - 1
+                    if sizes[self.join(i, j)] * sizes[self.meet(i, j)] == si * sizes[j]:
+                        rows[i] |= low
                         rows[j] |= 1 << i
             self._chi = rows
         return self._chi
@@ -346,18 +322,47 @@ def custom_selection(lat: SubgroupLattice, members: Iterable[int]) -> Sublattice
     return SublatticeSelection(lat, "custom", members)
 
 
+def _upper_covers(lat: SubgroupLattice) -> list[int]:
+    """Bit j of entry i set iff node j covers node i."""
+    up = lat.up_masks
+    covers = []
+    for i, above in enumerate(up):
+        rest = above ^ (1 << i)
+        cov = 0
+        while rest:
+            # the lowest remaining node is minimal above i: a cover
+            low = rest & -rest
+            cov |= low
+            rest &= ~up[low.bit_length() - 1]
+        covers.append(cov)
+    return covers
+
+
 def is_modular_lattice(lat: SubgroupLattice) -> bool:
-    """Modular law over all triples: X<=Z implies (X v (Y ^ Z)) = ((X v Y) ^ Z)."""
-    mt = lat.meet_table()
-    jt = lat.join_table()
-    L = len(lat)
-    for x in range(L):
-        jx = jt[x]
-        up = lat.up_masks[x]
-        for z in _bits(up):
-            mz = mt[z]
-            for y in range(L):
-                if jx[mz[y]] != mz[jx[y]]:
+    """Modular law: X <= Z implies X v (Y ^ Z) = (X v Y) ^ Z.
+
+    A lattice of finite length is modular iff it is upper and lower
+    semimodular (Birkhoff, *Lattice Theory*), which needs cover pairs only:
+    two distinct upper covers of a node must both be covered by their join,
+    and two distinct lower covers of a node must both cover their meet.
+    """
+    up_cov = _upper_covers(lat)
+    down_cov = [0] * len(lat)
+    for i, cov in enumerate(up_cov):
+        for j in _bits(cov):
+            down_cov[j] |= 1 << i
+    for x in range(len(lat)):
+        ups = list(_bits(up_cov[x]))
+        for k, a in enumerate(ups):
+            for b in ups[k + 1:]:
+                j = lat.join(a, b)
+                if not (up_cov[a] >> j & 1 and up_cov[b] >> j & 1):
+                    return False
+        downs = list(_bits(down_cov[x]))
+        for k, a in enumerate(downs):
+            for b in downs[k + 1:]:
+                m = lat.meet(a, b)
+                if not (up_cov[m] >> a & 1 and up_cov[m] >> b & 1):
                     return False
     return True
 

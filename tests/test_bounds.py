@@ -5,6 +5,7 @@ import pytest
 from permlat import bounds as B
 from permlat import groups as G
 from permlat import lattice as L
+from permlat.catalog import CATALOG_SPECS
 from permlat.degrees import sd, spd
 
 GRID = [B.Rank2AbelianShape(p, a1, a2)
@@ -371,3 +372,14 @@ class TestBoundResultInvariants:
                         assert res.holds == (res.actual >= res.bound)
                     else:
                         assert res.reasons
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_factorizes_matches_product_set(spec):
+    lat = lat_of(spec)
+    g = lat.group
+    for n_idx in L.normal_subgroups(lat).members:
+        for h_idx in range(len(lat)):
+            nm, hm = lat.masks[n_idx], lat.masks[h_idx]
+            expected = g.product_mask(nm, hm) == g.full_mask
+            assert B.factorizes(lat, n_idx, h_idx) is expected, (n_idx, h_idx)

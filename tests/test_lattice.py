@@ -1,16 +1,58 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlat import groups as G
 from permlat import lattice as L
-from permlat.degrees import sd
+from permlat.catalog import CATALOG_SPECS
+from permlat.degrees import permutes, sd
 
 SMALL_SPECS = ["C1", "C2", "C3", "C5", "C12", "Z:2,2", "Z:2,4", "Z:2,2,2",
                "Z:3,3", "S3", "D4", "Q8", "A4", "D6"]
 
+ORACLE_SPECS = list(CATALOG_SPECS) + ["S3xC3", "D4xC3", "Q8xS3"]
+
 
 def lat_of(spec):
     return L.enumerate_subgroups(G.make_named(spec))
+
+
+@functools.cache
+def shared_lat(spec):
+    # lattices are immutable once built, so the oracle tests may share them
+    return lat_of(spec)
+
+
+def join_by_closure(lat, a, b):
+    g = lat.group
+    return lat.index_of[g.closure_mask(lat.node_gens[a] + lat.node_gens[b])]
+
+
+def chi_rows_by_product_sets(lat):
+    g = lat.group
+    return [sum(1 << j for j, mj in enumerate(lat.masks) if permutes(g, mi, mj))
+            for mi in lat.masks]
+
+
+def modular_law_holds(lat):
+    """Oracle: X <= Z implies X v (Y ^ Z) = (X v Y) ^ Z over all triples,
+    with meet the mask intersection and join the closure of the union."""
+    masks = lat.masks
+
+    def meet(a, b):
+        return lat.index_of[masks[a] & masks[b]]
+
+    n = len(lat)
+    for x in range(n):
+        for z in range(n):
+            if masks[x] & ~masks[z]:
+                continue
+            for y in range(n):
+                if (join_by_closure(lat, x, meet(y, z))
+                        != meet(join_by_closure(lat, x, y), z)):
+                    return False
+    return True
 
 
 def nodes_of_order(lat, k):
@@ -82,6 +124,37 @@ class TestMeetJoin:
         for i in range(len(lat)):
             for j in range(len(lat)):
                 assert lat.leq(i, j) == (lat.masks[i] & ~lat.masks[j] == 0)
+
+
+class TestOrderRulesAgainstOracles:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_join_and_meet_match_closure_and_intersection(self, spec):
+        lat = shared_lat(spec)
+        for a in range(len(lat)):
+            for b in range(a, len(lat)):
+                join = join_by_closure(lat, a, b)
+                meet = lat.index_of[lat.masks[a] & lat.masks[b]]
+                assert lat.join(a, b) == lat.join(b, a) == join, (spec, a, b)
+                assert lat.meet(a, b) == lat.meet(b, a) == meet, (spec, a, b)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_chi_rows_match_product_sets(self, spec):
+        lat = shared_lat(spec)
+        assert lat.chi_rows() == chi_rows_by_product_sets(lat)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_modularity_matches_modular_law(self, spec):
+        lat = shared_lat(spec)
+        assert L.is_modular_lattice(lat) is modular_law_holds(lat)
+
+    def test_upper_semimodular_but_not_modular(self):
+        # AGL(1,5) = C5 x| C4, x -> x+1 and x -> 2x: its lattice is upper but
+        # not lower semimodular, so only the lower check rejects it
+        g = G.from_permutations(5, [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]], "AGL(1,5)")
+        lat = L.enumerate_subgroups(g)
+        assert len(lat) == 14
+        assert modular_law_holds(lat) is False
+        assert L.is_modular_lattice(lat) is False
 
 
 class TestSelections:
@@ -192,8 +265,11 @@ class TestPredicates:
     def test_modular_values(self):
         # L(S3) is the height-two diamond M4, which satisfies the modular law
         for spec, expected in [("C12", True), ("Q8", True), ("S3", True),
-                               ("Z:2,2", True), ("A4", False), ("D4", False),
-                               ("D6", False), ("S4", False)]:
+                               ("Z:2,2", True), ("Q8xC3", True),
+                               ("D5xC3", True), ("Z:4,4", True),
+                               ("A4", False), ("D4", False), ("D6", False),
+                               ("S4", False), ("S3xC3", False),
+                               ("D4xC3", False), ("A5", False)]:
             assert L.is_modular_lattice(lat_of(spec)) is expected, spec
 
     def test_quasihamiltonian(self):
@@ -255,3 +331,21 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
     lat = L.enumerate_subgroups(G.make_named(f"C{n}"))
     divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
     assert len(lat) == divisors
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_relabelling_invariance(spec, data):
+    lat = shared_lat(spec)
+    g = lat.group
+    n = g.order
+    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
+    inv = [0] * n
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    rel = L.enumerate_subgroups(G.FiniteGroup.from_table(table, name=spec))
+    assert len(rel) == len(lat)
+    assert sd(rel) == sd(lat)
+    assert L.is_modular_lattice(rel) is L.is_modular_lattice(lat)
+    assert rel.chi_rows() == chi_rows_by_product_sets(rel)
