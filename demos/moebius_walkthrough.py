@@ -4,9 +4,8 @@ for symmetric groups.
 
 The recursion walks nodes from the top down: mu(G,G) = 1 and each lower
 subgroup receives minus the sum over everything strictly above it. For
-symmetric groups of degree 3, 4, 5 the computed bottom value matches the
-published case formulas (degree 6 does too; it takes a couple of minutes,
-enable it with PERMLAT_STRETCH=1).
+symmetric groups of degree 3 to 6 the computed bottom value matches the
+published case formulas; S6, with 1455 subgroups, takes a few seconds.
 """
 import os
 import sys
@@ -22,10 +21,8 @@ from permlat import (
 )
 from permlat.groups import _bits
 
-degrees = [3, 4, 5] + ([6] if os.environ.get("PERMLAT_STRETCH") else [])
-
 print(f"{'group':<6} {'|L|':>5} {'mu(1,G)':>9} {'predicted':>10} {'conjecture':>11}")
-for n in degrees:
+for n in [3, 4, 5, 6]:
     lat = enumerate_subgroups(make_named(f"S{n}"))
     mu = moebius_table(lat).bottom_value
     print(f"S{n:<5} {len(lat):>5} {mu:>9} {predicted_mu_symmetric(n):>10} "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .groups import FiniteGroup, is_prime, prime_signature, quotient_group
+from .groups import FiniteGroup, _bits, is_prime, prime_signature, quotient_group
 from .lattice import (
     RAW,
     SubgroupLattice,
@@ -198,7 +198,7 @@ def _node_str(lat: SubgroupLattice, i: int) -> str:
 
 
 def _is_normal_node(lat: SubgroupLattice, i: int) -> bool:
-    return bool(normal_subgroups(lat).members_mask >> i & 1)
+    return i in normal_subgroups(lat)
 
 
 def normal_node_indices(lat: SubgroupLattice) -> list[int]:
@@ -236,15 +236,21 @@ class FactorConditions:
     details: tuple[str, ...]
 
 
-def _child_selection_parent_masks(lat: SubgroupLattice, idx: int,
-                                  convention: str) -> tuple[set, set]:
-    """(subnormal, maximal) node masks of a re-rooted child, in parent coordinates."""
-    _child, child_lat, to_parent = lat.rerooted(idx)
-    sn_masks = {to_parent(child_lat.masks[i])
-                for i in subnormal_subgroups(child_lat).members}
-    mx_masks = {to_parent(child_lat.masks[i])
-                for i in maximal_subgroups(child_lat, convention).members}
-    return sn_masks, mx_masks
+def _child_selection_parent_nodes(lat: SubgroupLattice, idx: int,
+                                  convention: str) -> tuple[int, int]:
+    """(subnormal, maximal) nodes of a re-rooted child, as masks over the
+    parent's node indices."""
+    _child, child_lat, _ = lat.rerooted(idx)
+    up = lat.rerooted_nodes(idx)
+
+    def lift(sel) -> int:
+        out = 0
+        for j in sel.members:
+            out |= 1 << up[j]
+        return out
+
+    return (lift(subnormal_subgroups(child_lat)),
+            lift(maximal_subgroups(child_lat, convention)))
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -256,20 +262,22 @@ def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
         raise ValueError("NH is not the whole group")
     if nm.bit_count() == 1 or hm.bit_count() == 1:
         raise ValueError("N and H must be nontrivial (maximal sets undefined)")
-    sn_g = {lat.masks[i] for i in subnormal_subgroups(lat).members}
-    mx_g = {lat.masks[i] for i in maximal_subgroups(lat, convention).members}
+    sn_g = subnormal_subgroups(lat).members_mask
+    mx_g = maximal_subgroups(lat, convention).members_mask
     details = []
 
-    def included(masks: set, target: set, label: str) -> bool:
-        for m in sorted(masks):
-            if m not in target:
-                details.append(f"{label}: subgroup of order {m.bit_count()} "
-                               "is not in the ambient selection")
-                return False
+    def included(nodes: int, target: int, label: str) -> bool:
+        outside = nodes & ~target
+        if outside:
+            # name the violator with the smallest element mask
+            m = min(lat.masks[i] for i in _bits(outside))
+            details.append(f"{label}: subgroup of order {m.bit_count()} "
+                           "is not in the ambient selection")
+            return False
         return True
 
-    sn_h, mx_h = _child_selection_parent_masks(lat, h_idx, convention)
-    sn_n, mx_n = _child_selection_parent_masks(lat, n_idx, convention)
+    sn_h, mx_h = _child_selection_parent_nodes(lat, h_idx, convention)
+    sn_n, mx_n = _child_selection_parent_nodes(lat, n_idx, convention)
     a1 = (included(sn_h, sn_g, "sn(H) in sn(G)")
           & included(mx_h, mx_g, "M(H) in M(G)"))
     a2 = (included(sn_n, sn_g, "sn(N) in sn(G)")

@@ -1,8 +1,9 @@
 """Built-in group catalog used by batch processing and the verification suite.
 
-Orders stay at or below 120 in the standard tier; S6 (order 720, 1455
-subgroups) sits behind the stretch tier and is only used for the Moebius
-stretch check.
+Orders stay at or below 120 in the standard catalog. S6 (order 720, 1455
+subgroups) is kept apart in ``STRETCH_SPECS`` because only the Moebius check
+``moebius-s6-stretch`` uses it; that check runs in the default acceptance
+suite and with ``permlat verify-paper --stretch``.
 """
 from __future__ import annotations
 

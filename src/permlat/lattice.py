@@ -1,10 +1,14 @@
 """Subgroup lattices and their distinguished node selections.
 
-The lattice is enumerated once per group by saturating joins of cyclic seeds
-and then frozen: nodes are sorted by (cardinality, membership-vector lex
-order), so two runs of the same table index the nodes identically. Selections
-(normal, subnormal, maximal, Sylow, perp, ...) are index sets into that fixed
-node list; they never copy subgroups.
+The lattice is enumerated once per group by joining conjugacy-class
+representatives with cyclic seeds, after Neubüser's cyclic-extension method
+(see :func:`enumerate_subgroups`), and then frozen: nodes are sorted by
+(cardinality, membership-vector lex order), so two runs of the same table
+index the nodes identically. Selections (normal, subnormal, maximal, Sylow,
+perp, ...) are index sets into that fixed node list; they never copy
+subgroups. Normality and subnormality are class invariants and are decided
+once per conjugacy class (:attr:`SubgroupLattice.class_of`); the normal,
+subnormal and maximal selections are built once per lattice.
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -14,6 +18,8 @@ every degree, perp and bound computation downstream shares.
 """
 from __future__ import annotations
 
+from collections import Counter
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .groups import ElementSet, FiniteGroup, _bits, prime_signature, subgroup_group
@@ -71,8 +77,8 @@ class SubgroupLattice:
         self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
         self._rerooted: dict[int, tuple] = {}
-        self._normal_mask: Optional[int] = None
-        self._subnormal_mask: Optional[int] = None
+        self._rerooted_nodes: dict[int, tuple[int, ...]] = {}
+        self._selections: dict[str, SublatticeSelection] = {}
 
     def __len__(self):
         return len(self.masks)
@@ -95,6 +101,21 @@ class SubgroupLattice:
         # dually, the join is the lowest common upper bound
         common = self.up_masks[a] & self.up_masks[b]
         return (common & -common).bit_length() - 1
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """The representative (lowest-indexed member) of each node's
+        conjugacy class, read off the masks by conjugating with the
+        group's generating set."""
+        g = self.group
+        rep = [-1] * len(self.masks)
+        for i, m in enumerate(self.masks):
+            if rep[i] >= 0:
+                continue
+            rep[i] = i
+            for c in _conjugacy_class(g, m):
+                rep[self.index_of[c]] = i
+        return tuple(rep)
 
     def chi_rows(self) -> list[int]:
         """Permutability bitmatrix: bit j of row i set iff nodes i and j permute.
@@ -147,43 +168,98 @@ class SubgroupLattice:
         self._rerooted[i] = entry
         return entry
 
+    def rerooted_nodes(self, i: int) -> tuple[int, ...]:
+        """The index in this lattice of each node of node i's re-rooted lattice."""
+        hit = self._rerooted_nodes.get(i)
+        if hit is None:
+            _sub, sub_lat, to_parent = self.rerooted(i)
+            hit = tuple(self.index_of[to_parent(m)] for m in sub_lat.masks)
+            self._rerooted_nodes[i] = hit
+        return hit
+
+
+def _conjugacy_class(group: FiniteGroup, mask: int,
+                     gens: tuple[int, ...] = ()) -> dict[int, tuple[int, ...]]:
+    """The conjugacy class of a subgroup, each member with its own generators.
+
+    The orbit is closed under conjugation by ``group.generating_set``, which
+    suffices; generators are conjugated along with the mask, so every entry
+    maps a member to a generating tuple of that member.
+    """
+    g = group
+    members = {mask: gens}
+    orbit = [mask]
+    for m in orbit:  # orbit grows while we iterate
+        mgens = members[m]
+        for s in g.generating_set:
+            c = g.conjugate_mask(m, s)
+            if c not in members:
+                members[c] = tuple(g.conj(x, s) for x in mgens)
+                orbit.append(c)
+    return members
+
 
 def enumerate_subgroups(group: FiniteGroup,
                         lattice_cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
-    """Enumerate the full subgroup lattice.
+    """Enumerate the full subgroup lattice by class-driven saturation.
 
-    Seeds with every cyclic subgroup, then repeatedly joins discovered
-    subgroups with the cyclic seeds until nothing new appears. Every subgroup
-    is a join of cyclic subgroups, so this saturation is complete; unions that
-    were already examined are skipped via a memo on the union mask.
+    This follows the cyclic-extension method of Neubüser (1960), on which
+    GAP's lattice code is built. The seeds are the cyclic subgroups. The
+    frontier holds one representative per conjugacy class, and only
+    representatives are joined with the seeds; a join that yields a new
+    subgroup brings in its whole conjugacy class at once, by conjugation and
+    without further closures. Seeds conjugate under the normalizer N(A) of a
+    representative A give conjugate joins, so one seed per N(A)-orbit is
+    joined. The method is complete: every subgroup is a join of cyclic
+    subgroups, any H = <A, c> is conjugate to some <A0, c'> with A0 the
+    representative of A's class, and <A0, c'> is conjugate under N(A0) to the
+    join with the seed tried from the orbit of <c'>. Unions that were already
+    examined are skipped via a memo on the union mask.
     """
     g = group
+    t, inv = g.table, g.inverse
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
+    cyclic_of = [1] * g.order
     cyclic_masks: list[int] = [1]
     for x in range(1, g.order):
         m = g.cyclic_mask(x)
+        cyclic_of[x] = m
         if m not in gens_of:
             gens_of[m] = (x,)
             cyclic_masks.append(m)
+    if len(gens_of) > lattice_cap:
+        raise LatticeCapError(f"{g.name}: more than {lattice_cap} subgroups")
+    frontier: list[int] = []
+    classified: set[int] = set()
+    for m in cyclic_masks:
+        if m not in classified:
+            frontier.append(m)
+            classified.update(_conjugacy_class(g, m))
     union_seen: set[int] = set()
-    frontier = list(gens_of)
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
+            normalizer: Optional[list[int]] = None
+            tried: set[int] = set()  # seeds N(A)-conjugate to a joined one
             for cm in cyclic_masks:
                 u = am | cm
-                if u == am or u in gens_of or u in union_seen:
+                if u == am or u in gens_of or u in union_seen or cm in tried:
                     continue
                 union_seen.add(u)
                 jgens = tuple(dict.fromkeys(agens + gens_of[cm]))
                 jm = g.closure_mask(jgens)
                 if jm not in gens_of:
-                    gens_of[jm] = jgens
+                    gens_of.update(_conjugacy_class(g, jm, jgens))
                     fresh.append(jm)
                     if len(gens_of) > lattice_cap:
                         raise LatticeCapError(
                             f"{g.name}: more than {lattice_cap} subgroups")
+                if normalizer is None:
+                    normalizer = [y for y in range(g.order)
+                                  if all(am >> t[t[y][a]][inv[y]] & 1 for a in agens)]
+                x = gens_of[cm][0]
+                tried.update(cyclic_of[t[t[y][x]][inv[y]]] for y in normalizer)
         frontier = fresh
     return SubgroupLattice(g, list(gens_of), gens_of)
 
@@ -229,20 +305,22 @@ class SublatticeSelection:
 
 
 def all_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    return SublatticeSelection(lat, "all", range(len(lat)))
+    sel = lat._selections.get("all")
+    if sel is None:
+        sel = SublatticeSelection(lat, "all", range(len(lat)))
+        lat._selections["all"] = sel
+    return sel
 
 
 def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    """Nodes invariant under conjugation (checked on a generating set)."""
-    if lat._normal_mask is None:
-        g = lat.group
-        gens = g.generating_set
-        mask = 0
-        for i, m in enumerate(lat.masks):
-            if all(g.conjugate_mask(m, x) == m for x in gens):
-                mask |= 1 << i
-        lat._normal_mask = mask
-    return SublatticeSelection(lat, "normal", _bits(lat._normal_mask))
+    """Nodes invariant under conjugation: the classes with one member."""
+    sel = lat._selections.get("normal")
+    if sel is None:
+        size = Counter(lat.class_of)
+        sel = SublatticeSelection(
+            lat, "normal", (i for i, r in enumerate(lat.class_of) if size[r] == 1))
+        lat._selections["normal"] = sel
+    return sel
 
 
 def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
@@ -262,16 +340,17 @@ def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
 
 
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    if lat._subnormal_mask is None:
-        normal = normal_subgroups(lat).members_mask
-        mask = normal
-        for i in range(len(lat)):
-            if mask >> i & 1:
-                continue
-            if _is_subnormal_node(lat, i):
-                mask |= 1 << i
-        lat._subnormal_mask = mask
-    return SublatticeSelection(lat, "subnormal", _bits(lat._subnormal_mask))
+    """Subnormal nodes. Subnormality is a class invariant, so the closure
+    chain runs on class representatives only."""
+    sel = lat._selections.get("subnormal")
+    if sel is None:
+        normal = normal_subgroups(lat)
+        reps = {r for r in set(lat.class_of)
+                if r in normal or _is_subnormal_node(lat, r)}
+        sel = SublatticeSelection(
+            lat, "subnormal", (i for i, r in enumerate(lat.class_of) if r in reps))
+        lat._selections["subnormal"] = sel
+    return sel
 
 
 def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> SublatticeSelection:
@@ -283,18 +362,24 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
     _check_convention(convention)
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
-    top_bit = 1 << lat.top
-    raw = [i for i in range(len(lat) - 1)
-           if lat.up_masks[i] & ~(1 << i) & ~top_bit == 0]
-    if convention == RAW:
-        return SublatticeSelection(lat, "maximal-raw", raw)
-    meet_all = lat.masks[lat.top]
-    for i in raw:
-        meet_all &= lat.masks[i]
-    members = set(raw)
-    members.add(lat.index_of[meet_all])
-    members.add(lat.top)
-    return SublatticeSelection(lat, "maximal-closed", members, bounds_included=True)
+    kind = f"maximal-{convention}"
+    sel = lat._selections.get(kind)
+    if sel is None:
+        top_bit = 1 << lat.top
+        raw = [i for i in range(len(lat) - 1)
+               if lat.up_masks[i] & ~(1 << i) & ~top_bit == 0]
+        if convention == RAW:
+            sel = SublatticeSelection(lat, kind, raw)
+        else:
+            meet_all = lat.masks[lat.top]
+            for i in raw:
+                meet_all &= lat.masks[i]
+            members = set(raw)
+            members.add(lat.index_of[meet_all])
+            members.add(lat.top)
+            sel = SublatticeSelection(lat, kind, members, bounds_included=True)
+        lat._selections[kind] = sel
+    return sel
 
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:

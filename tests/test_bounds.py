@@ -383,3 +383,46 @@ def test_factorizes_matches_product_set(spec):
             nm, hm = lat.masks[n_idx], lat.masks[h_idx]
             expected = g.product_mask(nm, hm) == g.full_mask
             assert B.factorizes(lat, n_idx, h_idx) is expected, (n_idx, h_idx)
+
+
+def factor_conditions_by_mask_sets(lat, n_idx, h_idx, convention):
+    """Oracle: the inclusions compared as sets of element masks, each child
+    selection mapped back through ``to_parent``, violators taken in mask order."""
+    sn_g = {lat.masks[i] for i in L.subnormal_subgroups(lat).members}
+    mx_g = {lat.masks[i] for i in L.maximal_subgroups(lat, convention).members}
+    details = []
+
+    def child_masks(idx):
+        _, child, to_parent = lat.rerooted(idx)
+        return ({to_parent(child.masks[i]) for i in L.subnormal_subgroups(child).members},
+                {to_parent(child.masks[i])
+                 for i in L.maximal_subgroups(child, convention).members})
+
+    def included(masks, target, label):
+        for m in sorted(masks):
+            if m not in target:
+                details.append(f"{label}: subgroup of order {m.bit_count()} "
+                               "is not in the ambient selection")
+                return False
+        return True
+
+    sn_h, mx_h = child_masks(h_idx)
+    sn_n, mx_n = child_masks(n_idx)
+    a1 = included(sn_h, sn_g, "sn(H) in sn(G)") & included(mx_h, mx_g, "M(H) in M(G)")
+    a2 = included(sn_n, sn_g, "sn(N) in sn(G)") & included(mx_n, mx_g, "M(N) in M(G)")
+    return B.FactorConditions(a1, a2, tuple(details))
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xC2"])
+def test_factor_conditions_match_mask_set_oracle(spec):
+    lat = lat_of(spec)
+    for n_idx in L.normal_subgroups(lat).members:
+        if lat.node_order(n_idx) == 1:
+            continue
+        for h_idx in B.factor_partners(lat, n_idx):
+            if lat.node_order(h_idx) == 1:
+                continue
+            for conv in L.CONVENTIONS:
+                assert (B.check_factor_conditions(lat, n_idx, h_idx, conv)
+                        == factor_conditions_by_mask_sets(lat, n_idx, h_idx, conv)), \
+                    (n_idx, h_idx, conv)

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,25 @@ SMALL_SPECS = ["C1", "C2", "C3", "C5", "C12", "Z:2,2", "Z:2,4", "Z:2,2,2",
                "Z:3,3", "S3", "D4", "Q8", "A4", "D6"]
 
 ORACLE_SPECS = list(CATALOG_SPECS) + ["S3xC3", "D4xC3", "Q8xS3"]
+
+SMALL_ORDER_SPECS = [s for s in CATALOG_SPECS if G.make_named(s).order <= 16]
+
+FACTOR_SPECS = ["C1", "C2", "C3", "C4", "C5", "Z:2,2", "S3", "D4", "Q8"]
+
+SMALL_PRODUCTS = [(a, b) for a in FACTOR_SPECS for b in FACTOR_SPECS
+                  if G.make_named(a).order * G.make_named(b).order <= 16]
+
+CLASS_SPECS = ["S4xS3", "D4xD4", "A4xA4", "S5xC2"]
+
+SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4"]
+
+# sha256 of the node masks in node order, as first produced by saturating
+# joins of every node with every cyclic subgroup
+PINNED_MASK_DIGESTS = {
+    "S5": "00044c76460a2a1d9f64ef21ab6c7437871645c189b88e81db7788d8358c3ef3",
+    "S5xC2": "cd1810a32a3206677518a8e64c83ed83829bd630bb04d8b511700a12d79ae270",
+    "S6": "7458f843987cfc20ca1bc3fa526a3789e5687dbebd11e10829d32400c162cadb",
+}
 
 
 def lat_of(spec):
@@ -59,9 +80,34 @@ def nodes_of_order(lat, k):
     return [i for i in range(len(lat)) if lat.node_order(i) == k]
 
 
+def relabelled(g, data):
+    """``g`` rebuilt from its table under a drawn permutation fixing 0."""
+    n = g.order
+    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
+    inv = [0] * n
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    return G.FiniteGroup.from_table(table, name=g.name)
+
+
+def subnormal_by_chain(g, m):
+    """Oracle: the normal-closure chain from G, run on one subgroup."""
+    k = g.full_mask
+    while k != m:
+        nc = g.normal_closure_mask(m, k)
+        if nc == k:
+            return False
+        k = nc
+    return True
+
+
+def masks_digest(lat):
+    return hashlib.sha256(",".join(f"{m:x}" for m in lat.masks).encode()).hexdigest()
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("spec", [s for s in SMALL_SPECS
-                                      if G.make_named(s).order <= 16])
+    @pytest.mark.parametrize("spec", SMALL_ORDER_SPECS)
     def test_matches_powerset_oracle(self, spec):
         g = G.make_named(spec)
         lat = L.enumerate_subgroups(g)
@@ -92,10 +138,70 @@ class TestEnumeration:
         with pytest.raises(L.LatticeCapError):
             L.enumerate_subgroups(G.make_named("S4"), lattice_cap=10)
 
+    def test_lattice_cap_boundary(self):
+        s4 = G.make_named("S4")
+        assert len(L.enumerate_subgroups(s4, lattice_cap=30)) == 30
+        with pytest.raises(L.LatticeCapError):
+            L.enumerate_subgroups(s4, lattice_cap=29)
+        # C12 has only cyclic subgroups: the seeds alone pass the cap
+        c12 = G.make_named("C12")
+        assert len(L.enumerate_subgroups(c12, lattice_cap=6)) == 6
+        with pytest.raises(L.LatticeCapError):
+            L.enumerate_subgroups(c12, lattice_cap=5)
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_MASK_DIGESTS))
+    def test_node_masks_pinned(self, spec):
+        assert masks_digest(shared_lat(spec)) == PINNED_MASK_DIGESTS[spec]
+
     def test_every_node_is_subgroup(self):
         g = G.make_named("S4")
         lat = L.enumerate_subgroups(g)
         assert all(g.is_subgroup_mask(m) for m in lat.masks)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_ORDER_SPECS), st.data())
+def test_relabelled_enumeration_matches_powerset_oracle(spec, data):
+    g = relabelled(G.make_named(spec), data)
+    assert sorted(L.enumerate_subgroups(g).masks) == sorted(L.subgroup_masks_bruteforce(g))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_PRODUCTS))
+def test_product_enumeration_matches_powerset_oracle(pair):
+    g = G.direct_product(*(G.make_named(s) for s in pair))
+    assert sorted(L.enumerate_subgroups(g).masks) == sorted(L.subgroup_masks_bruteforce(g))
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("spec", CLASS_SPECS)
+    def test_classes_are_conjugation_orbits(self, spec):
+        lat = shared_lat(spec)
+        g = lat.group
+        for m in lat.masks:
+            for s in g.generating_set:
+                assert g.conjugate_mask(m, s) in lat.index_of, spec
+        classes = defaultdict(list)
+        for i, r in enumerate(lat.class_of):
+            classes[r].append(i)
+        assert sum(len(c) for c in classes.values()) == len(lat)
+        for r, members in classes.items():
+            assert r == min(members)
+            orbit = {g.conjugate_mask(lat.masks[r], x) for x in range(g.order)}
+            assert orbit == {lat.masks[i] for i in members}, (spec, r)
+
+    @pytest.mark.parametrize("spec, nodes, classes", [
+        ("S5", 156, 19), ("S5xC2", 535, 57), ("S6", 1455, 56)])
+    def test_node_and_class_counts(self, spec, nodes, classes):
+        lat = shared_lat(spec)
+        assert (len(lat), len(set(lat.class_of))) == (nodes, classes)
+
+    def test_classes_without_enumeration_generators(self):
+        # a lattice rebuilt from bare masks, as on a cache hit, gets the same classes
+        lat = shared_lat("S4xS3")
+        rebuilt = L.SubgroupLattice(lat.group, list(reversed(lat.masks)))
+        assert rebuilt.masks == lat.masks
+        assert rebuilt.class_of == lat.class_of
 
 
 class TestMeetJoin:
@@ -230,6 +336,37 @@ class TestSelections:
         assert len(L.sylow_subgroups(lat_of("C1"))) == 0
 
 
+class TestClassInvariantSelections:
+    @pytest.mark.parametrize("spec", SELECTION_SPECS)
+    def test_normal_and_subnormal_match_per_node_oracles(self, spec):
+        lat = shared_lat(spec)
+        g = lat.group
+        normal = {i for i, m in enumerate(lat.masks)
+                  if all(g.conjugate_mask(m, s) == m for s in g.generating_set)}
+        assert set(L.normal_subgroups(lat).members) == normal
+        subnormal = {i for i, m in enumerate(lat.masks) if subnormal_by_chain(g, m)}
+        assert set(L.subnormal_subgroups(lat).members) == subnormal
+
+    @pytest.mark.parametrize("spec", SELECTION_SPECS)
+    def test_flags_are_constant_on_classes(self, spec):
+        lat = shared_lat(spec)
+        selections = [L.normal_subgroups(lat), L.subnormal_subgroups(lat),
+                      L.sylow_subgroups(lat)]
+        if len(lat) > 1:
+            selections += [L.maximal_subgroups(lat, c) for c in L.CONVENTIONS]
+        for i, r in enumerate(lat.class_of):
+            for sel in selections:
+                assert (i in sel) == (r in sel), (spec, sel.kind, i)
+
+    def test_selections_are_built_once_per_lattice(self):
+        lat = lat_of("S4")
+        for select in (L.all_subgroups, L.normal_subgroups, L.subnormal_subgroups):
+            assert select(lat) is select(lat)
+        for conv in L.CONVENTIONS:
+            assert L.maximal_subgroups(lat, conv) is L.maximal_subgroups(lat, conv)
+        assert L.maximal_subgroups(lat, "raw") is not L.maximal_subgroups(lat, "closed")
+
+
 class TestPerp:
     def test_perp_of_normal_is_everything(self):
         for spec in SMALL_SPECS + ["S4"]:
@@ -301,6 +438,13 @@ class TestPredicates:
 
 
 class TestRerooting:
+    def test_rerooted_nodes_map_to_parent_masks(self):
+        lat = lat_of("S4")
+        for i in range(len(lat)):
+            _, child, to_parent = lat.rerooted(i)
+            up = lat.rerooted_nodes(i)
+            assert [lat.masks[k] for k in up] == [to_parent(m) for m in child.masks]
+
     def test_rerooted_lattice_counts(self):
         lat = lat_of("S4")
         for i in nodes_of_order(lat, 12):  # A4 inside S4
@@ -337,14 +481,7 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_relabelling_invariance(spec, data):
     lat = shared_lat(spec)
-    g = lat.group
-    n = g.order
-    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
-    inv = [0] * n
-    for x, y in enumerate(sigma):
-        inv[y] = x
-    table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    rel = L.enumerate_subgroups(G.FiniteGroup.from_table(table, name=spec))
+    rel = L.enumerate_subgroups(relabelled(lat.group, data))
     assert len(rel) == len(lat)
     assert sd(rel) == sd(lat)
     assert L.is_modular_lattice(rel) is L.is_modular_lattice(lat)
