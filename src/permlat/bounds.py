@@ -239,9 +239,9 @@ class FactorConditions:
 def _child_selection_parent_nodes(lat: SubgroupLattice, idx: int,
                                   convention: str) -> tuple[int, int]:
     """(subnormal, maximal) nodes of a re-rooted child, as masks over the
-    parent's node indices."""
-    _child, child_lat, _ = lat.rerooted(idx)
-    up = lat.rerooted_nodes(idx)
+    parent's node indices: child node k is the k-th node under ``idx``."""
+    _child, child_lat = lat.rerooted(idx)
+    up = tuple(_bits(lat.down_masks[idx]))
 
     def lift(sel) -> int:
         out = 0
@@ -306,7 +306,7 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        child, _, _ = lat.rerooted(n_idx)
+        child, _ = lat.rerooted(n_idx)
         shape = detect_rank2_shape(child, allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
@@ -348,7 +348,7 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        child, _, _ = lat.rerooted(n_idx)
+        child, _ = lat.rerooted(n_idx)
         shape = detect_rank2_shape(child, allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
@@ -372,7 +372,7 @@ def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheck
     n_order = lat.node_order(n_idx)
     if not _is_normal_node(lat, n_idx):
         reasons.append("N is not normal")
-    child, child_lat, _ = lat.rerooted(n_idx)
+    child, child_lat = lat.rerooted(n_idx)
     if not child.is_abelian:
         reasons.append("N is not abelian")
     if not is_prime(g.order // n_order):
@@ -390,7 +390,7 @@ def _child_pair_count(lat: SubgroupLattice, idx: int, restricted: bool,
                       convention: str) -> int:
     """Permuting-pair count inside a re-rooted node, over all pairs or over
     its own subnormal x maximal pairs."""
-    _child, child_lat, _ = lat.rerooted(idx)
+    _child, child_lat = lat.rerooted(idx)
     if restricted:
         return permuting_pair_count(child_lat, subnormal_subgroups(child_lat),
                                     maximal_subgroups(child_lat, convention))
@@ -522,7 +522,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     allow_rank1 = reading == "relaxed"
     shape = None
     if not reasons:
-        child, _, _ = lat.rerooted(c_idx)
+        child, _ = lat.rerooted(c_idx)
         shape = detect_rank2_shape(child, allow_rank1)
         if shape is None:
             reasons.append("centralizer of the Fitting subgroup does not have "

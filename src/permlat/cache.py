@@ -1,23 +1,26 @@
 """Optional on-disk cache for enumerated subgroup lattices.
 
-Cache files are JSON keyed by a digest of the multiplication table, so a hit
-can only ever replay the same deterministic enumeration: the stored node
-masks are re-sorted and re-validated on load, and anything suspicious (bad
-digest, non-subgroup mask, wrong version) makes the loader return None so
-the caller recomputes. A cache hit is therefore bit-identical to a fresh
-enumeration.
+Cache files are JSON keyed by a digest of the multiplication table, and each
+carries a sha256 of its own node list. On load the format version, both
+digests, the node count and every mask are checked; a file that fails any
+check (truncated, edited, another version) makes the loader return None, so
+the caller recomputes. A hit is therefore bit-identical to a fresh
+enumeration for every file that :func:`store_lattice` wrote for the same
+table; only an edit that also rewrites the node-list digest gets past the
+checks.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import sys
 from typing import Optional
 
 from .groups import FiniteGroup
-from .lattice import SubgroupLattice
+from .lattice import SubgroupLattice, enumerate_subgroups
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def table_digest(group: FiniteGroup) -> str:
@@ -33,8 +36,8 @@ def cache_path(cache_dir: str, group: FiniteGroup) -> str:
     return os.path.join(cache_dir, f"lattice-{table_digest(group)}.json")
 
 
-def cache_exists(cache_dir: str, group: FiniteGroup) -> bool:
-    return os.path.exists(cache_path(cache_dir, group))
+def _nodes_digest(masks) -> str:
+    return hashlib.sha256(",".join(format(m, "x") for m in masks).encode()).hexdigest()
 
 
 def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
@@ -46,6 +49,7 @@ def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
         "order": lat.group.order,
         "node_count": len(lat),
         "nodes": [format(m, "x") for m in lat.masks],
+        "nodes_sha256": _nodes_digest(lat.masks),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -70,6 +74,8 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
         masks = [int(v, 16) for v in payload["nodes"]]
         if len(masks) != payload["node_count"] or len(set(masks)) != len(masks):
             return None
+        if payload["nodes_sha256"] != _nodes_digest(masks):
+            return None
     except (KeyError, TypeError, ValueError):
         return None
     full = group.full_mask
@@ -79,3 +85,20 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
     if 1 not in masks or full not in masks:
         return None
     return SubgroupLattice(group, masks)
+
+
+def cached_lattice(cache_dir: Optional[str], group: FiniteGroup) -> SubgroupLattice:
+    """The group's lattice, loaded from ``cache_dir`` when a valid entry is
+    there; otherwise enumerated and, given a ``cache_dir``, stored. An entry
+    that exists but does not load is reported on stderr and replaced."""
+    if not cache_dir:
+        return enumerate_subgroups(group)
+    lat = load_lattice(cache_dir, group)
+    if lat is not None:
+        return lat
+    if os.path.exists(cache_path(cache_dir, group)):
+        print(f"warning: ignoring corrupt cache entry for {group.name}",
+              file=sys.stderr)
+    lat = enumerate_subgroups(group)
+    store_lattice(cache_dir, lat)
+    return lat

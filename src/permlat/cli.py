@@ -46,11 +46,9 @@ from .groups import (
     structural_predicates,
 )
 from .lattice import (
-    DEFAULT_LATTICE_CAP,
     LatticeCapError,
     SubgroupLattice,
     all_subgroups,
-    enumerate_subgroups,
     is_modular_lattice,
     is_quasihamiltonian,
     maximal_subgroups,
@@ -82,7 +80,6 @@ class RunConfig:
     cache_dir: Optional[str]
     stretch: bool
     theorem1_reading: str
-    lattice_cap: int = DEFAULT_LATTICE_CAP
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -116,20 +113,6 @@ def _resolve_group(config: RunConfig) -> FiniteGroup:
     if config.input_path:
         return load_group_file(config.input_path, max_order=config.max_order)
     raise GroupSpecError("a group is required: use --group or --input")
-
-
-def _lattice_for(group: FiniteGroup, config: RunConfig) -> SubgroupLattice:
-    if config.cache_dir:
-        lat = cache_mod.load_lattice(config.cache_dir, group)
-        if lat is not None:
-            return lat
-        if cache_mod.cache_exists(config.cache_dir, group):
-            print(f"warning: ignoring corrupt cache entry for {group.name}",
-                  file=sys.stderr)
-        lat = enumerate_subgroups(group, config.lattice_cap)
-        cache_mod.store_lattice(config.cache_dir, lat)
-        return lat
-    return enumerate_subgroups(group, config.lattice_cap)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -223,7 +206,7 @@ def _node_flags(lat: SubgroupLattice, convention: str):
 
 def cmd_lattice(config: RunConfig) -> int:
     g = _resolve_group(config)
-    lat = _lattice_for(g, config)
+    lat = cache_mod.cached_lattice(config.cache_dir, g)
     normal, subnormal, sylow, maximal = _node_flags(lat, config.convention)
     pall = perp(lat, all_subgroups(lat))
     diagnostics = {
@@ -338,7 +321,7 @@ def _print_report_table(report: DegreeReport) -> None:
 
 def cmd_degrees(config: RunConfig) -> int:
     g = _resolve_group(config)
-    lat = _lattice_for(g, config)
+    lat = cache_mod.cached_lattice(config.cache_dir, g)
     report = build_degree_report(lat, config.convention)
     if config.format == "json":
         emit_json(_report_json(report))
@@ -423,7 +406,7 @@ def _gather_bound_results(config: RunConfig, lat: SubgroupLattice, claim: str,
 def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
                h_node: Optional[int]) -> int:
     g = _resolve_group(config)
-    lat = _lattice_for(g, config)
+    lat = cache_mod.cached_lattice(config.cache_dir, g)
     for idx in (n_node, h_node):
         if idx is not None and not 0 <= idx < len(lat):
             raise GroupSpecError(f"node index {idx} out of range (0..{len(lat) - 1})")
@@ -461,7 +444,7 @@ def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
 
 def cmd_moebius(config: RunConfig) -> int:
     g = _resolve_group(config)
-    lat = _lattice_for(g, config)
+    lat = cache_mod.cached_lattice(config.cache_dir, g)
     mu = moebius_table(lat).bottom_value
     match = re.fullmatch(r"S(\d+)", g.name)
     predicted = predicted_mu_symmetric(int(match.group(1))) if match else None
@@ -500,7 +483,7 @@ def cmd_moebius(config: RunConfig) -> int:
 def cmd_batch(config: RunConfig) -> int:
     reports = []
     for g in catalog_groups(max_order=config.max_order):
-        lat = _lattice_for(g, config)
+        lat = cache_mod.cached_lattice(config.cache_dir, g)
         reports.append(build_degree_report(lat, config.convention))
     if config.format == "json":
         emit_json([_report_json(r) for r in reports])

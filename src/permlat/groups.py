@@ -674,7 +674,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
 
 
 def subgroup_group(g: FiniteGroup, s) -> FiniteGroup:
-    """Re-root a subgroup as a standalone group (indices remapped, 0 = identity)."""
+    """Re-root a subgroup as a standalone group.
+
+    Its elements are renumbered in ascending order, so 0 stays the identity
+    and :meth:`permlat.lattice.SubgroupLattice.rerooted` keeps node order.
+    """
     mask = _as_mask(g, s)
     if not g.is_subgroup_mask(mask):
         raise ValueError("set is not a subgroup")

@@ -1,10 +1,15 @@
 """Subgroup lattices and their distinguished node selections.
 
-The lattice is enumerated once per group by joining conjugacy-class
-representatives with cyclic seeds, after Neubüser's cyclic-extension method
-(see :func:`enumerate_subgroups`), and then frozen: nodes are sorted by
-(cardinality, membership-vector lex order), so two runs of the same table
-index the nodes identically. Selections (normal, subnormal, maximal, Sylow,
+A lattice is built from its node masks alone (:class:`SubgroupLattice`), and
+every lattice comes through that one constructor: enumeration, cache hits
+and re-rooted children. The masks are enumerated once per group by joining
+conjugacy-class representatives with cyclic seeds, after Neubüser's
+cyclic-extension method (see :func:`enumerate_subgroups`), and then frozen:
+nodes are sorted by (cardinality, membership-vector lex order), so two runs
+of the same table index the nodes identically. The lattice of a subgroup H
+is the interval [1, H] of the parent's lattice, so
+:meth:`SubgroupLattice.rerooted` reads it off the parent instead of
+enumerating it again. Selections (normal, subnormal, maximal, Sylow,
 perp, ...) are index sets into that fixed node list; they never copy
 subgroups. Normality and subnormality are class invariants and are decided
 once per conjugacy class (:attr:`SubgroupLattice.class_of`); the normal,
@@ -48,8 +53,7 @@ class SubgroupLattice:
     with j set iff nodes[i] <= nodes[j] (resp. >=).
     """
 
-    def __init__(self, group: FiniteGroup, masks: list[int],
-                 node_gens: Optional[dict[int, tuple[int, ...]]] = None):
+    def __init__(self, group: FiniteGroup, masks: list[int]):
         n = group.order
         order_key = lambda m: (m.bit_count(), f"{m:0{n}b}"[::-1])
         masks = sorted(masks, key=order_key)
@@ -69,15 +73,9 @@ class SubgroupLattice:
                     down[j] |= 1 << i
         self.up_masks = tuple(up)
         self.down_masks = tuple(down)
-        if node_gens is None:
-            node_gens = {}
-        self.node_gens: tuple[tuple[int, ...], ...] = tuple(
-            node_gens.get(m) or group.subgroup_gens(m) for m in masks
-        )
         self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
         self._rerooted: dict[int, tuple] = {}
-        self._rerooted_nodes: dict[int, tuple[int, ...]] = {}
         self._selections: dict[str, SublatticeSelection] = {}
 
     def __len__(self):
@@ -146,57 +144,40 @@ class SubgroupLattice:
         return self._chi
 
     def rerooted(self, i: int):
-        """Materialize node i as a standalone group with its own lattice.
+        """Node i as a standalone group with its own subgroup lattice.
 
-        Returns (group, lattice, to_parent) where to_parent maps the child
-        lattice's node masks back to masks over the parent group's elements.
+        Returns (group, lattice). The subgroups of H = nodes[i] are the
+        interval [1, H] of this lattice, the set bits of ``down_masks[i]``,
+        so nothing is enumerated. :func:`subgroup_group` numbers H's elements
+        in ascending order, which keeps the (cardinality, membership-lex)
+        node order: child node k is the k-th set bit of ``down_masks[i]``.
         """
         hit = self._rerooted.get(i)
-        if hit is not None:
-            return hit
-        sub = subgroup_group(self.group, self.masks[i])
-        sub_lat = enumerate_subgroups(sub)
-        elems = list(_bits(self.masks[i]))
-
-        def to_parent(mask: int, _elems=tuple(elems)) -> int:
-            out = 0
-            for b in _bits(mask):
-                out |= 1 << _elems[b]
-            return out
-
-        entry = (sub, sub_lat, to_parent)
-        self._rerooted[i] = entry
-        return entry
-
-    def rerooted_nodes(self, i: int) -> tuple[int, ...]:
-        """The index in this lattice of each node of node i's re-rooted lattice."""
-        hit = self._rerooted_nodes.get(i)
         if hit is None:
-            _sub, sub_lat, to_parent = self.rerooted(i)
-            hit = tuple(self.index_of[to_parent(m)] for m in sub_lat.masks)
-            self._rerooted_nodes[i] = hit
+            sub = subgroup_group(self.group, self.masks[i])
+            new_bit = {e: 1 << k for k, e in enumerate(_bits(self.masks[i]))}
+            masks = [sum(new_bit[e] for e in _bits(self.masks[j]))
+                     for j in _bits(self.down_masks[i])]
+            hit = self._rerooted[i] = (sub, SubgroupLattice(sub, masks))
         return hit
 
 
-def _conjugacy_class(group: FiniteGroup, mask: int,
-                     gens: tuple[int, ...] = ()) -> dict[int, tuple[int, ...]]:
-    """The conjugacy class of a subgroup, each member with its own generators.
+def _conjugacy_class(group: FiniteGroup, mask: int) -> list[int]:
+    """The conjugacy class of a subgroup, as masks.
 
     The orbit is closed under conjugation by ``group.generating_set``, which
-    suffices; generators are conjugated along with the mask, so every entry
-    maps a member to a generating tuple of that member.
+    suffices.
     """
     g = group
-    members = {mask: gens}
     orbit = [mask]
+    members = {mask}
     for m in orbit:  # orbit grows while we iterate
-        mgens = members[m]
         for s in g.generating_set:
             c = g.conjugate_mask(m, s)
             if c not in members:
-                members[c] = tuple(g.conj(x, s) for x in mgens)
+                members.add(c)
                 orbit.append(c)
-    return members
+    return orbit
 
 
 def enumerate_subgroups(group: FiniteGroup,
@@ -218,6 +199,7 @@ def enumerate_subgroups(group: FiniteGroup,
     """
     g = group
     t, inv = g.table, g.inverse
+    # generators of what gets joined: the cyclic seeds and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
     cyclic_of = [1] * g.order
     cyclic_masks: list[int] = [1]
@@ -227,14 +209,14 @@ def enumerate_subgroups(group: FiniteGroup,
         if m not in gens_of:
             gens_of[m] = (x,)
             cyclic_masks.append(m)
-    if len(gens_of) > lattice_cap:
+    if len(cyclic_masks) > lattice_cap:
         raise LatticeCapError(f"{g.name}: more than {lattice_cap} subgroups")
     frontier: list[int] = []
-    classified: set[int] = set()
+    seen: set[int] = set()  # every subgroup found so far
     for m in cyclic_masks:
-        if m not in classified:
+        if m not in seen:
             frontier.append(m)
-            classified.update(_conjugacy_class(g, m))
+            seen.update(_conjugacy_class(g, m))
     union_seen: set[int] = set()
     while frontier:
         fresh: list[int] = []
@@ -244,15 +226,16 @@ def enumerate_subgroups(group: FiniteGroup,
             tried: set[int] = set()  # seeds N(A)-conjugate to a joined one
             for cm in cyclic_masks:
                 u = am | cm
-                if u == am or u in gens_of or u in union_seen or cm in tried:
+                if u == am or u in seen or u in union_seen or cm in tried:
                     continue
                 union_seen.add(u)
                 jgens = tuple(dict.fromkeys(agens + gens_of[cm]))
                 jm = g.closure_mask(jgens)
-                if jm not in gens_of:
-                    gens_of.update(_conjugacy_class(g, jm, jgens))
+                if jm not in seen:
+                    seen.update(_conjugacy_class(g, jm))
+                    gens_of[jm] = jgens
                     fresh.append(jm)
-                    if len(gens_of) > lattice_cap:
+                    if len(seen) > lattice_cap:
                         raise LatticeCapError(
                             f"{g.name}: more than {lattice_cap} subgroups")
                 if normalizer is None:
@@ -261,7 +244,7 @@ def enumerate_subgroups(group: FiniteGroup,
                 x = gens_of[cm][0]
                 tried.update(cyclic_of[t[t[y][x]][inv[y]]] for y in normalizer)
         frontier = fresh
-    return SubgroupLattice(g, list(gens_of), gens_of)
+    return SubgroupLattice(g, list(seen))
 
 
 def subgroup_masks_bruteforce(group: FiniteGroup) -> list[int]:
@@ -328,7 +311,7 @@ def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
     # H is subnormal exactly when the chain bottoms out at H
     g = lat.group
     h = lat.masks[i]
-    hgens = lat.node_gens[i]
+    hgens = g.subgroup_gens(h)
     k = g.full_mask
     while True:
         if k == h:

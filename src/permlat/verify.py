@@ -76,7 +76,6 @@ class VerificationRun:
         self.stretch = stretch
         self.cache_dir = cache_dir
         self.outcomes: list[CheckOutcome] = []
-        self.warnings: list[str] = []
         self._groups: dict[str, Optional[FiniteGroup]] = {}
         self._lats: dict[str, SubgroupLattice] = {}
         self._notes: list[str] = []
@@ -94,15 +93,7 @@ class VerificationRun:
             g = self.group(spec)
             if g is None:
                 raise LookupError(spec)
-            lat = None
-            if self.cache_dir:
-                lat = cache_mod.load_lattice(self.cache_dir, g)
-                if lat is None:
-                    lat = enumerate_subgroups(g)
-                    cache_mod.store_lattice(self.cache_dir, lat)
-            else:
-                lat = enumerate_subgroups(g)
-            self._lats[spec] = lat
+            self._lats[spec] = cache_mod.cached_lattice(self.cache_dir, g)
         return self._lats[spec]
 
     def _run(self, name: str, fn: Callable[[], Optional[str]]):

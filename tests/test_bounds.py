@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -385,18 +386,30 @@ def test_factorizes_matches_product_set(spec):
             assert B.factorizes(lat, n_idx, h_idx) is expected, (n_idx, h_idx)
 
 
+@functools.cache
+def enumerated_child_masks(lat, idx, convention):
+    """(subnormal, maximal) subgroups of node ``idx``, from a lattice of the
+    node enumerated from scratch, as element masks of the parent group."""
+    elems = list(G._bits(lat.masks[idx]))
+    child = L.enumerate_subgroups(G.subgroup_group(lat.group, lat.masks[idx]))
+
+    def lift(sel):
+        return {sum(1 << elems[b] for b in G._bits(child.masks[i]))
+                for i in sel.members}
+
+    return (lift(L.subnormal_subgroups(child)),
+            lift(L.maximal_subgroups(child, convention)))
+
+
 def factor_conditions_by_mask_sets(lat, n_idx, h_idx, convention):
     """Oracle: the inclusions compared as sets of element masks, each child
-    selection mapped back through ``to_parent``, violators taken in mask order."""
+    lattice enumerated on its own, violators taken in mask order."""
     sn_g = {lat.masks[i] for i in L.subnormal_subgroups(lat).members}
     mx_g = {lat.masks[i] for i in L.maximal_subgroups(lat, convention).members}
     details = []
 
     def child_masks(idx):
-        _, child, to_parent = lat.rerooted(idx)
-        return ({to_parent(child.masks[i]) for i in L.subnormal_subgroups(child).members},
-                {to_parent(child.masks[i])
-                 for i in L.maximal_subgroups(child, convention).members})
+        return enumerated_child_masks(lat, idx, convention)
 
     def included(masks, target, label):
         for m in sorted(masks):

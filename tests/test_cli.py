@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from permlat.cli import main
 
 
@@ -301,3 +303,25 @@ class TestCache:
         assert code == 0
         assert out == fresh
         assert "corrupt" in err
+
+    @pytest.mark.parametrize("dropped", [1, 3])
+    def test_cache_with_dropped_nodes_recovers(self, capsys, tmp_path, dropped):
+        # an edited node list with a consistent node_count: dropping one of
+        # S3's three order-2 subgroups used to crash in class_of, dropping all
+        # three used to report |L| = 3 and sd = 1
+        cache = tmp_path / "cache"
+        _, fresh, _ = run_cli(capsys, "degrees", "--group", "S3",
+                              "--cache", str(cache), "--format", "json")
+        (entry,) = cache.iterdir()
+        payload = json.loads(entry.read_text())
+        order2 = [v for v in payload["nodes"] if int(v, 16).bit_count() == 2]
+        assert len(order2) == 3
+        payload["nodes"] = [v for v in payload["nodes"] if v not in order2[:dropped]]
+        payload["node_count"] = len(payload["nodes"])
+        entry.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "degrees", "--group", "S3",
+                                 "--cache", str(cache), "--format", "json")
+        assert code == 0
+        assert "corrupt" in err
+        assert out == fresh
+        assert json.loads(entry.read_text())["node_count"] == 6

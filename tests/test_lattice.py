@@ -45,9 +45,16 @@ def shared_lat(spec):
     return lat_of(spec)
 
 
+@functools.cache
+def node_generators(lat):
+    # greedy generating sets read off the masks, independent of enumeration
+    return tuple(lat.group.subgroup_gens(m) for m in lat.masks)
+
+
 def join_by_closure(lat, a, b):
-    g = lat.group
-    return lat.index_of[g.closure_mask(lat.node_gens[a] + lat.node_gens[b])]
+    """The subgroup generated by the union of nodes a and b."""
+    gens = node_generators(lat)
+    return lat.index_of[lat.group.closure_mask(gens[a] + gens[b])]
 
 
 def chi_rows_by_product_sets(lat):
@@ -437,23 +444,39 @@ class TestPredicates:
         assert L.sylow_subset_of_maximal(lat_of("S4"), "raw") is False
 
 
-class TestRerooting:
-    def test_rerooted_nodes_map_to_parent_masks(self):
-        lat = lat_of("S4")
-        for i in range(len(lat)):
-            _, child, to_parent = lat.rerooted(i)
-            up = lat.rerooted_nodes(i)
-            assert [lat.masks[k] for k in up] == [to_parent(m) for m in child.masks]
+REROOT_SPECS = ["S4", "D4xS3", "A4xC5", "Q8xS3"]
 
-    def test_rerooted_lattice_counts(self):
-        lat = lat_of("S4")
-        for i in nodes_of_order(lat, 12):  # A4 inside S4
-            _, child, to_parent = lat.rerooted(i)
-            assert len(child) == 10
-            for m in child.masks:
-                parent = to_parent(m)
-                assert parent & ~lat.masks[i] == 0
-                assert lat.group.is_subgroup_mask(parent)
+
+class TestRerooting:
+    @pytest.mark.parametrize("spec", REROOT_SPECS)
+    def test_rerooted_matches_enumeration(self, spec):
+        lat = shared_lat(spec)
+        for i in range(len(lat)):
+            _, child = lat.rerooted(i)
+            fresh = L.enumerate_subgroups(G.subgroup_group(lat.group, lat.masks[i]))
+            assert child.masks == fresh.masks, (spec, i)
+            # child node k is the k-th node under i, relabelled into H
+            elems = list(G._bits(lat.masks[i]))
+            lifted = [sum(1 << elems[b] for b in G._bits(m)) for m in child.masks]
+            assert lifted == [lat.masks[j] for j in G._bits(lat.down_masks[i])]
+
+    @pytest.mark.parametrize("spec", REROOT_SPECS)
+    def test_lattice_from_masks_and_rerooting_compute_no_closures(self, spec,
+                                                                 monkeypatch):
+        lat = lat_of(spec)
+        calls = []
+        closure_mask = G.FiniteGroup.closure_mask
+
+        def counted(self, gens):
+            calls.append(gens)
+            return closure_mask(self, gens)
+
+        monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
+        rebuilt = L.SubgroupLattice(lat.group, list(lat.masks))
+        for i in range(len(rebuilt)):
+            rebuilt.rerooted(i)
+        assert rebuilt.masks == lat.masks
+        assert calls == []
 
 
 class TestFittingAgainstLattice:
@@ -463,7 +486,7 @@ class TestFittingAgainstLattice:
         lat = L.enumerate_subgroups(g)
         fit = G.fitting_subgroup(g)
         for i in L.normal_subgroups(lat).members:
-            child, _, _ = lat.rerooted(i)
+            child, _ = lat.rerooted(i)
             if child.is_nilpotent:
                 assert lat.masks[i] & ~fit.mask == 0, (spec, i)
         assert G.subgroup_group(g, fit).is_nilpotent
