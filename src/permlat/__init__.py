@@ -73,6 +73,7 @@ from .bounds import (
     BoundCheckResult,
     Rank2AbelianShape,
     abelian_prime_index_sd_check,
+    bound_results,
     cauchy_bound_checks,
     check_factor_conditions,
     complement_candidates,

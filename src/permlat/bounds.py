@@ -10,6 +10,12 @@ factor-condition checker on a non-normal N) still raises ``ValueError``.
 Square-root bounds are compared by cross-squaring in integers; the stored
 ``bound``/``actual`` fields for those claims are the squared quantities so
 that everything stays an exact rational.
+
+:func:`bound_results` is the one driver that decides which (N, H)
+instances each claim visits; the CLI and the sweeps both call it. Values
+that belong to a whole lattice (pair counts, Fit(G) and its centralizer,
+the lifted selections of a child) are computed once and kept in the
+lattice's memo, and a re-rooted child's counts sit in the child's memo.
 """
 from __future__ import annotations
 
@@ -21,13 +27,12 @@ from .groups import FiniteGroup, _bits, is_prime, prime_signature, quotient_grou
 from .lattice import (
     RAW,
     SubgroupLattice,
-    all_subgroups,
     enumerate_subgroups,
     maximal_subgroups,
     normal_subgroups,
     subnormal_subgroups,
 )
-from .degrees import permuting_pair_count, sd, spd
+from .degrees import all_pair_count, restricted_pair_count, sd, spd
 
 
 @dataclass(frozen=True)
@@ -197,14 +202,6 @@ def _node_str(lat: SubgroupLattice, i: int) -> str:
     return f"#{i}(order {lat.node_order(i)})"
 
 
-def _is_normal_node(lat: SubgroupLattice, i: int) -> bool:
-    return i in normal_subgroups(lat)
-
-
-def normal_node_indices(lat: SubgroupLattice) -> list[int]:
-    return list(normal_subgroups(lat).members)
-
-
 def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     """Whether NH = G, decided by |NH| = |N||H| / |N n H| without the product set."""
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
@@ -239,24 +236,29 @@ class FactorConditions:
 def _child_selection_parent_nodes(lat: SubgroupLattice, idx: int,
                                   convention: str) -> tuple[int, int]:
     """(subnormal, maximal) nodes of a re-rooted child, as masks over the
-    parent's node indices: child node k is the k-th node under ``idx``."""
-    _child, child_lat = lat.rerooted(idx)
-    up = tuple(_bits(lat.down_masks[idx]))
+    parent's node indices: child node k is the k-th node under ``idx``.
+    Lifted once per (node, convention) into the parent's memo."""
+    key = ("lifted", idx, convention)
+    hit = lat._memo.get(key)
+    if hit is None:
+        _child, child_lat = lat.rerooted(idx)
+        up = tuple(_bits(lat.down_masks[idx]))
 
-    def lift(sel) -> int:
-        out = 0
-        for j in sel.members:
-            out |= 1 << up[j]
-        return out
+        def lift(sel) -> int:
+            out = 0
+            for j in sel.members:
+                out |= 1 << up[j]
+            return out
 
-    return (lift(subnormal_subgroups(child_lat)),
-            lift(maximal_subgroups(child_lat, convention)))
+        hit = lat._memo[key] = (lift(subnormal_subgroups(child_lat)),
+                                lift(maximal_subgroups(child_lat, convention)))
+    return hit
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
                             convention: str = RAW) -> FactorConditions:
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
-    if not _is_normal_node(lat, n_idx):
+    if n_idx not in normal_subgroups(lat):
         raise ValueError(f"N = {_node_str(lat, n_idx)} is not normal")
     if not factorizes(lat, n_idx, h_idx):
         raise ValueError("NH is not the whole group")
@@ -302,7 +304,7 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
         reasons.append("trivial group: spd undefined")
     if n_order == 1:
         reasons.append("N is trivial")
-    elif not _is_normal_node(lat, n_idx):
+    elif n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
     shape = None
     if not reasons:
@@ -344,7 +346,7 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
     n_order = lat.node_order(n_idx)
     if n_order == 1:
         reasons.append("N is trivial")
-    elif not _is_normal_node(lat, n_idx):
+    elif n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
     shape = None
     if not reasons:
@@ -370,7 +372,7 @@ def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheck
     context = {"group": g.name, "n": _node_str(lat, n_idx)}
     reasons = []
     n_order = lat.node_order(n_idx)
-    if not _is_normal_node(lat, n_idx):
+    if n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
     child, child_lat = lat.rerooted(n_idx)
     if not child.is_abelian:
@@ -384,18 +386,6 @@ def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheck
     actual = len(lat) ** 2 * sd(lat)
     bound = Fraction(ln * ln + 2 * ln + 1)
     return _satisfied(claim, bound, actual, "-", context)
-
-
-def _child_pair_count(lat: SubgroupLattice, idx: int, restricted: bool,
-                      convention: str) -> int:
-    """Permuting-pair count inside a re-rooted node, over all pairs or over
-    its own subnormal x maximal pairs."""
-    _child, child_lat = lat.rerooted(idx)
-    if restricted:
-        return permuting_pair_count(child_lat, subnormal_subgroups(child_lat),
-                                    maximal_subgroups(child_lat, convention))
-    full = all_subgroups(child_lat)
-    return permuting_pair_count(child_lat, full, full)
 
 
 def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -412,7 +402,7 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     base_ctx = {"group": g.name, "n": _node_str(lat, n_idx),
                 "h": _node_str(lat, h_idx), "squared_form": "yes"}
     common = []
-    if not _is_normal_node(lat, n_idx):
+    if n_idx not in normal_subgroups(lat):
         common.append("N is not normal")
     elif not factorizes(lat, n_idx, h_idx):
         common.append("NH is not the whole group")
@@ -429,8 +419,8 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if reasons:
         spd_res = _not_satisfied("cauchy-spd", reasons, convention, dict(base_ctx))
     else:
-        sum_n = _child_pair_count(lat, n_idx, True, convention)
-        sum_h = _child_pair_count(lat, h_idx, True, convention)
+        sum_n = restricted_pair_count(lat.rerooted(n_idx)[1], convention)
+        sum_h = restricted_pair_count(lat.rerooted(h_idx)[1], convention)
         denom = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
         ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
         spd_res = _satisfied("cauchy-spd", Fraction(sum_n * sum_h, denom ** 2),
@@ -439,8 +429,8 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if common:
         sd_res = _not_satisfied("cauchy-sd", common, "-", dict(base_ctx))
     else:
-        sum_n = _child_pair_count(lat, n_idx, False, convention)
-        sum_h = _child_pair_count(lat, h_idx, False, convention)
+        sum_n = all_pair_count(lat.rerooted(n_idx)[1])
+        sum_h = all_pair_count(lat.rerooted(h_idx)[1])
         ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
         sd_res = _satisfied("cauchy-sd", Fraction(sum_n * sum_h, len(lat) ** 4),
                             sd(lat) ** 2, "-", ctx)
@@ -461,7 +451,7 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     n_order = nm.bit_count()
     if not 1 < n_order < g.order:
         reasons.append("N must be nontrivial and proper")
-    elif not _is_normal_node(lat, n_idx):
+    elif n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
     elif (hm.bit_count() != g.order // n_order
           or not factorizes(lat, n_idx, h_idx)):
@@ -472,17 +462,14 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
             reasons.append("factor conditions fail: " + "; ".join(cond.details))
     if reasons:
         return _not_satisfied(claim, reasons, convention, context)
-    count_n = _child_pair_count(lat, n_idx, True, convention)
-    quot = quotient_group(g, nm)
-    quot_lat = enumerate_subgroups(quot)
-    count_q = permuting_pair_count(quot_lat, subnormal_subgroups(quot_lat),
-                                   maximal_subgroups(quot_lat, convention))
-    count_h = _child_pair_count(lat, h_idx, True, convention)
+    count_n = restricted_pair_count(lat.rerooted(n_idx)[1], convention)
+    count_q = restricted_pair_count(enumerate_subgroups(quotient_group(g, nm)),
+                                    convention)
+    count_h = restricted_pair_count(lat.rerooted(h_idx)[1], convention)
     context["count_n"] = str(count_n)
     context["count_quotient"] = str(count_q)
     context["count_h"] = str(count_h)
-    actual = Fraction(2 * permuting_pair_count(
-        lat, subnormal_subgroups(lat), maximal_subgroups(lat, convention)))
+    actual = Fraction(2 * restricted_pair_count(lat, convention))
     return _satisfied(claim, Fraction(count_n + count_q), actual, convention, context)
 
 
@@ -516,8 +503,11 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     reasons = []
     if not g.is_solvable:
         reasons.append("group is not solvable")
-    fit = fitting_subgroup(g)
-    c_mask = g.centralizer_of_set_mask(fit.mask)
+    fit_c = lat._memo.get("fitting")  # (Fit(G), C_G(Fit(G))) as masks
+    if fit_c is None:
+        fit = fitting_subgroup(g).mask
+        fit_c = lat._memo["fitting"] = (fit, g.centralizer_of_set_mask(fit))
+    c_mask = fit_c[1]
     c_idx = lat.index_of[c_mask]
     allow_rank1 = reading == "relaxed"
     shape = None
@@ -541,34 +531,79 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
 
 
-# -- sweep drivers -----------------------------------------------------------
+# -- the bound driver --------------------------------------------------------
+
+CLAIM_CHOICES = ("all", "lemma1", "lemma2", "theorem1", "cor26", "cauchy",
+                 "lb3", "mu")
+
+
+def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RAW,
+                  reading: str = "strict", n_node: Optional[int] = None,
+                  h_node: Optional[int] = None) -> list[BoundCheckResult]:
+    """Every instance of one claim, or of all claims in the order of
+    ``CLAIM_CHOICES``; ``permlat bounds`` and the sweeps both come here.
+
+    lemma1, lemma2 and cor26 range over the nontrivial proper normal N;
+    cauchy and lb3 over every normal N, so they include the degenerate
+    factorizations with N = 1 or N = G. lemma1 and lb3 pair N with its
+    complements H, cauchy with every H such that NH = G. ``n_node`` and
+    ``h_node`` replace the range of N and of H by that one node. theorem1
+    and mu are one instance each, at N = C_G(Fit(G)). ``reading`` is the
+    theorem1 reading; "relaxed" also lets rank-1 N qualify for lemma1/2.
+    """
+    if claim not in CLAIM_CHOICES or reading not in ("strict", "relaxed"):
+        raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
+    rank1 = reading == "relaxed"
+    g = lat.group
+    normal = normal_subgroups(lat).members
+
+    def ns(every: bool) -> list[int]:
+        if n_node is not None:
+            return [n_node]
+        return [n for n in normal if every or 1 < lat.node_order(n) < g.order]
+
+    def hs(n_idx: int, partners) -> list[int]:
+        return [h_node] if h_node is not None else partners(lat, n_idx)
+
+    out: list[BoundCheckResult] = []
+    if claim in ("all", "lemma1"):
+        out += [spd_rank2_bound_check(lat, n, h, convention, rank1)
+                for n in ns(False) for h in hs(n, complement_candidates)]
+    if claim in ("all", "lemma2"):
+        out += [sd_rank2_bound_check(lat, n, rank1) for n in ns(False)]
+    if claim in ("all", "cor26"):
+        out += [abelian_prime_index_sd_check(lat, n) for n in ns(False)]
+    if claim in ("all", "cauchy"):
+        for n in ns(True):
+            for h in hs(n, factor_partners):
+                out += cauchy_bound_checks(lat, n, h, convention)
+    if claim in ("all", "lb3"):
+        out += [decomposition_bound_check(lat, n, h, convention)
+                for n in ns(True) for h in hs(n, complement_candidates)]
+    if claim in ("all", "theorem1"):
+        check = fitting_centralizer_check(lat, convention, reading)
+        if check.hypotheses:
+            out += (*check.part_i, check.part_ii)
+        else:
+            out.append(_not_satisfied("theorem1", check.reasons, convention,
+                                      {"group": g.name}))
+    if claim in ("all", "mu"):
+        from .moebius import mu_matching_bound_check  # moebius imports bounds
+        out.append(mu_matching_bound_check(lat, convention, reading))
+    return out
+
 
 def sweep_rank2_bounds(lat: SubgroupLattice, convention: str = RAW,
                        allow_rank1: bool = False) -> list[BoundCheckResult]:
     """All rank-2 bound instances over normal N (and complements H for spd)."""
-    out = []
-    for n_idx in normal_node_indices(lat):
-        if not 1 < lat.node_order(n_idx) < lat.group.order:
-            continue
-        out.append(sd_rank2_bound_check(lat, n_idx, allow_rank1))
-        for h_idx in complement_candidates(lat, n_idx):
-            out.append(spd_rank2_bound_check(lat, n_idx, h_idx, convention,
-                                             allow_rank1))
-    return out
+    reading = "relaxed" if allow_rank1 else "strict"
+    return (bound_results(lat, "lemma1", convention, reading)
+            + bound_results(lat, "lemma2", convention, reading))
 
 
 def sweep_factorization_bounds(lat: SubgroupLattice,
                                convention: str = RAW) -> list[BoundCheckResult]:
     """Geometric-mean and decomposition bounds over every factorization
     G = NH with N normal (H any subgroup whose product with N is G)."""
-    g = lat.group
-    out = []
-    for n_idx in normal_node_indices(lat):
-        index = g.order // lat.node_order(n_idx)
-        for h_idx in factor_partners(lat, n_idx):
-            spd_res, sd_res = cauchy_bound_checks(lat, n_idx, h_idx, convention)
-            out.append(spd_res)
-            out.append(sd_res)
-            if lat.node_order(h_idx) == index:
-                out.append(decomposition_bound_check(lat, n_idx, h_idx, convention))
-    return out
+    return (bound_results(lat, "cauchy", convention)
+            + bound_results(lat, "lb3", convention))

@@ -1,9 +1,8 @@
 """Built-in group catalog used by batch processing and the verification suite.
 
-Orders stay at or below 120 in the standard catalog. S6 (order 720, 1455
-subgroups) is kept apart in ``STRETCH_SPECS`` because only the Moebius check
-``moebius-s6-stretch`` uses it; that check runs in the default acceptance
-suite and with ``permlat verify-paper --stretch``.
+Orders stay at or below 120. S6 (order 720, 1455 subgroups) is not in the
+catalog: only the Moebius check ``moebius-s6-stretch`` uses it, which runs in
+the default acceptance suite and with ``permlat verify-paper --stretch``.
 """
 from __future__ import annotations
 
@@ -16,23 +15,13 @@ CATALOG_SPECS: tuple[str, ...] = (
     "S3xC5", "A4xC5",
 )
 
-STRETCH_SPECS: tuple[str, ...] = ("S6",)
-
 NILPOTENT_SPECS: tuple[str, ...] = ("C12", "D4", "Q8", "Z:2,2,2", "Z:3,3")
 
 
-def catalog_specs(stretch: bool = False) -> list[str]:
-    specs = list(CATALOG_SPECS)
-    if stretch:
-        specs += list(STRETCH_SPECS)
-    return specs
-
-
-def catalog_groups(max_order: int = DEFAULT_ORDER_CAP,
-                   stretch: bool = False) -> list[FiniteGroup]:
+def catalog_groups(max_order: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
     """Catalog groups with order <= max_order, in catalog order."""
     out = []
-    for spec in catalog_specs(stretch):
+    for spec in CATALOG_SPECS:
         g = make_named(spec, max_order=DEFAULT_ORDER_CAP)
         if g.order <= max_order:
             out.append(g)

@@ -19,18 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cache as cache_mod
-from .bounds import (
-    BoundCheckResult,
-    abelian_prime_index_sd_check,
-    cauchy_bound_checks,
-    complement_candidates,
-    decomposition_bound_check,
-    factor_partners,
-    fitting_centralizer_check,
-    normal_node_indices,
-    sd_rank2_bound_check,
-    spd_rank2_bound_check,
-)
+from .bounds import CLAIM_CHOICES, BoundCheckResult, bound_results
 from .catalog import catalog_groups
 from .degrees import DegreeReport, build_degree_report
 from .groups import (
@@ -57,17 +46,10 @@ from .lattice import (
     selection_meet_join_closed,
     subnormal_subgroups,
     sylow_subgroups,
+    sylow_subset_of_maximal,
 )
-from .moebius import (
-    conjectured_mu_symmetric,
-    moebius_table,
-    mu_matching_bound_check,
-    predicted_mu_symmetric,
-)
+from .moebius import conjectured_mu_symmetric, moebius_table, predicted_mu_symmetric
 from .verify import run_verification
-
-CLAIM_CHOICES = ("all", "lemma1", "lemma2", "theorem1", "cor26", "cauchy",
-                 "lb3", "mu")
 
 
 @dataclass
@@ -213,8 +195,7 @@ def cmd_lattice(config: RunConfig) -> int:
         "modular": is_modular_lattice(lat),
         "quasihamiltonian": is_quasihamiltonian(lat),
         "perp_of_all_meet_join_closed": selection_meet_join_closed(lat, pall),
-        "sylow_subset_of_maximal_raw": len(lat) == 1 or (
-            sylow & ~maximal_subgroups(lat, "raw").members_mask == 0),
+        "sylow_subset_of_maximal_raw": sylow_subset_of_maximal(lat, "raw"),
     }
     rows = []
     for i in range(len(lat)):
@@ -346,63 +327,6 @@ def _bound_json(res: BoundCheckResult) -> dict:
     }
 
 
-def _gather_bound_results(config: RunConfig, lat: SubgroupLattice, claim: str,
-                          n_node: Optional[int], h_node: Optional[int],
-                          ) -> list[BoundCheckResult]:
-    conv = config.convention
-    rank1 = config.theorem1_reading == "relaxed"
-    g = lat.group
-    out: list[BoundCheckResult] = []
-
-    def n_indices():
-        if n_node is not None:
-            return [n_node]
-        return [i for i in normal_node_indices(lat)
-                if 1 < lat.node_order(i) < g.order]
-
-    def complements(n_idx):
-        if h_node is not None:
-            return [h_node]
-        return complement_candidates(lat, n_idx)
-
-    def partners(n_idx):
-        if h_node is not None:
-            return [h_node]
-        return factor_partners(lat, n_idx)
-
-    if claim in ("lemma1", "all"):
-        for n_idx in n_indices():
-            for h_idx in complements(n_idx):
-                out.append(spd_rank2_bound_check(lat, n_idx, h_idx, conv, rank1))
-    if claim in ("lemma2", "all"):
-        for n_idx in n_indices():
-            out.append(sd_rank2_bound_check(lat, n_idx, rank1))
-    if claim in ("cor26", "all"):
-        for n_idx in n_indices():
-            out.append(abelian_prime_index_sd_check(lat, n_idx))
-    if claim in ("cauchy", "all"):
-        for n_idx in n_indices():
-            for h_idx in partners(n_idx):
-                out.extend(cauchy_bound_checks(lat, n_idx, h_idx, conv))
-    if claim in ("lb3", "all"):
-        for n_idx in n_indices():
-            for h_idx in complements(n_idx):
-                out.append(decomposition_bound_check(lat, n_idx, h_idx, conv))
-    if claim in ("theorem1", "all"):
-        check = fitting_centralizer_check(lat, conv, config.theorem1_reading)
-        if check.hypotheses:
-            out.extend(check.part_i)
-            if check.part_ii is not None:
-                out.append(check.part_ii)
-        else:
-            out.append(BoundCheckResult(
-                "theorem1", False, check.reasons, None, None, None, None,
-                conv, {"group": lat.group.name}))
-    if claim in ("mu", "all"):
-        out.append(mu_matching_bound_check(lat, conv, config.theorem1_reading))
-    return out
-
-
 def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
                h_node: Optional[int]) -> int:
     g = _resolve_group(config)
@@ -410,7 +334,8 @@ def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
     for idx in (n_node, h_node):
         if idx is not None and not 0 <= idx < len(lat):
             raise GroupSpecError(f"node index {idx} out of range (0..{len(lat) - 1})")
-    results = _gather_bound_results(config, lat, claim, n_node, h_node)
+    results = bound_results(lat, claim, config.convention,
+                            config.theorem1_reading, n_node, h_node)
     if config.format == "json":
         emit_json({"group": g.name, "results": [_bound_json(r) for r in results]})
     elif config.format == "csv":

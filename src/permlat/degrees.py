@@ -68,6 +68,26 @@ def permuting_pair_count(lat: SubgroupLattice, s: SublatticeSelection,
     return sum((rows[i] & tm).bit_count() for i in s.members)
 
 
+def _memo_pair_count(lat: SubgroupLattice, key: str, s: SublatticeSelection,
+                     t: SublatticeSelection) -> int:
+    count = lat._memo.get(key)
+    if count is None:
+        count = lat._memo[key] = permuting_pair_count(lat, s, t)
+    return count
+
+
+def all_pair_count(lat: SubgroupLattice) -> int:
+    """Permuting ordered pairs over all of L(G), counted once per lattice."""
+    a = all_subgroups(lat)
+    return _memo_pair_count(lat, "pairs-all", a, a)
+
+
+def restricted_pair_count(lat: SubgroupLattice, convention: str = RAW) -> int:
+    """Permuting pairs in sn(G) x M(G), counted once per lattice and convention."""
+    return _memo_pair_count(lat, f"pairs-{convention}", subnormal_subgroups(lat),
+                            maximal_subgroups(lat, convention))
+
+
 def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
                        t: SublatticeSelection) -> Fraction:
     """Fraction of permuting ordered pairs over two node selections, exact."""
@@ -78,8 +98,7 @@ def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
 
 def sd(lat: SubgroupLattice) -> Fraction:
     """Subgroup commutativity degree: permuting fraction over all pairs."""
-    a = all_subgroups(lat)
-    return generalized_degree(lat, a, a)
+    return Fraction(all_pair_count(lat), len(lat) ** 2)
 
 
 def spd(lat: SubgroupLattice, convention: str = RAW) -> Fraction:
@@ -89,8 +108,8 @@ def spd(lat: SubgroupLattice, convention: str = RAW) -> Fraction:
     """
     if len(lat) == 1:
         raise ValueError("spd is undefined for the trivial group")
-    return generalized_degree(lat, subnormal_subgroups(lat),
-                              maximal_subgroups(lat, convention))
+    pairs = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
+    return Fraction(restricted_pair_count(lat, convention), pairs)
 
 
 def element_commutativity_degree(g: FiniteGroup) -> Fraction:
@@ -169,8 +188,7 @@ class DegreeReport:
 
 def build_degree_report(lat: SubgroupLattice, convention: str = RAW) -> DegreeReport:
     g = lat.group
-    a = all_subgroups(lat)
-    count = permuting_pair_count(lat, a, a)
+    count = all_pair_count(lat)
     trivial = len(lat) == 1
     return DegreeReport(
         group_name=g.name,
@@ -307,7 +325,7 @@ def check_restricted_degree_inequality(lat: SubgroupLattice,
     """(|sn||M| / |L|^2) * spd <= sd, with equality exactly when sn = M = L."""
     sn = subnormal_subgroups(lat)
     mx = maximal_subgroups(lat, convention)
-    lhs = Fraction(permuting_pair_count(lat, sn, mx), len(lat) ** 2)
+    lhs = Fraction(restricted_pair_count(lat, convention), len(lat) ** 2)
     rhs = sd(lat)
     full = lat.all_nodes_mask
     same = sn.members_mask == full and mx.members_mask == full

@@ -163,6 +163,9 @@ class FiniteGroup:
         """Build a group from an untrusted table, relocating the identity to 0."""
         rows = [list(map(int, row)) for row in table]
         n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise GroupSpecError(f"row {i} has {len(row)} entries, not {n}")
         ident = None
         for e in range(n):
             if all(rows[e][j] == j and rows[j][e] == j for j in range(n)):

@@ -13,7 +13,9 @@ enumerating it again. Selections (normal, subnormal, maximal, Sylow,
 perp, ...) are index sets into that fixed node list; they never copy
 subgroups. Normality and subnormality are class invariants and are decided
 once per conjugacy class (:attr:`SubgroupLattice.class_of`); the normal,
-subnormal and maximal selections are built once per lattice.
+subnormal and maximal selections are built once per lattice, in the
+lattice's memo, which also holds the other per-lattice values the degrees
+and bounds read (pair counts, Fitting data, lifted child selections).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -76,7 +78,9 @@ class SubgroupLattice:
         self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
         self._rerooted: dict[int, tuple] = {}
-        self._selections: dict[str, SublatticeSelection] = {}
+        # per-lattice values computed on demand: selections, pair counts,
+        # Fitting data and lifted child selections
+        self._memo: dict = {}
 
     def __len__(self):
         return len(self.masks)
@@ -288,21 +292,21 @@ class SublatticeSelection:
 
 
 def all_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    sel = lat._selections.get("all")
+    sel = lat._memo.get("all")
     if sel is None:
         sel = SublatticeSelection(lat, "all", range(len(lat)))
-        lat._selections["all"] = sel
+        lat._memo["all"] = sel
     return sel
 
 
 def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes invariant under conjugation: the classes with one member."""
-    sel = lat._selections.get("normal")
+    sel = lat._memo.get("normal")
     if sel is None:
         size = Counter(lat.class_of)
         sel = SublatticeSelection(
             lat, "normal", (i for i, r in enumerate(lat.class_of) if size[r] == 1))
-        lat._selections["normal"] = sel
+        lat._memo["normal"] = sel
     return sel
 
 
@@ -325,14 +329,14 @@ def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Subnormal nodes. Subnormality is a class invariant, so the closure
     chain runs on class representatives only."""
-    sel = lat._selections.get("subnormal")
+    sel = lat._memo.get("subnormal")
     if sel is None:
         normal = normal_subgroups(lat)
         reps = {r for r in set(lat.class_of)
                 if r in normal or _is_subnormal_node(lat, r)}
         sel = SublatticeSelection(
             lat, "subnormal", (i for i, r in enumerate(lat.class_of) if r in reps))
-        lat._selections["subnormal"] = sel
+        lat._memo["subnormal"] = sel
     return sel
 
 
@@ -346,7 +350,7 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
     kind = f"maximal-{convention}"
-    sel = lat._selections.get(kind)
+    sel = lat._memo.get(kind)
     if sel is None:
         top_bit = 1 << lat.top
         raw = [i for i in range(len(lat) - 1)
@@ -361,7 +365,7 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
             members.add(lat.index_of[meet_all])
             members.add(lat.top)
             sel = SublatticeSelection(lat, kind, members, bounds_included=True)
-        lat._selections[kind] = sel
+        lat._memo[kind] = sel
     return sel
 
 

@@ -25,7 +25,7 @@ from .bounds import (
     sweep_factorization_bounds,
     sweep_rank2_bounds,
 )
-from .catalog import NILPOTENT_SPECS, catalog_specs
+from .catalog import CATALOG_SPECS, NILPOTENT_SPECS
 from .degrees import (
     check_extremal_spd,
     check_multiplicativity,
@@ -129,7 +129,7 @@ class VerificationRun:
         return present
 
     def catalog_available(self) -> list[str]:
-        return self._available(catalog_specs())
+        return self._available(CATALOG_SPECS)
 
     # -- checks ------------------------------------------------------------
 

@@ -1,9 +1,11 @@
+import collections
 import functools
 from fractions import Fraction
 
 import pytest
 
 from permlat import bounds as B
+from permlat import degrees as D
 from permlat import groups as G
 from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
@@ -439,3 +441,37 @@ def test_factor_conditions_match_mask_set_oracle(spec):
                 assert (B.check_factor_conditions(lat, n_idx, h_idx, conv)
                         == factor_conditions_by_mask_sets(lat, n_idx, h_idx, conv)), \
                     (n_idx, h_idx, conv)
+
+
+def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
+    fitting_calls = []
+    pair_calls = collections.Counter()
+    counted = []  # keeps every counted lattice alive, so ids stay distinct
+    real_fitting, real_count = G.fitting_subgroup, D.permuting_pair_count
+
+    def fitting(g):
+        fitting_calls.append(g.name)
+        return real_fitting(g)
+
+    def count(lat, s, t):
+        counted.append(lat)
+        pair_calls[id(lat), s.kind, t.kind] += 1
+        return real_count(lat, s, t)
+
+    monkeypatch.setattr(G, "fitting_subgroup", fitting)
+    monkeypatch.setattr(D, "permuting_pair_count", count)
+    lat = lat_of("D4xS3")
+    results = B.bound_results(lat, "all", "raw", "strict")
+    assert {r.claim for r in results} >= {"cauchy-sd", "lb3", "theorem1", "mu-bound"}
+    assert fitting_calls == ["D4xS3"]
+    assert (id(lat), "all", "all") in pair_calls
+    assert (id(lat), "subnormal", "maximal-raw") in pair_calls
+    assert set(pair_calls.values()) == {1}
+
+
+def test_bound_driver_rejects_unknown_claims_and_readings():
+    lat = lat_of("S3")
+    with pytest.raises(ValueError):
+        B.bound_results(lat, "lemma3")
+    with pytest.raises(ValueError):
+        B.bound_results(lat, "lemma1", reading="loose")

@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from permlat.cli import main
+from permlat import make_named
+from permlat.bounds import (
+    fitting_centralizer_check,
+    sweep_factorization_bounds,
+    sweep_rank2_bounds,
+)
+from permlat.cli import _bound_json, main
+from permlat.lattice import enumerate_subgroups
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +157,33 @@ class TestBoundsCommand:
         assert len(rows) == 1 and not rows[0]["hypothesis_satisfied"]
 
 
+def _row_multiset(rows, claims):
+    return sorted(json.dumps(r, sort_keys=True) for r in rows if r["claim"] in claims)
+
+
+@pytest.mark.parametrize("spec", ["S4", "A4xC5", "D4xS3", "C5"])
+def test_bounds_command_and_sweeps_decide_the_same_instances(capsys, spec):
+    lat = enumerate_subgroups(make_named(spec))
+    factorization = ("cauchy-spd", "cauchy-sd", "lb3")
+    for conv in ("raw", "closed"):
+        sweep = [_bound_json(r) for r in sweep_factorization_bounds(lat, conv)]
+        for reading in ("strict", "relaxed"):
+            code, out, _ = run_cli(capsys, "bounds", "--group", spec, "--claim",
+                                   "all", "--format", "json", "--convention", conv,
+                                   "--theorem1-reading", reading)
+            assert code == 0
+            rows = json.loads(out)["results"]
+            assert (_row_multiset(rows, factorization)
+                    == _row_multiset(sweep, factorization))
+            # theorem1 reports its instances under the lemma keys as well
+            rank2 = sweep_rank2_bounds(lat, conv, reading == "relaxed")
+            check = fitting_centralizer_check(lat, conv, reading)
+            if check.hypotheses:
+                rank2 += [*check.part_i, check.part_ii]
+            assert (_row_multiset(rows, ("lemma1", "lemma2"))
+                    == _row_multiset(map(_bound_json, rank2), ("lemma1", "lemma2")))
+
+
 class TestMoebiusCommand:
     def test_symmetric_json(self, capsys):
         code, out, _ = run_cli(capsys, "moebius", "--group", "S4",
@@ -266,7 +300,36 @@ class TestInputsAndErrors:
                                "--claim", "all", "--format", "json")
         assert code == 0
         rows = json.loads(out)["results"]
-        assert all(not r["hypothesis_satisfied"] for r in rows)
+        # cauchy visits every normal N, so C1 = 1 * 1 is one degenerate
+        # factorization; its sd bound is 1 * 1 / 1 against sd(C1)^2 = 1
+        qualifying = [r for r in rows if r["hypothesis_satisfied"]]
+        assert len(qualifying) == 1
+        row = qualifying[0]
+        assert row["claim"] == "cauchy-sd" and row["holds"] is True
+        assert row["context"]["n"] == row["context"]["h"] == "#0(order 1)"
+        assert row["bound"]["num"] == row["bound"]["den"] == "1"
+        assert row["actual"]["num"] == row["actual"]["den"] == "1"
+
+    @pytest.mark.parametrize("payload, defect", [
+        ({"kind": "cayley", "table": [[0, 1, 2], [1, 2], [2, 0, 1]]},
+         "row 1 has 2 entries, not 3"),
+        ({"kind": "cayley", "table": [[0], [1, 0]]}, "row 0 has 1 entries, not 2"),
+        ({"kind": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+         "column 1 is not a permutation of 0..2"),
+        ({"kind": "cayley", "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                      [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                      [4, 3, 1, 2, 0]]},
+         "associativity fails at (1,1,2)"),
+        ({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]},
+         "generator [0, 0, 1] is not a bijection on 0..2"),
+    ], ids=["ragged", "ragged-short-row", "non-latin", "non-associative",
+            "non-bijective"])
+    def test_malformed_group_file(self, capsys, tmp_path, payload, defect):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "degrees", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {defect}\n"
 
     def test_cayley_input_file(self, capsys, tmp_path):
         path = tmp_path / "k4.json"
