@@ -12,10 +12,19 @@ Square-root bounds are compared by cross-squaring in integers; the stored
 that everything stays an exact rational.
 
 :func:`bound_results` is the one driver that decides which (N, H)
-instances each claim visits; the CLI and the sweeps both call it. Values
-that belong to a whole lattice (pair counts, Fit(G) and its centralizer,
-the lifted selections of a child) are computed once and kept in the
-lattice's memo, and a re-rooted child's counts sit in the child's memo.
+instances each claim visits; the CLI and the sweeps both call it. Every
+value an instance needs is read off the parent lattice once per node and
+kept in the lattice's memo, so an (N, H) instance does only lookups:
+
+* L(X) is the interval [1, X] and M(X) the lower covers of X (plus their
+  meet and X when closed); sn(X) is sn(G) n [1, X] for subnormal X and
+  [1, X] for nilpotent X, and only other X are re-rooted for it;
+* pair counts inside X come from the parent's permutability rows, since
+  XY = YX does not depend on the ambient group;
+* the factor-condition violators of each node, the factorization partners
+  of each N, and Fit(G) (the join of the largest normal p-power nodes);
+* lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
+  nothing is enumerated inside the driver.
 """
 from __future__ import annotations
 
@@ -23,16 +32,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .groups import FiniteGroup, _bits, is_prime, prime_signature, quotient_group
+from .groups import FiniteGroup, _bits, is_prime, prime_signature
 from .lattice import (
     RAW,
     SubgroupLattice,
-    enumerate_subgroups,
+    cover_table,
     maximal_subgroups,
     normal_subgroups,
     subnormal_subgroups,
 )
-from .degrees import all_pair_count, restricted_pair_count, sd, spd
+from .degrees import restricted_pair_count, sd, spd
 
 
 @dataclass(frozen=True)
@@ -208,15 +217,127 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     return nm.bit_count() * hm.bit_count() == lat.group.order * (nm & hm).bit_count()
 
 
+def _memo(lat: SubgroupLattice, key, compute):
+    hit = lat._memo.get(key)
+    if hit is None:
+        hit = lat._memo[key] = compute()
+    return hit
+
+
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with NH = G."""
-    return [h for h in range(len(lat)) if factorizes(lat, n_idx, h)]
+    """Nodes H with NH = G, listed once per N in the lattice's memo."""
+    return _memo(lat, ("partners", n_idx),
+                 lambda: [h for h in range(len(lat)) if factorizes(lat, n_idx, h)])
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
     """Nodes H with |H| = |G : N| and NH = G; such an H is isomorphic to G/N."""
     index = lat.group.order // lat.node_order(n_idx)
     return [h for h in factor_partners(lat, n_idx) if lat.node_order(h) == index]
+
+
+# -- per-node values read off the parent lattice ------------------------------
+#
+# Selections of a node X are masks over the parent's node indices, so they
+# can be compared with sn(G) and M(G) and counted against the parent's rows.
+
+def _prime_power_part(n: int, p: int) -> int:
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
+
+
+def _nodes_of_order(lat: SubgroupLattice) -> dict[int, int]:
+    """Node mask of each subgroup order."""
+    def build():
+        out: dict[int, int] = {}
+        for i in range(len(lat)):
+            k = lat.node_order(i)
+            out[k] = out.get(k, 0) | 1 << i
+        return out
+    return _memo(lat, "nodes-of-order", build)
+
+
+def is_nilpotent_node(lat: SubgroupLattice, idx: int) -> bool:
+    """Whether node ``idx`` is nilpotent: a finite group is nilpotent iff it
+    has exactly one Sylow p-subgroup for every prime p, that is exactly one
+    node of order |X|_p under X."""
+    order, below = lat.node_order(idx), lat.down_masks[idx]
+    of_order = _nodes_of_order(lat)
+    return all((below & of_order[_prime_power_part(order, p)]).bit_count() == 1
+               for p, _ in prime_signature(order).factors)
+
+
+def _maximal_under(lat: SubgroupLattice, covers: int, top: int,
+                   convention: str) -> int:
+    """M of the interval whose coatoms are ``covers`` and whose top is
+    ``top``: the coatoms, plus their meet and ``top`` when closed."""
+    if convention == RAW:
+        return covers
+    below = lat.down_masks[top]
+    for c in _bits(covers):
+        below &= lat.down_masks[c]
+    return covers | 1 << (below.bit_length() - 1) | 1 << top
+
+
+def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:
+    """M(X) of a nontrivial node X as a parent node mask: its lower covers."""
+    return _maximal_under(lat, cover_table(lat)[1][idx], idx, convention)
+
+
+def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
+    """sn(X) as a parent node mask. For Y <= X, a subnormal chain of Y in G
+    meets X in one of Y in X, so sn(G) n [1, X] lies in sn(X), with equality
+    when X is itself subnormal in G. A nilpotent X has every subgroup
+    subnormal, so sn(X) = [1, X]. Any other X is re-rooted and its subnormal
+    selection lifted (child node k is the k-th node under X)."""
+    def compute():
+        sn_g = subnormal_subgroups(lat)
+        if idx in sn_g:
+            return sn_g.members_mask & lat.down_masks[idx]
+        if is_nilpotent_node(lat, idx):
+            return lat.down_masks[idx]
+        _child, child_lat = lat.rerooted(idx)
+        up = tuple(_bits(lat.down_masks[idx]))
+        out = 0
+        for j in subnormal_subgroups(child_lat).members:
+            out |= 1 << up[j]
+        return out
+    return _memo(lat, ("sn-of", idx), compute)
+
+
+def _pair_count(lat: SubgroupLattice, s: int, t: int) -> int:
+    """Permuting ordered pairs in s x t, for node masks s and t."""
+    rows = lat.chi_rows()
+    return sum((rows[i] & t).bit_count() for i in _bits(s))
+
+
+def node_all_pairs(lat: SubgroupLattice, idx: int) -> int:
+    """Permuting ordered pairs of L(X), the all-pairs count of node X."""
+    below = lat.down_masks[idx]
+    return _memo(lat, ("pairs-all-of", idx), lambda: _pair_count(lat, below, below))
+
+
+def node_restricted_pairs(lat: SubgroupLattice, idx: int,
+                          convention: str = RAW) -> int:
+    """Permuting pairs in sn(X) x M(X) for a nontrivial node X."""
+    return _memo(lat, ("pairs-of", idx, convention), lambda: _pair_count(
+        lat, node_subnormal(lat, idx), node_maximal(lat, idx, convention)))
+
+
+def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
+                              convention: str = RAW) -> int:
+    """Permuting pairs in sn(G/N) x M(G/N) for a proper normal N, read off
+    the interval [N, G] (correspondence theorem): K/N is subnormal in G/N
+    iff K is subnormal in G, maximal iff K is, and K/N, L/N permute iff K, L
+    do."""
+    above = lat.up_masks[n_idx]
+    sn = subnormal_subgroups(lat).members_mask & above
+    mx = _maximal_under(lat, cover_table(lat)[1][lat.top] & above, lat.top,
+                        convention)
+    return _pair_count(lat, sn, mx)
 
 
 @dataclass(frozen=True)
@@ -233,26 +354,22 @@ class FactorConditions:
     details: tuple[str, ...]
 
 
-def _child_selection_parent_nodes(lat: SubgroupLattice, idx: int,
-                                  convention: str) -> tuple[int, int]:
-    """(subnormal, maximal) nodes of a re-rooted child, as masks over the
-    parent's node indices: child node k is the k-th node under ``idx``.
-    Lifted once per (node, convention) into the parent's memo."""
-    key = ("lifted", idx, convention)
-    hit = lat._memo.get(key)
-    if hit is None:
-        _child, child_lat = lat.rerooted(idx)
-        up = tuple(_bits(lat.down_masks[idx]))
+def _half_verdict(lat: SubgroupLattice, idx: int,
+                  convention: str) -> tuple[Optional[int], Optional[int]]:
+    """Orders of the violators of sn(X) in sn(G) and of M(X) in M(G) for
+    node X, each the violator with the smallest element mask, or None."""
+    def violator(nodes: int, target: int) -> Optional[int]:
+        outside = nodes & ~target
+        if not outside:
+            return None
+        return min(lat.masks[i] for i in _bits(outside)).bit_count()
 
-        def lift(sel) -> int:
-            out = 0
-            for j in sel.members:
-                out |= 1 << up[j]
-            return out
-
-        hit = lat._memo[key] = (lift(subnormal_subgroups(child_lat)),
-                                lift(maximal_subgroups(child_lat, convention)))
-    return hit
+    def compute():
+        return (violator(node_subnormal(lat, idx),
+                         subnormal_subgroups(lat).members_mask),
+                violator(node_maximal(lat, idx, convention),
+                         maximal_subgroups(lat, convention).members_mask))
+    return _memo(lat, ("half", idx, convention), compute)
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -264,27 +381,20 @@ def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
         raise ValueError("NH is not the whole group")
     if nm.bit_count() == 1 or hm.bit_count() == 1:
         raise ValueError("N and H must be nontrivial (maximal sets undefined)")
-    sn_g = subnormal_subgroups(lat).members_mask
-    mx_g = maximal_subgroups(lat, convention).members_mask
     details = []
 
-    def included(nodes: int, target: int, label: str) -> bool:
-        outside = nodes & ~target
-        if outside:
-            # name the violator with the smallest element mask
-            m = min(lat.masks[i] for i in _bits(outside))
-            details.append(f"{label}: subgroup of order {m.bit_count()} "
-                           "is not in the ambient selection")
-            return False
-        return True
+    def included(idx: int, who: str) -> bool:
+        ok = True
+        for sel, order in zip(("sn", "M"), _half_verdict(lat, idx, convention)):
+            if order is not None:
+                details.append(f"{sel}({who}) in {sel}(G): subgroup of order "
+                               f"{order} is not in the ambient selection")
+                ok = False
+        return ok
 
-    sn_h, mx_h = _child_selection_parent_nodes(lat, h_idx, convention)
-    sn_n, mx_n = _child_selection_parent_nodes(lat, n_idx, convention)
-    a1 = (included(sn_h, sn_g, "sn(H) in sn(G)")
-          & included(mx_h, mx_g, "M(H) in M(G)"))
-    a2 = (included(sn_n, sn_g, "sn(N) in sn(G)")
-          & included(mx_n, mx_g, "M(N) in M(G)"))
-    return FactorConditions(bool(a1), bool(a2), tuple(details))
+    a1 = included(h_idx, "H")
+    a2 = included(n_idx, "N")
+    return FactorConditions(a1, a2, tuple(details))
 
 
 def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -419,8 +529,8 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if reasons:
         spd_res = _not_satisfied("cauchy-spd", reasons, convention, dict(base_ctx))
     else:
-        sum_n = restricted_pair_count(lat.rerooted(n_idx)[1], convention)
-        sum_h = restricted_pair_count(lat.rerooted(h_idx)[1], convention)
+        sum_n = node_restricted_pairs(lat, n_idx, convention)
+        sum_h = node_restricted_pairs(lat, h_idx, convention)
         denom = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
         ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
         spd_res = _satisfied("cauchy-spd", Fraction(sum_n * sum_h, denom ** 2),
@@ -429,8 +539,8 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if common:
         sd_res = _not_satisfied("cauchy-sd", common, "-", dict(base_ctx))
     else:
-        sum_n = all_pair_count(lat.rerooted(n_idx)[1])
-        sum_h = all_pair_count(lat.rerooted(h_idx)[1])
+        sum_n = node_all_pairs(lat, n_idx)
+        sum_h = node_all_pairs(lat, h_idx)
         ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
         sd_res = _satisfied("cauchy-sd", Fraction(sum_n * sum_h, len(lat) ** 4),
                             sd(lat) ** 2, "-", ctx)
@@ -462,15 +572,28 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
             reasons.append("factor conditions fail: " + "; ".join(cond.details))
     if reasons:
         return _not_satisfied(claim, reasons, convention, context)
-    count_n = restricted_pair_count(lat.rerooted(n_idx)[1], convention)
-    count_q = restricted_pair_count(enumerate_subgroups(quotient_group(g, nm)),
-                                    convention)
-    count_h = restricted_pair_count(lat.rerooted(h_idx)[1], convention)
+    count_n = node_restricted_pairs(lat, n_idx, convention)
+    count_q = quotient_restricted_pairs(lat, n_idx, convention)
+    count_h = node_restricted_pairs(lat, h_idx, convention)
     context["count_n"] = str(count_n)
     context["count_quotient"] = str(count_q)
     context["count_h"] = str(count_h)
     actual = Fraction(2 * restricted_pair_count(lat, convention))
     return _satisfied(claim, Fraction(count_n + count_q), actual, convention, context)
+
+
+def fitting_node(lat: SubgroupLattice) -> int:
+    """Fit(G) as a node: the join of the p-cores O_p(G), each the largest
+    normal node of p-power order (nodes are sorted by order, so the last)."""
+    def compute():
+        normal = normal_subgroups(lat).members
+        fit = lat.bottom
+        for p, _ in prime_signature(lat.group.order).factors:
+            core = max(n for n in normal
+                       if _prime_power_part(lat.node_order(n), p) == lat.node_order(n))
+            fit = lat.join(fit, core)
+        return fit
+    return _memo(lat, "fitting", compute)
 
 
 @dataclass(frozen=True)
@@ -495,19 +618,14 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     ``reading`` picks whether a cyclic centralizer (rank 1) qualifies:
     "strict" demands two nontrivial factors, "relaxed" absorbs a trivial one.
     """
-    from .groups import fitting_subgroup  # local import to keep module DAG flat
-
     if reading not in ("strict", "relaxed"):
         raise ValueError("reading must be 'strict' or 'relaxed'")
     g = lat.group
     reasons = []
     if not g.is_solvable:
         reasons.append("group is not solvable")
-    fit_c = lat._memo.get("fitting")  # (Fit(G), C_G(Fit(G))) as masks
-    if fit_c is None:
-        fit = fitting_subgroup(g).mask
-        fit_c = lat._memo["fitting"] = (fit, g.centralizer_of_set_mask(fit))
-    c_mask = fit_c[1]
+    c_mask = _memo(lat, "fit-centralizer", lambda: g.centralizer_of_set_mask(
+        lat.masks[fitting_node(lat)]))
     c_idx = lat.index_of[c_mask]
     allow_rank1 = reading == "relaxed"
     shape = None

@@ -758,19 +758,49 @@ def make_named(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return g
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_rows(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in v)
+
+
+def _field(obj: dict, key: str, check, what: str):
+    if key not in obj:
+        raise GroupSpecError(f"{obj['kind']} group file has no {key!r} field")
+    if not check(obj[key]):
+        raise GroupSpecError(f"{obj['kind']} group file: {key!r} must be {what}")
+    return obj[key]
+
+
 def group_from_json_dict(obj: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Group file payloads: {"kind": "cayley"|"permutation"|"named", ...}."""
+    """Group file payloads: {"kind": "cayley"|"permutation"|"named", ...}.
+
+    The payload's shape is checked before anything is built, so a malformed
+    file raises :class:`GroupSpecError` naming the defect.
+    """
+    if not isinstance(obj, dict):
+        raise GroupSpecError(
+            f"group file must hold a JSON object, not {type(obj).__name__}")
     kind = obj.get("kind")
+    if kind not in ("named", "permutation", "cayley"):
+        raise GroupSpecError(f"unknown group file kind {kind!r}")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise GroupSpecError(f"{kind} group file: 'name' must be a string")
     if kind == "named":
-        return make_named(obj["spec"], max_order)
+        return make_named(_field(obj, "spec", lambda v: isinstance(v, str),
+                                 "a string"), max_order)
     if kind == "permutation":
-        return from_permutations(int(obj["degree"]), obj["generators"],
-                                 name=obj.get("name"), max_order=max_order)
-    if kind == "cayley":
-        table = obj["table"]
-        _require_cap(len(table), max_order, "cayley table")
-        return FiniteGroup.from_table(table, obj.get("name", "cayley"))
-    raise GroupSpecError(f"unknown group file kind {kind!r}")
+        return from_permutations(
+            _field(obj, "degree", _is_int, "an integer"),
+            _field(obj, "generators", _is_int_rows, "a list of integer lists"),
+            name=name, max_order=max_order)
+    table = _field(obj, "table", _is_int_rows, "a list of integer rows")
+    _require_cap(len(table), max_order, "cayley table")
+    return FiniteGroup.from_table(table, "cayley" if name is None else name)
 
 
 def load_group_file(path, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

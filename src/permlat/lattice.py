@@ -15,7 +15,8 @@ subgroups. Normality and subnormality are class invariants and are decided
 once per conjugacy class (:attr:`SubgroupLattice.class_of`); the normal,
 subnormal and maximal selections are built once per lattice, in the
 lattice's memo, which also holds the other per-lattice values the degrees
-and bounds read (pair counts, Fitting data, lifted child selections).
+and bounds read (the cover table, pair counts, and the per-node values of
+:mod:`permlat.bounds`).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -78,8 +79,8 @@ class SubgroupLattice:
         self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
         self._rerooted: dict[int, tuple] = {}
-        # per-lattice values computed on demand: selections, pair counts,
-        # Fitting data and lifted child selections
+        # per-lattice values computed on demand: selections, the cover
+        # table, pair counts and per-node bound values
         self._memo: dict = {}
 
     def __len__(self):
@@ -394,20 +395,29 @@ def custom_selection(lat: SubgroupLattice, members: Iterable[int]) -> Sublattice
     return SublatticeSelection(lat, "custom", members)
 
 
-def _upper_covers(lat: SubgroupLattice) -> list[int]:
-    """Bit j of entry i set iff node j covers node i."""
-    up = lat.up_masks
-    covers = []
-    for i, above in enumerate(up):
-        rest = above ^ (1 << i)
-        cov = 0
-        while rest:
-            # the lowest remaining node is minimal above i: a cover
-            low = rest & -rest
-            cov |= low
-            rest &= ~up[low.bit_length() - 1]
-        covers.append(cov)
-    return covers
+def cover_table(lat: SubgroupLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(upper, lower): bit j of ``upper[i]`` set iff node j covers node i,
+    and bit j of ``lower[i]`` set iff node i covers node j. Built once per
+    lattice, in its memo."""
+    hit = lat._memo.get("covers")
+    if hit is None:
+        up = lat.up_masks
+        up_cov = []
+        for i, above in enumerate(up):
+            rest = above ^ (1 << i)
+            cov = 0
+            while rest:
+                # the lowest remaining node is minimal above i: a cover
+                low = rest & -rest
+                cov |= low
+                rest &= ~up[low.bit_length() - 1]
+            up_cov.append(cov)
+        down_cov = [0] * len(lat)
+        for i, cov in enumerate(up_cov):
+            for j in _bits(cov):
+                down_cov[j] |= 1 << i
+        hit = lat._memo["covers"] = (tuple(up_cov), tuple(down_cov))
+    return hit
 
 
 def is_modular_lattice(lat: SubgroupLattice) -> bool:
@@ -418,11 +428,7 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
     two distinct upper covers of a node must both be covered by their join,
     and two distinct lower covers of a node must both cover their meet.
     """
-    up_cov = _upper_covers(lat)
-    down_cov = [0] * len(lat)
-    for i, cov in enumerate(up_cov):
-        for j in _bits(cov):
-            down_cov[j] |= 1 << i
+    up_cov, down_cov = cover_table(lat)
     for x in range(len(lat)):
         ups = list(_bits(up_cov[x]))
         for k, a in enumerate(ups):

@@ -463,10 +463,104 @@ def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
     lat = lat_of("D4xS3")
     results = B.bound_results(lat, "all", "raw", "strict")
     assert {r.claim for r in results} >= {"cauchy-sd", "lb3", "theorem1", "mu-bound"}
-    assert fitting_calls == ["D4xS3"]
-    assert (id(lat), "all", "all") in pair_calls
-    assert (id(lat), "subnormal", "maximal-raw") in pair_calls
+    # Fit(G) is read off the lattice, not assembled from closures
+    assert fitting_calls == []
+    # child pair counts come from the parent's rows: only the parent counts
+    assert set(pair_calls) == {(id(lat), "all", "all"),
+                               (id(lat), "subnormal", "maximal-raw")}
     assert set(pair_calls.values()) == {1}
+
+
+def test_bound_driver_reroots_only_non_nilpotent_nodes_and_checked_n(monkeypatch):
+    chi_calls, rerooted_calls = [], []
+    real_chi, real_reroot = L.SubgroupLattice.chi_rows, L.SubgroupLattice.rerooted
+
+    def chi_rows(self):
+        chi_calls.append(self)
+        return real_chi(self)
+
+    def rerooted(self, i):
+        rerooted_calls.append((self, i))
+        return real_reroot(self, i)
+
+    monkeypatch.setattr(L.SubgroupLattice, "chi_rows", chi_rows)
+    monkeypatch.setattr(L.SubgroupLattice, "rerooted", rerooted)
+    lat = lat_of("D4xS3")
+    g = lat.group
+    B.bound_results(lat, "all", "raw", "strict")
+    assert chi_calls and all(c is lat for c in chi_calls)
+    # lemma1, lemma2 and cor26 read the shape of each nontrivial proper
+    # normal N; theorem1 and mu that of C_G(Fit(G))
+    checked_n = {n for n in L.normal_subgroups(lat).members
+                 if 1 < lat.node_order(n) < g.order}
+    checked_n.add(lat.index_of[g.centralizer_of_set_mask(G.fitting_subgroup(g).mask)])
+    rerooted = {i for owner, i in rerooted_calls if owner is lat}
+    assert len(rerooted) == len({(id(o), i) for o, i in rerooted_calls})
+    non_nilpotent = {i for i in rerooted
+                     if not G.subgroup_group(g, lat.masks[i]).is_nilpotent}
+    assert non_nilpotent
+    assert rerooted - non_nilpotent <= checked_n
+
+
+ORACLE_SPECS = list(CATALOG_SPECS) + ["D4xS3", "S4xC2", "Q8xS3"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_lattice_read_node_values_match_rerooted_child(spec):
+    lat = lat_of(spec)
+    g = lat.group
+    for i in range(1, len(lat)):
+        child_group, child = lat.rerooted(i)
+        below = list(G._bits(lat.down_masks[i]))
+
+        def lift(sel):
+            return sum(1 << below[j] for j in sel.members)
+
+        assert B.is_nilpotent_node(lat, i) is G.subgroup_group(g, lat.masks[i]).is_nilpotent
+        assert B.node_subnormal(lat, i) == lift(L.subnormal_subgroups(child))
+        assert B.node_all_pairs(lat, i) == D.all_pair_count(child)
+        for conv in L.CONVENTIONS:
+            assert B.node_maximal(lat, i, conv) == lift(L.maximal_subgroups(child, conv))
+            assert (B.node_restricted_pairs(lat, i, conv)
+                    == D.restricted_pair_count(child, conv)), (i, conv)
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + [
+    "D4xS3", "S4xC2", "Q8xS3", "S4xC3", "S3xS3", "S4xS3", "A4xA4"])
+def test_lattice_fitting_matches_closure_oracle(spec):
+    lat = lat_of(spec)
+    assert lat.masks[B.fitting_node(lat)] == G.fitting_subgroup(lat.group).mask
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_quotient_pairs_match_enumerated_quotient(spec):
+    lat = lat_of(spec)
+    g = lat.group
+    for n in L.normal_subgroups(lat).members:
+        if lat.node_order(n) == g.order:
+            continue
+        quotient = L.enumerate_subgroups(G.quotient_group(g, lat.masks[n]))
+        for conv in L.CONVENTIONS:
+            assert (B.quotient_restricted_pairs(lat, n, conv)
+                    == D.restricted_pair_count(quotient, conv)), (n, conv)
+
+
+def test_lb3_count_quotient_matches_enumerated_quotient():
+    satisfied = 0
+    for spec in CATALOG_SPECS:
+        lat = lat_of(spec)
+        for n in L.normal_subgroups(lat).members:
+            for h in B.complement_candidates(lat, n):
+                for conv in L.CONVENTIONS:
+                    res = B.decomposition_bound_check(lat, n, h, conv)
+                    if not res.hypothesis_satisfied:
+                        continue
+                    satisfied += 1
+                    quotient = L.enumerate_subgroups(
+                        G.quotient_group(lat.group, lat.masks[n]))
+                    assert res.context["count_quotient"] == \
+                        str(D.restricted_pair_count(quotient, conv))
+    assert satisfied == 18
 
 
 def test_bound_driver_rejects_unknown_claims_and_readings():

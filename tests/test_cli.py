@@ -322,8 +322,16 @@ class TestInputsAndErrors:
          "associativity fails at (1,1,2)"),
         ({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]},
          "generator [0, 0, 1] is not a bijection on 0..2"),
+        ({"kind": "cayley"}, "cayley group file has no 'table' field"),
+        ({"kind": "permutation", "degree": 3},
+         "permutation group file has no 'generators' field"),
+        ([{"kind": "named", "spec": "C2"}],
+         "group file must hold a JSON object, not list"),
+        ({"kind": "cayley", "table": [5]},
+         "cayley group file: 'table' must be a list of integer rows"),
     ], ids=["ragged", "ragged-short-row", "non-latin", "non-associative",
-            "non-bijective"])
+            "non-bijective", "no-table", "no-generators", "top-level-list",
+            "number-row"])
     def test_malformed_group_file(self, capsys, tmp_path, payload, defect):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
