@@ -33,7 +33,11 @@ def table_digest(group: FiniteGroup) -> str:
 
 
 def cache_path(cache_dir: str, group: FiniteGroup) -> str:
-    return os.path.join(cache_dir, f"lattice-{table_digest(group)}.json")
+    return _entry_path(cache_dir, table_digest(group))
+
+
+def _entry_path(cache_dir: str, digest: str) -> str:
+    return os.path.join(cache_dir, f"lattice-{digest}.json")
 
 
 def _nodes_digest(masks) -> str:
@@ -41,11 +45,23 @@ def _nodes_digest(masks) -> str:
 
 
 def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
+    return _store(cache_dir, lat, table_digest(lat.group))
+
+
+def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice]:
+    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched."""
+    return _load(cache_dir, group, table_digest(group))
+
+
+# The private halves take the table digest from their caller, which hashes
+# the table once per public call.
+
+def _store(cache_dir: str, lat: SubgroupLattice, digest: str) -> str:
     os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, lat.group)
+    path = _entry_path(cache_dir, digest)
     payload = {
         "format": CACHE_FORMAT,
-        "digest": table_digest(lat.group),
+        "digest": digest,
         "order": lat.group.order,
         "node_count": len(lat),
         "nodes": [format(m, "x") for m in lat.masks],
@@ -58,18 +74,16 @@ def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
     return path
 
 
-def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice]:
-    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched."""
-    path = cache_path(cache_dir, group)
+def _load(cache_dir: str, group: FiniteGroup, digest: str) -> Optional[SubgroupLattice]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_entry_path(cache_dir, digest), "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
     try:
         if payload["format"] != CACHE_FORMAT:
             return None
-        if payload["digest"] != table_digest(group):
+        if payload["digest"] != digest:
             return None
         masks = [int(v, 16) for v in payload["nodes"]]
         if len(masks) != payload["node_count"] or len(set(masks)) != len(masks):
@@ -93,12 +107,13 @@ def cached_lattice(cache_dir: Optional[str], group: FiniteGroup) -> SubgroupLatt
     that exists but does not load is reported on stderr and replaced."""
     if not cache_dir:
         return enumerate_subgroups(group)
-    lat = load_lattice(cache_dir, group)
+    digest = table_digest(group)
+    lat = _load(cache_dir, group, digest)
     if lat is not None:
         return lat
-    if os.path.exists(cache_path(cache_dir, group)):
+    if os.path.exists(_entry_path(cache_dir, digest)):
         print(f"warning: ignoring corrupt cache entry for {group.name}",
               file=sys.stderr)
     lat = enumerate_subgroups(group)
-    store_lattice(cache_dir, lat)
+    _store(cache_dir, lat, digest)
     return lat

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
@@ -71,8 +71,10 @@ class PrimeSignature:
         return 0
 
 
+@cache
 def prime_signature(n: int) -> PrimeSignature:
-    """Factor a positive integer; the empty signature for n = 1."""
+    """Factor a positive integer; the empty signature for n = 1. Memoised:
+    the closure search asks for the factors of an index on every call."""
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
     factors = []
@@ -219,15 +221,7 @@ class FiniteGroup:
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
         """A small (greedy, deterministic) generating set; empty for order 1."""
-        gens: list[int] = []
-        covered = 1
-        for x in range(1, self.order):
-            if not covered >> x & 1:
-                gens.append(x)
-                covered = self.closure_mask(gens)
-                if covered == self.full_mask:
-                    break
-        return tuple(gens)
+        return self.subgroup_gens(self.full_mask)
 
     # -- mask-level set algebra ------------------------------------------
 
@@ -240,19 +234,38 @@ class FiniteGroup:
             y = t[y][x]
         return m
 
-    def closure_mask(self, gens: Iterable[int]) -> int:
-        """Subgroup generated by ``gens`` as a mask (BFS from the identity)."""
+    def closure_mask(self, gens: Iterable[int], base: int = 1) -> int:
+        """Subgroup generated by ``gens`` as a mask.
+
+        ``base`` is a subgroup known to lie in <gens> (the trivial one by
+        default). The result grows from it by whole right cosets ``base*y``,
+        as in Dimino's algorithm (Butler, *Fundamental Algorithms for
+        Permutation Groups*, 1991): the coset representatives y are closed
+        under right multiplication by ``gens``, so their cosets cover the
+        closure. With the trivial base this is a BFS from the identity.
+
+        By Lagrange, a subgroup of G that contains ``base`` and has more than
+        |G|/q elements, q the smallest prime dividing |G : base|, is G itself;
+        the search stops as soon as it has found that many.
+        """
         t = self.table
         gen_list = [g for g in dict.fromkeys(gens) if g]
-        mask = 1
+        base_rows = [t[b] for b in _bits(base)]
+        size = len(base_rows)
+        index = self.order // size
+        limit = self.order // prime_signature(index).factors[0][0] if index > 1 else size
+        mask = base
         queue = [0]
         for x in queue:  # queue grows while we iterate
             row = t[x]
             for g in gen_list:
                 y = row[g]
-                b = 1 << y
-                if not mask & b:
-                    mask |= b
+                if not mask >> y & 1:
+                    for b in base_rows:
+                        mask |= 1 << b[y]
+                    size += len(base_rows)
+                    if size > limit:
+                        return self.full_mask
                     queue.append(y)
         return mask
 
@@ -304,7 +317,7 @@ class FiniteGroup:
             x = (mask & ~m)
             x = (x & -x).bit_length() - 1
             gens.append(x)
-            m = self.closure_mask(gens)
+            m = self.closure_mask(gens, m)
         return tuple(gens)
 
     def centralizer_mask(self, x: int) -> int:
@@ -343,18 +356,19 @@ class FiniteGroup:
             ki = inv[k]
             for h in h_gens:
                 conjugates.add(t[row[h]][ki])
-        return self.closure_mask(sorted(conjugates))
+        return self.closure_mask(sorted(conjugates), h_mask)
 
-    def commutator_mask(self, am: int, bm: int) -> int:
-        """Subgroup generated by commutators [a,b] = a^-1 b^-1 a b."""
+    def _commutator_closure(self, xs: Sequence[int], ys: Sequence[int],
+                            k_mask: int) -> int:
+        """Normal closure in K of the commutators [x,y] = x^-1 y^-1 x y.
+
+        With X and Y generating normal subgroups of K = <X, Y>, this is the
+        commutator subgroup [<X>, <Y>].
+        """
         t = self.table
         inv = self.inverse
-        comms = set()
-        for a in _bits(am):
-            ia = inv[a]
-            for b in _bits(bm):
-                comms.add(t[t[t[ia][inv[b]]][a]][b])
-        return self.closure_mask(sorted(comms))
+        comms = sorted({t[t[t[inv[x]][inv[y]]][x]][y] for x in xs for y in ys})
+        return self.normal_closure_mask(self.closure_mask(comms), k_mask, comms)
 
     # -- structure --------------------------------------------------------
 
@@ -366,20 +380,26 @@ class FiniteGroup:
 
     @cached_property
     def derived_series(self) -> tuple[int, ...]:
+        # [K, K] = <[x, y] : x, y in X>^K for K = <X>
         series = [self.full_mask]
         while True:
-            nxt = self.commutator_mask(series[-1], series[-1])
-            if nxt == series[-1]:
+            k = series[-1]
+            gens = self.subgroup_gens(k)
+            nxt = self._commutator_closure(gens, gens, k)
+            if nxt == k:
                 break
             series.append(nxt)
         return tuple(series)
 
     @cached_property
     def lower_central_series(self) -> tuple[int, ...]:
+        # [K, G] = <[x, s] : x in X, s in S>^G for normal K = <X> and G = <S>
         series = [self.full_mask]
         while True:
-            nxt = self.commutator_mask(series[-1], self.full_mask)
-            if nxt == series[-1]:
+            k = series[-1]
+            nxt = self._commutator_closure(self.subgroup_gens(k),
+                                           self.generating_set, self.full_mask)
+            if nxt == k:
                 break
             series.append(nxt)
         return tuple(series)

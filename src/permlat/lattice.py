@@ -12,17 +12,22 @@ is the interval [1, H] of the parent's lattice, so
 enumerating it again. Selections (normal, subnormal, maximal, Sylow,
 perp, ...) are index sets into that fixed node list; they never copy
 subgroups. Normality and subnormality are class invariants and are decided
-once per conjugacy class (:attr:`SubgroupLattice.class_of`); the normal,
-subnormal and maximal selections are built once per lattice, in the
+once per conjugacy class (:attr:`SubgroupLattice.class_of`), from the masks
+and the order masks alone: the classes are orbits under generators read off
+the lattice, and subnormality follows the normal-closure chain of a node
+through lattice joins of its conjugates, so neither computes a closure. The
+normal, subnormal and maximal selections are built once per lattice, in the
 lattice's memo, which also holds the other per-lattice values the degrees
 and bounds read (the cover table, pair counts, and the per-node values of
 :mod:`permlat.bounds`).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
-product set and no closure. Pairwise permutability over the whole lattice is
-cached as one bitrow per node (see :meth:`SubgroupLattice.chi_rows`), which
-every degree, perp and bound computation downstream shares.
+product set and no closure. The order masks themselves come from containment
+columns: the nodes above node i are those that hold every element of it.
+Pairwise permutability over the whole lattice is cached as one bitrow per
+node (see :meth:`SubgroupLattice.chi_rows`), which every degree, perp and
+bound computation downstream shares.
 """
 from __future__ import annotations
 
@@ -67,16 +72,27 @@ class SubgroupLattice:
         self.bottom = 0
         self.top = len(masks) - 1
         L = len(masks)
-        up = [0] * L
+        # containing[e]: the nodes that hold element e; a node lies above
+        # node i iff it holds every element of node i
+        containing = [0] * n
+        for i, m in enumerate(masks):
+            bit = 1 << i
+            for e in _bits(m):
+                containing[e] |= bit
+        self.all_nodes_mask = (1 << L) - 1
+        up = []
+        for m in masks:
+            above = self.all_nodes_mask
+            for e in _bits(m):
+                above &= containing[e]
+            up.append(above)
         down = [0] * L
-        for i, mi in enumerate(masks):
-            for j in range(i, L):
-                if mi & ~masks[j] == 0:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+        for i, above in enumerate(up):
+            bit = 1 << i
+            for j in _bits(above):
+                down[j] |= bit
         self.up_masks = tuple(up)
         self.down_masks = tuple(down)
-        self.all_nodes_mask = (1 << L) - 1
         self._chi: Optional[list[int]] = None
         self._rerooted: dict[int, tuple] = {}
         # per-lattice values computed on demand: selections, the cover
@@ -108,15 +124,15 @@ class SubgroupLattice:
     @cached_property
     def class_of(self) -> tuple[int, ...]:
         """The representative (lowest-indexed member) of each node's
-        conjugacy class, read off the masks by conjugating with the
-        group's generating set."""
-        g = self.group
+        conjugacy class, read off the masks by conjugating with generators
+        of the group read off the lattice."""
+        gens = _node_gens(self, self.top)
         rep = [-1] * len(self.masks)
         for i, m in enumerate(self.masks):
             if rep[i] >= 0:
                 continue
             rep[i] = i
-            for c in _conjugacy_class(g, m):
+            for c in _conjugacy_class(self.group, m, gens):
                 rep[self.index_of[c]] = i
         return tuple(rep)
 
@@ -167,22 +183,33 @@ class SubgroupLattice:
         return hit
 
 
-def _conjugacy_class(group: FiniteGroup, mask: int) -> list[int]:
-    """The conjugacy class of a subgroup, as masks.
-
-    The orbit is closed under conjugation by ``group.generating_set``, which
-    suffices.
-    """
+def _conjugacy_class(group: FiniteGroup, mask: int, gens) -> list[int]:
+    """The conjugacy class of a subgroup, as masks: its orbit under
+    conjugation by ``gens``, generators of the group."""
     g = group
     orbit = [mask]
     members = {mask}
     for m in orbit:  # orbit grows while we iterate
-        for s in g.generating_set:
+        for s in gens:
             c = g.conjugate_mask(m, s)
             if c not in members:
                 members.add(c)
                 orbit.append(c)
     return orbit
+
+
+def _node_gens(lat: SubgroupLattice, k: int) -> list[int]:
+    """Greedy generators of node k, read off the lattice by joining cyclic
+    nodes: no closure is computed."""
+    g = lat.group
+    gens = []
+    node = lat.bottom
+    while node != k:
+        rest = lat.masks[k] & ~lat.masks[node]
+        x = (rest & -rest).bit_length() - 1
+        gens.append(x)
+        node = lat.join(node, lat.index_of[g.cyclic_mask(x)])
+    return gens
 
 
 def enumerate_subgroups(group: FiniteGroup,
@@ -201,6 +228,12 @@ def enumerate_subgroups(group: FiniteGroup,
     representative of A's class, and <A0, c'> is conjugate under N(A0) to the
     join with the seed tried from the orbit of <c'>. Unions that were already
     examined are skipped via a memo on the union mask.
+
+    Every step grows from a subgroup already known. A join <A, c> is closed
+    from A by whole cosets, as in Dimino's algorithm
+    (:meth:`FiniteGroup.closure_mask` with ``base`` A). N(A) is a union of
+    left cosets of A and is tested one coset at a time, and a seed's
+    N(A)-orbit is its orbit under generators of N(A).
     """
     g = group
     t, inv = g.table, g.inverse
@@ -221,13 +254,13 @@ def enumerate_subgroups(group: FiniteGroup,
     for m in cyclic_masks:
         if m not in seen:
             frontier.append(m)
-            seen.update(_conjugacy_class(g, m))
+            seen.update(_conjugacy_class(g, m, g.generating_set))
     union_seen: set[int] = set()
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
-            normalizer: Optional[list[int]] = None
+            ngens: Optional[tuple[int, ...]] = None  # generators of N(A)
             tried: set[int] = set()  # seeds N(A)-conjugate to a joined one
             for cm in cyclic_masks:
                 u = am | cm
@@ -235,21 +268,48 @@ def enumerate_subgroups(group: FiniteGroup,
                     continue
                 union_seen.add(u)
                 jgens = tuple(dict.fromkeys(agens + gens_of[cm]))
-                jm = g.closure_mask(jgens)
+                jm = g.closure_mask(jgens, am)
                 if jm not in seen:
-                    seen.update(_conjugacy_class(g, jm))
+                    seen.update(_conjugacy_class(g, jm, g.generating_set))
                     gens_of[jm] = jgens
                     fresh.append(jm)
                     if len(seen) > lattice_cap:
                         raise LatticeCapError(
                             f"{g.name}: more than {lattice_cap} subgroups")
-                if normalizer is None:
-                    normalizer = [y for y in range(g.order)
-                                  if all(am >> t[t[y][a]][inv[y]] & 1 for a in agens)]
-                x = gens_of[cm][0]
-                tried.update(cyclic_of[t[t[y][x]][inv[y]]] for y in normalizer)
+                if ngens is None:
+                    ngens = g.subgroup_gens(_normalizer_mask(g, am, agens))
+                # the N(A)-orbit of the seed, by conjugating with N(A)'s generators
+                orbit = [cm]
+                tried.add(cm)
+                for c in orbit:  # orbit grows while we iterate
+                    x = gens_of[c][0]
+                    for y in ngens:
+                        d = cyclic_of[t[t[y][x]][inv[y]]]
+                        if d not in tried:
+                            tried.add(d)
+                            orbit.append(d)
         frontier = fresh
     return SubgroupLattice(g, list(seen))
+
+
+def _normalizer_mask(group: FiniteGroup, am: int, agens) -> int:
+    """N(A) for A = <agens>, tested one left coset yA at a time: y
+    normalizes A iff every element of yA does."""
+    t, inv = group.table, group.inverse
+    a_elems = list(_bits(am))
+    normalizer = 0
+    rest = group.full_mask
+    while rest:
+        y = (rest & -rest).bit_length() - 1
+        row = t[y]
+        coset = 0
+        for a in a_elems:
+            coset |= 1 << row[a]
+        rest &= ~coset
+        yi = inv[y]
+        if all(am >> t[row[a]][yi] & 1 for a in agens):
+            normalizer |= coset
+    return normalizer
 
 
 def subgroup_masks_bruteforce(group: FiniteGroup) -> list[int]:
@@ -312,19 +372,19 @@ def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
 
 
 def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
-    # descending normal-closure chain K0 = G, K_{t+1} = <H^{K_t}>;
-    # H is subnormal exactly when the chain bottoms out at H
-    g = lat.group
-    h = lat.masks[i]
-    hgens = g.subgroup_gens(h)
-    k = g.full_mask
-    while True:
-        if k == h:
-            return True
-        nc = g.normal_closure_mask(h, k, hgens)
-        if nc == k:
+    # descending normal-closure chain K0 = G, K_{t+1} = H^{K_t}, the join of
+    # H's K_t-conjugates (its orbit under K_t's generators); H is subnormal
+    # exactly when the chain reaches H, and is not when it stalls first
+    k = lat.top
+    while k != i:
+        above = lat.all_nodes_mask
+        for c in _conjugacy_class(lat.group, lat.masks[i], _node_gens(lat, k)):
+            above &= lat.up_masks[lat.index_of[c]]
+        nk = (above & -above).bit_length() - 1
+        if nk == k:
             return False
-        k = nc
+        k = nk
+    return True
 
 
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlat import groups as G
+from permlat.catalog import CATALOG_SPECS
+
+SERIES_SPECS = list(CATALOG_SPECS) + ["S5xC2", "S4xS3", "A5xC3"]
 
 
 def by_order(g, k):
@@ -300,3 +303,77 @@ def test_cyclic_group_axioms(n):
     g = G.make_named(f"C{n}")
     assert g.is_cyclic
     assert g.exponent == n
+
+
+def relabelled(g, data):
+    """``g`` rebuilt from its table under a drawn permutation fixing 0."""
+    n = g.order
+    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
+    inv = [0] * n
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=False)
+
+
+def closure_by_words(g, gens):
+    """Oracle: every product of generators, by breadth-first search over words."""
+    found = {0}
+    layer = [0]
+    while layer:
+        layer = list({g.table[a][x] for a in layer for x in gens} - found)
+        found.update(layer)
+    return sum(1 << x for x in found)
+
+
+def commutator_subgroup_pairwise(g, am, bm):
+    """Oracle: the subgroup generated by [a, b] for every a in A and b in B."""
+    t, inv = g.table, g.inverse
+    comms = {t[t[t[inv[a]][inv[b]]][a]][b] for a in G._bits(am) for b in G._bits(bm)}
+    return closure_by_words(g, comms)
+
+
+def series_pairwise(g, lower):
+    series = [g.full_mask]
+    while True:
+        k = series[-1]
+        nxt = commutator_subgroup_pairwise(g, k, g.full_mask if lower else k)
+        if nxt == k:
+            return tuple(series)
+        series.append(nxt)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_closure_from_a_cyclic_base_matches_words(spec):
+    g = G.make_named(spec)
+    for x in range(g.order):
+        base = g.cyclic_mask(x)
+        for y in range(0, g.order, max(1, g.order // 10)):
+            closed = closure_by_words(g, [x, y])
+            assert g.closure_mask([x, y], base) == g.closure_mask([x, y]) == closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_closure_from_a_subgroup_matches_closure_from_identity(spec, data):
+    g = relabelled(G.make_named(spec), data)
+    elements = st.lists(st.integers(0, g.order - 1), max_size=2)
+    base_gens = data.draw(elements, label="base generators")
+    gens = base_gens + data.draw(elements, label="extra")
+    base = closure_by_words(g, base_gens)
+    assert g.closure_mask(gens, base) == g.closure_mask(gens) == closure_by_words(g, gens)
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS)
+def test_series_match_pairwise_commutators(spec):
+    g = G.make_named(spec)
+    assert g.derived_series == series_pairwise(g, lower=False)
+    assert g.lower_central_series == series_pairwise(g, lower=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_relabelled_series_match_pairwise_commutators(spec, data):
+    g = relabelled(G.make_named(spec), data)
+    assert g.derived_series == series_pairwise(g, lower=False)
+    assert g.lower_central_series == series_pairwise(g, lower=True)

@@ -24,7 +24,7 @@ SMALL_PRODUCTS = [(a, b) for a in FACTOR_SPECS for b in FACTOR_SPECS
 
 CLASS_SPECS = ["S4xS3", "D4xD4", "A4xA4", "S5xC2"]
 
-SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4"]
+SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4", "S5xC2", "A4xA4", "A5xC3"]
 
 # sha256 of the node masks in node order, as first produced by saturating
 # joins of every node with every cyclic subgroup
@@ -87,7 +87,7 @@ def nodes_of_order(lat, k):
     return [i for i in range(len(lat)) if lat.node_order(i) == k]
 
 
-def relabelled(g, data):
+def relabelled(g, data, check_assoc=True):
     """``g`` rebuilt from its table under a drawn permutation fixing 0."""
     n = g.order
     sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
@@ -95,7 +95,7 @@ def relabelled(g, data):
     for x, y in enumerate(sigma):
         inv[y] = x
     table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    return G.FiniteGroup.from_table(table, name=g.name)
+    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=check_assoc)
 
 
 def subnormal_by_chain(g, m):
@@ -171,6 +171,18 @@ class TestEnumeration:
 def test_relabelled_enumeration_matches_powerset_oracle(spec, data):
     g = relabelled(G.make_named(spec), data)
     assert sorted(L.enumerate_subgroups(g).masks) == sorted(L.subgroup_masks_bruteforce(g))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_relabelled_order_masks_match_subset_tests(spec, data):
+    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    rel = L.enumerate_subgroups(g)
+    for i, mi in enumerate(rel.masks):
+        assert rel.up_masks[i] == sum(
+            1 << j for j, mj in enumerate(rel.masks) if mi & ~mj == 0), (spec, i)
+        assert rel.down_masks[i] == sum(
+            1 << j for j, mj in enumerate(rel.masks) if mj & ~mi == 0), (spec, i)
 
 
 @settings(max_examples=15, deadline=None)
@@ -467,14 +479,19 @@ class TestRerooting:
         calls = []
         closure_mask = G.FiniteGroup.closure_mask
 
-        def counted(self, gens):
+        def counted(self, gens, base=1):
             calls.append(gens)
-            return closure_mask(self, gens)
+            return closure_mask(self, gens, base)
 
+        subnormal = L.subnormal_subgroups(lat).members
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
-        rebuilt = L.SubgroupLattice(lat.group, list(lat.masks))
+        # a fresh group object, as on a cache hit: nothing is cached on it
+        group = G.FiniteGroup(lat.group.table, lat.group.name)
+        rebuilt = L.SubgroupLattice(group, list(lat.masks))
+        assert L.subnormal_subgroups(rebuilt).members == subnormal
         for i in range(len(rebuilt)):
-            rebuilt.rerooted(i)
+            _, child = rebuilt.rerooted(i)
+            L.subnormal_subgroups(child)
         assert rebuilt.masks == lat.masks
         assert calls == []
 
@@ -509,3 +526,14 @@ def test_relabelling_invariance(spec, data):
     assert sd(rel) == sd(lat)
     assert L.is_modular_lattice(rel) is L.is_modular_lattice(lat)
     assert rel.chi_rows() == chi_rows_by_product_sets(rel)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SELECTION_SPECS), st.data())
+def test_relabelled_subnormal_selection_matches_chain(spec, data):
+    # a relabelled table is associative by construction, and checking it
+    # costs |G|^3 steps on the order-240 groups drawn here
+    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    lat = L.enumerate_subgroups(g)
+    subnormal = {i for i, m in enumerate(lat.masks) if subnormal_by_chain(g, m)}
+    assert set(L.subnormal_subgroups(lat).members) == subnormal
