@@ -20,7 +20,7 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
   meet and X when closed); sn(X) is sn(G) n [1, X] for subnormal X and
   [1, X] for nilpotent X, and only other X are re-rooted for it;
 * pair counts inside X come from the parent's permutability rows, since
-  XY = YX does not depend on the ambient group;
+  XY = YX does not depend on the ambient group, once per class of X;
 * the factor-condition violators of each node, the factorization partners
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
@@ -41,7 +41,7 @@ from .lattice import (
     normal_subgroups,
     subnormal_subgroups,
 )
-from .degrees import restricted_pair_count, sd, spd
+from .degrees import mask_pair_count, restricted_pair_count, sd, spd
 
 
 @dataclass(frozen=True)
@@ -308,23 +308,21 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
     return _memo(lat, ("sn-of", idx), compute)
 
 
-def _pair_count(lat: SubgroupLattice, s: int, t: int) -> int:
-    """Permuting ordered pairs in s x t, for node masks s and t."""
-    rows = lat.chi_rows()
-    return sum((rows[i] & t).bit_count() for i in _bits(s))
-
-
 def node_all_pairs(lat: SubgroupLattice, idx: int) -> int:
-    """Permuting ordered pairs of L(X), the all-pairs count of node X."""
+    """Permuting ordered pairs of L(X), the all-pairs count of node X. It is
+    an isomorphism invariant of X, so it is counted once per class of X."""
     below = lat.down_masks[idx]
-    return _memo(lat, ("pairs-all-of", idx), lambda: _pair_count(lat, below, below))
+    return _memo(lat, ("pairs-all-of", lat.class_of[idx]),
+                 lambda: mask_pair_count(lat, below, below))
 
 
 def node_restricted_pairs(lat: SubgroupLattice, idx: int,
                           convention: str = RAW) -> int:
-    """Permuting pairs in sn(X) x M(X) for a nontrivial node X."""
-    return _memo(lat, ("pairs-of", idx, convention), lambda: _pair_count(
-        lat, node_subnormal(lat, idx), node_maximal(lat, idx, convention)))
+    """Permuting pairs in sn(X) x M(X) for a nontrivial node X, counted
+    once per class of X."""
+    return _memo(lat, ("pairs-of", lat.class_of[idx], convention),
+                 lambda: mask_pair_count(lat, node_subnormal(lat, idx),
+                                         node_maximal(lat, idx, convention)))
 
 
 def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
@@ -332,12 +330,13 @@ def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
     """Permuting pairs in sn(G/N) x M(G/N) for a proper normal N, read off
     the interval [N, G] (correspondence theorem): K/N is subnormal in G/N
     iff K is subnormal in G, maximal iff K is, and K/N, L/N permute iff K, L
-    do."""
+    do. N is normal, so both masks are unions of classes and the count is
+    class-wise."""
     above = lat.up_masks[n_idx]
     sn = subnormal_subgroups(lat).members_mask & above
     mx = _maximal_under(lat, cover_table(lat)[1][lat.top] & above, lat.top,
                         convention)
-    return _pair_count(lat, sn, mx)
+    return mask_pair_count(lat, sn, mx)
 
 
 @dataclass(frozen=True)

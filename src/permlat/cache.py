@@ -94,7 +94,7 @@ def _load(cache_dir: str, group: FiniteGroup, digest: str) -> Optional[SubgroupL
         return None
     full = group.full_mask
     for m in masks:
-        if not 0 < m <= full or not group.is_subgroup_mask(m):
+        if not 0 < m <= full or group.subgroup_gens(m) is None:
             return None
     if 1 not in masks or full not in masks:
         return None

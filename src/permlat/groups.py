@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 720
@@ -223,6 +224,28 @@ class FiniteGroup:
         """A small (greedy, deterministic) generating set; empty for order 1."""
         return self.subgroup_gens(self.full_mask)
 
+    @cached_property
+    def class_number(self) -> int:
+        """k(G), the number of conjugacy classes of elements: the orbits
+        under conjugation by :attr:`generating_set`."""
+        t = self.table
+        gens = [(t[s], self.inverse[s]) for s in self.generating_set]
+        seen = [False] * self.order
+        count = 0
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            count += 1
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:  # orbit grows while we iterate
+                for row, si in gens:
+                    z = t[row[y]][si]
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+        return count
+
     # -- mask-level set algebra ------------------------------------------
 
     def cyclic_mask(self, x: int) -> int:
@@ -309,11 +332,22 @@ class FiniteGroup:
                     return False
         return True
 
-    def subgroup_gens(self, mask: int) -> tuple[int, ...]:
-        """Small generating set of a subgroup given as a mask."""
+    def subgroup_gens(self, mask: int) -> Optional[tuple[int, ...]]:
+        """Small generating set of a subgroup given as a mask, or None when
+        ``mask`` is not a subgroup.
+
+        Greedy: the lowest element of ``mask`` outside the span so far, each
+        closure grown from the previous span. Every span is a subgroup and
+        each step enlarges it, so if ``mask`` is a subgroup the spans stay in
+        it until they equal it; if not, some span leaves it. This decides
+        subgroup-ness by cosets rather than by the |m|^2 products of
+        :meth:`is_subgroup_mask`.
+        """
         gens: list[int] = []
         m = 1
         while m != mask:
+            if m & ~mask:
+                return None
             x = (mask & ~m)
             x = (x & -x).bit_length() - 1
             gens.append(x)
@@ -569,9 +603,11 @@ def abelian_group(ks: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
 
 
 def _perm_group_from_elements(elems: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[tuple(a[b[k]] for k in range(len(b)))] for b in elems]
-             for a in elems]
+    # a*b is the composite k -> a[b[k]], the tuple itemgetter(*b)(a); at
+    # degree 1 itemgetter returns the scalar a[b[0]], so index by that
+    index = {p if len(p) > 1 else p[0]: i for i, p in enumerate(elems)}
+    compose = [itemgetter(*b) for b in elems]
+    table = [[index[c(a)] for c in compose] for a in elems]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
     return FiniteGroup(table, name, labels)
 

@@ -25,13 +25,15 @@ Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
 product set and no closure. The order masks themselves come from containment
 columns: the nodes above node i are those that hold every element of it.
-Pairwise permutability over the whole lattice is cached as one bitrow per
-node (see :meth:`SubgroupLattice.chi_rows`), which every degree, perp and
-bound computation downstream shares.
+Permutability is kept as one bitrow per node, built on demand
+(:class:`PermutabilityRows`). Every selection the degrees use is a union of
+conjugacy classes, and the row of X^g is the row of X conjugated by g, so
+those counts and perp read the rows of class representatives only; the other
+rows are built only for custom selections and the pair counts inside a node.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -93,7 +95,7 @@ class SubgroupLattice:
                 down[j] |= bit
         self.up_masks = tuple(up)
         self.down_masks = tuple(down)
-        self._chi: Optional[list[int]] = None
+        self._chi: Optional[PermutabilityRows] = None
         self._rerooted: dict[int, tuple] = {}
         # per-lattice values computed on demand: selections, the cover
         # table, pair counts and per-node bound values
@@ -136,32 +138,36 @@ class SubgroupLattice:
                 rep[self.index_of[c]] = i
         return tuple(rep)
 
-    def chi_rows(self) -> list[int]:
-        """Permutability bitmatrix: bit j of row i set iff nodes i and j permute.
+    @cached_property
+    def class_masks(self) -> dict[int, int]:
+        """Node mask of each conjugacy class, keyed by its representative."""
+        out: dict[int, int] = {}
+        for i, r in enumerate(self.class_of):
+            out[r] = out.get(r, 0) | 1 << i
+        return out
 
-        X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
-        |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
-        |X v Y| |X ^ Y| = |X| |Y|, which needs only node orders, :meth:`join`
-        and :meth:`meet`. Comparable pairs always permute and are not tested.
-        The product-set definition is kept as the oracle
-        (:func:`permlat.degrees.permutes`, :func:`permlat.degrees.chi_naive`).
+    def class_reps(self, mask: int) -> Optional[list[int]]:
+        """Representatives of the classes that make up the node set ``mask``,
+        or None when ``mask`` is not a union of conjugacy classes."""
+        reps = []
+        for r, members in self.class_masks.items():
+            hit = members & mask
+            if hit:
+                if hit != members:
+                    return None
+                reps.append(r)
+        return reps
+
+    def chi_rows(self) -> PermutabilityRows:
+        """Permutability bitmatrix: bit j of row i set iff nodes i and j
+        permute. Its rows are built on demand (:class:`PermutabilityRows`);
+        the rows of class representatives, which every count over unions of
+        classes reads, are built here. The product-set definition is kept as
+        the oracle (:func:`permlat.degrees.permutes`,
+        :func:`permlat.degrees.chi_naive`).
         """
         if self._chi is None:
-            sizes = [m.bit_count() for m in self.masks]
-            up, down = self.up_masks, self.down_masks
-            full = self.all_nodes_mask
-            rows = [u | d for u, d in zip(up, down)]
-            for i, si in enumerate(sizes):
-                # incomparable nodes after i; comparable pairs always permute
-                rest = (full ^ (up[i] | down[i])) >> (i + 1) << (i + 1)
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    j = low.bit_length() - 1
-                    if sizes[self.join(i, j)] * sizes[self.meet(i, j)] == si * sizes[j]:
-                        rows[i] |= low
-                        rows[j] |= 1 << i
-            self._chi = rows
+            self._chi = PermutabilityRows(self)
         return self._chi
 
     def rerooted(self, i: int):
@@ -181,6 +187,83 @@ class SubgroupLattice:
                      for j in _bits(self.down_masks[i])]
             hit = self._rerooted[i] = (sub, SubgroupLattice(sub, masks))
         return hit
+
+
+class PermutabilityRows(Sequence):
+    """The permutability bitmatrix of a lattice, row by row: bit j of row i
+    is set iff nodes i and j permute. A row is built on first read and kept.
+
+    X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
+    |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
+    |X v Y| |X ^ Y| = |X| |Y|, which needs only node orders and the order
+    masks (join and meet as in :meth:`SubgroupLattice.join` and
+    :meth:`SubgroupLattice.meet`, inlined). Comparable pairs always permute,
+    and so does a normal node N with every node (NY = YN): neither is
+    tested, and a normal node's row is full. Every other pair is tested once,
+    by whichever of its two rows is built first.
+
+    Every selection the degrees use is a union of conjugacy classes, and the
+    row of X^g is the row of X conjugated by g, so counts and perp over such
+    selections read the rows of class representatives only
+    (:func:`permlat.degrees.mask_pair_count`, :func:`perp`); those rows are
+    built with the matrix, the others when first read.
+    """
+
+    def __init__(self, lat: SubgroupLattice):
+        self._lat = lat
+        self._normal = normal_subgroups(lat).members_mask
+        self._sizes = tuple(m.bit_count() for m in lat.masks)
+        self._rows: list[Optional[int]] = [None] * len(lat)
+        # _found[i]: the nodes with a built row that permute with node i
+        self._found = [0] * len(lat)
+        self.built = 0  # the nodes whose rows are built
+        for r in lat.class_masks:
+            self._build(r)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> int:
+        row = self._rows[i]
+        return self._build(i % len(self._rows)) if row is None else row
+
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence of the same rows; builds every row."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _build(self, i: int) -> int:
+        lat = self._lat
+        if self._normal >> i & 1:
+            row = lat.all_nodes_mask
+        else:
+            known = lat.up_masks[i] | lat.down_masks[i] | self._normal
+            hits = self._permuting(i, lat.all_nodes_mask & ~(known | self.built))
+            row = known | self._found[i] | hits
+            bit = 1 << i
+            found = self._found
+            for j in _bits(hits):
+                found[j] |= bit
+        self._rows[i] = row
+        self.built |= 1 << i
+        return row
+
+    def _permuting(self, i: int, rest: int) -> int:
+        """The nodes of ``rest`` that permute with node i, by the order test."""
+        sizes = self._sizes
+        up, down = self._lat.up_masks, self._lat.down_masks
+        ui, di, si = up[i], down[i], sizes[i]
+        out = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            common = ui & up[j]
+            if (sizes[(common & -common).bit_length() - 1]
+                    * sizes[(di & down[j]).bit_length() - 1] == si * sizes[j]):
+                out |= low
+        return out
 
 
 def _conjugacy_class(group: FiniteGroup, mask: int, gens) -> list[int]:
@@ -364,9 +447,9 @@ def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes invariant under conjugation: the classes with one member."""
     sel = lat._memo.get("normal")
     if sel is None:
-        size = Counter(lat.class_of)
-        sel = SublatticeSelection(
-            lat, "normal", (i for i, r in enumerate(lat.class_of) if size[r] == 1))
+        # a class with one member is that node alone, its representative
+        sel = SublatticeSelection(lat, "normal", (
+            r for r, members in lat.class_masks.items() if members.bit_count() == 1))
         lat._memo["normal"] = sel
     return sel
 
@@ -439,12 +522,22 @@ def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
 
 
 def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:
-    """Nodes permuting with every member of ``s``; always holds bottom and top."""
+    """Nodes permuting with every member of ``s``; always holds bottom and top.
+
+    When ``s`` is a union of conjugacy classes, s^g = s and the row of X^g
+    is the row of X conjugated by g, so X is in perp(s) iff its class
+    representative is: only representative rows are read. Any other ``s``
+    reads every row.
+    """
     if s.lattice is not lat:
         raise ValueError("selection belongs to a different lattice")
     rows = lat.chi_rows()
     sm = s.members_mask
-    members = [i for i in range(len(lat)) if rows[i] & sm == sm]
+    if lat.class_reps(sm) is None:
+        members = [i for i in range(len(lat)) if rows[i] & sm == sm]
+    else:
+        ok = {r for r in lat.class_masks if rows[r] & sm == sm}
+        members = [i for i, r in enumerate(lat.class_of) if r in ok]
     return SublatticeSelection(lat, f"perp({s.kind})", members)
 
 
@@ -506,9 +599,10 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
 
 
 def is_quasihamiltonian(lat: SubgroupLattice) -> bool:
-    """Every pair of subgroups permutes (perp of the full lattice is full)."""
-    full = lat.all_nodes_mask
-    return all(row == full for row in lat.chi_rows())
+    """Every pair of subgroups permutes: the row of every class
+    representative is full, and then so is every row."""
+    rows, full = lat.chi_rows(), lat.all_nodes_mask
+    return all(rows[r] == full for r in lat.class_masks)
 
 
 def selection_meet_join_closed(lat: SubgroupLattice, s: SublatticeSelection) -> bool:

@@ -1,0 +1,237 @@
+"""Permutability counted once per conjugacy class: class-wise pair counts and
+perp against the full matrix and the naive oracle, d(G) from the class
+number, the coset-wise cache check and the permutation tables."""
+import json
+import random
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permlat import cache as C
+from permlat import degrees as D
+from permlat import groups as G
+from permlat import lattice as L
+from permlat.catalog import CATALOG_SPECS
+from permlat.cli import main
+
+
+def lat_of(spec):
+    return L.enumerate_subgroups(G.make_named(spec))
+
+
+def relabelled(g, data):
+    """``g`` rebuilt from its table under a drawn permutation fixing 0."""
+    n = g.order
+    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
+    inv = [0] * n
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=False)
+
+
+def class_selections(lat):
+    """Every selection the degrees use; each is a union of classes."""
+    sels = [L.all_subgroups(lat), L.normal_subgroups(lat),
+            L.subnormal_subgroups(lat), L.sylow_subgroups(lat)]
+    if len(lat) > 1:
+        sels += [L.maximal_subgroups(lat, conv) for conv in L.CONVENTIONS]
+    return [s for s in sels if s.members]
+
+
+def full_row_count(lat, s, t):
+    rows = lat.chi_rows()
+    return sum((rows[i] & t.members_mask).bit_count() for i in s.members)
+
+
+def full_row_perp(lat, s):
+    rows = lat.chi_rows()
+    sm = s.members_mask
+    return tuple(i for i in range(len(lat)) if rows[i] & sm == sm)
+
+
+def reps_mask(lat):
+    return sum(1 << r for r in lat.class_masks)
+
+
+def check_counts(lat, naive=True):
+    """Class-wise counts, read before any other row is built, against the
+    full matrix and (when ``naive``) the product-set oracle."""
+    sels = class_selections(lat)
+    classwise = {(s.kind, t.kind): D.permuting_pair_count(lat, s, t)
+                 for s in sels for t in sels}
+    perps = {s.kind: L.perp(lat, s).members for s in sels}
+    # nothing above read a row outside the class representatives
+    assert lat.chi_rows().built == reps_mask(lat)
+    for s in sels:
+        assert lat.class_reps(s.members_mask) is not None, s.kind
+        assert perps[s.kind] == full_row_perp(lat, s), s.kind
+        for t in sels:
+            count = classwise[s.kind, t.kind]
+            assert count == full_row_count(lat, s, t), (s.kind, t.kind)
+            if naive:
+                assert (Fraction(count, len(s) * len(t))
+                        == D.degree_naive(lat, s, t)), (s.kind, t.kind)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_classwise_counts_match_full_rows_and_naive(spec):
+    check_counts(lat_of(spec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["S3", "A4", "D4", "D6", "Q8", "S4", "Z:2,4"]), st.data())
+def test_relabelled_classwise_counts_match_full_rows_and_naive(spec, data):
+    g = relabelled(G.make_named(spec), data)
+    check_counts(L.enumerate_subgroups(g))
+
+
+def test_classwise_counts_match_full_rows_on_s6():
+    check_counts(lat_of("S6"), naive=False)
+
+
+def test_custom_selection_against_all_falls_back_to_full_rows():
+    lat = lat_of("S4")
+    a = L.all_subgroups(lat)
+    # a member of a class of size > 1 other than its representative: not a
+    # union of classes, and its row is not built with the matrix
+    i = next(i for i in range(len(lat)) if lat.class_of[i] != i)
+    custom = L.custom_selection(lat, [lat.bottom, i])
+    assert lat.class_reps(custom.members_mask) is None
+    assert not lat.chi_rows().built >> i & 1
+    count = D.permuting_pair_count(lat, custom, a)
+    assert lat.chi_rows().built >> i & 1
+    assert Fraction(count, len(custom) * len(a)) == D.degree_naive(lat, custom, a)
+    # s a union of classes does not make the identity hold for any t
+    assert D.permuting_pair_count(lat, a, custom) == count
+    assert L.perp(lat, custom).members == full_row_perp(lat, custom)
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5"])
+def test_rows_do_not_depend_on_the_order_they_are_built_in(spec, monkeypatch):
+    """Each row reads the pairs decided by the rows built before it; any
+    order of first reads gives the same matrix, testing each pair once."""
+    forward = list(lat_of(spec).chi_rows())
+    lat = lat_of(spec)
+    normal = L.normal_subgroups(lat).members_mask
+    untested = sum((lat.all_nodes_mask & ~(lat.up_masks[i] | lat.down_masks[i]
+                                           | normal)).bit_count()
+                   for i in range(len(lat)) if not normal >> i & 1)
+    tested = []
+    real = L.PermutabilityRows._permuting
+
+    def permuting(self, i, rest):
+        tested.append(rest.bit_count())
+        return real(self, i, rest)
+
+    monkeypatch.setattr(L.PermutabilityRows, "_permuting", permuting)
+    order = list(range(len(lat)))
+    random.Random(spec).shuffle(order)
+    rows = lat.chi_rows()
+    shuffled = {i: rows[i] for i in order}
+    assert [shuffled[i] for i in range(len(lat))] == forward
+    assert rows == forward
+    # every incomparable pair of non-normal nodes was tested exactly once
+    assert 2 * sum(tested) == untested
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["S5xC2", "A5xC3"])
+def test_d_from_class_number_matches_pair_count(spec):
+    g = G.make_named(spec)
+    centralizer_sum = sum(g.centralizer_mask(x).bit_count() for x in range(g.order))
+    assert centralizer_sum == g.class_number * g.order
+    assert D.element_commutativity_degree(g) == D.d_naive(g)
+    assert D.element_commutativity_degree(g) == Fraction(g.class_number, g.order)
+
+
+@pytest.fixture
+def counted_rows(monkeypatch):
+    """Counts the rows tested, and keeps every row table made."""
+    calls = {"tables": [], "rows": 0}
+    real_init, real_permuting = (L.PermutabilityRows.__init__,
+                                 L.PermutabilityRows._permuting)
+
+    def init(self, lat):
+        calls["tables"].append((lat, self))
+        real_init(self, lat)
+
+    def permuting(self, i, rest):
+        calls["rows"] += 1
+        return real_permuting(self, i, rest)
+
+    monkeypatch.setattr(L.PermutabilityRows, "__init__", init)
+    monkeypatch.setattr(L.PermutabilityRows, "_permuting", permuting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "S6"])
+def test_degree_report_reads_one_row_per_non_normal_class(spec, counted_rows):
+    lat = lat_of(spec)
+    report = D.build_degree_report(lat)
+    for conv in L.CONVENTIONS:
+        D.check_extremal_spd(lat, conv)
+    normal = L.normal_subgroups(lat)
+    non_normal_classes = {r for r in lat.class_masks if r not in normal}
+    # one tested row per non-normal class, and no row outside the class
+    # representatives: the full matrix is never built
+    assert counted_rows["tables"] == [(lat, lat.chi_rows())]
+    assert lat.chi_rows().built == reps_mask(lat)
+    assert counted_rows["rows"] == len(non_normal_classes)
+    assert report.permuting_pair_count == full_row_count(
+        lat, L.all_subgroups(lat), L.all_subgroups(lat))
+
+
+def test_lattice_command_reads_no_full_matrix(capsys, counted_rows):
+    assert main(["lattice", "--group", "S4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["quasihamiltonian"] is False
+    assert counted_rows["tables"]
+    for lat, rows in counted_rows["tables"]:
+        assert rows.built == reps_mask(lat)
+
+
+# -- the coset-wise check of cache hits -------------------------------------
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "Z:2,2,2", "C12"])
+def test_cache_check_agrees_with_pairwise_definition(spec):
+    g = G.make_named(spec)
+    rng = random.Random(spec)
+    masks = [rng.getrandbits(g.order) | rng.randint(0, 1) for _ in range(300)]
+    lat = lat_of(spec)
+    for m in lat.masks:
+        masks.append(m)
+        masks += [m ^ 1 << x for x in range(g.order)]  # one bit flipped
+    for m in masks:
+        if m:
+            assert (g.subgroup_gens(m) is not None) is g.is_subgroup_mask(m), m
+
+
+def test_non_subgroup_entry_with_recomputed_digest_loads_as_none(tmp_path):
+    g = G.make_named("S4")
+    path = C.store_lattice(str(tmp_path), L.enumerate_subgroups(g))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    masks = [int(v, 16) for v in payload["nodes"]]
+    # the third node has order 2; adding one element leaves a non-subgroup
+    bad = masks[2] | 1 << next(x for x in range(g.order) if not masks[2] >> x & 1)
+    assert not g.is_subgroup_mask(bad) and bad not in masks
+    masks[2] = bad
+    payload["nodes"] = [format(m, "x") for m in masks]
+    payload["nodes_sha256"] = C._nodes_digest(masks)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert C.load_lattice(str(tmp_path), g) is None
+
+
+# -- permutation tables -------------------------------------------------------
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_permutation_table_is_composition(degree):
+    elems = [tuple(p) for p in permutations(range(degree))]
+    g = G.symmetric_group(degree)
+    index = {p: i for i, p in enumerate(elems)}
+    for a, pa in enumerate(elems):
+        for b, pb in enumerate(elems):
+            assert g.table[a][b] == index[tuple(pa[pb[k]] for k in range(degree))]
+
