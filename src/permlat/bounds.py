@@ -18,13 +18,20 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
 
 * L(X) is the interval [1, X] and M(X) the lower covers of X (plus their
   meet and X when closed); sn(X) is sn(G) n [1, X] for subnormal X and
-  [1, X] for nilpotent X, and only other X are re-rooted for it;
+  [1, X] for nilpotent X, and sn(R)^g for any other X = R^g, R the
+  representative of X's class, so only representatives are re-rooted;
 * pair counts inside X come from the parent's permutability rows, since
   XY = YX does not depend on the ambient group, once per class of X;
 * the factor-condition violators of each node, the factorization partners
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver.
+
+The driver runs the lemma1, cauchy and lb3 checkers once per profile of H
+(:func:`_h_profile`, every value of H they read) for each N, keeps the
+results in the memo and gives each (N, H) a copy with a context of its own
+naming H. The profile is not the class of H: conjugate H can have
+factor-condition violators of different orders.
 """
 from __future__ import annotations
 
@@ -291,14 +298,22 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
     """sn(X) as a parent node mask. For Y <= X, a subnormal chain of Y in G
     meets X in one of Y in X, so sn(G) n [1, X] lies in sn(X), with equality
     when X is itself subnormal in G. A nilpotent X has every subgroup
-    subnormal, so sn(X) = [1, X]. Any other X is re-rooted and its subnormal
-    selection lifted (child node k is the k-th node under X)."""
+    subnormal, so sn(X) = [1, X]. Any other X = R^g, R the representative of
+    its class, has sn(X) = sn(R)^g; only R is re-rooted and its subnormal
+    selection lifted (child node k is the k-th node under R)."""
     def compute():
         sn_g = subnormal_subgroups(lat)
         if idx in sn_g:
             return sn_g.members_mask & lat.down_masks[idx]
         if is_nilpotent_node(lat, idx):
             return lat.down_masks[idx]
+        rep = lat.class_of[idx]
+        if rep != idx:
+            g, x = lat.group, lat.conjugators[idx]
+            out = 0
+            for j in _bits(node_subnormal(lat, rep)):
+                out |= 1 << lat.index_of[g.conjugate_mask(lat.masks[j], x)]
+            return out
         _child, child_lat = lat.rerooted(idx)
         up = tuple(_bits(lat.down_masks[idx]))
         out = 0
@@ -369,6 +384,29 @@ def _half_verdict(lat: SubgroupLattice, idx: int,
                 violator(node_maximal(lat, idx, convention),
                          maximal_subgroups(lat, convention).members_mask))
     return _memo(lat, ("half", idx, convention), compute)
+
+
+def _h_profile(lat: SubgroupLattice, n_idx: int, h_idx: int,
+               convention: str) -> tuple:
+    """Every value of H that the lemma1, cauchy and lb3 checkers can read at
+    (N, H), so that instances with equal profiles differ only in H's label:
+    |H| and whether NH = G; for normal N with NH = G the pair count of L(H);
+    where the factor conditions are defined (N and H nontrivial as well)
+    H's violators, and its restricted pair count when it has none. The
+    violators are not a class invariant (the one with the smallest element
+    mask need not have the same order across H's class), so neither is the
+    profile."""
+    order = lat.node_order(h_idx)
+    split = factorizes(lat, n_idx, h_idx)
+    if not (split and n_idx in normal_subgroups(lat)):
+        return order, split
+    total = node_all_pairs(lat, h_idx)
+    if order == 1 or lat.node_order(n_idx) == 1:
+        return order, split, total
+    half = _half_verdict(lat, h_idx, convention)
+    if half != (None, None):
+        return order, split, total, half
+    return order, split, total, half, node_restricted_pairs(lat, h_idx, convention)
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -657,8 +695,9 @@ CLAIM_CHOICES = ("all", "lemma1", "lemma2", "theorem1", "cor26", "cauchy",
 def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RAW,
                   reading: str = "strict", n_node: Optional[int] = None,
                   h_node: Optional[int] = None) -> list[BoundCheckResult]:
-    """Every instance of one claim, or of all claims in the order of
-    ``CLAIM_CHOICES``; ``permlat bounds`` and the sweeps both come here.
+    """Every instance of one claim, or of all claims (lemma1, lemma2, cor26,
+    cauchy, lb3, theorem1, mu, in that order); ``permlat bounds`` and the
+    sweeps both come here.
 
     lemma1, lemma2 and cor26 range over the nontrivial proper normal N;
     cauchy and lb3 over every normal N, so they include the degenerate
@@ -667,6 +706,8 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     ``h_node`` replace the range of N and of H by that one node. theorem1
     and mu are one instance each, at N = C_G(Fit(G)). ``reading`` is the
     theorem1 reading; "relaxed" also lets rank-1 N qualify for lemma1/2.
+    The lemma1, cauchy and lb3 checkers run once per N and profile of H
+    (:func:`_h_profile`), memoised in the lattice's memo.
     """
     if claim not in CLAIM_CHOICES or reading not in ("strict", "relaxed"):
         raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
@@ -682,21 +723,34 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     def hs(n_idx: int, partners) -> list[int]:
         return [h_node] if h_node is not None else partners(lat, n_idx)
 
+    def decide(key, every: bool, partners, check):
+        # check(n, h) runs once per (N, profile of H); every (N, H) gets the
+        # results with a context of its own naming H
+        for n in ns(every):
+            for h in hs(n, partners):
+                profile = _h_profile(lat, n, h, convention)
+                decided = _memo(lat, ("decided", key, n, convention, profile),
+                                lambda: check(n, h))
+                label = _node_str(lat, h)
+                out.extend(BoundCheckResult(
+                    r.claim, r.hypothesis_satisfied, r.reasons, r.bound, r.actual,
+                    r.holds, r.slack, r.convention, dict(r.context, h=label))
+                    for r in decided)
+
     out: list[BoundCheckResult] = []
     if claim in ("all", "lemma1"):
-        out += [spd_rank2_bound_check(lat, n, h, convention, rank1)
-                for n in ns(False) for h in hs(n, complement_candidates)]
+        decide(("lemma1", rank1), False, complement_candidates, lambda n, h: (
+            spd_rank2_bound_check(lat, n, h, convention, rank1),))
     if claim in ("all", "lemma2"):
         out += [sd_rank2_bound_check(lat, n, rank1) for n in ns(False)]
     if claim in ("all", "cor26"):
         out += [abelian_prime_index_sd_check(lat, n) for n in ns(False)]
     if claim in ("all", "cauchy"):
-        for n in ns(True):
-            for h in hs(n, factor_partners):
-                out += cauchy_bound_checks(lat, n, h, convention)
+        decide("cauchy", True, factor_partners, lambda n, h: cauchy_bound_checks(
+            lat, n, h, convention))
     if claim in ("all", "lb3"):
-        out += [decomposition_bound_check(lat, n, h, convention)
-                for n in ns(True) for h in hs(n, complement_candidates)]
+        decide("lb3", True, complement_candidates, lambda n, h: (
+            decomposition_bound_check(lat, n, h, convention),))
     if claim in ("all", "theorem1"):
         check = fitting_centralizer_check(lat, convention, reading)
         if check.hypotheses:

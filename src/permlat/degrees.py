@@ -135,13 +135,11 @@ def element_commutativity_degree(g: FiniteGroup) -> Fraction:
     Computed as k(G)/|G|, k(G) the number of conjugacy classes of elements:
     the commuting pairs number the sum of |C(x)| over x, and each class
     contributes |G| to that sum (Gustafson, *What is the probability that two
-    group elements commute?*, 1973). Cross-checked against the direct
-    commuting-pair count; the two must agree exactly.
+    group elements commute?*, 1973). The direct commuting-pair count
+    :func:`d_naive` is its oracle, compared in the tests and in
+    ``verify-paper``.
     """
-    value = Fraction(g.class_number, g.order)
-    if value != d_naive(g):
-        raise AssertionError("class-number and pair-count formulas disagree")
-    return value
+    return Fraction(g.class_number, g.order)
 
 
 # -- naive oracles ----------------------------------------------------------

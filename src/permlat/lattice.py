@@ -139,6 +139,26 @@ class SubgroupLattice:
         return tuple(rep)
 
     @cached_property
+    def conjugators(self) -> tuple[int, ...]:
+        """An element g for each node i with nodes[i] = g R g⁻¹, R the
+        representative of its class: a BFS from R over generators of the
+        group, where conjugating g R g⁻¹ by s composes the conjugator to s·g."""
+        g = self.group
+        t = g.table
+        gens = _node_gens(self, self.top)
+        out = [-1] * len(self.masks)
+        for r in self.class_masks:
+            out[r] = 0
+            orbit = [r]
+            for i in orbit:  # orbit grows while we iterate
+                for s in gens:
+                    j = self.index_of[g.conjugate_mask(self.masks[i], s)]
+                    if out[j] < 0:
+                        out[j] = t[s][out[i]]
+                        orbit.append(j)
+        return tuple(out)
+
+    @cached_property
     def class_masks(self) -> dict[int, int]:
         """Node mask of each conjugacy class, keyed by its representative."""
         out: dict[int, int] = {}

@@ -357,7 +357,7 @@ class VerificationRun:
             return "d(S3) != 1/2"
         for spec in self.catalog_available():
             g = self.group(spec)
-            value = element_commutativity_degree(g)  # asserts both formulas agree
+            value = element_commutativity_degree(g)
             if g.is_abelian and value != 1:
                 return f"d({spec}) = {value} on an abelian group"
             if not g.is_abelian and value == 1:

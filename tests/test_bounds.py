@@ -1,8 +1,10 @@
 import collections
+import dataclasses
 import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlat import bounds as B
 from permlat import degrees as D
@@ -10,6 +12,7 @@ from permlat import groups as G
 from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
 from permlat.degrees import sd, spd
+from test_classwise import relabelled
 
 GRID = [B.Rank2AbelianShape(p, a1, a2)
         for p in (2, 3) for a1 in (1, 2, 3) for a2 in (1, 2, 3)
@@ -489,26 +492,58 @@ def test_bound_driver_reroots_only_non_nilpotent_nodes_and_checked_n(monkeypatch
     g = lat.group
     B.bound_results(lat, "all", "raw", "strict")
     assert chi_calls and all(c is lat for c in chi_calls)
-    # lemma1, lemma2 and cor26 read the shape of each nontrivial proper
-    # normal N; theorem1 and mu that of C_G(Fit(G))
-    checked_n = {n for n in L.normal_subgroups(lat).members
-                 if 1 < lat.node_order(n) < g.order}
-    checked_n.add(lat.index_of[g.centralizer_of_set_mask(G.fitting_subgroup(g).mask)])
     rerooted = {i for owner, i in rerooted_calls if owner is lat}
     assert len(rerooted) == len({(id(o), i) for o, i in rerooted_calls})
     non_nilpotent = {i for i in rerooted
                      if not G.subgroup_group(g, lat.masks[i]).is_nilpotent}
     assert non_nilpotent
-    assert rerooted - non_nilpotent <= checked_n
+    assert rerooted - non_nilpotent <= checked_n(lat)
+
+
+def checked_n(lat):
+    """The N whose shape the driver reads: lemma1, lemma2 and cor26 that of
+    each nontrivial proper normal N, theorem1 and mu that of C_G(Fit(G))."""
+    g = lat.group
+    out = {n for n in L.normal_subgroups(lat).members
+           if 1 < lat.node_order(n) < g.order}
+    out.add(lat.index_of[g.centralizer_of_set_mask(G.fitting_subgroup(g).mask)])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["S4xC3", "S5", "S4xS3"])
+def test_bound_driver_reroots_one_node_per_class_besides_checked_n(spec, monkeypatch):
+    rerooted = []
+    real_reroot = L.SubgroupLattice.rerooted
+
+    def reroot(self, i):
+        rerooted.append(i)
+        return real_reroot(self, i)
+
+    monkeypatch.setattr(L.SubgroupLattice, "rerooted", reroot)
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+    others = set(rerooted) - checked_n(lat)
+    # sn(H^g) = sn(H)^g: only class representatives are re-rooted for sn
+    assert others and all(lat.class_of[i] == i for i in others)
+    sn_g = L.subnormal_subgroups(lat)
+    needing_sn = {i for i in range(len(lat))
+                  if i not in sn_g and not B.is_nilpotent_node(lat, i)}
+    assert others <= needing_sn
+    assert len(needing_sn) > len(others)
 
 
 ORACLE_SPECS = list(CATALOG_SPECS) + ["D4xS3", "S4xC2", "Q8xS3"]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS + ["S4xS3", "S5xC2", "S6"])
 def test_lattice_read_node_values_match_rerooted_child(spec):
     lat = lat_of(spec)
     g = lat.group
+    # nilpotency and the pair counts of every child are compared on the
+    # smaller groups only
+    counts = spec in ORACLE_SPECS
     for i in range(1, len(lat)):
         child_group, child = lat.rerooted(i)
         below = list(G._bits(lat.down_masks[i]))
@@ -516,8 +551,10 @@ def test_lattice_read_node_values_match_rerooted_child(spec):
         def lift(sel):
             return sum(1 << below[j] for j in sel.members)
 
-        assert B.is_nilpotent_node(lat, i) is G.subgroup_group(g, lat.masks[i]).is_nilpotent
         assert B.node_subnormal(lat, i) == lift(L.subnormal_subgroups(child))
+        if not counts:
+            continue
+        assert B.is_nilpotent_node(lat, i) is G.subgroup_group(g, lat.masks[i]).is_nilpotent
         assert B.node_all_pairs(lat, i) == D.all_pair_count(child)
         for conv in L.CONVENTIONS:
             assert B.node_maximal(lat, i, conv) == lift(L.maximal_subgroups(child, conv))
@@ -569,3 +606,154 @@ def test_bound_driver_rejects_unknown_claims_and_readings():
         B.bound_results(lat, "lemma3")
     with pytest.raises(ValueError):
         B.bound_results(lat, "lemma1", reading="loose")
+
+
+# -- decisions once per profile of H, stamped with each H's label ----------
+
+def direct_results(lat, claim, convention, reading, n_node=None, h_node=None):
+    """Oracle for ``bound_results``: the same instances in the same order,
+    with every checker called directly on its own (N, H)."""
+    from permlat.moebius import mu_matching_bound_check
+
+    rank1 = reading == "relaxed"
+    g = lat.group
+    normal = L.normal_subgroups(lat).members
+
+    def ns(every):
+        if n_node is not None:
+            return [n_node]
+        return [n for n in normal if every or 1 < lat.node_order(n) < g.order]
+
+    def hs(n, partners):
+        return [h_node] if h_node is not None else partners(lat, n)
+
+    out = []
+    if claim in ("all", "lemma1"):
+        out += [B.spd_rank2_bound_check(lat, n, h, convention, rank1)
+                for n in ns(False) for h in hs(n, B.complement_candidates)]
+    if claim in ("all", "lemma2"):
+        out += [B.sd_rank2_bound_check(lat, n, rank1) for n in ns(False)]
+    if claim in ("all", "cor26"):
+        out += [B.abelian_prime_index_sd_check(lat, n) for n in ns(False)]
+    if claim in ("all", "cauchy"):
+        for n in ns(True):
+            for h in hs(n, B.factor_partners):
+                out += B.cauchy_bound_checks(lat, n, h, convention)
+    if claim in ("all", "lb3"):
+        out += [B.decomposition_bound_check(lat, n, h, convention)
+                for n in ns(True) for h in hs(n, B.complement_candidates)]
+    if claim in ("all", "theorem1"):
+        check = B.fitting_centralizer_check(lat, convention, reading)
+        if check.hypotheses:
+            out += (*check.part_i, check.part_ii)
+        else:
+            out.append(B._not_satisfied("theorem1", check.reasons, convention,
+                                        {"group": g.name}))
+    if claim in ("all", "mu"):
+        out.append(mu_matching_bound_check(lat, convention, reading))
+    return out
+
+
+# the order in which claim "all" lists the claims' results
+DRIVER_ORDER = ("lemma1", "lemma2", "cor26", "cauchy", "lb3", "theorem1", "mu")
+
+
+def check_driver_against_direct_calls(lat, n_node=None, h_node=None):
+    """Every claim alone and then all of them, under both conventions and
+    both readings: equal to the direct checker calls in every field."""
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            expected = {c: direct_results(lat, c, conv, reading, n_node, h_node)
+                        for c in DRIVER_ORDER}
+            expected["all"] = [r for c in DRIVER_ORDER for r in expected[c]]
+            for c in DRIVER_ORDER + ("all",):
+                got = B.bound_results(lat, c, conv, reading, n_node, h_node)
+                assert got == expected[c], (c, conv, reading)
+                # each result has a context of its own
+                assert len({id(r.context) for r in got}) == len(got)
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + [
+    "D4xS3", "Q8xS3", "S4xC2", "S4xC3", "S4xS3", "S5xC2"])
+def test_bound_driver_matches_direct_checker_calls(spec):
+    check_driver_against_direct_calls(lat_of(spec))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["S3", "A4", "D4", "D6", "S4", "Z:2,2,2", "S3xC5"]),
+       st.data())
+def test_relabelled_bound_driver_matches_direct_checker_calls(spec, data):
+    check_driver_against_direct_calls(
+        L.enumerate_subgroups(relabelled(G.make_named(spec), data)))
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4xS3"])
+def test_bound_driver_matches_direct_calls_on_chosen_nodes(spec):
+    lat = lat_of(spec)
+    normal = L.normal_subgroups(lat)
+    non_normal = next(i for i in range(len(lat)) if i not in normal)
+    proper = next(n for n in normal.members if 1 < lat.node_order(n) < lat.group.order)
+    apart = next(h for h in range(len(lat)) if not B.factorizes(lat, proper, h))
+    partner = B.factor_partners(lat, proper)[-1]
+    for n, h in [(non_normal, partner), (proper, apart), (proper, partner),
+                 (non_normal, lat.bottom)]:
+        check_driver_against_direct_calls(lat, n, h)
+
+
+@pytest.mark.parametrize("spec", ["S5", "S4xC3", "S4xS3", "S5xC2"])
+def test_results_are_not_class_invariant(spec):
+    """Conjugate complements of one normal N can get different results
+    beyond the h label: the factor-condition reasons name the violator with
+    the smallest element mask, whose order can differ within a class. So a
+    decision is shared by the profile of H, not by its class."""
+    lat = lat_of(spec)
+
+    def unlabelled(r):
+        return dataclasses.replace(r, context=dict(r.context, h=None))
+
+    for n in L.normal_subgroups(lat).members:
+        seen = {}
+        for h in B.factor_partners(lat, n):
+            for r in B.cauchy_bound_checks(lat, n, h, "raw"):
+                first = seen.setdefault((lat.class_of[h], r.claim), unlabelled(r))
+                if unlabelled(r) != first:
+                    return
+    pytest.fail("every class of H gave one result")
+
+
+# checker runs inside ``bound_results`` and the (N, H) instances they decide,
+# per convention, under the strict reading; a relaxed run after it decides
+# lemma1 again (its key holds the reading) and reuses cauchy and lb3
+DECISIONS = {
+    "D4xS3": {"raw": {"lemma1": (29, 229), "cauchy": (286, 1074), "lb3": (31, 231)},
+              "closed": {"lemma1": (28, 229), "cauchy": (280, 1074), "lb3": (30, 231)}},
+    "Z:2,2,2,2": {conv: {"lemma1": (65, 800), "cauchy": (201, 1983), "lb3": (67, 802)}
+                  for conv in L.CONVENTIONS},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DECISIONS))
+def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
+    runs = collections.Counter()
+    checkers = {"lemma1": "spd_rank2_bound_check", "cauchy": "cauchy_bound_checks",
+                "lb3": "decomposition_bound_check"}
+    for claim, name in checkers.items():
+        real = getattr(B, name)
+
+        def counted(*args, _real=real, _claim=claim):
+            runs[_claim] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(B, name, counted)
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            for claim in checkers:
+                runs.clear()
+                results = B.bound_results(lat, claim, conv, reading)
+                instances = len(results) // (2 if claim == "cauchy" else 1)
+                want_runs, want_instances = DECISIONS[spec][conv][claim]
+                if reading == "relaxed" and claim != "lemma1":
+                    want_runs = 0
+                assert (runs[claim], instances) == (want_runs, want_instances), \
+                    (conv, reading, claim)

@@ -137,13 +137,23 @@ def test_rows_do_not_depend_on_the_order_they_are_built_in(spec, monkeypatch):
     assert 2 * sum(tested) == untested
 
 
-@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["S5xC2", "A5xC3"])
-def test_d_from_class_number_matches_pair_count(spec):
-    g = G.make_named(spec)
+def check_d(g):
     centralizer_sum = sum(g.centralizer_mask(x).bit_count() for x in range(g.order))
     assert centralizer_sum == g.class_number * g.order
     assert D.element_commutativity_degree(g) == D.d_naive(g)
     assert D.element_commutativity_degree(g) == Fraction(g.class_number, g.order)
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["S5xC2", "A5xC3", "S6"])
+def test_d_from_class_number_matches_pair_count(spec):
+    check_d(G.make_named(spec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["S3", "D4", "Q8", "A4", "D6", "S4", "S3xC5", "A4xC5"]),
+       st.data())
+def test_relabelled_d_from_class_number_matches_pair_count(spec, data):
+    check_d(relabelled(G.make_named(spec), data))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -182,6 +183,35 @@ def test_bounds_command_and_sweeps_decide_the_same_instances(capsys, spec):
                 rank2 += [*check.part_i, check.part_ii]
             assert (_row_multiset(rows, ("lemma1", "lemma2"))
                     == _row_multiset(map(_bound_json, rank2), ("lemma1", "lemma2")))
+
+
+# sha256 of ``permlat bounds --format json`` (all claims): the bound
+# driver's output is held byte for byte, node labels, reason strings and
+# instance order included
+BOUNDS_JSON_SHA256 = [
+    ("D4xS3", "raw", "strict", "838c4d9d56a065a8fd8b90e9de9f98565ad2dde514d23fd6361c28376bed61ab"),
+    ("D4xS3", "raw", "relaxed", "dda845819548e8aabaac45410d0bb0b789931deec56196be42af3dd94500ed8b"),
+    ("D4xS3", "closed", "strict", "e280313801d9de7712464f30071b18598b602a76ff9f1d1d604229f62e6f3d44"),
+    ("D4xS3", "closed", "relaxed", "a8c9b5f3897d0d00056d7b53fa9d559d0ba5b581544a80889d948bfc95d60275"),
+    ("Q8xS3", "raw", "strict", "949f6dedcf4ea34a1a4f84ebb09de9faeb0fbd6ea201550b8e7cfe000d289eef"),
+    ("Q8xS3", "raw", "relaxed", "f61cb62dc6ce7d353be89d01e33eab6d6da311c2779216dcb856362d47f0e128"),
+    ("Q8xS3", "closed", "strict", "4372f0154c9ccfa49f761efa836ea928bcb9bdb0a2be1f015c29a51063e508c7"),
+    ("Q8xS3", "closed", "relaxed", "498a5d67d83fe1aefdce8a6f93a7e09b23c4600cbbb47efb612a29351309dc07"),
+    ("S4xC3", "raw", "strict", "f26657246d0f6dae4d1bc8c8eaefeeba024a586aa832bc9860b187d37e51bd0b"),
+    ("S4xC3", "raw", "relaxed", "f4867a34ee91bd92e5c3cc97d9cd9a968edd6a950c4395d17217e3ddb39bed7f"),
+    ("S4xC3", "closed", "strict", "e33aaa5f687011cac4181778bd99c59a088341e1d290da1d483d1bbeca950fb5"),
+    ("S4xC3", "closed", "relaxed", "08fa4db14ebfabbb14a21bc7b1bff6476c487d511e1a9ea5e1e1db3677e146c4"),
+]
+
+
+@pytest.mark.parametrize("spec,conv,reading,digest", BOUNDS_JSON_SHA256,
+                         ids=lambda v: v[:12] if len(v) == 64 else v)
+def test_bounds_json_is_byte_identical_to_the_recorded_output(
+        capsys, spec, conv, reading, digest):
+    code, out, _ = run_cli(capsys, "bounds", "--group", spec, "--convention", conv,
+                           "--theorem1-reading", reading, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMoebiusCommand:
