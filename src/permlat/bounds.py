@@ -25,13 +25,19 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
 * the factor-condition violators of each node, the factorization partners
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
-  nothing is enumerated inside the driver.
+  nothing is enumerated inside the driver;
+* the shape of N that lemma1, lemma2, cor26 and theorem1 read comes from
+  N as a standalone group (:func:`node_group`), and cor26's |L(N)| is the
+  size of [1, N], so no lattice is built for N.
 
 The driver runs the lemma1, cauchy and lb3 checkers once per profile of H
-(:func:`_h_profile`, every value of H they read) for each N, keeps the
-results in the memo and gives each (N, H) a copy with a context of its own
-naming H. The profile is not the class of H: conjugate H can have
-factor-condition violators of different orders.
+(:func:`_h_profile`, every value of H they read) for each N. Each H's
+profile is computed once per (N, convention) and numbered in a map that
+lemma1 (both readings), cauchy and lb3 share; each claim keeps its results
+per N by profile number. An (N, H) instance then costs one lookup and a
+copy of the results with a context of its own naming H. The profile is not
+the class of H: conjugate H can have factor-condition violators of
+different orders.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .groups import FiniteGroup, _bits, is_prime, prime_signature
+from .groups import FiniteGroup, _bits, is_prime, prime_signature, subgroup_group
 from .lattice import (
     RAW,
     SubgroupLattice,
@@ -69,10 +75,6 @@ class Rank2AbelianShape:
             raise ValueError(f"{self.p} is not prime")
         if not (0 <= self.alpha1 <= self.alpha2 and self.alpha2 >= 1):
             raise ValueError(f"bad exponents ({self.alpha1}, {self.alpha2})")
-
-    @property
-    def is_rank1(self) -> bool:
-        return self.alpha1 == 0
 
     def group_order(self) -> int:
         return self.p ** (self.alpha1 + self.alpha2)
@@ -218,6 +220,17 @@ def _node_str(lat: SubgroupLattice, i: int) -> str:
     return f"#{i}(order {lat.node_order(i)})"
 
 
+def _relabelled(r: BoundCheckResult, label: str) -> BoundCheckResult:
+    """A copy of ``r`` whose context is a fresh dict naming H = ``label``.
+    The fields are copied directly: the frozen dataclass's ``__init__``
+    costs about three times as much."""
+    copy = object.__new__(BoundCheckResult)
+    fields = copy.__dict__
+    fields.update(r.__dict__)
+    fields["context"] = dict(r.context, h=label)
+    return copy
+
+
 def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     """Whether NH = G, decided by |NH| = |N||H| / |N n H| without the product set."""
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
@@ -265,6 +278,13 @@ def _nodes_of_order(lat: SubgroupLattice) -> dict[int, int]:
             out[k] = out.get(k, 0) | 1 << i
         return out
     return _memo(lat, "nodes-of-order", build)
+
+
+def node_group(lat: SubgroupLattice, idx: int) -> FiniteGroup:
+    """Node ``idx`` as a standalone group, once per node: what the checkers
+    read N's shape off, without building its subgroup lattice."""
+    return _memo(lat, ("group-of", idx),
+                 lambda: subgroup_group(lat.group, lat.masks[idx]))
 
 
 def is_nilpotent_node(lat: SubgroupLattice, idx: int) -> bool:
@@ -368,22 +388,24 @@ class FactorConditions:
     details: tuple[str, ...]
 
 
+def _violator(lat: SubgroupLattice, nodes: int, target: int) -> Optional[int]:
+    """Order of the node of ``nodes`` outside ``target`` with the smallest
+    element mask, or None when there is none."""
+    outside = nodes & ~target
+    if not outside:
+        return None
+    return min(lat.masks[i] for i in _bits(outside)).bit_count()
+
+
 def _half_verdict(lat: SubgroupLattice, idx: int,
                   convention: str) -> tuple[Optional[int], Optional[int]]:
     """Orders of the violators of sn(X) in sn(G) and of M(X) in M(G) for
     node X, each the violator with the smallest element mask, or None."""
-    def violator(nodes: int, target: int) -> Optional[int]:
-        outside = nodes & ~target
-        if not outside:
-            return None
-        return min(lat.masks[i] for i in _bits(outside)).bit_count()
-
-    def compute():
-        return (violator(node_subnormal(lat, idx),
-                         subnormal_subgroups(lat).members_mask),
-                violator(node_maximal(lat, idx, convention),
-                         maximal_subgroups(lat, convention).members_mask))
-    return _memo(lat, ("half", idx, convention), compute)
+    return _memo(lat, ("half", idx, convention), lambda: (
+        _violator(lat, node_subnormal(lat, idx),
+                  subnormal_subgroups(lat).members_mask),
+        _violator(lat, node_maximal(lat, idx, convention),
+                  maximal_subgroups(lat, convention).members_mask)))
 
 
 def _h_profile(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -455,8 +477,7 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        child, _ = lat.rerooted(n_idx)
-        shape = detect_rank2_shape(child, allow_rank1)
+        shape = detect_rank2_shape(node_group(lat, n_idx), allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
     index = g.order // n_order
@@ -497,8 +518,7 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        child, _ = lat.rerooted(n_idx)
-        shape = detect_rank2_shape(child, allow_rank1)
+        shape = detect_rank2_shape(node_group(lat, n_idx), allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
     index = g.order // n_order
@@ -521,14 +541,13 @@ def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheck
     n_order = lat.node_order(n_idx)
     if n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
-    child, child_lat = lat.rerooted(n_idx)
-    if not child.is_abelian:
+    if not node_group(lat, n_idx).is_abelian:
         reasons.append("N is not abelian")
     if not is_prime(g.order // n_order):
         reasons.append(f"index {g.order // n_order} is not prime")
     if reasons:
         return _not_satisfied(claim, reasons, "-", context)
-    ln = len(child_lat)
+    ln = lat.down_masks[n_idx].bit_count()  # |L(N)|: the interval [1, N]
     context["lattice_of_n"] = str(ln)
     actual = len(lat) ** 2 * sd(lat)
     bound = Fraction(ln * ln + 2 * ln + 1)
@@ -667,8 +686,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     allow_rank1 = reading == "relaxed"
     shape = None
     if not reasons:
-        child, _ = lat.rerooted(c_idx)
-        shape = detect_rank2_shape(child, allow_rank1)
+        shape = detect_rank2_shape(node_group(lat, c_idx), allow_rank1)
         if shape is None:
             reasons.append("centralizer of the Fitting subgroup does not have "
                            "the required abelian p-group shape")
@@ -723,19 +741,27 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     def hs(n_idx: int, partners) -> list[int]:
         return [h_node] if h_node is not None else partners(lat, n_idx)
 
+    labels = _memo(lat, "labels", lambda: [_node_str(lat, i) for i in range(len(lat))])
+
     def decide(key, every: bool, partners, check):
-        # check(n, h) runs once per (N, profile of H); every (N, H) gets the
-        # results with a context of its own naming H
+        # check(n, h) runs once per (N, profile of H); every (N, H) gets a
+        # copy of the results with a context of its own naming H. Profiles
+        # are numbered per (N, convention), and each claim keeps its
+        # decisions per N by profile number
         for n in ns(every):
+            profile_id, numbering = _memo(lat, ("profiles", n, convention),
+                                          lambda: ({}, {}))
+            decided = _memo(lat, ("decided", key, n, convention), dict)
             for h in hs(n, partners):
-                profile = _h_profile(lat, n, h, convention)
-                decided = _memo(lat, ("decided", key, n, convention, profile),
-                                lambda: check(n, h))
-                label = _node_str(lat, h)
-                out.extend(BoundCheckResult(
-                    r.claim, r.hypothesis_satisfied, r.reasons, r.bound, r.actual,
-                    r.holds, r.slack, r.convention, dict(r.context, h=label))
-                    for r in decided)
+                pid = profile_id.get(h)
+                if pid is None:
+                    pid = profile_id[h] = numbering.setdefault(
+                        _h_profile(lat, n, h, convention), len(numbering))
+                results = decided.get(pid)
+                if results is None:
+                    results = decided[pid] = check(n, h)
+                label = labels[h]
+                out.extend(_relabelled(r, label) for r in results)
 
     out: list[BoundCheckResult] = []
     if claim in ("all", "lemma1"):

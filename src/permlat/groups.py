@@ -65,12 +65,6 @@ class PrimeSignature:
     def value(self) -> int:
         return math.prod(p ** e for p, e in self.factors)
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 @cache
 def prime_signature(n: int) -> PrimeSignature:
@@ -201,15 +195,8 @@ class FiniteGroup:
 
     # -- element-level helpers -------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverse[a]
-
-    def conj(self, x: int, g: int) -> int:
-        """g * x * g^-1."""
-        return self.table[self.table[g][x]][self.inverse[g]]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

@@ -474,7 +474,11 @@ def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
     assert set(pair_calls.values()) == {1}
 
 
-def test_bound_driver_reroots_only_non_nilpotent_nodes_and_checked_n(monkeypatch):
+@pytest.mark.parametrize("spec", ["D4xS3", "S4xC3", "S5", "S4xS3"])
+def test_bound_driver_reroots_only_non_subnormal_non_nilpotent_reps(spec, monkeypatch):
+    """N's shape is read off its node group, so no normal N is re-rooted;
+    sn(H^g) = sn(H)^g, so the only nodes re-rooted are class
+    representatives that are neither subnormal nor nilpotent."""
     chi_calls, rerooted_calls = [], []
     real_chi, real_reroot = L.SubgroupLattice.chi_rows, L.SubgroupLattice.rerooted
 
@@ -488,50 +492,44 @@ def test_bound_driver_reroots_only_non_nilpotent_nodes_and_checked_n(monkeypatch
 
     monkeypatch.setattr(L.SubgroupLattice, "chi_rows", chi_rows)
     monkeypatch.setattr(L.SubgroupLattice, "rerooted", rerooted)
-    lat = lat_of("D4xS3")
-    g = lat.group
-    B.bound_results(lat, "all", "raw", "strict")
-    assert chi_calls and all(c is lat for c in chi_calls)
-    rerooted = {i for owner, i in rerooted_calls if owner is lat}
-    assert len(rerooted) == len({(id(o), i) for o, i in rerooted_calls})
-    non_nilpotent = {i for i in rerooted
-                     if not G.subgroup_group(g, lat.masks[i]).is_nilpotent}
-    assert non_nilpotent
-    assert rerooted - non_nilpotent <= checked_n(lat)
-
-
-def checked_n(lat):
-    """The N whose shape the driver reads: lemma1, lemma2 and cor26 that of
-    each nontrivial proper normal N, theorem1 and mu that of C_G(Fit(G))."""
-    g = lat.group
-    out = {n for n in L.normal_subgroups(lat).members
-           if 1 < lat.node_order(n) < g.order}
-    out.add(lat.index_of[g.centralizer_of_set_mask(G.fitting_subgroup(g).mask)])
-    return out
-
-
-@pytest.mark.parametrize("spec", ["S4xC3", "S5", "S4xS3"])
-def test_bound_driver_reroots_one_node_per_class_besides_checked_n(spec, monkeypatch):
-    rerooted = []
-    real_reroot = L.SubgroupLattice.rerooted
-
-    def reroot(self, i):
-        rerooted.append(i)
-        return real_reroot(self, i)
-
-    monkeypatch.setattr(L.SubgroupLattice, "rerooted", reroot)
     lat = lat_of(spec)
+    g = lat.group
     for conv in L.CONVENTIONS:
         for reading in ("strict", "relaxed"):
             B.bound_results(lat, "all", conv, reading)
-    others = set(rerooted) - checked_n(lat)
-    # sn(H^g) = sn(H)^g: only class representatives are re-rooted for sn
-    assert others and all(lat.class_of[i] == i for i in others)
+    assert chi_calls and all(c is lat for c in chi_calls)
+    # only the parent re-roots, each node at most once
+    assert all(owner is lat for owner, _ in rerooted_calls)
+    rerooted = [i for _, i in rerooted_calls]
+    assert len(set(rerooted)) == len(rerooted)
+    assert not set(rerooted) & set(L.normal_subgroups(lat).members)
     sn_g = L.subnormal_subgroups(lat)
-    needing_sn = {i for i in range(len(lat))
-                  if i not in sn_g and not B.is_nilpotent_node(lat, i)}
-    assert others <= needing_sn
-    assert len(needing_sn) > len(others)
+    needing_sn = {i for i in range(len(lat)) if i not in sn_g
+                  and not G.subgroup_group(g, lat.masks[i]).is_nilpotent}
+    assert all(lat.class_of[i] == i for i in rerooted)
+    assert set(rerooted) <= needing_sn
+    if spec == "D4xS3":
+        # every subgroup of D4xS3 outside sn(G) is nilpotent
+        assert rerooted == [] and needing_sn == set()
+    else:
+        assert rerooted and len(needing_sn) > len(rerooted)
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xC3", "S4xS3"])
+def test_shape_reads_match_rerooted_child(spec):
+    """The checkers read N's shape off its memoised node group and cor26's
+    |L(N)| off the interval [1, N]; the re-rooted child is the oracle."""
+    lat = lat_of(spec)
+    for n in L.normal_subgroups(lat).members:
+        child_group, child = lat.rerooted(n)
+        for rank1 in (False, True):
+            assert (B.detect_rank2_shape(B.node_group(lat, n), rank1)
+                    == B.detect_rank2_shape(child_group, rank1)), (n, rank1)
+        res = B.abelian_prime_index_sd_check(lat, n)
+        assert res.hypothesis_satisfied is (
+            child_group.is_abelian and G.is_prime(lat.group.order // child_group.order))
+        if res.hypothesis_satisfied:
+            assert res.context["lattice_of_n"] == str(len(child))
 
 
 ORACLE_SPECS = list(CATALOG_SPECS) + ["D4xS3", "S4xC2", "Q8xS3"]
@@ -757,3 +755,58 @@ def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
                     want_runs = 0
                 assert (runs[claim], instances) == (want_runs, want_instances), \
                     (conv, reading, claim)
+
+
+# _h_profile runs per (N, H, convention) visited, over "all" under both
+# conventions and both readings: every normal N with each H such that NH = G
+PROFILES = {"D4xS3": 2148, "Z:2,2,2,2": 3966}
+
+
+@pytest.mark.parametrize("spec", sorted(PROFILES))
+def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
+    calls = collections.Counter()
+    real = B._h_profile
+
+    def counted(lat, n, h, convention):
+        calls[n, h, convention] += 1
+        return real(lat, n, h, convention)
+
+    monkeypatch.setattr(B, "_h_profile", counted)
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+    visited = {(n, h, conv) for conv in L.CONVENTIONS
+               for n in L.normal_subgroups(lat).members
+               for h in B.factor_partners(lat, n)}
+    assert set(calls) == visited
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == PROFILES[spec]
+
+
+def test_bound_driver_results_share_no_mutable_state():
+    """Results decided once per profile are handed out as copies: mutating
+    one result's context changes no other result and not the memoised
+    decision, so a later call returns the same results."""
+    lat = lat_of("D4xS3")
+    got = B.bound_results(lat, "all", "raw", "strict")
+    # the same results from a lattice of their own, sharing nothing with got
+    pristine = B.bound_results(lat_of("D4xS3"), "all", "raw", "strict")
+    assert got == pristine
+
+    def unlabelled(r):
+        return dataclasses.replace(r, context=dict(r.context, h=None))
+
+    # for each profile-decided claim, a result whose decision other H share
+    mutated = set()
+    for claim in ("lemma1", "cauchy-sd", "cauchy-spd", "lb3"):
+        of_claim = [i for i, r in enumerate(got) if r.claim == claim]
+        shared = collections.Counter(
+            (got[i].context["n"], repr(unlabelled(got[i]))) for i in of_claim)
+        victim = next(i for i in of_claim if shared[
+            got[i].context["n"], repr(unlabelled(got[i]))] > 1)
+        got[victim].context["h"] = "mutated"
+        got[victim].context["extra"] = "mutated"
+        mutated.add(victim)
+    assert all(got[i] == pristine[i] for i in range(len(got)) if i not in mutated)
+    assert B.bound_results(lat, "all", "raw", "strict") == pristine
