@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import weakref
 from typing import Optional
 
 from .groups import FiniteGroup
@@ -23,7 +24,20 @@ from .lattice import SubgroupLattice, enumerate_subgroups
 CACHE_FORMAT = 2
 
 
+_digests: "weakref.WeakKeyDictionary[FiniteGroup, str]" = weakref.WeakKeyDictionary()
+
+
 def table_digest(group: FiniteGroup) -> str:
+    """The cache key: a sha256 of the multiplication table. A group's table
+    does not change once it is built, so it is hashed once per group object
+    however many cache calls ask for it."""
+    digest = _digests.get(group)
+    if digest is None:
+        digest = _digests[group] = _hash_table(group)
+    return digest
+
+
+def _hash_table(group: FiniteGroup) -> str:
     h = hashlib.sha256()
     h.update(f"v{CACHE_FORMAT}:{group.order}:".encode())
     for row in group.table:
@@ -45,19 +59,8 @@ def _nodes_digest(masks) -> str:
 
 
 def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
-    return _store(cache_dir, lat, table_digest(lat.group))
-
-
-def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice]:
-    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched."""
-    return _load(cache_dir, group, table_digest(group))
-
-
-# The private halves take the table digest from their caller, which hashes
-# the table once per public call.
-
-def _store(cache_dir: str, lat: SubgroupLattice, digest: str) -> str:
     os.makedirs(cache_dir, exist_ok=True)
+    digest = table_digest(lat.group)
     path = _entry_path(cache_dir, digest)
     payload = {
         "format": CACHE_FORMAT,
@@ -74,7 +77,9 @@ def _store(cache_dir: str, lat: SubgroupLattice, digest: str) -> str:
     return path
 
 
-def _load(cache_dir: str, group: FiniteGroup, digest: str) -> Optional[SubgroupLattice]:
+def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice]:
+    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched."""
+    digest = table_digest(group)
     try:
         with open(_entry_path(cache_dir, digest), "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -107,13 +112,12 @@ def cached_lattice(cache_dir: Optional[str], group: FiniteGroup) -> SubgroupLatt
     that exists but does not load is reported on stderr and replaced."""
     if not cache_dir:
         return enumerate_subgroups(group)
-    digest = table_digest(group)
-    lat = _load(cache_dir, group, digest)
+    lat = load_lattice(cache_dir, group)
     if lat is not None:
         return lat
-    if os.path.exists(_entry_path(cache_dir, digest)):
+    if os.path.exists(cache_path(cache_dir, group)):
         print(f"warning: ignoring corrupt cache entry for {group.name}",
               file=sys.stderr)
     lat = enumerate_subgroups(group)
-    _store(cache_dir, lat, digest)
+    store_lattice(cache_dir, lat)
     return lat

@@ -62,9 +62,6 @@ class PrimeSignature:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def value(self) -> int:
-        return math.prod(p ** e for p, e in self.factors)
-
 
 @cache
 def prime_signature(n: int) -> PrimeSignature:
@@ -194,9 +191,6 @@ class FiniteGroup:
         return str(x)
 
     # -- element-level helpers -------------------------------------------
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

@@ -3,23 +3,28 @@
 A lattice is built from its node masks alone (:class:`SubgroupLattice`), and
 every lattice comes through that one constructor: enumeration, cache hits
 and re-rooted children. The masks are enumerated once per group by joining
-conjugacy-class representatives with cyclic seeds, after Neubüser's
-cyclic-extension method (see :func:`enumerate_subgroups`), and then frozen:
-nodes are sorted by (cardinality, membership-vector lex order), so two runs
-of the same table index the nodes identically. The lattice of a subgroup H
-is the interval [1, H] of the parent's lattice, so
-:meth:`SubgroupLattice.rerooted` reads it off the parent instead of
-enumerating it again. Selections (normal, subnormal, maximal, Sylow,
-perp, ...) are index sets into that fixed node list; they never copy
-subgroups. Normality and subnormality are class invariants and are decided
-once per conjugacy class (:attr:`SubgroupLattice.class_of`), from the masks
-and the order masks alone: the classes are orbits under generators read off
-the lattice, and subnormality follows the normal-closure chain of a node
-through lattice joins of its conjugates, so neither computes a closure. The
-normal, subnormal and maximal selections are built once per lattice, in the
-lattice's memo, which also holds the other per-lattice values the degrees
-and bounds read (the cover table, pair counts, and the per-node values of
-:mod:`permlat.bounds`).
+conjugacy-class representatives A with the cyclic subgroups of prime-power
+order, after Neubüser's cyclic-extension method, and no join is computed
+whose result is already determined: seeds conjugate under N(A) to a joined
+seed give conjugate joins, and a join of prime index over A absorbs every
+seed it holds outside A. A normal representative's normalizer is the whole
+group, found without a closure, and a seed inside N(A) is joined as the
+product of A with its one generator. :func:`enumerate_subgroups` proves each
+of these rules. The masks are then frozen: nodes are sorted by (cardinality,
+membership-vector lex order), so two runs of the same table index the nodes
+identically. The lattice of a subgroup H is the interval [1, H] of the
+parent's lattice, so :meth:`SubgroupLattice.rerooted` reads it off the
+parent instead of enumerating it again. Selections (normal, subnormal,
+maximal, Sylow, perp, ...) are index sets into that fixed node list; they
+never copy subgroups. Normality and subnormality are class invariants and
+are decided once per conjugacy class (:attr:`SubgroupLattice.class_of`),
+from the masks and the order masks alone: the classes are orbits under
+generators read off the lattice, and subnormality follows the normal-closure
+chain of a node through lattice joins of its conjugates, so neither computes
+a closure. The normal, subnormal and maximal selections are built once per
+lattice, in the lattice's memo, which also holds the other per-lattice
+values the degrees and bounds read (the cover table, pair counts, and the
+per-node values of :mod:`permlat.bounds`).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -37,7 +42,8 @@ from collections.abc import Sequence
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .groups import ElementSet, FiniteGroup, _bits, prime_signature, subgroup_group
+from .groups import (ElementSet, FiniteGroup, _bits, is_prime, prime_signature,
+                     subgroup_group)
 
 DEFAULT_LATTICE_CAP = 5000
 
@@ -320,27 +326,51 @@ def enumerate_subgroups(group: FiniteGroup,
     """Enumerate the full subgroup lattice by class-driven saturation.
 
     This follows the cyclic-extension method of Neubüser (1960), on which
-    GAP's lattice code is built. The seeds are the cyclic subgroups. The
-    frontier holds one representative per conjugacy class, and only
-    representatives are joined with the seeds; a join that yields a new
-    subgroup brings in its whole conjugacy class at once, by conjugation and
-    without further closures. Seeds conjugate under the normalizer N(A) of a
-    representative A give conjugate joins, so one seed per N(A)-orbit is
-    joined. The method is complete: every subgroup is a join of cyclic
-    subgroups, any H = <A, c> is conjugate to some <A0, c'> with A0 the
-    representative of A's class, and <A0, c'> is conjugate under N(A0) to the
-    join with the seed tried from the orbit of <c'>. Unions that were already
-    examined are skipped via a memo on the union mask.
+    GAP's lattice code is built. Every cyclic subgroup starts in the
+    frontier, which holds one representative per conjugacy class. Each
+    representative A is joined with the seeds, the cyclic subgroups of
+    prime-power order. A join that yields a new subgroup brings in its whole
+    conjugacy class at once, by conjugation and without further closures,
+    and its representative joins the next frontier.
 
-    Every step grows from a subgroup already known. A join <A, c> is closed
-    from A by whole cosets, as in Dimino's algorithm
-    (:meth:`FiniteGroup.closure_mask` with ``base`` A). N(A) is a union of
-    left cosets of A and is tested one coset at a time, and a seed's
-    N(A)-orbit is its orbit under generators of N(A).
+    The method is complete. Every element x is the product of its p-parts,
+    which commute and are powers of x of prime-power order, so every
+    subgroup H is generated by its elements of prime-power order: H is the
+    top of a chain 1 < <c1> < <c1, c2> < ... with every ci of prime-power
+    order. Each link <K, c> of the chain is found once K is. K = A^g for the
+    representative A of K's class, and <K, c> = <A, c'>^g with c' = c^(g⁻¹),
+    again of prime-power order, so <K, c> is conjugate to the join of A with
+    the seed <c'>. That join is skipped only when its result is known by
+    one of these rules:
+
+    - A seed inside A adds nothing, and a seed containing A is its own join
+      with A.
+    - N(A)-orbits. For n in N(A), <A, C^n> = <A, C>^n, so one seed per
+      N(A)-orbit is joined and the whole orbit goes into ``tried``.
+    - Prime-index absorption. When J = <A, C> has prime index over A, no
+      subgroup lies strictly between A and J, since by Lagrange its index
+      over A would divide that prime. So every seed C' in J but not in A has
+      <A, C'> = J, and the seeds of its N(A)-orbit give conjugates of J:
+      all of them go into ``tried`` with C's orbit.
+
+    The cost of each join is cut by two more exact rules:
+
+    - Free normalizer. N(A) is found once per representative, before its
+      first join. A representative whose class has one member is normal, so
+      N(A) = G and the group's generating set serves without a closure.
+      Otherwise N(A) is a union of left cosets of A, tested one coset at a
+      time (:func:`_normalizer_mask`), and its generators are read off it.
+    - One-generator joins. A join is closed from A by whole cosets, as in
+      Dimino's algorithm (:meth:`FiniteGroup.closure_mask` with ``base`` A).
+      When the seed C = <c> lies in N(A), <A, C> = AC is the union of the
+      cosets A c^k, so it is closed from A with c as the only generator.
+
+    :class:`LatticeCapError` is raised as soon as more than ``lattice_cap``
+    subgroups are known, that is exactly when |L(G)| exceeds the cap.
     """
     g = group
     t, inv = g.table, g.inverse
-    # generators of what gets joined: the cyclic seeds and the representatives
+    # generators of what gets joined: the cyclic subgroups and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
     cyclic_of = [1] * g.order
     cyclic_masks: list[int] = [1]
@@ -352,45 +382,66 @@ def enumerate_subgroups(group: FiniteGroup,
             cyclic_masks.append(m)
     if len(cyclic_masks) > lattice_cap:
         raise LatticeCapError(f"{g.name}: more than {lattice_cap} subgroups")
+    seeds = [m for m in cyclic_masks[1:]
+             if len(prime_signature(m.bit_count()).factors) == 1]
+    is_seed = set(seeds)
     frontier: list[int] = []
     seen: set[int] = set()  # every subgroup found so far
+    normal: set[int] = set()  # the representatives that are normal subgroups
     for m in cyclic_masks:
         if m not in seen:
             frontier.append(m)
-            seen.update(_conjugacy_class(g, m, g.generating_set))
-    union_seen: set[int] = set()
+            members = _conjugacy_class(g, m, g.generating_set)
+            seen.update(members)
+            if len(members) == 1:
+                normal.add(m)
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
-            ngens: Optional[tuple[int, ...]] = None  # generators of N(A)
-            tried: set[int] = set()  # seeds N(A)-conjugate to a joined one
-            for cm in cyclic_masks:
+            nm = 0  # N(A), found before the first join
+            ngens: tuple[int, ...] = ()
+            tried: set[int] = set()  # seeds whose join with A is known
+            for cm in seeds:
                 u = am | cm
-                if u == am or u in seen or u in union_seen or cm in tried:
+                if u == am or u == cm or cm in tried:
                     continue
-                union_seen.add(u)
-                jgens = tuple(dict.fromkeys(agens + gens_of[cm]))
-                jm = g.closure_mask(jgens, am)
+                if not nm:
+                    if am in normal:
+                        nm, ngens = g.full_mask, g.generating_set
+                    else:
+                        nm = _normalizer_mask(g, am, agens)
+                        ngens = g.subgroup_gens(nm)
+                c = gens_of[cm][0]
+                jgens = agens + (c,)
+                jm = g.closure_mask((c,) if cm & nm == cm else jgens, am)
                 if jm not in seen:
-                    seen.update(_conjugacy_class(g, jm, g.generating_set))
+                    members = _conjugacy_class(g, jm, g.generating_set)
+                    seen.update(members)
+                    if len(members) == 1:
+                        normal.add(jm)
                     gens_of[jm] = jgens
                     fresh.append(jm)
                     if len(seen) > lattice_cap:
                         raise LatticeCapError(
                             f"{g.name}: more than {lattice_cap} subgroups")
-                if ngens is None:
-                    ngens = g.subgroup_gens(_normalizer_mask(g, am, agens))
-                # the N(A)-orbit of the seed, by conjugating with N(A)'s generators
-                orbit = [cm]
-                tried.add(cm)
-                for c in orbit:  # orbit grows while we iterate
-                    x = gens_of[c][0]
-                    for y in ngens:
-                        d = cyclic_of[t[t[y][x]][inv[y]]]
-                        if d not in tried:
-                            tried.add(d)
-                            orbit.append(d)
+                # the seeds joining A to J or to an N(A)-conjugate of J
+                known = [cm]
+                if is_prime(jm.bit_count() // am.bit_count()):
+                    known += (cyclic_of[x] for x in _bits(jm & ~am))
+                for d in known:
+                    if d in tried or d not in is_seed:
+                        continue
+                    # the N(A)-orbit of the seed, by conjugating with N(A)'s generators
+                    orbit = [d]
+                    tried.add(d)
+                    for e in orbit:  # orbit grows while we iterate
+                        x = gens_of[e][0]
+                        for y in ngens:
+                            f = cyclic_of[t[t[y][x]][inv[y]]]
+                            if f not in tried:
+                                tried.add(f)
+                                orbit.append(f)
         frontier = fresh
     return SubgroupLattice(g, list(seen))
 

@@ -1,5 +1,5 @@
-"""Lattice cache files: one table hash per cache call, and entries written by
-an earlier build of the same cache format still load."""
+"""Lattice cache files: one table hash per group, and entries written by an
+earlier build of the same cache format still load."""
 import shutil
 from pathlib import Path
 
@@ -16,14 +16,19 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture
 def digest_calls(monkeypatch):
     calls = []
-    digest = C.table_digest
+    hash_table = C._hash_table
 
     def counted(group):
         calls.append(group)
-        return digest(group)
+        return hash_table(group)
 
-    monkeypatch.setattr(C, "table_digest", counted)
+    monkeypatch.setattr(C, "_hash_table", counted)
     return calls
+
+
+def same_group(g):
+    # a new group object on the same table, as each process builds its own
+    return G.FiniteGroup(g.table, g.name)
 
 
 def test_each_cache_call_hashes_the_table_once(tmp_path, digest_calls):
@@ -32,12 +37,23 @@ def test_each_cache_call_hashes_the_table_once(tmp_path, digest_calls):
     lat = C.cached_lattice(cache_dir, g)  # a miss: enumerated and stored
     assert len(list(tmp_path.iterdir())) == 1
     assert len(digest_calls) == 1
-    for call in (lambda: C.cached_lattice(cache_dir, g),  # a hit
-                 lambda: C.load_lattice(cache_dir, g),
-                 lambda: C.store_lattice(cache_dir, lat)):
+    for call in (lambda h: C.cached_lattice(cache_dir, h),  # a hit
+                 lambda h: C.load_lattice(cache_dir, h),
+                 lambda h: C.store_lattice(cache_dir,
+                                           L.SubgroupLattice(h, list(lat.masks)))):
+        h = same_group(g)
         digest_calls.clear()
-        call()
-        assert len(digest_calls) == 1
+        call(h)
+        assert digest_calls == [h]
+
+
+def test_load_then_store_hashes_the_table_once(tmp_path, digest_calls):
+    g = G.make_named("S4")
+    cache_dir = str(tmp_path)
+    assert C.load_lattice(cache_dir, g) is None  # a miss, as in a cold job
+    C.store_lattice(cache_dir, L.enumerate_subgroups(g))
+    assert C.load_lattice(cache_dir, g) is not None
+    assert digest_calls == [g]
 
 
 def test_entry_written_earlier_still_loads(tmp_path, monkeypatch):

@@ -26,13 +26,26 @@ CLASS_SPECS = ["S4xS3", "D4xD4", "A4xA4", "S5xC2"]
 
 SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4", "S5xC2", "A4xA4", "A5xC3"]
 
-# sha256 of the node masks in node order, as first produced by saturating
-# joins of every node with every cyclic subgroup
+# sha256 of the node masks in node order. The first three were first
+# produced by saturating joins of every node with every cyclic subgroup, the
+# others by class-driven joins with every cyclic subgroup; the 2-groups and the
+# products with normal factors run the prime-index and normal-representative
+# paths of the enumeration
 PINNED_MASK_DIGESTS = {
     "S5": "00044c76460a2a1d9f64ef21ab6c7437871645c189b88e81db7788d8358c3ef3",
     "S5xC2": "cd1810a32a3206677518a8e64c83ed83829bd630bb04d8b511700a12d79ae270",
     "S6": "7458f843987cfc20ca1bc3fa526a3789e5687dbebd11e10829d32400c162cadb",
+    "Z:2,2,2,2,2": "6283a3ed1b5af94952543bf71ad2cb48b2b63cd8a61ffeb2795c17612edf3593",
+    "D4xD4": "1eaec54d69c2954eb7d0d3d6c8b4e0c61a01359e7af2b635f2173752894e181e",
+    "Q8xQ8": "b19587a110a53700f3203e47b6e5d2bcc480f02bbb69d64d8a36f76b9ac23911",
+    "S4xS3": "2e2f0e9db102c996bb086e8bc40683407aadd779fc1d07dfaf1f6935283ae98b",
+    "A5xA4": "57559c0c7b3e6d319a23999fc7251677719f0156463c6e818dbb16eb71c16b84",
 }
+
+# closure_mask calls of one enumeration of a freshly built group; the
+# enumeration is deterministic, so a change in the count is a change in the
+# joins it computes
+PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 186}
 
 
 def lat_of(spec):
@@ -159,6 +172,20 @@ class TestEnumeration:
     @pytest.mark.parametrize("spec", sorted(PINNED_MASK_DIGESTS))
     def test_node_masks_pinned(self, spec):
         assert masks_digest(shared_lat(spec)) == PINNED_MASK_DIGESTS[spec]
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_ENUMERATION_CLOSURES))
+    def test_enumeration_closures_pinned(self, spec, monkeypatch):
+        calls = []
+        closure_mask = G.FiniteGroup.closure_mask
+
+        def counted(self, gens, base=1):
+            calls.append(gens)
+            return closure_mask(self, gens, base)
+
+        group = G.make_named(spec)
+        monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
+        L.enumerate_subgroups(group)
+        assert len(calls) == PINNED_ENUMERATION_CLOSURES[spec]
 
     def test_every_node_is_subgroup(self):
         g = G.make_named("S4")
