@@ -319,8 +319,9 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
     meets X in one of Y in X, so sn(G) n [1, X] lies in sn(X), with equality
     when X is itself subnormal in G. A nilpotent X has every subgroup
     subnormal, so sn(X) = [1, X]. Any other X = R^g, R the representative of
-    its class, has sn(X) = sn(R)^g; only R is re-rooted and its subnormal
-    selection lifted (child node k is the k-th node under R)."""
+    its class, has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
+    lattice (:meth:`SubgroupLattice.conjugates`); only R is re-rooted and its
+    subnormal selection lifted (child node k is the k-th node under R)."""
     def compute():
         sn_g = subnormal_subgroups(lat)
         if idx in sn_g:
@@ -329,10 +330,10 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
             return lat.down_masks[idx]
         rep = lat.class_of[idx]
         if rep != idx:
-            g, x = lat.group, lat.conjugators[idx]
+            x = lat.conjugators[idx]
             out = 0
             for j in _bits(node_subnormal(lat, rep)):
-                out |= 1 << lat.index_of[g.conjugate_mask(lat.masks[j], x)]
+                out |= 1 << lat.conjugates(j, (x,))[0]
             return out
         _child, child_lat = lat.rerooted(idx)
         up = tuple(_bits(lat.down_masks[idx]))
@@ -417,18 +418,27 @@ def _h_profile(lat: SubgroupLattice, n_idx: int, h_idx: int,
     H's violators, and its restricted pair count when it has none. The
     violators are not a class invariant (the one with the smallest element
     mask need not have the same order across H's class), so neither is the
-    profile."""
+    profile. Where the factor conditions are defined the profile depends on
+    (H, convention) alone, and is kept once per pair in the lattice's memo."""
     order = lat.node_order(h_idx)
     split = factorizes(lat, n_idx, h_idx)
     if not (split and n_idx in normal_subgroups(lat)):
         return order, split
-    total = node_all_pairs(lat, h_idx)
     if order == 1 or lat.node_order(n_idx) == 1:
-        return order, split, total
+        return order, split, node_all_pairs(lat, h_idx)
+    return _memo(lat, ("h-profile", h_idx, convention),
+                 lambda: _factor_profile(lat, h_idx, convention))
+
+
+def _factor_profile(lat: SubgroupLattice, h_idx: int, convention: str) -> tuple:
+    """The profile of a nontrivial H beside a nontrivial normal N with
+    NH = G: |H|, the pair count of L(H), H's violators and, when it has
+    none, its restricted pair count."""
+    order, total = lat.node_order(h_idx), node_all_pairs(lat, h_idx)
     half = _half_verdict(lat, h_idx, convention)
     if half != (None, None):
-        return order, split, total, half
-    return order, split, total, half, node_restricted_pairs(lat, h_idx, convention)
+        return order, True, total, half
+    return order, True, total, half, node_restricted_pairs(lat, h_idx, convention)
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,

@@ -38,12 +38,11 @@ def table_digest(group: FiniteGroup) -> str:
 
 
 def _hash_table(group: FiniteGroup) -> str:
-    h = hashlib.sha256()
-    h.update(f"v{CACHE_FORMAT}:{group.order}:".encode())
-    for row in group.table:
-        h.update(",".join(map(str, row)).encode())
-        h.update(b";")
-    return h.hexdigest()
+    # sha256 of "v<format>:<order>:" and each row as "a,b,...;", hashed as
+    # one string with every entry's decimal text made once
+    names = [str(i) for i in range(group.order)]
+    rows = "".join([",".join([names[v] for v in row]) + ";" for row in group.table])
+    return hashlib.sha256(f"v{CACHE_FORMAT}:{group.order}:{rows}".encode()).hexdigest()
 
 
 def cache_path(cache_dir: str, group: FiniteGroup) -> str:

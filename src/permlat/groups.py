@@ -313,7 +313,8 @@ class FiniteGroup:
                     return False
         return True
 
-    def subgroup_gens(self, mask: int) -> Optional[tuple[int, ...]]:
+    def subgroup_gens(self, mask: int, base: int = 1,
+                      base_gens: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
         """Small generating set of a subgroup given as a mask, or None when
         ``mask`` is not a subgroup.
 
@@ -322,10 +323,12 @@ class FiniteGroup:
         each step enlarges it, so if ``mask`` is a subgroup the spans stay in
         it until they equal it; if not, some span leaves it. This decides
         subgroup-ness by cosets rather than by the |m|^2 products of
-        :meth:`is_subgroup_mask`.
+        :meth:`is_subgroup_mask`. The first span is ``base``, the subgroup
+        generated by ``base_gens`` (the trivial one by default), and the
+        result starts with ``base_gens``.
         """
-        gens: list[int] = []
-        m = 1
+        gens = list(base_gens)
+        m = base
         while m != mask:
             if m & ~mask:
                 return None

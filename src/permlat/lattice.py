@@ -16,15 +16,25 @@ identically. The lattice of a subgroup H is the interval [1, H] of the
 parent's lattice, so :meth:`SubgroupLattice.rerooted` reads it off the
 parent instead of enumerating it again. Selections (normal, subnormal,
 maximal, Sylow, perp, ...) are index sets into that fixed node list; they
-never copy subgroups. Normality and subnormality are class invariants and
-are decided once per conjugacy class (:attr:`SubgroupLattice.class_of`),
-from the masks and the order masks alone: the classes are orbits under
-generators read off the lattice, and subnormality follows the normal-closure
-chain of a node through lattice joins of its conjugates, so neither computes
-a closure. The normal, subnormal and maximal selections are built once per
-lattice, in the lattice's memo, which also holds the other per-lattice
-values the degrees and bounds read (the cover table, pair counts, and the
-per-node values of :mod:`permlat.bounds`).
+never copy subgroups.
+
+Conjugation works on node indices, not element masks. Each lattice keeps
+two tables: the node of every cyclic subgroup <x>, and greedy generators of
+every node, read off by joining cyclic nodes. Conjugation by y is an
+automorphism, so y<S>y⁻¹ = <ySy⁻¹> for any set S: the conjugate of a node
+X = <x1> v ... v <xm> is the join of the cyclic nodes of the yxiy⁻¹, a few
+ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality and
+subnormality are class invariants and are decided once per conjugacy class
+(:attr:`SubgroupLattice.class_of`). The classes and their conjugators are
+orbits under the group's generators, conjugated that way. Subnormality
+follows the normal-closure chain of a node through joins of its conjugates,
+and its first step H^G is the join of H's class, already known. So no read
+of a built lattice conjugates an element mask or computes a closure; the
+mask-level class orbit is used only by :func:`enumerate_subgroups`, before
+there is a lattice. The normal, subnormal and maximal selections are built
+once per lattice, in the lattice's memo, which also holds the other
+per-lattice values the degrees and bounds read (the cover table, pair
+counts, and the per-node values of :mod:`permlat.bounds`).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -130,39 +140,91 @@ class SubgroupLattice:
         return (common & -common).bit_length() - 1
 
     @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        """The representative (lowest-indexed member) of each node's
-        conjugacy class, read off the masks by conjugating with generators
-        of the group read off the lattice."""
-        gens = _node_gens(self, self.top)
-        rep = [-1] * len(self.masks)
-        for i, m in enumerate(self.masks):
-            if rep[i] >= 0:
-                continue
-            rep[i] = i
-            for c in _conjugacy_class(self.group, m, gens):
-                rep[self.index_of[c]] = i
-        return tuple(rep)
+    def cyclic_nodes(self) -> tuple[int, ...]:
+        """The node of the cyclic subgroup <x>, for each element x."""
+        g, index_of = self.group, self.index_of
+        return tuple(index_of[g.cyclic_mask(x)] for x in range(g.order))
 
     @cached_property
+    def node_gens(self) -> tuple[tuple[int, ...], ...]:
+        """Greedy generators of each node, read off the lattice: the lowest
+        element outside the span so far, joined on as its cyclic node, as
+        :meth:`FiniteGroup.subgroup_gens` does by closures. The nodes above
+        a join of cyclic nodes are those above each of them, so the span's
+        up mask is the AND of theirs and no closure is computed."""
+        masks, up, cyc = self.masks, self.up_masks, self.cyclic_nodes
+        out = []
+        for k, mk in enumerate(masks):
+            gens = []
+            node, above = self.bottom, self.all_nodes_mask
+            while node != k:
+                rest = mk & ~masks[node]
+                x = (rest & -rest).bit_length() - 1
+                gens.append(x)
+                above &= up[cyc[x]]
+                node = (above & -above).bit_length() - 1
+            out.append(tuple(gens))
+        return tuple(out)
+
+    def conjugates(self, i: int, ys: Sequence[int]) -> list[int]:
+        """The nodes y X y⁻¹ for X = nodes[i] and each element y of ``ys``:
+        the join of the cyclic nodes of y x y⁻¹ over X's generators x.
+
+        For any set S, y<S>y⁻¹ = <ySy⁻¹>: the left side is a subgroup
+        holding ySy⁻¹, so it contains the right side, and conjugating by y⁻¹
+        gives the reverse inclusion. With X = <x1, ..., xm> =
+        <x1> v ... v <xm> this gives yXy⁻¹ = <yx1y⁻¹> v ... v <yxmy⁻¹>, and
+        a join of nodes is the lowest node above all of them (:meth:`join`):
+        a few ANDs of order masks, whatever the size of X."""
+        t, inv = self.group.table, self.group.inverse
+        up, cyc, full = self.up_masks, self.cyclic_nodes, self.all_nodes_mask
+        gens = self.node_gens[i]
+        out = []
+        for y in ys:
+            row, yi = t[y], inv[y]
+            above = full
+            for x in gens:
+                above &= up[cyc[t[row[x]][yi]]]
+            out.append((above & -above).bit_length() - 1)
+        return out
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # (class_of, conjugators): one BFS per class from its lowest node R
+        # over generators s of the group; the member g R g⁻¹ conjugated by s
+        # is (s·g) R (s·g)⁻¹, found from R's generators
+        t = self.group.table
+        gens = self.node_gens[self.top]
+        rep = [-1] * len(self.masks)
+        conj = [-1] * len(self.masks)
+        for r in range(len(self.masks)):
+            if rep[r] >= 0:
+                continue
+            rep[r], conj[r] = r, 0
+            orbit = [r]
+            for i in orbit:  # orbit grows while we iterate
+                ys = [t[s][conj[i]] for s in gens]
+                for y, j in zip(ys, self.conjugates(r, ys)):
+                    if rep[j] < 0:
+                        rep[j], conj[j] = r, y
+                        orbit.append(j)
+        return tuple(rep), tuple(conj)
+
+    @property
+    def class_of(self) -> tuple[int, ...]:
+        """The representative (lowest-indexed member) of each node's
+        conjugacy class: the orbits of the nodes under conjugation by
+        generators of the group. Since y<S>y⁻¹ = <ySy⁻¹>, each conjugate of
+        a node is the join of the cyclic nodes of its conjugated generators
+        (:meth:`conjugates`), so no element mask is conjugated."""
+        return self._classes[0]
+
+    @property
     def conjugators(self) -> tuple[int, ...]:
         """An element g for each node i with nodes[i] = g R g⁻¹, R the
         representative of its class: a BFS from R over generators of the
         group, where conjugating g R g⁻¹ by s composes the conjugator to s·g."""
-        g = self.group
-        t = g.table
-        gens = _node_gens(self, self.top)
-        out = [-1] * len(self.masks)
-        for r in self.class_masks:
-            out[r] = 0
-            orbit = [r]
-            for i in orbit:  # orbit grows while we iterate
-                for s in gens:
-                    j = self.index_of[g.conjugate_mask(self.masks[i], s)]
-                    if out[j] < 0:
-                        out[j] = t[s][out[i]]
-                        orbit.append(j)
-        return tuple(out)
+        return self._classes[1]
 
     @cached_property
     def class_masks(self) -> dict[int, int]:
@@ -307,20 +369,6 @@ def _conjugacy_class(group: FiniteGroup, mask: int, gens) -> list[int]:
     return orbit
 
 
-def _node_gens(lat: SubgroupLattice, k: int) -> list[int]:
-    """Greedy generators of node k, read off the lattice by joining cyclic
-    nodes: no closure is computed."""
-    g = lat.group
-    gens = []
-    node = lat.bottom
-    while node != k:
-        rest = lat.masks[k] & ~lat.masks[node]
-        x = (rest & -rest).bit_length() - 1
-        gens.append(x)
-        node = lat.join(node, lat.index_of[g.cyclic_mask(x)])
-    return gens
-
-
 def enumerate_subgroups(group: FiniteGroup,
                         lattice_cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by class-driven saturation.
@@ -411,7 +459,7 @@ def enumerate_subgroups(group: FiniteGroup,
                         nm, ngens = g.full_mask, g.generating_set
                     else:
                         nm = _normalizer_mask(g, am, agens)
-                        ngens = g.subgroup_gens(nm)
+                        ngens = g.subgroup_gens(nm, am, agens)
                 c = gens_of[cm][0]
                 jgens = agens + (c,)
                 jm = g.closure_mask((c,) if cm & nm == cm else jgens, am)
@@ -525,20 +573,35 @@ def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     return sel
 
 
+def _join_all(lat: SubgroupLattice, nodes: int) -> int:
+    """The join of a node set: the lowest node above each of its nodes."""
+    above = lat.all_nodes_mask
+    for j in _bits(nodes):
+        above &= lat.up_masks[j]
+    return (above & -above).bit_length() - 1
+
+
 def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
-    # descending normal-closure chain K0 = G, K_{t+1} = H^{K_t}, the join of
-    # H's K_t-conjugates (its orbit under K_t's generators); H is subnormal
-    # exactly when the chain reaches H, and is not when it stalls first
-    k = lat.top
-    while k != i:
-        above = lat.all_nodes_mask
-        for c in _conjugacy_class(lat.group, lat.masks[i], _node_gens(lat, k)):
-            above &= lat.up_masks[lat.index_of[c]]
-        nk = (above & -above).bit_length() - 1
-        if nk == k:
-            return False
+    """Whether node H = nodes[i] is subnormal, by the descending
+    normal-closure chain K0 = G, K_{t+1} = H^{K_t}: H is subnormal exactly
+    when the chain reaches H, and is not when it stalls first.
+
+    H^K is the subgroup generated by H's K-conjugates, the join of H's orbit
+    under conjugation by K's generators (:meth:`SubgroupLattice.conjugates`).
+    The first step is free: H^G is generated by the G-conjugates of H, which
+    are exactly the members of H's conjugacy class, so H^G is the join of
+    that class's node set in ``class_masks`` and needs no conjugation."""
+    k, nk = lat.top, _join_all(lat, lat.class_masks[lat.class_of[i]])
+    while nk != k and nk != i:
         k = nk
-    return True
+        orbit, members = [i], 1 << i
+        for j in orbit:  # orbit grows while we iterate
+            for c in lat.conjugates(j, lat.node_gens[k]):
+                if not members >> c & 1:
+                    members |= 1 << c
+                    orbit.append(c)
+        nk = _join_all(lat, members)
+    return nk == i
 
 
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:

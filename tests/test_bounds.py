@@ -784,6 +784,29 @@ def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
     assert sum(calls.values()) == PROFILES[spec]
 
 
+@pytest.mark.parametrize("spec", sorted(PROFILES))
+def test_factor_profile_computed_once_per_h(spec, monkeypatch):
+    # beside a nontrivial normal N with NH = G, H's profile depends on
+    # (H, convention) alone, whichever N it is visited with
+    calls = collections.Counter()
+    real = B._factor_profile
+
+    def counted(lat, h, convention):
+        calls[h, convention] += 1
+        return real(lat, h, convention)
+
+    monkeypatch.setattr(B, "_factor_profile", counted)
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+    wanted = {(h, conv) for conv in L.CONVENTIONS
+              for n in L.normal_subgroups(lat).members if n != lat.bottom
+              for h in B.factor_partners(lat, n) if h != lat.bottom}
+    assert set(calls) == wanted
+    assert set(calls.values()) == {1}
+
+
 def test_bound_driver_results_share_no_mutable_state():
     """Results decided once per profile are handed out as copies: mutating
     one result's context changes no other result and not the memoised

@@ -69,3 +69,16 @@ def test_entry_written_earlier_still_loads(tmp_path, monkeypatch):
     monkeypatch.setattr(C, "enumerate_subgroups", no_enumeration)
     assert C.load_lattice(str(tmp_path), g).masks == fresh.masks
     assert C.cached_lattice(str(tmp_path), g).masks == fresh.masks
+
+
+# table digests as the row-by-row hash of cache format 2 produced them; a
+# change here orphans every cache entry on disk
+PINNED_TABLE_DIGESTS = {
+    "C1": "7c07cdb8d31877793675e35621fdc2d759fa507e45044ad89bd07e399d8ac0c7",
+    "S5xC2": "5111738a53c93234f9b389d7e372f0c53db1bd25949691a972d873ba4f25e52a",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TABLE_DIGESTS))
+def test_table_digest_pinned(spec):
+    assert C.table_digest(G.make_named(spec)) == PINNED_TABLE_DIGESTS[spec]

@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permlat import bounds as B
 from permlat import groups as G
 from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
@@ -26,6 +27,9 @@ CLASS_SPECS = ["S4xS3", "D4xD4", "A4xA4", "S5xC2"]
 
 SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4", "S5xC2", "A4xA4", "A5xC3"]
 
+# the catalog and the groups of the benchmark's lattice pool
+POOL_SPECS = SELECTION_SPECS + ["Z:2,2,2,2,2"]
+
 # sha256 of the node masks in node order. The first three were first
 # produced by saturating joins of every node with every cyclic subgroup, the
 # others by class-driven joins with every cyclic subgroup; the 2-groups and the
@@ -44,8 +48,8 @@ PINNED_MASK_DIGESTS = {
 
 # closure_mask calls of one enumeration of a freshly built group; the
 # enumeration is deterministic, so a change in the count is a change in the
-# joins it computes
-PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 186}
+# joins or normalizer generators it computes
+PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 156}
 
 
 def lat_of(spec):
@@ -235,6 +239,18 @@ class TestConjugacyClasses:
             assert r == min(members)
             orbit = {g.conjugate_mask(lat.masks[r], x) for x in range(g.order)}
             assert orbit == {lat.masks[i] for i in members}, (spec, r)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(POOL_SPECS), st.data())
+    def test_conjugates_match_element_conjugation(self, spec, data):
+        # a relabelled table is associative by construction
+        g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+        lat = L.enumerate_subgroups(g)
+        ys = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=3),
+                       label="ys")
+        for i, m in enumerate(lat.masks):
+            assert lat.conjugates(i, ys) == [
+                lat.index_of[g.conjugate_mask(m, y)] for y in ys], (spec, i)
 
     @pytest.mark.parametrize("spec, nodes, classes", [
         ("S5", 156, 19), ("S5xC2", 535, 57), ("S6", 1455, 56)])
@@ -510,17 +526,30 @@ class TestRerooting:
             calls.append(gens)
             return closure_mask(self, gens, base)
 
+        conjugations = []
+        conjugate_mask = G.FiniteGroup.conjugate_mask
+
+        def counted_conjugation(self, m, y):
+            conjugations.append((m, y))
+            return conjugate_mask(self, m, y)
+
         subnormal = L.subnormal_subgroups(lat).members
+        sn_of = [B.node_subnormal(lat, i) for i in range(len(lat))]
+        classes = (lat.class_of, lat.conjugators)
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
+        monkeypatch.setattr(G.FiniteGroup, "conjugate_mask", counted_conjugation)
         # a fresh group object, as on a cache hit: nothing is cached on it
         group = G.FiniteGroup(lat.group.table, lat.group.name)
         rebuilt = L.SubgroupLattice(group, list(lat.masks))
+        assert (rebuilt.class_of, rebuilt.conjugators) == classes
         assert L.subnormal_subgroups(rebuilt).members == subnormal
+        assert [B.node_subnormal(rebuilt, i) for i in range(len(rebuilt))] == sn_of
         for i in range(len(rebuilt)):
             _, child = rebuilt.rerooted(i)
             L.subnormal_subgroups(child)
         assert rebuilt.masks == lat.masks
         assert calls == []
+        assert conjugations == []
 
 
 class TestFittingAgainstLattice:
