@@ -8,6 +8,18 @@ the caller recomputes. A hit is therefore bit-identical to a fresh
 enumeration for every file that :func:`store_lattice` wrote for the same
 table; only an edit that also rewrites the node-list digest gets past the
 checks.
+
+The masks are checked on the lattice built from them
+(:class:`permlat.lattice.SubgroupLattice`), which reads greedy generators of
+every node off the containment columns. Greedy generator lists of subgroups
+are prefixes of one another, so node k is checked in index order by one
+closure, grown from the node s < k that its leading generators span
+(:meth:`FiniteGroup.closure_mask` with base s; Dimino's algorithm). A hit
+thus proves that every node is the subgroup its generators span, so the
+order masks are exact, and that every cyclic subgroup <x> is listed, at
+``cyclic_nodes[x]``. Completeness beyond that is not checked: a list of
+subgroups that omits a non-cyclic subgroup whose generator prefixes are all
+listed still loads.
 """
 from __future__ import annotations
 
@@ -77,7 +89,12 @@ def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
 
 
 def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice]:
-    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched."""
+    """Rebuild a lattice from cache, or None if absent/corrupt/mismatched.
+
+    Node k with generators gens is <gens> when node s, spanned by
+    gens[:-1] and checked before it, is <gens[:-1]>: then closing gens from
+    s gives <gens>, which must be node k. The bottom is {1}, so by induction
+    every node is the subgroup its generators span."""
     digest = table_digest(group)
     try:
         with open(_entry_path(cache_dir, digest), "r", encoding="utf-8") as fh:
@@ -97,12 +114,20 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
     except (KeyError, TypeError, ValueError):
         return None
     full = group.full_mask
-    for m in masks:
-        if not 0 < m <= full or group.subgroup_gens(m) is None:
-            return None
-    if 1 not in masks or full not in masks:
+    if any(not 0 < m <= full for m in masks):
         return None
-    return SubgroupLattice(group, masks)
+    lat = SubgroupLattice(group, masks)
+    if lat.masks[lat.bottom] != 1 or lat.masks[lat.top] != full:
+        return None
+    gens_node = {gens: k for k, gens in enumerate(lat.node_gens)}
+    for k in range(1, len(lat)):
+        gens = lat.node_gens[k]
+        s = gens_node.get(gens[:-1], k)
+        if s >= k or group.closure_mask(gens, lat.masks[s]) != lat.masks[k]:
+            return None
+    if any(lat.masks[c] != group.cyclic_mask(x) for x, c in enumerate(lat.cyclic_nodes)):
+        return None
+    return lat
 
 
 def cached_lattice(cache_dir: Optional[str], group: FiniteGroup) -> SubgroupLattice:

@@ -20,7 +20,8 @@ never copy subgroups.
 
 Conjugation works on node indices, not element masks. Each lattice keeps
 two tables: the node of every cyclic subgroup <x>, and greedy generators of
-every node, read off by joining cyclic nodes. Conjugation by y is an
+every node, read off the containment columns (the nodes holding each
+element) in the same pass that builds the order masks. Conjugation by y is an
 automorphism, so y<S>y⁻¹ = <ySy⁻¹> for any set S: the conjugate of a node
 X = <x1> v ... v <xm> is the join of the cyclic nodes of the yxiy⁻¹, a few
 ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality and
@@ -39,9 +40,11 @@ counts, and the per-node values of :mod:`permlat.bounds`).
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
 product set and no closure. The order masks themselves come from containment
-columns: the nodes above node i are those that hold every element of it.
-Permutability is kept as one bitrow per node, built on demand
-(:class:`PermutabilityRows`). Every selection the degrees use is a union of
+columns and greedy generators: the nodes above node i are those that hold
+each of its generators, an AND of a few columns however large the node.
+``down_masks``, their transpose, is built only when first read; the
+selections and Moebius read ``up_masks`` alone. Permutability is kept as
+one bitrow per node, built on demand (:class:`PermutabilityRows`). Every selection the degrees use is a union of
 conjugacy classes, and the row of X^g is the row of X conjugated by g, so
 those counts and perp read the rows of class representatives only; the other
 rows are built only for custom selections and the pair counts inside a node.
@@ -77,6 +80,20 @@ class SubgroupLattice:
     ``nodes[bottom]`` is the trivial subgroup and ``nodes[top]`` the whole
     group. ``up_masks[i]`` / ``down_masks[i]`` are bitmasks over node indices
     with j set iff nodes[i] <= nodes[j] (resp. >=).
+
+    One pass over the nodes builds the order masks and two tables.
+    ``cyclic_nodes[x]`` is the node of <x>, the lowest node holding x.
+    ``node_gens[k]`` are greedy generators of node k, as
+    :meth:`FiniteGroup.subgroup_gens` finds them by closures: the lowest
+    element outside the span so far, where the span of a generator list is
+    the lowest node holding all of it, read off the AND of their containment
+    columns. A subgroup holds H iff it holds H's generators, so that AND,
+    taken over all of H's generators, is ``up_masks[k]``; no closure is
+    computed. The loop ends on any list of distinct masks sorted as here,
+    subgroups or not: node k holds its own generators, so it stays in the
+    AND and the span is a node at or below k, and while it is not k, k
+    holds an element outside it, whose column drops the span from the AND.
+    ``down_masks`` is built on first read.
     """
 
     def __init__(self, group: FiniteGroup, masks: list[int]):
@@ -89,28 +106,31 @@ class SubgroupLattice:
         self.index_of: dict[int, int] = {m: i for i, m in enumerate(masks)}
         self.bottom = 0
         self.top = len(masks) - 1
-        L = len(masks)
-        # containing[e]: the nodes that hold element e; a node lies above
-        # node i iff it holds every element of node i
+        # containing[e]: the nodes that hold element e
         containing = [0] * n
         for i, m in enumerate(masks):
             bit = 1 << i
-            for e in _bits(m):
-                containing[e] |= bit
-        self.all_nodes_mask = (1 << L) - 1
-        up = []
-        for m in masks:
-            above = self.all_nodes_mask
-            for e in _bits(m):
-                above &= containing[e]
+            while m:
+                low = m & -m
+                containing[low.bit_length() - 1] |= bit
+                m ^= low
+        self.all_nodes_mask = full = (1 << len(masks)) - 1
+        # the smallest subgroup holding x is <x>, and nodes are sorted by order
+        self.cyclic_nodes: tuple[int, ...] = tuple(
+            (c & -c).bit_length() - 1 for c in containing)
+        up, node_gens = [], []
+        for k, mk in enumerate(masks):
+            gens, node, above = [], self.bottom, full
+            while node != k:
+                rest = mk & ~masks[node]
+                x = (rest & -rest).bit_length() - 1
+                gens.append(x)
+                above &= containing[x]
+                node = (above & -above).bit_length() - 1
             up.append(above)
-        down = [0] * L
-        for i, above in enumerate(up):
-            bit = 1 << i
-            for j in _bits(above):
-                down[j] |= bit
-        self.up_masks = tuple(up)
-        self.down_masks = tuple(down)
+            node_gens.append(tuple(gens))
+        self.up_masks: tuple[int, ...] = tuple(up)
+        self.node_gens: tuple[tuple[int, ...], ...] = tuple(node_gens)
         self._chi: Optional[PermutabilityRows] = None
         self._rerooted: dict[int, tuple] = {}
         # per-lattice values computed on demand: selections, the cover
@@ -140,31 +160,15 @@ class SubgroupLattice:
         return (common & -common).bit_length() - 1
 
     @cached_property
-    def cyclic_nodes(self) -> tuple[int, ...]:
-        """The node of the cyclic subgroup <x>, for each element x."""
-        g, index_of = self.group, self.index_of
-        return tuple(index_of[g.cyclic_mask(x)] for x in range(g.order))
-
-    @cached_property
-    def node_gens(self) -> tuple[tuple[int, ...], ...]:
-        """Greedy generators of each node, read off the lattice: the lowest
-        element outside the span so far, joined on as its cyclic node, as
-        :meth:`FiniteGroup.subgroup_gens` does by closures. The nodes above
-        a join of cyclic nodes are those above each of them, so the span's
-        up mask is the AND of theirs and no closure is computed."""
-        masks, up, cyc = self.masks, self.up_masks, self.cyclic_nodes
-        out = []
-        for k, mk in enumerate(masks):
-            gens = []
-            node, above = self.bottom, self.all_nodes_mask
-            while node != k:
-                rest = mk & ~masks[node]
-                x = (rest & -rest).bit_length() - 1
-                gens.append(x)
-                above &= up[cyc[x]]
-                node = (above & -above).bit_length() - 1
-            out.append(tuple(gens))
-        return tuple(out)
+    def down_masks(self) -> tuple[int, ...]:
+        """The transpose of ``up_masks``, built on first read: bit j of
+        ``down_masks[i]`` is set iff nodes[j] <= nodes[i]."""
+        down = [0] * len(self.masks)
+        for i, above in enumerate(self.up_masks):
+            bit = 1 << i
+            for j in _bits(above):
+                down[j] |= bit
+        return tuple(down)
 
     def conjugates(self, i: int, ys: Sequence[int]) -> list[int]:
         """The nodes y X y⁻¹ for X = nodes[i] and each element y of ``ys``:

@@ -2,9 +2,13 @@
 
 mu is computed top-down by the interval recursion
 mu(K, G) = - sum of mu(J, G) over K < J <= G, with mu(G, G) = 1.
-A proper supergroup is strictly larger, so walking the nodes in descending
-cardinality order visits every J before it is needed; with the precomputed
-containment rows this is O(|L|^2) integer arithmetic.
+A proper supergroup is strictly larger, and nodes are sorted by cardinality,
+so walking them by descending index visits every J before it is needed.
+mu(K, G) = 0 unless K is an intersection of maximal subgroups (P. Hall,
+1936), so many terms are zero (322 of 389 nodes of D4xD4), and the sum
+reads only the nodes above K with a nonzero value: the AND of K's up mask
+with a mask of those nodes. With the precomputed containment rows this is
+O(|L|^2) integer arithmetic at worst.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import _bits, is_prime
+from .groups import is_prime
 from .lattice import RAW, SubgroupLattice
 from .bounds import BoundCheckResult, fitting_centralizer_check, sd_bound_poly
 from .degrees import sd
@@ -31,15 +35,19 @@ class MoebiusTable:
 
 
 def moebius_table(lat: SubgroupLattice) -> MoebiusTable:
-    L = len(lat)
-    values = [0] * L
-    order = sorted(range(L), key=lat.node_order, reverse=True)
-    for i in order:
-        if i == lat.top:
-            values[i] = 1
-            continue
-        above = lat.up_masks[i] & ~(1 << i)
-        values[i] = -sum(values[j] for j in _bits(above))
+    up = lat.up_masks
+    values = [0] * len(lat)
+    values[lat.top] = 1
+    nonzero = 1 << lat.top  # the nodes visited so far with mu != 0
+    for i in range(lat.top - 1, -1, -1):
+        rest, v = up[i] & nonzero, 0
+        while rest:
+            low = rest & -rest
+            v -= values[low.bit_length() - 1]
+            rest ^= low
+        if v:
+            values[i] = v
+            nonzero |= 1 << i
     return MoebiusTable(tuple(values), values[lat.bottom])
 
 

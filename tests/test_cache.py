@@ -1,13 +1,18 @@
 """Lattice cache files: one table hash per group, and entries written by an
 earlier build of the same cache format still load."""
+import functools
+import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
+from permlat import moebius as M
 
 # an S4 entry exactly as store_lattice wrote it at cache format 2
 DATA = Path(__file__).parent / "data"
@@ -82,3 +87,100 @@ PINNED_TABLE_DIGESTS = {
 @pytest.mark.parametrize("spec", sorted(PINNED_TABLE_DIGESTS))
 def test_table_digest_pinned(spec):
     assert C.table_digest(G.make_named(spec)) == PINNED_TABLE_DIGESTS[spec]
+
+
+# -- the hit check: one closure per node --------------------------------------
+
+EDIT_SPECS = ["S3", "D4", "Q8", "A4", "Z:2,2,2", "C12", "S4"]
+
+
+@functools.cache
+def enumerated(spec):
+    g = G.make_named(spec)
+    return g, L.enumerate_subgroups(g).masks
+
+
+def write_entry(cache_dir, group, masks):
+    """An entry for ``group`` holding ``masks`` as they are, with the node
+    count and the node-list digest that match them."""
+    payload = {
+        "format": C.CACHE_FORMAT,
+        "digest": C.table_digest(group),
+        "order": group.order,
+        "node_count": len(masks),
+        "nodes": [format(m, "x") for m in masks],
+        "nodes_sha256": C._nodes_digest(masks),
+    }
+    with open(C.cache_path(cache_dir, group), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_masks(group, masks):
+    with tempfile.TemporaryDirectory() as cache_dir:
+        write_entry(cache_dir, group, masks)
+        return C.load_lattice(cache_dir, group)
+
+
+def test_cache_hit_makes_one_closure_per_node(tmp_path, monkeypatch):
+    g = G.make_named("S5")
+    C.store_lattice(str(tmp_path), L.enumerate_subgroups(g))
+    calls = []
+    closure_mask = G.FiniteGroup.closure_mask
+
+    def counted(self, gens, base=1):
+        calls.append(gens)
+        return closure_mask(self, gens, base)
+
+    monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
+    lat = C.load_lattice(str(tmp_path), same_group(g))
+    assert len(calls) == len(lat) - 1 == 155
+
+
+def test_warm_reads_build_no_down_masks(tmp_path):
+    g = G.make_named("S5")
+    C.store_lattice(str(tmp_path), L.enumerate_subgroups(g))
+    lat = C.load_lattice(str(tmp_path), same_group(g))
+    # the reads of a lattice-warm job: selections and the Moebius table
+    L.normal_subgroups(lat)
+    L.subnormal_subgroups(lat)
+    L.maximal_subgroups(lat, L.RAW)
+    L.maximal_subgroups(lat, L.CLOSED)
+    L.sylow_subgroups(lat)
+    M.moebius_table(lat)
+    assert "down_masks" not in lat.__dict__
+    assert lat.down_masks[lat.top] == lat.all_nodes_mask
+    assert "down_masks" in lat.__dict__
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EDIT_SPECS), st.data())
+def test_one_bit_edit_loads_iff_a_new_subgroup(spec, data):
+    g, masks = enumerated(spec)
+    k = data.draw(st.integers(0, len(masks) - 1), label="node")
+    x = data.draw(st.integers(0, g.order - 1), label="element")
+    edited = list(masks)
+    edited[k] ^= 1 << x
+    rejected = not g.is_subgroup_mask(edited[k]) or edited[k] in masks
+    assert (load_masks(g, edited) is None) is rejected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EDIT_SPECS), st.data())
+def test_distinct_mask_lists_load_only_as_subgroups(spec, data):
+    # every list of distinct masks holding 1 and G comes back, and a list
+    # that loads holds subgroups only, ordered as the subset tests order them
+    g, masks = enumerated(spec)
+    kept = data.draw(st.sets(st.sampled_from(masks)), label="kept")
+    extra = data.draw(st.sets(st.integers(1, g.full_mask), max_size=4), label="extra")
+    listed = sorted(kept | extra | {1, g.full_mask})
+    lat = load_masks(g, listed)
+    subgroups = all(g.is_subgroup_mask(m) for m in listed)
+    if lat is None:
+        # a list of subgroups is refused only when it misses a cyclic
+        # subgroup or the span of some node's leading generators
+        assert not subgroups or len(listed) < len(masks)
+    else:
+        assert subgroups
+        for i, mi in enumerate(lat.masks):
+            assert lat.up_masks[i] == sum(
+                1 << j for j, mj in enumerate(lat.masks) if mi & ~mj == 0)

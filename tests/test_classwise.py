@@ -201,7 +201,7 @@ def test_lattice_command_reads_no_full_matrix(capsys, counted_rows):
         assert rows.built == reps_mask(lat)
 
 
-# -- the coset-wise check of cache hits -------------------------------------
+# -- subgroup checks of cache entries ----------------------------------------
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "Z:2,2,2", "C12"])
 def test_cache_check_agrees_with_pairwise_definition(spec):

@@ -13,6 +13,7 @@ from permlat.bounds import (
     sweep_factorization_bounds,
     sweep_rank2_bounds,
 )
+from permlat.cache import _nodes_digest
 from permlat.cli import _bound_json, main
 from permlat.lattice import enumerate_subgroups
 
@@ -426,3 +427,28 @@ class TestCache:
         assert "corrupt" in err
         assert out == fresh
         assert json.loads(entry.read_text())["node_count"] == 6
+
+    @pytest.mark.parametrize("spec, order", [("S3", 3), ("S4", 4)])
+    def test_cache_without_a_cyclic_node_recovers(self, capsys, tmp_path, spec, order):
+        # an edited node list without one cyclic subgroup, with node_count
+        # and digest rewritten to match, used to load and then crash with a
+        # KeyError in cyclic_nodes
+        cache = tmp_path / "cache"
+        _, fresh, _ = run_cli(capsys, "degrees", "--group", spec,
+                              "--cache", str(cache), "--format", "json")
+        (entry,) = cache.iterdir()
+        payload = json.loads(entry.read_text())
+        g = make_named(spec)
+        masks = [int(v, 16) for v in payload["nodes"]]
+        dropped = next(m for m in masks if m.bit_count() == order
+                       and any(g.cyclic_mask(x) == m for x in range(g.order)))
+        masks.remove(dropped)
+        payload["nodes"] = [format(m, "x") for m in masks]
+        payload["node_count"] = len(masks)
+        payload["nodes_sha256"] = _nodes_digest(masks)
+        entry.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "degrees", "--group", spec,
+                                 "--cache", str(cache), "--format", "json")
+        assert code == 0
+        assert "corrupt" in err
+        assert out == fresh

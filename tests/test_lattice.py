@@ -1,11 +1,13 @@
 import functools
 import hashlib
+import tempfile
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlat import bounds as B
+from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
@@ -204,16 +206,41 @@ def test_relabelled_enumeration_matches_powerset_oracle(spec, data):
     assert sorted(L.enumerate_subgroups(g).masks) == sorted(L.subgroup_masks_bruteforce(g))
 
 
+def assert_order_masks_match_subset_tests(lat, what):
+    for i, mi in enumerate(lat.masks):
+        assert lat.up_masks[i] == sum(
+            1 << j for j, mj in enumerate(lat.masks) if mi & ~mj == 0), (what, i)
+        assert lat.down_masks[i] == sum(
+            1 << j for j, mj in enumerate(lat.masks) if mj & ~mi == 0), (what, i)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_relabelled_order_masks_match_subset_tests(spec, data):
+    # every way in: enumeration, a cache hit and a re-rooted child
     g = relabelled(shared_lat(spec).group, data, check_assoc=False)
     rel = L.enumerate_subgroups(g)
-    for i, mi in enumerate(rel.masks):
-        assert rel.up_masks[i] == sum(
-            1 << j for j, mj in enumerate(rel.masks) if mi & ~mj == 0), (spec, i)
-        assert rel.down_masks[i] == sum(
-            1 << j for j, mj in enumerate(rel.masks) if mj & ~mi == 0), (spec, i)
+    assert_order_masks_match_subset_tests(rel, spec)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        C.store_lattice(cache_dir, rel)
+        loaded = C.load_lattice(cache_dir, G.FiniteGroup(g.table, g.name))
+    assert loaded.masks == rel.masks
+    assert_order_masks_match_subset_tests(loaded, (spec, "cache"))
+    i = data.draw(st.integers(0, len(rel) - 1), label="node")
+    _, child = rel.rerooted(i)
+    assert_order_masks_match_subset_tests(child, (spec, "rerooted", i))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.booleans(), st.data())
+def test_node_tables_match_closures(spec, relabel, data):
+    lat = shared_lat(spec)
+    if relabel:
+        lat = L.enumerate_subgroups(relabelled(lat.group, data, check_assoc=False))
+    g = lat.group
+    assert lat.node_gens == tuple(g.subgroup_gens(m) for m in lat.masks), spec
+    assert lat.cyclic_nodes == tuple(
+        lat.index_of[g.cyclic_mask(x)] for x in range(g.order)), spec
 
 
 @settings(max_examples=15, deadline=None)

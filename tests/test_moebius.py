@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -42,6 +43,17 @@ class TestMoebiusTable:
             if h == lat.top:
                 continue
             assert sum(mt[k] for k in _bits(lat.up_masks[h])) == 0
+
+    # sha256 of the full mu tuples: the recursion sums only nonzero terms,
+    # so a term it wrongly skips changes them
+    @pytest.mark.parametrize("spec, digest", [
+        ("S5xC2", "55679c66d7df980c06b3aa081a4e76f6975059400ec6fc741a98bdcaf0dbff2e"),
+        ("D4xD4", "ab032414568c855abafca7068a8d072918a0999b9acbe4d9f273e2cc210d3da1"),
+        ("S4xS3", "ee6ffb4d53752af785aad71404a4e93456c7a4b1f7038881cb3bde176a74e126"),
+    ])
+    def test_values_pinned(self, spec, digest):
+        values = M.moebius_table(lat_of(spec)).values
+        assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
 
     def test_deterministic(self):
         assert M.moebius_table(lat_of("S4")).values == \
