@@ -17,11 +17,11 @@ value an instance needs is read off the parent lattice once per node and
 kept in the lattice's memo, so an (N, H) instance does only lookups:
 
 * L(X) is the interval [1, X] and M(X) the lower covers of X (plus their
-  meet and X when closed); sn(X) is sn(G) n [1, X] for subnormal X and
-  [1, X] for nilpotent X, and sn(R)^g for any other X = R^g, R the
-  representative of X's class, so only representatives are re-rooted;
-* pair counts inside X come from the parent's permutability rows, since
-  XY = YX does not depend on the ambient group, once per class of X;
+  meet and X when closed); sn(X) is sn(G) n [1, X] plus, for a class
+  representative X, the Y <= X whose normal-closure chain in X reaches Y,
+  and sn(X)^g for X^g;
+* pair counts inside X are read off the representative rows by double
+  counting over X's class, since XY = YX does not depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
@@ -49,6 +49,7 @@ from .groups import FiniteGroup, _bits, is_prime, prime_signature, subgroup_grou
 from .lattice import (
     RAW,
     SubgroupLattice,
+    _is_subnormal_node,
     cover_table,
     maximal_subgroups,
     normal_subgroups,
@@ -269,32 +270,11 @@ def _prime_power_part(n: int, p: int) -> int:
     return part
 
 
-def _nodes_of_order(lat: SubgroupLattice) -> dict[int, int]:
-    """Node mask of each subgroup order."""
-    def build():
-        out: dict[int, int] = {}
-        for i in range(len(lat)):
-            k = lat.node_order(i)
-            out[k] = out.get(k, 0) | 1 << i
-        return out
-    return _memo(lat, "nodes-of-order", build)
-
-
 def node_group(lat: SubgroupLattice, idx: int) -> FiniteGroup:
     """Node ``idx`` as a standalone group, once per node: what the checkers
     read N's shape off, without building its subgroup lattice."""
     return _memo(lat, ("group-of", idx),
                  lambda: subgroup_group(lat.group, lat.masks[idx]))
-
-
-def is_nilpotent_node(lat: SubgroupLattice, idx: int) -> bool:
-    """Whether node ``idx`` is nilpotent: a finite group is nilpotent iff it
-    has exactly one Sylow p-subgroup for every prime p, that is exactly one
-    node of order |X|_p under X."""
-    order, below = lat.node_order(idx), lat.down_masks[idx]
-    of_order = _nodes_of_order(lat)
-    return all((below & of_order[_prime_power_part(order, p)]).bit_count() == 1
-               for p, _ in prime_signature(order).factors)
 
 
 def _maximal_under(lat: SubgroupLattice, covers: int, top: int,
@@ -317,17 +297,16 @@ def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:
 def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
     """sn(X) as a parent node mask. For Y <= X, a subnormal chain of Y in G
     meets X in one of Y in X, so sn(G) n [1, X] lies in sn(X), with equality
-    when X is itself subnormal in G. A nilpotent X has every subgroup
-    subnormal, so sn(X) = [1, X]. Any other X = R^g, R the representative of
-    its class, has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
-    lattice (:meth:`SubgroupLattice.conjugates`); only R is re-rooted and its
-    subnormal selection lifted (child node k is the k-th node under R)."""
+    when X is itself subnormal in G. For a class representative R outside
+    sn(G), each other Y <= R is tested by its normal-closure chain inside R
+    (:func:`permlat.lattice._is_subnormal_node` from R). Any other
+    X = R^g has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
+    lattice (:meth:`SubgroupLattice.conjugates`)."""
     def compute():
         sn_g = subnormal_subgroups(lat)
+        below = lat.down_masks[idx]
         if idx in sn_g:
-            return sn_g.members_mask & lat.down_masks[idx]
-        if is_nilpotent_node(lat, idx):
-            return lat.down_masks[idx]
+            return sn_g.members_mask & below
         rep = lat.class_of[idx]
         if rep != idx:
             x = lat.conjugators[idx]
@@ -335,30 +314,51 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
             for j in _bits(node_subnormal(lat, rep)):
                 out |= 1 << lat.conjugates(j, (x,))[0]
             return out
-        _child, child_lat = lat.rerooted(idx)
-        up = tuple(_bits(lat.down_masks[idx]))
-        out = 0
-        for j in subnormal_subgroups(child_lat).members:
-            out |= 1 << up[j]
+        out = sn_g.members_mask & below
+        for y in _bits(below & ~out):
+            if _is_subnormal_node(lat, y, idx):
+                out |= 1 << y
         return out
     return _memo(lat, ("sn-of", idx), compute)
 
 
+def _inside_count(lat: SubgroupLattice, idx: int, s_of, t_of) -> int:
+    """Permuting ordered pairs in s(X) x t(X) for node X, from the rows of
+    class representatives only. s and t map a node to a node mask, with
+    s(X^g) = s(X)^g and t(X^g) = t(X)^g for every g in G.
+
+    Conjugation by g is a lattice automorphism that keeps permutability, so
+    every X' in cls X has count_X' = count_X, and |cls X| count_X is the sum
+    of |row(A) & t(X')| over the pairs (A, X') with X' in cls X and A in
+    s(X'). For A = R^h in the class C of R, X' -> X'^(h⁻¹) maps the X' with
+    A in s(X') onto those with R in s(X') and keeps the summand, since
+    row(A)^(h⁻¹) = row(R). So each of the |C| members of C adds what R does:
+    |cls X| count_X = sum over X' in cls X of sum over representatives R in
+    s(X') of |cls R| |row(R) & t(X')|."""
+    rows, classes = lat.chi_rows(), lat.class_masks
+    reps = _memo(lat, "reps", lambda: sum(1 << r for r in classes))
+    members = classes[lat.class_of[idx]]
+    total = sum(classes[r].bit_count() * (rows[r] & t_of(x)).bit_count()
+                for x in _bits(members) for r in _bits(s_of(x) & reps))
+    return total // members.bit_count()
+
+
 def node_all_pairs(lat: SubgroupLattice, idx: int) -> int:
-    """Permuting ordered pairs of L(X), the all-pairs count of node X. It is
-    an isomorphism invariant of X, so it is counted once per class of X."""
-    below = lat.down_masks[idx]
+    """Permuting ordered pairs of L(X), the all-pairs count of node X,
+    counted once per class of X from representative rows."""
+    below = lat.down_masks.__getitem__
     return _memo(lat, ("pairs-all-of", lat.class_of[idx]),
-                 lambda: mask_pair_count(lat, below, below))
+                 lambda: _inside_count(lat, idx, below, below))
 
 
 def node_restricted_pairs(lat: SubgroupLattice, idx: int,
                           convention: str = RAW) -> int:
     """Permuting pairs in sn(X) x M(X) for a nontrivial node X, counted
-    once per class of X."""
+    once per class of X from representative rows."""
     return _memo(lat, ("pairs-of", lat.class_of[idx], convention),
-                 lambda: mask_pair_count(lat, node_subnormal(lat, idx),
-                                         node_maximal(lat, idx, convention)))
+                 lambda: _inside_count(
+                     lat, idx, lambda x: node_subnormal(lat, x),
+                     lambda x: node_maximal(lat, x, convention)))
 
 
 def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,

@@ -114,7 +114,7 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
     except (KeyError, TypeError, ValueError):
         return None
     full = group.full_mask
-    if any(not 0 < m <= full for m in masks):
+    if not masks or any(not 0 < m <= full for m in masks):
         return None
     lat = SubgroupLattice(group, masks)
     if lat.masks[lat.bottom] != 1 or lat.masks[lat.top] != full:

@@ -27,9 +27,9 @@ X = <x1> v ... v <xm> is the join of the cyclic nodes of the yxiy⁻¹, a few
 ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality and
 subnormality are class invariants and are decided once per conjugacy class
 (:attr:`SubgroupLattice.class_of`). The classes and their conjugators are
-orbits under the group's generators, conjugated that way. Subnormality
-follows the normal-closure chain of a node through joins of its conjugates,
-and its first step H^G is the join of H's class, already known. So no read
+orbits under the group's generators, conjugated that way. Subnormality in G
+or in any node follows the normal-closure chain of a node through joins of
+its conjugates; the step H^G is the join of H's class, already known. No read
 of a built lattice conjugates an element mask or computes a closure; the
 mask-level class orbit is used only by :func:`enumerate_subgroups`, before
 there is a lattice. The normal, subnormal and maximal selections are built
@@ -44,10 +44,10 @@ columns and greedy generators: the nodes above node i are those that hold
 each of its generators, an AND of a few columns however large the node.
 ``down_masks``, their transpose, is built only when first read; the
 selections and Moebius read ``up_masks`` alone. Permutability is kept as
-one bitrow per node, built on demand (:class:`PermutabilityRows`). Every selection the degrees use is a union of
-conjugacy classes, and the row of X^g is the row of X conjugated by g, so
-those counts and perp read the rows of class representatives only; the other
-rows are built only for custom selections and the pair counts inside a node.
+one bitrow per node, built on demand (:class:`PermutabilityRows`). The row
+of X^g is the row of X conjugated by g, so the degrees, perp and the bound
+checkers' counts read the rows of class representatives only; other rows
+are built only for custom selections.
 """
 from __future__ import annotations
 
@@ -132,7 +132,6 @@ class SubgroupLattice:
         self.up_masks: tuple[int, ...] = tuple(up)
         self.node_gens: tuple[tuple[int, ...], ...] = tuple(node_gens)
         self._chi: Optional[PermutabilityRows] = None
-        self._rerooted: dict[int, tuple] = {}
         # per-lattice values computed on demand: selections, the cover
         # table, pair counts and per-node bound values
         self._memo: dict = {}
@@ -271,14 +270,11 @@ class SubgroupLattice:
         in ascending order, which keeps the (cardinality, membership-lex)
         node order: child node k is the k-th set bit of ``down_masks[i]``.
         """
-        hit = self._rerooted.get(i)
-        if hit is None:
-            sub = subgroup_group(self.group, self.masks[i])
-            new_bit = {e: 1 << k for k, e in enumerate(_bits(self.masks[i]))}
-            masks = [sum(new_bit[e] for e in _bits(self.masks[j]))
-                     for j in _bits(self.down_masks[i])]
-            hit = self._rerooted[i] = (sub, SubgroupLattice(sub, masks))
-        return hit
+        sub = subgroup_group(self.group, self.masks[i])
+        new_bit = {e: 1 << k for k, e in enumerate(_bits(self.masks[i]))}
+        masks = [sum(new_bit[e] for e in _bits(self.masks[j]))
+                 for j in _bits(self.down_masks[i])]
+        return sub, SubgroupLattice(sub, masks)
 
 
 class PermutabilityRows(Sequence):
@@ -291,14 +287,14 @@ class PermutabilityRows(Sequence):
     masks (join and meet as in :meth:`SubgroupLattice.join` and
     :meth:`SubgroupLattice.meet`, inlined). Comparable pairs always permute,
     and so does a normal node N with every node (NY = YN): neither is
-    tested, and a normal node's row is full. Every other pair is tested once,
-    by whichever of its two rows is built first.
+    tested, and a normal node's row is full; every other pair is tested.
 
-    Every selection the degrees use is a union of conjugacy classes, and the
-    row of X^g is the row of X conjugated by g, so counts and perp over such
-    selections read the rows of class representatives only
-    (:func:`permlat.degrees.mask_pair_count`, :func:`perp`); those rows are
-    built with the matrix, the others when first read.
+    The row of X^g is the row of X conjugated by g, so the degrees, perp and
+    the bound checkers' counts inside a node read the rows of class
+    representatives only (:func:`permlat.degrees.mask_pair_count`,
+    :func:`perp`, :func:`permlat.bounds.node_all_pairs`). Those rows are
+    built with the matrix; ``built`` is the node mask of the rows built, and
+    only custom selections build others.
     """
 
     def __init__(self, lat: SubgroupLattice):
@@ -306,9 +302,7 @@ class PermutabilityRows(Sequence):
         self._normal = normal_subgroups(lat).members_mask
         self._sizes = tuple(m.bit_count() for m in lat.masks)
         self._rows: list[Optional[int]] = [None] * len(lat)
-        # _found[i]: the nodes with a built row that permute with node i
-        self._found = [0] * len(lat)
-        self.built = 0  # the nodes whose rows are built
+        self.built = 0
         for r in lat.class_masks:
             self._build(r)
 
@@ -331,12 +325,7 @@ class PermutabilityRows(Sequence):
             row = lat.all_nodes_mask
         else:
             known = lat.up_masks[i] | lat.down_masks[i] | self._normal
-            hits = self._permuting(i, lat.all_nodes_mask & ~(known | self.built))
-            row = known | self._found[i] | hits
-            bit = 1 << i
-            found = self._found
-            for j in _bits(hits):
-                found[j] |= bit
+            row = known | self._permuting(i, lat.all_nodes_mask & ~known)
         self._rows[i] = row
         self.built |= 1 << i
         return row
@@ -585,27 +574,33 @@ def _join_all(lat: SubgroupLattice, nodes: int) -> int:
     return (above & -above).bit_length() - 1
 
 
-def _is_subnormal_node(lat: SubgroupLattice, i: int) -> bool:
-    """Whether node H = nodes[i] is subnormal, by the descending
-    normal-closure chain K0 = G, K_{t+1} = H^{K_t}: H is subnormal exactly
-    when the chain reaches H, and is not when it stalls first.
+def _is_subnormal_node(lat: SubgroupLattice, i: int, k: Optional[int] = None) -> bool:
+    """Whether node H = nodes[i] is subnormal in K = nodes[k] (G when k is
+    None), by the descending normal-closure chain K0 = K,
+    K_{t+1} = H^{K_t}: H is subnormal in K exactly when the chain reaches H,
+    and is not when it stalls first. H must lie in K.
 
     H^K is the subgroup generated by H's K-conjugates, the join of H's orbit
     under conjugation by K's generators (:meth:`SubgroupLattice.conjugates`).
-    The first step is free: H^G is generated by the G-conjugates of H, which
-    are exactly the members of H's conjugacy class, so H^G is the join of
-    that class's node set in ``class_masks`` and needs no conjugation."""
-    k, nk = lat.top, _join_all(lat, lat.class_masks[lat.class_of[i]])
-    while nk != k and nk != i:
-        k = nk
-        orbit, members = [i], 1 << i
-        for j in orbit:  # orbit grows while we iterate
-            for c in lat.conjugates(j, lat.node_gens[k]):
-                if not members >> c & 1:
-                    members |= 1 << c
-                    orbit.append(c)
+    The step from G is free: the G-conjugates of H are exactly the members
+    of H's conjugacy class, so H^G is the join of its node set in
+    ``class_masks`` and needs no conjugation."""
+    k = lat.top if k is None else k
+    while k != i:
+        if k == lat.top:
+            members = lat.class_masks[lat.class_of[i]]
+        else:
+            orbit, members = [i], 1 << i
+            for j in orbit:  # orbit grows while we iterate
+                for c in lat.conjugates(j, lat.node_gens[k]):
+                    if not members >> c & 1:
+                        members |= 1 << c
+                        orbit.append(c)
         nk = _join_all(lat, members)
-    return nk == i
+        if nk == k:
+            return False
+        k = nk
+    return True
 
 
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
@@ -683,6 +678,9 @@ def custom_selection(lat: SubgroupLattice, members: Iterable[int]) -> Sublattice
     members = list(members)
     if not members:
         raise ValueError("custom selection must be nonempty")
+    for i in members:
+        if not 0 <= i < len(lat):
+            raise ValueError(f"node index {i} is outside 0..{len(lat) - 1}")
     return SublatticeSelection(lat, "custom", members)
 
 

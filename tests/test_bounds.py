@@ -474,45 +474,53 @@ def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
     assert set(pair_calls.values()) == {1}
 
 
-@pytest.mark.parametrize("spec", ["D4xS3", "S4xC3", "S5", "S4xS3"])
-def test_bound_driver_reroots_only_non_subnormal_non_nilpotent_reps(spec, monkeypatch):
-    """N's shape is read off its node group, so no normal N is re-rooted;
-    sn(H^g) = sn(H)^g, so the only nodes re-rooted are class
-    representatives that are neither subnormal nor nilpotent."""
+@pytest.mark.parametrize("spec", ["S5", "S4xS3", "S6"])
+def test_bound_driver_builds_no_child_lattice_and_only_representative_rows(
+        spec, monkeypatch):
+    """sn(X) comes from subnormal chains on the parent and the pair counts
+    inside X from class-wise double counting, so the driver re-roots no
+    node and reads no permutability row outside the class representatives."""
     chi_calls, rerooted_calls = [], []
-    real_chi, real_reroot = L.SubgroupLattice.chi_rows, L.SubgroupLattice.rerooted
+    real_chi = L.SubgroupLattice.chi_rows
 
     def chi_rows(self):
         chi_calls.append(self)
         return real_chi(self)
 
-    def rerooted(self, i):
-        rerooted_calls.append((self, i))
-        return real_reroot(self, i)
-
     monkeypatch.setattr(L.SubgroupLattice, "chi_rows", chi_rows)
-    monkeypatch.setattr(L.SubgroupLattice, "rerooted", rerooted)
+    monkeypatch.setattr(L.SubgroupLattice, "rerooted",
+                        lambda self, i: rerooted_calls.append(i))
     lat = lat_of(spec)
-    g = lat.group
     for conv in L.CONVENTIONS:
         for reading in ("strict", "relaxed"):
             B.bound_results(lat, "all", conv, reading)
     assert chi_calls and all(c is lat for c in chi_calls)
-    # only the parent re-roots, each node at most once
-    assert all(owner is lat for owner, _ in rerooted_calls)
-    rerooted = [i for _, i in rerooted_calls]
-    assert len(set(rerooted)) == len(rerooted)
-    assert not set(rerooted) & set(L.normal_subgroups(lat).members)
-    sn_g = L.subnormal_subgroups(lat)
-    needing_sn = {i for i in range(len(lat)) if i not in sn_g
-                  and not G.subgroup_group(g, lat.masks[i]).is_nilpotent}
-    assert all(lat.class_of[i] == i for i in rerooted)
-    assert set(rerooted) <= needing_sn
-    if spec == "D4xS3":
-        # every subgroup of D4xS3 outside sn(G) is nilpotent
-        assert rerooted == [] and needing_sn == set()
-    else:
-        assert rerooted and len(needing_sn) > len(rerooted)
+    assert rerooted_calls == []
+    assert lat.chi_rows().built == sum(1 << r for r in lat.class_masks)
+
+
+def row_pair_count(lat, s, t):
+    """Test-local oracle: permuting pairs in s x t read off the row of
+    every member of s."""
+    rows = lat.chi_rows()
+    return sum((rows[i] & t).bit_count() for i in G._bits(s))
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xS3", "S6"])
+def test_classwise_inside_counts_match_row_counts(spec):
+    lat = lat_of(spec)
+    reps = list(lat.class_masks)
+    counts = {(r, conv): (B.node_all_pairs(lat, r),
+                          B.node_restricted_pairs(lat, r, conv) if r else None)
+              for r in reps for conv in L.CONVENTIONS}
+    # the class-wise counts read no row outside the representatives
+    assert lat.chi_rows().built == sum(1 << r for r in reps)
+    for (r, conv), (all_pairs, restricted) in counts.items():
+        below = lat.down_masks[r]
+        assert all_pairs == row_pair_count(lat, below, below), r
+        if r:
+            assert restricted == row_pair_count(
+                lat, B.node_subnormal(lat, r), B.node_maximal(lat, r, conv)), (r, conv)
 
 
 @pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xC3", "S4xS3"])
@@ -538,9 +546,7 @@ ORACLE_SPECS = list(CATALOG_SPECS) + ["D4xS3", "S4xC2", "Q8xS3"]
 @pytest.mark.parametrize("spec", ORACLE_SPECS + ["S4xS3", "S5xC2", "S6"])
 def test_lattice_read_node_values_match_rerooted_child(spec):
     lat = lat_of(spec)
-    g = lat.group
-    # nilpotency and the pair counts of every child are compared on the
-    # smaller groups only
+    # the pair counts of every child are compared on the smaller groups only
     counts = spec in ORACLE_SPECS
     for i in range(1, len(lat)):
         child_group, child = lat.rerooted(i)
@@ -552,7 +558,6 @@ def test_lattice_read_node_values_match_rerooted_child(spec):
         assert B.node_subnormal(lat, i) == lift(L.subnormal_subgroups(child))
         if not counts:
             continue
-        assert B.is_nilpotent_node(lat, i) is G.subgroup_group(g, lat.masks[i]).is_nilpotent
         assert B.node_all_pairs(lat, i) == D.all_pair_count(child)
         for conv in L.CONVENTIONS:
             assert B.node_maximal(lat, i, conv) == lift(L.maximal_subgroups(child, conv))

@@ -110,31 +110,16 @@ def test_custom_selection_against_all_falls_back_to_full_rows():
 
 
 @pytest.mark.parametrize("spec", ["S4", "S5"])
-def test_rows_do_not_depend_on_the_order_they_are_built_in(spec, monkeypatch):
-    """Each row reads the pairs decided by the rows built before it; any
-    order of first reads gives the same matrix, testing each pair once."""
+def test_rows_do_not_depend_on_the_order_they_are_built_in(spec):
+    """Any order of first reads gives the same matrix."""
     forward = list(lat_of(spec).chi_rows())
     lat = lat_of(spec)
-    normal = L.normal_subgroups(lat).members_mask
-    untested = sum((lat.all_nodes_mask & ~(lat.up_masks[i] | lat.down_masks[i]
-                                           | normal)).bit_count()
-                   for i in range(len(lat)) if not normal >> i & 1)
-    tested = []
-    real = L.PermutabilityRows._permuting
-
-    def permuting(self, i, rest):
-        tested.append(rest.bit_count())
-        return real(self, i, rest)
-
-    monkeypatch.setattr(L.PermutabilityRows, "_permuting", permuting)
     order = list(range(len(lat)))
     random.Random(spec).shuffle(order)
     rows = lat.chi_rows()
     shuffled = {i: rows[i] for i in order}
     assert [shuffled[i] for i in range(len(lat))] == forward
     assert rows == forward
-    # every incomparable pair of non-normal nodes was tested exactly once
-    assert 2 * sum(tested) == untested
 
 
 def check_d(g):

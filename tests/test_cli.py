@@ -452,3 +452,19 @@ class TestCache:
         assert code == 0
         assert "corrupt" in err
         assert out == fresh
+
+    def test_cache_with_no_nodes_recovers(self, capsys, tmp_path):
+        # an empty node list with node_count 0 and the digest recomputed used
+        # to crash the loader with an IndexError
+        cache = tmp_path / "cache"
+        _, fresh, _ = run_cli(capsys, "degrees", "--group", "S3",
+                              "--cache", str(cache), "--format", "json")
+        (entry,) = cache.iterdir()
+        payload = json.loads(entry.read_text())
+        payload.update(nodes=[], node_count=0, nodes_sha256=_nodes_digest([]))
+        entry.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "degrees", "--group", "S3",
+                                 "--cache", str(cache), "--format", "json")
+        assert code == 0
+        assert "corrupt" in err
+        assert out == fresh

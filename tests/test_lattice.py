@@ -480,6 +480,12 @@ class TestPerp:
         p_big = L.perp(lat, big).members_mask
         assert p_big & ~p_small == 0
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_custom_selection_rejects_out_of_range_index(self, bad):
+        lat = lat_of("S3")
+        with pytest.raises(ValueError, match=rf"{bad} is outside 0\.\.5"):
+            L.custom_selection(lat, [0, bad])
+
     def test_perp_contains_bounds(self):
         for spec in ["S3", "A4", "S4", "D6"]:
             lat = lat_of(spec)
