@@ -60,11 +60,9 @@ from .degrees import (
     check_extremal_spd,
     check_multiplicativity,
     check_restricted_degree_inequality,
-    chi,
     element_commutativity_degree,
     generalized_degree,
     permutes,
-    permutes_subgroup_criterion,
     permuting_pair_count,
     sd,
     spd,

@@ -16,12 +16,13 @@ instances each claim visits; the CLI and the sweeps both call it. Every
 value an instance needs is read off the parent lattice once per node and
 kept in the lattice's memo, so an (N, H) instance does only lookups:
 
-* L(X) is the interval [1, X] and M(X) the lower covers of X (plus their
-  meet and X when closed); sn(X) is sn(G) n [1, X] plus, for a class
-  representative X, the Y <= X whose normal-closure chain in X reaches Y,
-  and sn(X)^g for X^g;
-* pair counts inside X are read off the representative rows by double
-  counting over X's class, since XY = YX does not depend on the ambient group;
+* L(X) is the interval [1, X], so sn(X), M(X) and the pair counts inside X
+  are the ones G's degrees read at the top node
+  (:func:`permlat.lattice.node_subnormal`,
+  :func:`permlat.lattice.node_maximal`,
+  :func:`permlat.degrees.node_all_pairs`,
+  :func:`permlat.degrees.node_restricted_pairs`), since XY = YX does not
+  depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
@@ -49,13 +50,15 @@ from .groups import FiniteGroup, _bits, is_prime, prime_signature, subgroup_grou
 from .lattice import (
     RAW,
     SubgroupLattice,
-    _is_subnormal_node,
-    cover_table,
+    closed_maximal,
     maximal_subgroups,
+    node_maximal,
+    node_subnormal,
     normal_subgroups,
     subnormal_subgroups,
 )
-from .degrees import mask_pair_count, restricted_pair_count, sd, spd
+from .degrees import (mask_pair_count, node_all_pairs, node_restricted_pairs,
+                      restricted_pair_count, sd, spd)
 
 
 @dataclass(frozen=True)
@@ -238,17 +241,10 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     return nm.bit_count() * hm.bit_count() == lat.group.order * (nm & hm).bit_count()
 
 
-def _memo(lat: SubgroupLattice, key, compute):
-    hit = lat._memo.get(key)
-    if hit is None:
-        hit = lat._memo[key] = compute()
-    return hit
-
-
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
     """Nodes H with NH = G, listed once per N in the lattice's memo."""
-    return _memo(lat, ("partners", n_idx),
-                 lambda: [h for h in range(len(lat)) if factorizes(lat, n_idx, h)])
+    return lat.memo(("partners", n_idx),
+                    lambda: [h for h in range(len(lat)) if factorizes(lat, n_idx, h)])
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
@@ -259,8 +255,9 @@ def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
 
 # -- per-node values read off the parent lattice ------------------------------
 #
-# Selections of a node X are masks over the parent's node indices, so they
-# can be compared with sn(G) and M(G) and counted against the parent's rows.
+# Selections of a node X are masks over the parent's node indices
+# (permlat.lattice.node_subnormal, node_maximal), so they can be compared
+# with sn(G) and M(G) and counted against the parent's rows.
 
 def _prime_power_part(n: int, p: int) -> int:
     part = 1
@@ -273,92 +270,8 @@ def _prime_power_part(n: int, p: int) -> int:
 def node_group(lat: SubgroupLattice, idx: int) -> FiniteGroup:
     """Node ``idx`` as a standalone group, once per node: what the checkers
     read N's shape off, without building its subgroup lattice."""
-    return _memo(lat, ("group-of", idx),
-                 lambda: subgroup_group(lat.group, lat.masks[idx]))
-
-
-def _maximal_under(lat: SubgroupLattice, covers: int, top: int,
-                   convention: str) -> int:
-    """M of the interval whose coatoms are ``covers`` and whose top is
-    ``top``: the coatoms, plus their meet and ``top`` when closed."""
-    if convention == RAW:
-        return covers
-    below = lat.down_masks[top]
-    for c in _bits(covers):
-        below &= lat.down_masks[c]
-    return covers | 1 << (below.bit_length() - 1) | 1 << top
-
-
-def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:
-    """M(X) of a nontrivial node X as a parent node mask: its lower covers."""
-    return _maximal_under(lat, cover_table(lat)[1][idx], idx, convention)
-
-
-def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
-    """sn(X) as a parent node mask. For Y <= X, a subnormal chain of Y in G
-    meets X in one of Y in X, so sn(G) n [1, X] lies in sn(X), with equality
-    when X is itself subnormal in G. For a class representative R outside
-    sn(G), each other Y <= R is tested by its normal-closure chain inside R
-    (:func:`permlat.lattice._is_subnormal_node` from R). Any other
-    X = R^g has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
-    lattice (:meth:`SubgroupLattice.conjugates`)."""
-    def compute():
-        sn_g = subnormal_subgroups(lat)
-        below = lat.down_masks[idx]
-        if idx in sn_g:
-            return sn_g.members_mask & below
-        rep = lat.class_of[idx]
-        if rep != idx:
-            x = lat.conjugators[idx]
-            out = 0
-            for j in _bits(node_subnormal(lat, rep)):
-                out |= 1 << lat.conjugates(j, (x,))[0]
-            return out
-        out = sn_g.members_mask & below
-        for y in _bits(below & ~out):
-            if _is_subnormal_node(lat, y, idx):
-                out |= 1 << y
-        return out
-    return _memo(lat, ("sn-of", idx), compute)
-
-
-def _inside_count(lat: SubgroupLattice, idx: int, s_of, t_of) -> int:
-    """Permuting ordered pairs in s(X) x t(X) for node X, from the rows of
-    class representatives only. s and t map a node to a node mask, with
-    s(X^g) = s(X)^g and t(X^g) = t(X)^g for every g in G.
-
-    Conjugation by g is a lattice automorphism that keeps permutability, so
-    every X' in cls X has count_X' = count_X, and |cls X| count_X is the sum
-    of |row(A) & t(X')| over the pairs (A, X') with X' in cls X and A in
-    s(X'). For A = R^h in the class C of R, X' -> X'^(h⁻¹) maps the X' with
-    A in s(X') onto those with R in s(X') and keeps the summand, since
-    row(A)^(h⁻¹) = row(R). So each of the |C| members of C adds what R does:
-    |cls X| count_X = sum over X' in cls X of sum over representatives R in
-    s(X') of |cls R| |row(R) & t(X')|."""
-    rows, classes = lat.chi_rows(), lat.class_masks
-    reps = _memo(lat, "reps", lambda: sum(1 << r for r in classes))
-    members = classes[lat.class_of[idx]]
-    total = sum(classes[r].bit_count() * (rows[r] & t_of(x)).bit_count()
-                for x in _bits(members) for r in _bits(s_of(x) & reps))
-    return total // members.bit_count()
-
-
-def node_all_pairs(lat: SubgroupLattice, idx: int) -> int:
-    """Permuting ordered pairs of L(X), the all-pairs count of node X,
-    counted once per class of X from representative rows."""
-    below = lat.down_masks.__getitem__
-    return _memo(lat, ("pairs-all-of", lat.class_of[idx]),
-                 lambda: _inside_count(lat, idx, below, below))
-
-
-def node_restricted_pairs(lat: SubgroupLattice, idx: int,
-                          convention: str = RAW) -> int:
-    """Permuting pairs in sn(X) x M(X) for a nontrivial node X, counted
-    once per class of X from representative rows."""
-    return _memo(lat, ("pairs-of", lat.class_of[idx], convention),
-                 lambda: _inside_count(
-                     lat, idx, lambda x: node_subnormal(lat, x),
-                     lambda x: node_maximal(lat, x, convention)))
+    return lat.memo(("group-of", idx),
+                    lambda: subgroup_group(lat.group, lat.masks[idx]))
 
 
 def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
@@ -370,8 +283,9 @@ def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
     class-wise."""
     above = lat.up_masks[n_idx]
     sn = subnormal_subgroups(lat).members_mask & above
-    mx = _maximal_under(lat, cover_table(lat)[1][lat.top] & above, lat.top,
-                        convention)
+    mx = node_maximal(lat, lat.top) & above
+    if convention != RAW:
+        mx = closed_maximal(lat, mx, lat.top)
     return mask_pair_count(lat, sn, mx)
 
 
@@ -402,7 +316,7 @@ def _half_verdict(lat: SubgroupLattice, idx: int,
                   convention: str) -> tuple[Optional[int], Optional[int]]:
     """Orders of the violators of sn(X) in sn(G) and of M(X) in M(G) for
     node X, each the violator with the smallest element mask, or None."""
-    return _memo(lat, ("half", idx, convention), lambda: (
+    return lat.memo(("half", idx, convention), lambda: (
         _violator(lat, node_subnormal(lat, idx),
                   subnormal_subgroups(lat).members_mask),
         _violator(lat, node_maximal(lat, idx, convention),
@@ -426,8 +340,8 @@ def _h_profile(lat: SubgroupLattice, n_idx: int, h_idx: int,
         return order, split
     if order == 1 or lat.node_order(n_idx) == 1:
         return order, split, node_all_pairs(lat, h_idx)
-    return _memo(lat, ("h-profile", h_idx, convention),
-                 lambda: _factor_profile(lat, h_idx, convention))
+    return lat.memo(("h-profile", h_idx, convention),
+                    lambda: _factor_profile(lat, h_idx, convention))
 
 
 def _factor_profile(lat: SubgroupLattice, h_idx: int, convention: str) -> tuple:
@@ -659,7 +573,7 @@ def fitting_node(lat: SubgroupLattice) -> int:
                        if _prime_power_part(lat.node_order(n), p) == lat.node_order(n))
             fit = lat.join(fit, core)
         return fit
-    return _memo(lat, "fitting", compute)
+    return lat.memo("fitting", compute)
 
 
 @dataclass(frozen=True)
@@ -690,7 +604,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     reasons = []
     if not g.is_solvable:
         reasons.append("group is not solvable")
-    c_mask = _memo(lat, "fit-centralizer", lambda: g.centralizer_of_set_mask(
+    c_mask = lat.memo("fit-centralizer", lambda: g.centralizer_of_set_mask(
         lat.masks[fitting_node(lat)]))
     c_idx = lat.index_of[c_mask]
     allow_rank1 = reading == "relaxed"
@@ -751,7 +665,8 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     def hs(n_idx: int, partners) -> list[int]:
         return [h_node] if h_node is not None else partners(lat, n_idx)
 
-    labels = _memo(lat, "labels", lambda: [_node_str(lat, i) for i in range(len(lat))])
+    labels = lat.memo("labels",
+                      lambda: [_node_str(lat, i) for i in range(len(lat))])
 
     def decide(key, every: bool, partners, check):
         # check(n, h) runs once per (N, profile of H); every (N, H) gets a
@@ -759,9 +674,9 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
         # are numbered per (N, convention), and each claim keeps its
         # decisions per N by profile number
         for n in ns(every):
-            profile_id, numbering = _memo(lat, ("profiles", n, convention),
-                                          lambda: ({}, {}))
-            decided = _memo(lat, ("decided", key, n, convention), dict)
+            profile_id, numbering = lat.memo(("profiles", n, convention),
+                                             lambda: ({}, {}))
+            decided = lat.memo(("decided", key, n, convention), dict)
             for h in hs(n, partners):
                 pid = profile_id.get(h)
                 if pid is None:

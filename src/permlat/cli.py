@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -52,48 +51,13 @@ from .moebius import conjectured_mu_symmetric, moebius_table, predicted_mu_symme
 from .verify import run_verification
 
 
-@dataclass
-class RunConfig:
-    group_spec: Optional[str]
-    input_path: Optional[str]
-    convention: str
-    format: str
-    max_order: int
-    cache_dir: Optional[str]
-    stretch: bool
-    theorem1_reading: str
-
-    def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError("--max-order must be >= 1")
-        if self.convention not in ("raw", "closed"):
-            raise ValueError("--convention must be raw or closed")
-        if self.format not in ("table", "json", "csv"):
-            raise ValueError("--format must be table, json or csv")
-        if self.theorem1_reading not in ("strict", "relaxed"):
-            raise ValueError("--theorem1-reading must be strict or relaxed")
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        group_spec=getattr(args, "group", None),
-        input_path=getattr(args, "input", None),
-        convention=args.convention,
-        format=args.format,
-        max_order=args.max_order,
-        cache_dir=args.cache,
-        stretch=args.stretch,
-        theorem1_reading=args.theorem1_reading,
-    )
-
-
-def _resolve_group(config: RunConfig) -> FiniteGroup:
-    if config.group_spec and config.input_path:
+def _resolve_group(args: argparse.Namespace) -> FiniteGroup:
+    if args.group and args.input:
         raise GroupSpecError("give either --group or --input, not both")
-    if config.group_spec:
-        return make_named(config.group_spec, max_order=config.max_order)
-    if config.input_path:
-        return load_group_file(config.input_path, max_order=config.max_order)
+    if args.group:
+        return make_named(args.group, max_order=args.max_order)
+    if args.input:
+        return load_group_file(args.input, max_order=args.max_order)
     raise GroupSpecError("a group is required: use --group or --input")
 
 
@@ -137,8 +101,8 @@ def emit_kv_table(pairs: list[tuple[str, str]]) -> None:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_info(config: RunConfig) -> int:
-    g = _resolve_group(config)
+def cmd_info(args: argparse.Namespace) -> int:
+    g = _resolve_group(args)
     preds = structural_predicates(g)
     fit = fitting_subgroup(g)
     cent = centralizer_of_set(g, fit)
@@ -155,7 +119,7 @@ def cmd_info(config: RunConfig) -> int:
         ("centralizer of fitting order", str(len(cent))),
         ("index of that centralizer", str(g.order // len(cent))),
     ]
-    if config.format == "json":
+    if args.format == "json":
         emit_json({
             "group": g.name,
             "order": g.order,
@@ -169,7 +133,7 @@ def cmd_info(config: RunConfig) -> int:
             "centralizer_of_fitting_order": len(cent),
             "centralizer_index": g.order // len(cent),
         })
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv([k for k, _ in pairs], [[v for _, v in pairs]])
     else:
         emit_kv_table(pairs)
@@ -186,10 +150,10 @@ def _node_flags(lat: SubgroupLattice, convention: str):
     return normal, subnormal, sylow, maximal
 
 
-def cmd_lattice(config: RunConfig) -> int:
-    g = _resolve_group(config)
-    lat = cache_mod.cached_lattice(config.cache_dir, g)
-    normal, subnormal, sylow, maximal = _node_flags(lat, config.convention)
+def cmd_lattice(args: argparse.Namespace) -> int:
+    g = _resolve_group(args)
+    lat = cache_mod.cached_lattice(args.cache, g)
+    normal, subnormal, sylow, maximal = _node_flags(lat, args.convention)
     pall = perp(lat, all_subgroups(lat))
     diagnostics = {
         "modular": is_modular_lattice(lat),
@@ -208,16 +172,16 @@ def cmd_lattice(config: RunConfig) -> int:
             "maximal": bool(maximal >> i & 1),
             "sylow": bool(sylow >> i & 1),
         })
-    if config.format == "json":
+    if args.format == "json":
         emit_json({
             "group": g.name,
             "order": g.order,
-            "convention": config.convention,
+            "convention": args.convention,
             "node_count": len(lat),
             "diagnostics": diagnostics,
             "nodes": rows,
         })
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv(
             ["index", "order", "normal", "subnormal", "maximal", "sylow"],
             [[str(r["index"]), str(r["order"]), str(r["normal"]).lower(),
@@ -225,7 +189,7 @@ def cmd_lattice(config: RunConfig) -> int:
               str(r["sylow"]).lower()] for r in rows],
         )
     else:
-        print(f"{g.name}: {len(lat)} subgroups (convention {config.convention})")
+        print(f"{g.name}: {len(lat)} subgroups (convention {args.convention})")
         for key, value in diagnostics.items():
             print(f"  {key}: {str(value).lower()}")
         print(f"{'idx':>4} {'order':>6}  flags")
@@ -300,13 +264,13 @@ def _print_report_table(report: DegreeReport) -> None:
     ])
 
 
-def cmd_degrees(config: RunConfig) -> int:
-    g = _resolve_group(config)
-    lat = cache_mod.cached_lattice(config.cache_dir, g)
-    report = build_degree_report(lat, config.convention)
-    if config.format == "json":
+def cmd_degrees(args: argparse.Namespace) -> int:
+    g = _resolve_group(args)
+    lat = cache_mod.cached_lattice(args.cache, g)
+    report = build_degree_report(lat, args.convention)
+    if args.format == "json":
         emit_json(_report_json(report))
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv(_REPORT_CSV_HEADER, [_report_csv_row(report)])
     else:
         _print_report_table(report)
@@ -327,18 +291,17 @@ def _bound_json(res: BoundCheckResult) -> dict:
     }
 
 
-def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
-               h_node: Optional[int]) -> int:
-    g = _resolve_group(config)
-    lat = cache_mod.cached_lattice(config.cache_dir, g)
-    for idx in (n_node, h_node):
+def cmd_bounds(args: argparse.Namespace) -> int:
+    g = _resolve_group(args)
+    lat = cache_mod.cached_lattice(args.cache, g)
+    for idx in (args.n_node, args.h_node):
         if idx is not None and not 0 <= idx < len(lat):
             raise GroupSpecError(f"node index {idx} out of range (0..{len(lat) - 1})")
-    results = bound_results(lat, claim, config.convention,
-                            config.theorem1_reading, n_node, h_node)
-    if config.format == "json":
+    results = bound_results(lat, args.claim, args.convention,
+                            args.theorem1_reading, args.n_node, args.h_node)
+    if args.format == "json":
         emit_json({"group": g.name, "results": [_bound_json(r) for r in results]})
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv(
             ["claim", "hypothesis_satisfied", "bound", "actual", "holds",
              "slack", "convention", "n", "h"],
@@ -367,9 +330,9 @@ def cmd_bounds(config: RunConfig, claim: str, n_node: Optional[int],
     return 1 if failed else 0
 
 
-def cmd_moebius(config: RunConfig) -> int:
-    g = _resolve_group(config)
-    lat = cache_mod.cached_lattice(config.cache_dir, g)
+def cmd_moebius(args: argparse.Namespace) -> int:
+    g = _resolve_group(args)
+    lat = cache_mod.cached_lattice(args.cache, g)
     mu = moebius_table(lat).bottom_value
     match = re.fullmatch(r"S(\d+)", g.name)
     predicted = predicted_mu_symmetric(int(match.group(1))) if match else None
@@ -384,9 +347,9 @@ def cmd_moebius(config: RunConfig) -> int:
         "agrees": agrees,
         "conjectured": frac_json(conjectured),
     }
-    if config.format == "json":
+    if args.format == "json":
         emit_json(row)
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv(["group", "lattice_size", "mu_bottom", "predicted", "agrees",
                   "conjectured"],
                  [[g.name, str(len(lat)), str(mu),
@@ -405,14 +368,14 @@ def cmd_moebius(config: RunConfig) -> int:
     return 0
 
 
-def cmd_batch(config: RunConfig) -> int:
+def cmd_batch(args: argparse.Namespace) -> int:
     reports = []
-    for g in catalog_groups(max_order=config.max_order):
-        lat = cache_mod.cached_lattice(config.cache_dir, g)
-        reports.append(build_degree_report(lat, config.convention))
-    if config.format == "json":
+    for g in catalog_groups(max_order=args.max_order):
+        lat = cache_mod.cached_lattice(args.cache, g)
+        reports.append(build_degree_report(lat, args.convention))
+    if args.format == "json":
         emit_json([_report_json(r) for r in reports])
-    elif config.format == "csv":
+    elif args.format == "csv":
         emit_csv(_REPORT_CSV_HEADER, [_report_csv_row(r) for r in reports])
     else:
         print(f"{'group':<10} {'order':>5} {'|L|':>5} {'sd':>10} {'spd':>10} {'d':>8}")
@@ -423,10 +386,10 @@ def cmd_batch(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_paper(config: RunConfig) -> int:
-    run = run_verification(max_order=config.max_order, stretch=config.stretch,
-                           cache_dir=config.cache_dir)
-    if config.format == "json":
+def cmd_verify_paper(args: argparse.Namespace) -> int:
+    run = run_verification(max_order=args.max_order, stretch=args.stretch,
+                           cache_dir=args.cache)
+    if args.format == "json":
         emit_json([
             {"name": o.name, "status": o.status, "detail": o.detail,
              "elapsed_seconds": format(o.elapsed, ".3f")}
@@ -492,32 +455,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "info": cmd_info,
+    "lattice": cmd_lattice,
+    "degrees": cmd_degrees,
+    "bounds": cmd_bounds,
+    "moebius": cmd_moebius,
+    "batch": cmd_batch,
+    "verify-paper": cmd_verify_paper,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "info":
-            return cmd_info(config)
-        if args.command == "lattice":
-            return cmd_lattice(config)
-        if args.command == "degrees":
-            return cmd_degrees(config)
-        if args.command == "bounds":
-            return cmd_bounds(config, args.claim, args.n_node, args.h_node)
-        if args.command == "moebius":
-            return cmd_moebius(config)
-        if args.command == "batch":
-            return cmd_batch(config)
-        if args.command == "verify-paper":
-            return cmd_verify_paper(config)
-        parser.error(f"unknown command {args.command}")
+        if args.max_order < 1:
+            raise ValueError("--max-order must be >= 1")
+        return COMMANDS[args.command](args)
     except (GroupSpecError, OrderCapError, LatticeCapError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

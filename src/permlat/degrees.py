@@ -6,9 +6,12 @@ inequalities, so nothing here may round. Pairs are ordered pairs
 throughout; the permutability indicator is symmetric, which makes this
 equivalent to unordered counting, but the code commits to ordered.
 
-Alongside the optimized bitmask path every degree has a naive oracle that
-walks raw element sets with Python set arithmetic (``*_naive``); the two
-paths share nothing but the node list.
+A pair count over unions of conjugacy classes, of G or inside a node X, is
+one class-wise count (:func:`inside_count`). The lattice of X is the
+interval [1, X], so G's counts are the counts at the top node, and the bound
+checkers read the same function at every other node. Every degree also has
+a naive oracle (``*_naive``) that tests each pair by its two product sets
+(:func:`permutes`), sharing nothing with the order test but the node list.
 """
 from __future__ import annotations
 
@@ -28,7 +31,8 @@ from .lattice import (
     is_modular_lattice,
     is_quasihamiltonian,
     maximal_subgroups,
-    normal_subgroups,
+    node_maximal,
+    node_subnormal,
     perp,
     subnormal_subgroups,
 )
@@ -38,44 +42,63 @@ def permutes(g: FiniteGroup, x, y) -> bool:
     """Whether two subgroups permute: the product sets XY and YX coincide."""
     xm = x.mask if isinstance(x, ElementSet) else x
     ym = y.mask if isinstance(y, ElementSet) else y
-    return g.sets_permute(xm, ym)
+    return g.product_mask(xm, ym) == g.product_mask(ym, xm)
 
 
-def permutes_subgroup_criterion(g: FiniteGroup, x, y) -> bool:
-    """Cross-check route: XY = YX exactly when the product set is a subgroup.
+def inside_count(lat: SubgroupLattice, idx: int, s_of, t_of) -> int:
+    """Permuting ordered pairs in s(X) x t(X) for node X, from the rows of
+    class representatives only. s and t map a node to a node mask, with
+    s(X^g) = s(X)^g and t(X^g) = t(X)^g for every g in G; at the top node
+    this asks that s(G) and t(G) be unions of classes.
 
-    Also verifies the counting identity |XY| = |X||Y| / |X n Y|, which holds
-    for any pair of subgroups.
-    """
-    xm = x.mask if isinstance(x, ElementSet) else x
-    ym = y.mask if isinstance(y, ElementSet) else y
-    prod = g.product_mask(xm, ym)
-    expected = xm.bit_count() * ym.bit_count() // (xm & ym).bit_count()
-    if prod.bit_count() != expected:
-        raise AssertionError("product-set cardinality identity violated")
-    return g.is_subgroup_mask(prod)
+    Conjugation by g is a lattice automorphism that keeps permutability, so
+    every X' in cls X has count_X' = count_X, and |cls X| count_X is the sum
+    of |row(A) & t(X')| over the pairs (A, X') with X' in cls X and A in
+    s(X'). For A = R^h in the class C of R, X' -> X'^(h⁻¹) maps the X' with
+    A in s(X') onto those with R in s(X') and keeps the summand, since
+    row(A)^(h⁻¹) = row(R). So each of the |C| members of C adds what R does:
+    |cls X| count_X = sum over X' in cls X of sum over representatives R in
+    s(X') of |cls R| |row(R) & t(X')|."""
+    rows, classes = lat.chi_rows(), lat.class_masks
+    reps = lat.memo("reps", lambda: sum(1 << r for r in classes))
+    members = classes[lat.class_of[idx]]
+    total = 0
+    for x in _bits(members):
+        t = t_of(x)
+        total += sum(classes[r].bit_count() * (rows[r] & t).bit_count()
+                     for r in _bits(s_of(x) & reps))
+    return total // members.bit_count()
 
 
-def chi(g: FiniteGroup, x, y) -> int:
-    return 1 if permutes(g, x, y) else 0
+def node_all_pairs(lat: SubgroupLattice, idx: int) -> int:
+    """Permuting ordered pairs of L(X) = [1, X] for node X, counted once
+    per class of X; at the top node, the all-pairs count of G."""
+    def compute():
+        below = lat.down_masks.__getitem__
+        return inside_count(lat, idx, below, below)
+    return lat.memo(("pairs-all-of", lat.class_of[idx]), compute)
+
+
+def node_restricted_pairs(lat: SubgroupLattice, idx: int,
+                          convention: str = RAW) -> int:
+    """Permuting pairs in sn(X) x M(X) for a nontrivial node X, counted
+    once per class of X and convention; at the top node, G's count."""
+    return lat.memo(("pairs-of", lat.class_of[idx], convention),
+                    lambda: inside_count(
+                        lat, idx, lambda x: node_subnormal(lat, x),
+                        lambda x: node_maximal(lat, x, convention)))
 
 
 def mask_pair_count(lat: SubgroupLattice, s: int, t: int) -> int:
     """Number of ordered pairs (X, Y) in s x t with XY = YX, for node masks.
 
-    When both s and t are unions of conjugacy classes, the pairs are counted
-    once per class of s (orbit counting): conjugation by g maps the row of X
-    onto the row of X^g and fixes t, so every member of a class has as many
-    partners in t as its representative r, and the count is the sum of
-    |cls r| * |row(r) & t|. Any other pair of masks reads the row of every
-    member of s.
+    When both s and t are unions of conjugacy classes, this is the
+    class-wise count inside the top node (:func:`inside_count`). Any other
+    pair of masks reads the row of every member of s.
     """
+    if lat.class_reps(s) is not None and lat.class_reps(t) is not None:
+        return inside_count(lat, lat.top, lambda x: s, lambda x: t)
     rows = lat.chi_rows()
-    reps = lat.class_reps(s)
-    if reps is not None and lat.class_reps(t) is not None:
-        members = lat.class_masks
-        return sum(members[r].bit_count() * (rows[r] & t).bit_count()
-                   for r in reps)
     return sum((rows[i] & t).bit_count() for i in _bits(s))
 
 
@@ -85,24 +108,14 @@ def permuting_pair_count(lat: SubgroupLattice, s: SublatticeSelection,
     return mask_pair_count(lat, s.members_mask, t.members_mask)
 
 
-def _memo_pair_count(lat: SubgroupLattice, key: str, s: SublatticeSelection,
-                     t: SublatticeSelection) -> int:
-    count = lat._memo.get(key)
-    if count is None:
-        count = lat._memo[key] = permuting_pair_count(lat, s, t)
-    return count
-
-
 def all_pair_count(lat: SubgroupLattice) -> int:
-    """Permuting ordered pairs over all of L(G), counted once per lattice."""
-    a = all_subgroups(lat)
-    return _memo_pair_count(lat, "pairs-all", a, a)
+    """Permuting ordered pairs over all of L(G): the top node's count."""
+    return node_all_pairs(lat, lat.top)
 
 
 def restricted_pair_count(lat: SubgroupLattice, convention: str = RAW) -> int:
-    """Permuting pairs in sn(G) x M(G), counted once per lattice and convention."""
-    return _memo_pair_count(lat, f"pairs-{convention}", subnormal_subgroups(lat),
-                            maximal_subgroups(lat, convention))
+    """Permuting pairs in sn(G) x M(G): the top node's count."""
+    return node_restricted_pairs(lat, lat.top, convention)
 
 
 def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
@@ -144,24 +157,13 @@ def element_commutativity_degree(g: FiniteGroup) -> Fraction:
 
 # -- naive oracles ----------------------------------------------------------
 
-def _product_set(table, A: frozenset, B: frozenset) -> frozenset:
-    return frozenset(table[a][b] for a in A for b in B)
-
-
-def chi_naive(g: FiniteGroup, A: frozenset, B: frozenset) -> int:
-    t = g.table
-    return 1 if _product_set(t, A, B) == _product_set(t, B, A) else 0
-
-
 def degree_naive(lat: SubgroupLattice, s: SublatticeSelection,
                  t: SublatticeSelection) -> Fraction:
-    """Double loop over raw element sets; independent of the bitmask path."""
-    g = lat.group
-    sets = [frozenset(node.elements()) for node in lat.nodes]
-    count = 0
-    for i in s.members:
-        for j in t.members:
-            count += chi_naive(g, sets[i], sets[j])
+    """Double loop over node masks, each pair tested by its product sets
+    (:func:`permutes`); independent of the order test and the order masks."""
+    g, masks = lat.group, lat.masks
+    count = sum(permutes(g, masks[i], masks[j])
+                for i in s.members for j in t.members)
     return Fraction(count, len(s) * len(t))
 
 

@@ -102,7 +102,7 @@ class FiniteGroup:
     constructors produce associative tables by construction.
     """
 
-    def __init__(self, table, name: str, element_labels=None, _validate: bool = True):
+    def __init__(self, table, name: str, element_labels=None):
         self.table: tuple[tuple[int, ...], ...] = tuple(
             tuple(int(v) for v in row) for row in table
         )
@@ -113,8 +113,7 @@ class FiniteGroup:
         )
         if self.order < 1:
             raise GroupSpecError("empty multiplication table")
-        if _validate:
-            self._check_structure()
+        self._check_structure()
         inv = [0] * self.order
         for i, row in enumerate(self.table):
             try:
@@ -286,10 +285,6 @@ class FiniteGroup:
             for j in bl:
                 res |= 1 << row[j]
         return res
-
-    def sets_permute(self, am: int, bm: int) -> bool:
-        """Whether AB = BA as raw product sets (both sides computed)."""
-        return self.product_mask(am, bm) == self.product_mask(bm, am)
 
     def conjugate_mask(self, m: int, g: int) -> int:
         t = self.table

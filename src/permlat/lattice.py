@@ -33,9 +33,14 @@ its conjugates; the step H^G is the join of H's class, already known. No read
 of a built lattice conjugates an element mask or computes a closure; the
 mask-level class orbit is used only by :func:`enumerate_subgroups`, before
 there is a lattice. The normal, subnormal and maximal selections are built
-once per lattice, in the lattice's memo, which also holds the other
-per-lattice values the degrees and bounds read (the cover table, pair
-counts, and the per-node values of :mod:`permlat.bounds`).
+once per lattice, in the lattice's memo (:meth:`SubgroupLattice.memo`),
+which also holds the other per-lattice values the degrees and bounds read.
+
+The lattice of a node X is the interval [1, X], so each selection is defined
+once, for any node, and G's is the value at the top node: M(X) is the lower
+covers of X (:func:`node_maximal`, which :func:`maximal_subgroups` reads at
+the top) and sn(X) is read off sn(G) and normal-closure chains inside X
+(:func:`node_subnormal`).
 
 Meets, joins, permutability and modularity are all read off the node orders
 and the order masks ``up_masks``/``down_masks``; deciding them computes no
@@ -132,8 +137,7 @@ class SubgroupLattice:
         self.up_masks: tuple[int, ...] = tuple(up)
         self.node_gens: tuple[tuple[int, ...], ...] = tuple(node_gens)
         self._chi: Optional[PermutabilityRows] = None
-        # per-lattice values computed on demand: selections, the cover
-        # table, pair counts and per-node bound values
+        # per-lattice values computed on demand (:meth:`memo`)
         self._memo: dict = {}
 
     def __len__(self):
@@ -141,6 +145,14 @@ class SubgroupLattice:
 
     def __repr__(self):
         return f"SubgroupLattice({self.group.name}, nodes={len(self)})"
+
+    def memo(self, key, compute):
+        """The value kept under ``key``, from ``compute()`` on first read:
+        selections, pair counts and per-node values, once per lattice."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = compute()
+        return hit
 
     def node_order(self, i: int) -> int:
         return self.masks[i].bit_count()
@@ -254,8 +266,7 @@ class SubgroupLattice:
         permute. Its rows are built on demand (:class:`PermutabilityRows`);
         the rows of class representatives, which every count over unions of
         classes reads, are built here. The product-set definition is kept as
-        the oracle (:func:`permlat.degrees.permutes`,
-        :func:`permlat.degrees.chi_naive`).
+        the oracle (:func:`permlat.degrees.permutes`).
         """
         if self._chi is None:
             self._chi = PermutabilityRows(self)
@@ -289,10 +300,9 @@ class PermutabilityRows(Sequence):
     and so does a normal node N with every node (NY = YN): neither is
     tested, and a normal node's row is full; every other pair is tested.
 
-    The row of X^g is the row of X conjugated by g, so the degrees, perp and
-    the bound checkers' counts inside a node read the rows of class
-    representatives only (:func:`permlat.degrees.mask_pair_count`,
-    :func:`perp`, :func:`permlat.bounds.node_all_pairs`). Those rows are
+    The row of X^g is the row of X conjugated by g, so the pair counts of G
+    and inside any node, and perp, read the rows of class representatives
+    only (:func:`permlat.degrees.inside_count`, :func:`perp`). Those rows are
     built with the matrix; ``built`` is the node mask of the rows built, and
     only custom selections build others.
     """
@@ -312,12 +322,6 @@ class PermutabilityRows(Sequence):
     def __getitem__(self, i: int) -> int:
         row = self._rows[i]
         return self._build(i % len(self._rows)) if row is None else row
-
-    def __eq__(self, other) -> bool:
-        """Equal to any sequence of the same rows; builds every row."""
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
     def _build(self, i: int) -> int:
         lat = self._lat
@@ -617,31 +621,90 @@ def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     return sel
 
 
-def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> SublatticeSelection:
-    """Maximal subgroups, as a raw node set or closed under the lattice bounds.
+def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
+    """sn(X) of node X as a node mask, once per node. For Y <= X, a
+    subnormal chain of Y in G meets X in one of Y in X, so sn(G) n [1, X]
+    lies in sn(X), with equality when X is itself subnormal in G. For a
+    class representative R outside sn(G), each other Y <= R is tested by its
+    normal-closure chain inside R (:func:`_is_subnormal_node` from R). Any
+    other X = R^g has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
+    lattice (:meth:`SubgroupLattice.conjugates`)."""
+    def compute():
+        sn_g = subnormal_subgroups(lat)
+        below = lat.down_masks[idx]
+        if idx in sn_g:
+            return sn_g.members_mask & below
+        rep = lat.class_of[idx]
+        if rep != idx:
+            x = lat.conjugators[idx]
+            out = 0
+            for j in _bits(node_subnormal(lat, rep)):
+                out |= 1 << lat.conjugates(j, (x,))[0]
+            return out
+        out = sn_g.members_mask & below
+        for y in _bits(below & ~out):
+            if _is_subnormal_node(lat, y, idx):
+                out |= 1 << y
+        return out
+    return lat.memo(("sn-of", idx), compute)
 
-    raw: nodes maximal among proper subgroups. closed: the raw set plus the
-    meet of all raw members and the top, recorded via ``bounds_included``.
-    """
+
+def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:
+    """M(X) of node X as a node mask, once per node and convention: the
+    lower covers of X, plus their meet and X when closed
+    (:func:`closed_maximal`).
+
+    Strict inclusion raises the order, and nodes are sorted by order. So
+    below the top, the highest node left in [1, X) is a lower cover of X:
+    a node strictly between it and X would be higher, and is cleared only
+    with the down mask of a cover above it, which clears it too. Clearing
+    the down mask of each cover found leaves the next. At the top no down
+    mask is read: the lowest bit of ``up_masks[i]`` is i itself, so node i
+    is a cover of G exactly when the rest of its up mask is G alone."""
+    _check_convention(convention)
+
+    def compute():
+        if convention != RAW:
+            return closed_maximal(lat, node_maximal(lat, idx), idx)
+        covers = 0
+        if idx == lat.top:
+            top_bit = 1 << idx
+            for i, above in enumerate(lat.up_masks[:idx]):
+                if above & (above - 1) == top_bit:
+                    covers |= 1 << i
+            return covers
+        down = lat.down_masks
+        rest = down[idx] ^ 1 << idx
+        while rest:
+            c = rest.bit_length() - 1
+            covers |= 1 << c
+            rest &= ~down[c]
+        return covers
+    return lat.memo(("maximal-of", idx, convention), compute)
+
+
+def closed_maximal(lat: SubgroupLattice, covers: int, top: int) -> int:
+    """The closed convention of a set of lower covers of node ``top``: the
+    covers with their meet and ``top`` added. The meet is the intersection
+    of the covers' element masks, so no down mask is read."""
+    meet = lat.masks[top]
+    for c in _bits(covers):
+        meet &= lat.masks[c]
+    return covers | 1 << lat.index_of[meet] | 1 << top
+
+
+def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> SublatticeSelection:
+    """Maximal subgroups: M(X) of the top node (:func:`node_maximal`) as a
+    selection, raw or closed under the lattice bounds; a closed selection
+    records the added meet and top via ``bounds_included``."""
     _check_convention(convention)
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
     kind = f"maximal-{convention}"
     sel = lat._memo.get(kind)
     if sel is None:
-        top_bit = 1 << lat.top
-        raw = [i for i in range(len(lat) - 1)
-               if lat.up_masks[i] & ~(1 << i) & ~top_bit == 0]
-        if convention == RAW:
-            sel = SublatticeSelection(lat, kind, raw)
-        else:
-            meet_all = lat.masks[lat.top]
-            for i in raw:
-                meet_all &= lat.masks[i]
-            members = set(raw)
-            members.add(lat.index_of[meet_all])
-            members.add(lat.top)
-            sel = SublatticeSelection(lat, kind, members, bounds_included=True)
+        sel = SublatticeSelection(lat, kind, _bits(node_maximal(lat, lat.top, convention)),
+                                  bounds_included=convention != RAW)
         lat._memo[kind] = sel
     return sel
 
@@ -686,27 +749,23 @@ def custom_selection(lat: SubgroupLattice, members: Iterable[int]) -> Sublattice
 
 def cover_table(lat: SubgroupLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(upper, lower): bit j of ``upper[i]`` set iff node j covers node i,
-    and bit j of ``lower[i]`` set iff node i covers node j. Built once per
-    lattice, in its memo."""
-    hit = lat._memo.get("covers")
-    if hit is None:
-        up = lat.up_masks
-        up_cov = []
-        for i, above in enumerate(up):
-            rest = above ^ (1 << i)
-            cov = 0
-            while rest:
-                # the lowest remaining node is minimal above i: a cover
-                low = rest & -rest
-                cov |= low
-                rest &= ~up[low.bit_length() - 1]
-            up_cov.append(cov)
-        down_cov = [0] * len(lat)
-        for i, cov in enumerate(up_cov):
-            for j in _bits(cov):
-                down_cov[j] |= 1 << i
-        hit = lat._memo["covers"] = (tuple(up_cov), tuple(down_cov))
-    return hit
+    and bit j of ``lower[i]`` set iff node i covers node j."""
+    up = lat.up_masks
+    up_cov = []
+    for i, above in enumerate(up):
+        rest = above ^ (1 << i)
+        cov = 0
+        while rest:
+            # the lowest remaining node is minimal above i: a cover
+            low = rest & -rest
+            cov |= low
+            rest &= ~up[low.bit_length() - 1]
+        up_cov.append(cov)
+    down_cov = [0] * len(lat)
+    for i, cov in enumerate(up_cov):
+        for j in _bits(cov):
+            down_cov[j] |= 1 << i
+    return tuple(up_cov), tuple(down_cov)
 
 
 def is_modular_lattice(lat: SubgroupLattice) -> bool:

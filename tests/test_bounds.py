@@ -448,30 +448,38 @@ def test_factor_conditions_match_mask_set_oracle(spec):
 
 def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
     fitting_calls = []
-    pair_calls = collections.Counter()
+    count_calls = collections.Counter()
     counted = []  # keeps every counted lattice alive, so ids stay distinct
-    real_fitting, real_count = G.fitting_subgroup, D.permuting_pair_count
+    real_fitting, real_count = G.fitting_subgroup, D.inside_count
 
     def fitting(g):
         fitting_calls.append(g.name)
         return real_fitting(g)
 
-    def count(lat, s, t):
+    def count(lat, idx, s_of, t_of):
+        # a count is named by its lattice, the class of its node and the
+        # two node masks it pairs at that node
         counted.append(lat)
-        pair_calls[id(lat), s.kind, t.kind] += 1
-        return real_count(lat, s, t)
+        count_calls[id(lat), lat.class_of[idx], s_of(idx), t_of(idx)] += 1
+        return real_count(lat, idx, s_of, t_of)
 
     monkeypatch.setattr(G, "fitting_subgroup", fitting)
-    monkeypatch.setattr(D, "permuting_pair_count", count)
+    monkeypatch.setattr(D, "inside_count", count)
     lat = lat_of("D4xS3")
     results = B.bound_results(lat, "all", "raw", "strict")
     assert {r.claim for r in results} >= {"cauchy-sd", "lb3", "theorem1", "mu-bound"}
     # Fit(G) is read off the lattice, not assembled from closures
     assert fitting_calls == []
-    # child pair counts come from the parent's rows: only the parent counts
-    assert set(pair_calls) == {(id(lat), "all", "all"),
-                               (id(lat), "subnormal", "maximal-raw")}
-    assert set(pair_calls.values()) == {1}
+    # G's counts are the top node's, and every count, of G and of each
+    # node class, is computed once and only on the parent
+    assert {key[0] for key in count_calls} == {id(lat)}
+    assert set(count_calls.values()) == {1}
+    top, full = lat.top, lat.all_nodes_mask
+    sn_g = L.subnormal_subgroups(lat).members_mask
+    mx_g = L.maximal_subgroups(lat, "raw").members_mask
+    assert (id(lat), top, full, full) in count_calls
+    assert (id(lat), top, sn_g, mx_g) in count_calls
+    assert len({key[1] for key in count_calls}) > 1
 
 
 @pytest.mark.parametrize("spec", ["S5", "S4xS3", "S6"])
@@ -510,8 +518,8 @@ def row_pair_count(lat, s, t):
 def test_classwise_inside_counts_match_row_counts(spec):
     lat = lat_of(spec)
     reps = list(lat.class_masks)
-    counts = {(r, conv): (B.node_all_pairs(lat, r),
-                          B.node_restricted_pairs(lat, r, conv) if r else None)
+    counts = {(r, conv): (D.node_all_pairs(lat, r),
+                          D.node_restricted_pairs(lat, r, conv) if r else None)
               for r in reps for conv in L.CONVENTIONS}
     # the class-wise counts read no row outside the representatives
     assert lat.chi_rows().built == sum(1 << r for r in reps)
@@ -520,7 +528,7 @@ def test_classwise_inside_counts_match_row_counts(spec):
         assert all_pairs == row_pair_count(lat, below, below), r
         if r:
             assert restricted == row_pair_count(
-                lat, B.node_subnormal(lat, r), B.node_maximal(lat, r, conv)), (r, conv)
+                lat, L.node_subnormal(lat, r), L.node_maximal(lat, r, conv)), (r, conv)
 
 
 @pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xC3", "S4xS3"])
@@ -555,13 +563,13 @@ def test_lattice_read_node_values_match_rerooted_child(spec):
         def lift(sel):
             return sum(1 << below[j] for j in sel.members)
 
-        assert B.node_subnormal(lat, i) == lift(L.subnormal_subgroups(child))
+        assert L.node_subnormal(lat, i) == lift(L.subnormal_subgroups(child))
         if not counts:
             continue
-        assert B.node_all_pairs(lat, i) == D.all_pair_count(child)
+        assert D.node_all_pairs(lat, i) == D.all_pair_count(child)
         for conv in L.CONVENTIONS:
-            assert B.node_maximal(lat, i, conv) == lift(L.maximal_subgroups(child, conv))
-            assert (B.node_restricted_pairs(lat, i, conv)
+            assert L.node_maximal(lat, i, conv) == lift(L.maximal_subgroups(child, conv))
+            assert (D.node_restricted_pairs(lat, i, conv)
                     == D.restricted_pair_count(child, conv)), (i, conv)
 
 

@@ -119,7 +119,7 @@ def test_rows_do_not_depend_on_the_order_they_are_built_in(spec):
     rows = lat.chi_rows()
     shuffled = {i: rows[i] for i in order}
     assert [shuffled[i] for i in range(len(lat))] == forward
-    assert rows == forward
+    assert list(rows) == forward
 
 
 def check_d(g):

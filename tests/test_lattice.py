@@ -6,7 +6,6 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlat import bounds as B
 from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
@@ -335,7 +334,7 @@ class TestOrderRulesAgainstOracles:
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_chi_rows_match_product_sets(self, spec):
         lat = shared_lat(spec)
-        assert lat.chi_rows() == chi_rows_by_product_sets(lat)
+        assert list(lat.chi_rows()) == chi_rows_by_product_sets(lat)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_modularity_matches_modular_law(self, spec):
@@ -456,6 +455,47 @@ class TestClassInvariantSelections:
         assert L.maximal_subgroups(lat, "raw") is not L.maximal_subgroups(lat, "closed")
 
 
+def maximal_by_mask_inclusion(lat, x):
+    """Oracle for M(X), raw and closed, by element-mask inclusion alone: the
+    nodes Y < X with no node Z such that Y < Z < X; closed adds their meet,
+    the largest node inside each of them, and X."""
+    masks = lat.masks
+
+    def strictly_inside(a, b):
+        return masks[a] != masks[b] and masks[a] & ~masks[b] == 0
+
+    below = [y for y in range(len(lat)) if strictly_inside(y, x)]
+    covers = [y for y in below if not any(strictly_inside(y, z) for z in below)]
+    raw = sum(1 << y for y in covers)
+    common = [z for z in below + [x]
+              if all(masks[z] & ~masks[c] == 0 for c in covers)]
+    meet = max(common, key=lambda z: masks[z].bit_count())
+    return raw, raw | 1 << meet | 1 << x
+
+
+def assert_node_maximal_matches_mask_inclusion(lat):
+    for x in range(len(lat)):
+        raw, closed = maximal_by_mask_inclusion(lat, x)
+        assert L.node_maximal(lat, x, L.RAW) == raw, x
+        assert L.node_maximal(lat, x, L.CLOSED) == closed, x
+    if len(lat) > 1:
+        for conv in L.CONVENTIONS:
+            assert (L.maximal_subgroups(lat, conv).members_mask
+                    == L.node_maximal(lat, lat.top, conv))
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xS3"])
+def test_node_maximal_matches_mask_inclusion(spec):
+    assert_node_maximal_matches_mask_inclusion(lat_of(spec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(list(CATALOG_SPECS) + ["D4xS3"]), st.data())
+def test_relabelled_node_maximal_matches_mask_inclusion(spec, data):
+    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    assert_node_maximal_matches_mask_inclusion(L.enumerate_subgroups(g))
+
+
 class TestPerp:
     def test_perp_of_normal_is_everything(self):
         for spec in SMALL_SPECS + ["S4"]:
@@ -567,7 +607,7 @@ class TestRerooting:
             return conjugate_mask(self, m, y)
 
         subnormal = L.subnormal_subgroups(lat).members
-        sn_of = [B.node_subnormal(lat, i) for i in range(len(lat))]
+        sn_of = [L.node_subnormal(lat, i) for i in range(len(lat))]
         classes = (lat.class_of, lat.conjugators)
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
         monkeypatch.setattr(G.FiniteGroup, "conjugate_mask", counted_conjugation)
@@ -576,7 +616,7 @@ class TestRerooting:
         rebuilt = L.SubgroupLattice(group, list(lat.masks))
         assert (rebuilt.class_of, rebuilt.conjugators) == classes
         assert L.subnormal_subgroups(rebuilt).members == subnormal
-        assert [B.node_subnormal(rebuilt, i) for i in range(len(rebuilt))] == sn_of
+        assert [L.node_subnormal(rebuilt, i) for i in range(len(rebuilt))] == sn_of
         for i in range(len(rebuilt)):
             _, child = rebuilt.rerooted(i)
             L.subnormal_subgroups(child)
@@ -606,6 +646,18 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
     assert len(lat) == divisors
 
 
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_dihedral_subgroup_count_is_tau_plus_sigma():
+    # D<n> has order 2n: its subgroups are the cyclic <r^(n/d)> for each
+    # divisor d of n and the n/d dihedral subgroups of order 2d for each d
+    for n in range(3, 61):
+        ds = divisors(n)
+        assert len(lat_of(f"D{n}")) == len(ds) + sum(ds), n
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_relabelling_invariance(spec, data):
@@ -614,7 +666,7 @@ def test_relabelling_invariance(spec, data):
     assert len(rel) == len(lat)
     assert sd(rel) == sd(lat)
     assert L.is_modular_lattice(rel) is L.is_modular_lattice(lat)
-    assert rel.chi_rows() == chi_rows_by_product_sets(rel)
+    assert list(rel.chi_rows()) == chi_rows_by_product_sets(rel)
 
 
 @settings(max_examples=15, deadline=None)

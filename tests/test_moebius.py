@@ -14,6 +14,35 @@ def lat_of(spec):
     return L.enumerate_subgroups(G.make_named(spec))
 
 
+def number_theoretic_mu(n):
+    """The Moebius function of n by trial division: 0 unless n is
+    squarefree, else (-1)^(number of prime factors)."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def test_cyclic_bottom_mu_is_number_theoretic_mu():
+    # L(C_n) is the divisor lattice of n
+    for n in range(1, 121):
+        assert M.moebius_table(lat_of(f"C{n}")).bottom_value == \
+            number_theoretic_mu(n), n
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                  (2, 6), (3, 2), (3, 3), (5, 2)])
+def test_elementary_abelian_bottom_mu_is_hall_formula(p, k):
+    # mu(1, C_p^k) = (-1)^k p^(k(k-1)/2) (P. Hall, 1936)
+    lat = lat_of("Z:" + ",".join([str(p)] * k))
+    assert M.moebius_table(lat).bottom_value == (-1) ** k * p ** (k * (k - 1) // 2)
+
+
 class TestMoebiusTable:
     def test_prime_cyclic(self):
         for spec in ["C2", "C3", "C5", "C7"]:
