@@ -97,14 +97,14 @@ class FiniteGroup:
 
     Invariants enforced at construction: the identity is element 0, each row
     and column of the table is a permutation of 0..n-1, and every element has
-    an inverse. Associativity is checked exhaustively only where the table
-    comes from untrusted input (see :meth:`from_table`); the internal
-    constructors produce associative tables by construction.
+    an inverse. Associativity is checked, by Light's test in O(|S|·n²), only
+    where the table comes from untrusted input (see :meth:`from_table`); the
+    internal constructors produce associative tables by construction.
     """
 
     def __init__(self, table, name: str, element_labels=None):
         self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in row) for row in table
+            tuple(map(int, row)) for row in table
         )
         self.order: int = len(self.table)
         self.name = name
@@ -129,56 +129,99 @@ class FiniteGroup:
         for i, row in enumerate(self.table):
             if len(row) != n or set(row) != idx:
                 raise GroupSpecError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if {row[j] for row in self.table} != idx:
+        for j, col in enumerate(zip(*self.table)):
+            # every entry is in 0..n-1 now, so n distinct ones are all of them
+            if len(set(col)) != n:
                 raise GroupSpecError(f"column {j} is not a permutation of 0..{n - 1}")
         for j in range(n):
             if self.table[0][j] != j or self.table[j][0] != j:
                 raise GroupSpecError("element 0 is not a two-sided identity")
 
-    def check_associativity(self) -> None:
-        """Exhaustive associativity check; O(n^3), meant for ingested tables."""
+    def check_associativity(self) -> tuple[int, ...]:
+        """Light's associativity test; returns the set S whose rows it checked.
+
+        S is greedy: the reached set starts at {e}; each round adds the first
+        element not yet reached to S and closes the reached set under right
+        products x·s with every s in S. The reached set lies in <S> ∪ {e},
+        the submagma generated by S plus e, so once it is everything, S
+        generates the table. On a group each new s at least doubles the
+        subgroup reached so far, so |S| <= log2 n.
+
+        Then (x·s)·y = x·(s·y) is checked for every s in S and all x, y, one
+        whole row per (s, x): |S|·n row comparisons. That suffices. Let A be
+        the set of a with (x·a)·y = x·(a·y) for all x, y; it holds e and S.
+        If a, b are in A, then (x·(a·b))·y = ((x·a)·b)·y = (x·a)·(b·y) =
+        x·(a·(b·y)) = x·((a·b)·y), so a·b is in A; hence A ⊇ <S> ∪ {e} is
+        everything. Only what :meth:`_check_structure` proved is assumed: a
+        Latin square with the two-sided identity 0.
+
+        On failure the rows are scanned in order to name the lexicographically
+        first failing triple (a, b, c).
+        """
         t = self.table
-        for a in range(self.order):
-            ta = t[a]
+        seen = [False] * self.order
+        seen[0] = True
+        reached = [0]
+        gens: list[int] = []
+        for s in range(self.order):
+            if seen[s]:
+                continue
+            gens.append(s)
+            for x in reached:  # grows while we iterate
+                row = t[x]
+                for g in gens:
+                    y = row[g]
+                    if not seen[y]:
+                        seen[y] = True
+                        reached.append(y)
+        for s in gens:
+            times_s = itemgetter(*t[s])  # row x -> the row x·(s·y) over y
+            for row in t:
+                if t[row[s]] != times_s(row):
+                    self._raise_first_nonassociative_triple()
+        return tuple(gens)
+
+    def _raise_first_nonassociative_triple(self):
+        t = self.table
+        right = [itemgetter(*row) for row in t]  # right[b](t[a]) = a·(b·c) over c
+        for a, ta in enumerate(t):
             for b in range(self.order):
                 tab = t[ta[b]]
-                tb = t[b]
-                for c in range(self.order):
-                    if tab[c] != ta[tb[c]]:
-                        raise GroupSpecError(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
+                if tab != right[b](ta):
+                    c = next(c for c in range(self.order) if tab[c] != ta[t[b][c]])
+                    raise GroupSpecError(f"associativity fails at ({a},{b},{c})")
 
     @classmethod
-    def from_table(cls, table, name: str = "cayley", element_labels=None,
-                   check_assoc: bool = True) -> "FiniteGroup":
-        """Build a group from an untrusted table, relocating the identity to 0."""
-        rows = [list(map(int, row)) for row in table]
-        n = len(rows)
-        for i, row in enumerate(rows):
+    def from_table(cls, table, name: str = "cayley",
+                   element_labels=None) -> "FiniteGroup":
+        """Build a group from an untrusted table of ints, relocating the
+        identity to 0: a Latin square with a two-sided identity that passes
+        :meth:`check_associativity`."""
+        n = len(table)
+        for i, row in enumerate(table):
             if len(row) != n:
                 raise GroupSpecError(f"row {i} has {len(row)} entries, not {n}")
         ident = None
         for e in range(n):
-            if all(rows[e][j] == j and rows[j][e] == j for j in range(n)):
+            if all(table[e][j] == j and table[j][e] == j for j in range(n)):
                 ident = e
                 break
         if ident is None:
             raise GroupSpecError("table has no two-sided identity")
         if ident != 0:
-            # relabel by the transposition 0 <-> ident
+            # relabel by the transposition 0 <-> ident; an entry outside
+            # 0..n-1 is kept as it is, for the Latin-square check to reject
             sigma = list(range(n))
             sigma[0], sigma[ident] = ident, 0
-            rows = [[sigma[rows[sigma[i]][sigma[j]]] for j in range(n)]
-                    for i in range(n)]
+            pick = itemgetter(*sigma)
+            swap = {0: ident, ident: 0}.get
+            table = [list(map(swap, row, row)) for row in map(pick, pick(table))]
             if element_labels is not None:
                 element_labels = list(element_labels)
                 element_labels[0], element_labels[ident] = (
                     element_labels[ident], element_labels[0])
-        g = cls(rows, name, element_labels)
-        if check_assoc:
-            g.check_associativity()
+        g = cls(table, name, element_labels)
+        g.check_associativity()
         return g
 
     def __repr__(self):

@@ -29,7 +29,7 @@ def relabelled(g, data):
     for x, y in enumerate(sigma):
         inv[y] = x
     table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=False)
+    return G.FiniteGroup.from_table(table, name=g.name)
 
 
 def class_selections(lat):

@@ -360,9 +360,14 @@ class TestInputsAndErrors:
          "group file must hold a JSON object, not list"),
         ({"kind": "cayley", "table": [5]},
          "cayley group file: 'table' must be a list of integer rows"),
+        # the identity is 1 or 2, so these tables are relabelled first
+        ({"kind": "cayley", "table": [[1, 0, 5], [0, 1, 2], [2, 2, 0]]},
+         "row 1 is not a permutation of 0..2"),
+        ({"kind": "cayley", "table": [[-2, 2, 0], [2, 0, 1], [0, 1, 2]]},
+         "row 2 is not a permutation of 0..2"),
     ], ids=["ragged", "ragged-short-row", "non-latin", "non-associative",
             "non-bijective", "no-table", "no-generators", "top-level-list",
-            "number-row"])
+            "number-row", "entry-too-large", "entry-negative"])
     def test_malformed_group_file(self, capsys, tmp_path, payload, defect):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -381,6 +386,23 @@ class TestInputsAndErrors:
         assert code == 0
         payload = json.loads(out)
         assert payload["order"] == 4 and payload["lattice_size"] == 5
+
+    def test_large_cayley_input_matches_named_group(self, capsys, tmp_path):
+        # S6 relabelled by x -> n-1-x, so the identity sits at 719
+        t = make_named("S6").table
+        n = len(t)
+        table = [[n - 1 - t[n - 1 - x][n - 1 - y] for y in range(n)]
+                 for x in range(n)]
+        path = tmp_path / "s6.json"
+        path.write_text(json.dumps({"kind": "cayley", "table": table}))
+        code, out, _ = run_cli(capsys, "degrees", "--input", str(path),
+                               "--format", "json")
+        assert code == 0
+        ingested = json.loads(out)
+        _, out, _ = run_cli(capsys, "degrees", "--group", "S6", "--format", "json")
+        named = json.loads(out)
+        assert ingested.pop("group") == "cayley" and named.pop("group") == "S6"
+        assert ingested == named
 
 
 class TestCache:

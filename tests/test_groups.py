@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -7,6 +8,18 @@ from permlat import groups as G
 from permlat.catalog import CATALOG_SPECS
 
 SERIES_SPECS = list(CATALOG_SPECS) + ["S5xC2", "S4xS3", "A5xC3"]
+
+
+def first_nonassociative_triple(t):
+    """Oracle: the lexicographically first (a, b, c) with (ab)c != a(bc), by
+    scanning all n^3 triples; None for an associative table."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return (a, b, c)
+    return None
 
 
 def by_order(g, k):
@@ -35,7 +48,7 @@ class TestConstructors:
     def test_axioms_exhaustive_small(self):
         for spec in ["C6", "S3", "D4", "Q8", "A4", "Z:2,4", "D6", "S4"]:
             g = G.make_named(spec)
-            g.check_associativity()
+            assert first_nonassociative_triple(g.table) is None, spec
             n = g.order
             assert all(g.table[0][j] == j == g.table[j][0] for j in range(n))
             assert all(g.table[i][g.inverse[i]] == 0 for i in range(n))
@@ -313,7 +326,7 @@ def relabelled(g, data):
     for x, y in enumerate(sigma):
         inv[y] = x
     table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=False)
+    return G.FiniteGroup.from_table(table, name=g.name)
 
 
 def closure_by_words(g, gens):
@@ -377,3 +390,149 @@ def test_relabelled_series_match_pairwise_commutators(spec, data):
     g = relabelled(G.make_named(spec), data)
     assert g.derived_series == series_pairwise(g, lower=False)
     assert g.lower_central_series == series_pairwise(g, lower=True)
+
+
+# -- Light's associativity test against the exhaustive oracle ---------------
+
+LOOP_BASE_SPECS = ["S3", "D4", "Q8", "A4", "S4", "D6", "Z:2,4"]
+
+# the non-associative loop of order 5 pinned in tests/test_cli.py
+PINNED_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+               [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def intercalates(t):
+    """Every 2x2 subsquare (r1, r2, c1, c2) of ``t`` off row 0 and column 0:
+    t[r1][c1] = t[r2][c2] and t[r1][c2] = t[r2][c1]."""
+    n = len(t)
+    col_of = [{v: c for c, v in enumerate(row)} for row in t]
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = col_of[r2][t[r1][c1]]
+                if c1 < c2 and t[r1][c2] == t[r2][c1]:
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+def swap_intercalate(t, square):
+    r1, r2, c1, c2 = square
+    out = [list(row) for row in t]
+    out[r1][c1], out[r1][c2] = t[r1][c2], t[r1][c1]
+    out[r2][c1], out[r2][c2] = t[r2][c2], t[r2][c1]
+    return out
+
+
+def principal_loop_isotope(t, alpha, beta, a, b):
+    """The quasigroup x o y = t[alpha[x]][beta[y]], renormalised to the loop
+    x * y = (x / b) o (a \\ y), whose identity is a o b."""
+    n = len(t)
+    q = [[t[alpha[x]][beta[y]] for y in range(n)] for x in range(n)]
+    right_b = [0] * n  # right_b[x o b] = x
+    left_a = [0] * n  # left_a[a o y] = y
+    for x in range(n):
+        right_b[q[x][b]] = x
+        left_a[q[a][x]] = x
+    return [[q[right_b[x]][left_a[y]] for y in range(n)] for x in range(n)]
+
+
+def conjugated(t, pi):
+    """The table relabelled by x -> pi[x]."""
+    n = len(t)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[pi[x]][pi[y]] = pi[t[x][y]]
+    return out
+
+
+def identity_at_zero(t):
+    """The loop ``t`` with its identity e swapped with 0, as documented for
+    ``from_table``."""
+    n = len(t)
+    e = next(e for e in range(n)
+             if all(t[e][j] == j == t[j][e] for j in range(n)))
+    sigma = list(range(n))
+    sigma[0], sigma[e] = e, 0
+    return conjugated(t, sigma)
+
+
+def assert_ingestion_matches_oracle(table):
+    triple = first_nonassociative_triple(identity_at_zero(table))
+    if triple is None:
+        assert G.FiniteGroup.from_table(table).order == len(table)
+    else:
+        with pytest.raises(G.GroupSpecError) as err:
+            G.FiniteGroup.from_table(table)
+        assert str(err.value) == "associativity fails at ({},{},{})".format(*triple)
+    return triple
+
+
+@functools.cache
+def base_table(spec):
+    t = G.make_named(spec).table
+    return t, intercalates(t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LOOP_BASE_SPECS), st.data())
+def test_from_table_accepts_exactly_the_associative_loops(spec, data):
+    t, squares = base_table(spec)
+    n = len(t)
+    table = [list(row) for row in t]
+    if squares and data.draw(st.booleans(), label="swap an intercalate"):
+        table = swap_intercalate(table, data.draw(st.sampled_from(squares),
+                                                  label="intercalate"))
+    if data.draw(st.booleans(), label="principal isotope"):
+        table = principal_loop_isotope(
+            table, data.draw(st.permutations(range(n)), label="alpha"),
+            data.draw(st.permutations(range(n)), label="beta"),
+            data.draw(st.integers(0, n - 1), label="a"),
+            data.draw(st.integers(0, n - 1), label="b"))
+    if data.draw(st.booleans(), label="move the identity"):
+        table = conjugated(table, data.draw(st.permutations(range(n)), label="pi"))
+    assert_ingestion_matches_oracle(table)
+
+
+@pytest.mark.parametrize("spec", LOOP_BASE_SPECS)
+def test_every_intercalate_swap_matches_oracle(spec):
+    t, squares = base_table(spec)
+    verdicts = [assert_ingestion_matches_oracle(swap_intercalate(t, sq))
+                for sq in squares[:40]]
+    assert any(v is not None for v in verdicts) or not squares, spec
+
+
+def test_pinned_loop_names_the_first_failing_triple():
+    assert first_nonassociative_triple(PINNED_LOOP) == (1, 1, 2)
+    assert assert_ingestion_matches_oracle(PINNED_LOOP) == (1, 1, 2)
+
+
+class CountingRow(tuple):
+    """A table row that counts the comparisons made against it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountingRow.compared += 1
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        CountingRow.compared += 1
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["S6"])
+def test_light_test_checks_log_many_generators_row_by_row(spec):
+    g = G.make_named(spec)
+    g.table = tuple(map(CountingRow, g.table))
+    CountingRow.compared = 0
+    gens = g.check_associativity()
+    # on a group each new generator at least doubles the subgroup reached
+    assert len(gens) <= g.order.bit_length() - 1, spec
+    assert CountingRow.compared == len(gens) * g.order, spec
+    assert closure_by_words(g, gens) == g.full_mask, spec
+    if spec == "S6":
+        assert len(gens) == 5

@@ -105,7 +105,7 @@ def nodes_of_order(lat, k):
     return [i for i in range(len(lat)) if lat.node_order(i) == k]
 
 
-def relabelled(g, data, check_assoc=True):
+def relabelled(g, data):
     """``g`` rebuilt from its table under a drawn permutation fixing 0."""
     n = g.order
     sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
@@ -113,7 +113,7 @@ def relabelled(g, data, check_assoc=True):
     for x, y in enumerate(sigma):
         inv[y] = x
     table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    return G.FiniteGroup.from_table(table, name=g.name, check_assoc=check_assoc)
+    return G.FiniteGroup.from_table(table, name=g.name)
 
 
 def subnormal_by_chain(g, m):
@@ -217,7 +217,7 @@ def assert_order_masks_match_subset_tests(lat, what):
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_relabelled_order_masks_match_subset_tests(spec, data):
     # every way in: enumeration, a cache hit and a re-rooted child
-    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    g = relabelled(shared_lat(spec).group, data)
     rel = L.enumerate_subgroups(g)
     assert_order_masks_match_subset_tests(rel, spec)
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -235,7 +235,7 @@ def test_relabelled_order_masks_match_subset_tests(spec, data):
 def test_node_tables_match_closures(spec, relabel, data):
     lat = shared_lat(spec)
     if relabel:
-        lat = L.enumerate_subgroups(relabelled(lat.group, data, check_assoc=False))
+        lat = L.enumerate_subgroups(relabelled(lat.group, data))
     g = lat.group
     assert lat.node_gens == tuple(g.subgroup_gens(m) for m in lat.masks), spec
     assert lat.cyclic_nodes == tuple(
@@ -269,8 +269,7 @@ class TestConjugacyClasses:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(POOL_SPECS), st.data())
     def test_conjugates_match_element_conjugation(self, spec, data):
-        # a relabelled table is associative by construction
-        g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+        g = relabelled(shared_lat(spec).group, data)
         lat = L.enumerate_subgroups(g)
         ys = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=3),
                        label="ys")
@@ -492,7 +491,7 @@ def test_node_maximal_matches_mask_inclusion(spec):
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(list(CATALOG_SPECS) + ["D4xS3"]), st.data())
 def test_relabelled_node_maximal_matches_mask_inclusion(spec, data):
-    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    g = relabelled(shared_lat(spec).group, data)
     assert_node_maximal_matches_mask_inclusion(L.enumerate_subgroups(g))
 
 
@@ -672,9 +671,7 @@ def test_relabelling_invariance(spec, data):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(SELECTION_SPECS), st.data())
 def test_relabelled_subnormal_selection_matches_chain(spec, data):
-    # a relabelled table is associative by construction, and checking it
-    # costs |G|^3 steps on the order-240 groups drawn here
-    g = relabelled(shared_lat(spec).group, data, check_assoc=False)
+    g = relabelled(shared_lat(spec).group, data)
     lat = L.enumerate_subgroups(g)
     subnormal = {i for i, m in enumerate(lat.masks) if subnormal_by_chain(g, m)}
     assert set(L.subnormal_subgroups(lat).members) == subnormal
