@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -280,7 +280,8 @@ class FiniteGroup:
             y = t[y][x]
         return m
 
-    def closure_mask(self, gens: Iterable[int], base: int = 1) -> int:
+    def closure_mask(self, gens: Iterable[int], base: int = 1,
+                     base_rows: Optional[Sequence[Sequence[int]]] = None) -> int:
         """Subgroup generated by ``gens`` as a mask.
 
         ``base`` is a subgroup known to lie in <gens> (the trivial one by
@@ -290,13 +291,18 @@ class FiniteGroup:
         under right multiplication by ``gens``, so their cosets cover the
         closure. With the trivial base this is a BFS from the identity.
 
+        ``base_rows`` are the table rows ``table[b]`` of the elements b of
+        ``base``, in any order; they are read off ``base`` when not given. A
+        caller that closes from one base many times passes them, built once.
+
         By Lagrange, a subgroup of G that contains ``base`` and has more than
         |G|/q elements, q the smallest prime dividing |G : base|, is G itself;
         the search stops as soon as it has found that many.
         """
         t = self.table
         gen_list = [g for g in dict.fromkeys(gens) if g]
-        base_rows = [t[b] for b in _bits(base)]
+        if base_rows is None:
+            base_rows = [t[b] for b in _bits(base)]
         size = len(base_rows)
         index = self.order // size
         limit = self.order // prime_signature(index).factors[0][0] if index > 1 else size
@@ -841,8 +847,10 @@ def _is_int(v) -> bool:
 
 
 def _is_int_rows(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in v)
+    # a list of lists of exact ints, as json.load yields them; ``type(x) is
+    # int`` rejects bool as :func:`_is_int` does, in one pass over the entries
+    return (isinstance(v, list) and all(isinstance(row, list) for row in v)
+            and set(map(type, chain.from_iterable(v))) <= {int})
 
 
 def _field(obj: dict, key: str, check, what: str):

@@ -298,7 +298,9 @@ class PermutabilityRows(Sequence):
     masks (join and meet as in :meth:`SubgroupLattice.join` and
     :meth:`SubgroupLattice.meet`, inlined). Comparable pairs always permute,
     and so does a normal node N with every node (NY = YN): neither is
-    tested, and a normal node's row is full; every other pair is tested.
+    tested, and a normal node's row is full; every other pair is tested
+    once: a row reads bit i of each row built before it instead of testing
+    that pair again.
 
     The row of X^g is the row of X conjugated by g, so the pair counts of G
     and inside any node, and perp, read the rows of class representatives
@@ -329,7 +331,14 @@ class PermutabilityRows(Sequence):
             row = lat.all_nodes_mask
         else:
             known = lat.up_masks[i] | lat.down_masks[i] | self._normal
-            row = known | self._permuting(i, lat.all_nodes_mask & ~known)
+            rest = lat.all_nodes_mask & ~known
+            # permutability is symmetric: a row built before holds bit i
+            done = rest & self.built
+            row = known | self._permuting(i, rest & ~done)
+            rows = self._rows
+            for j in _bits(done):
+                if rows[j] >> i & 1:
+                    row |= 1 << j
         self._rows[i] = row
         self.built |= 1 << i
         return row
@@ -351,15 +360,29 @@ class PermutabilityRows(Sequence):
         return out
 
 
-def _conjugacy_class(group: FiniteGroup, mask: int, gens) -> list[int]:
-    """The conjugacy class of a subgroup, as masks: its orbit under
-    conjugation by ``gens``, generators of the group."""
-    g = group
+def _conjugation_tables(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The maps x -> s x s⁻¹ as tables, one for each generator s of the group."""
+    t, inv = group.table, group.inverse
+    return [tuple(t[y][inv[s]] for y in t[s]) for s in group.generating_set]
+
+
+def _conjugacy_class(mask: int, gens, tables) -> list[int]:
+    """The conjugacy class of the subgroup <gens> = ``mask``, as masks: its
+    orbit under the conjugation ``tables`` of the group's generators
+    (:func:`_conjugation_tables`). When every table maps ``gens`` into the
+    subgroup, it is normal and its class is itself."""
+    if all(mask >> tab[x] & 1 for tab in tables for x in gens):
+        return [mask]
     orbit = [mask]
     members = {mask}
     for m in orbit:  # orbit grows while we iterate
-        for s in gens:
-            c = g.conjugate_mask(m, s)
+        for tab in tables:
+            c = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                c |= 1 << tab[low.bit_length() - 1]
+                rest ^= low
             if c not in members:
                 members.add(c)
                 orbit.append(c)
@@ -398,23 +421,37 @@ def enumerate_subgroups(group: FiniteGroup,
       <A, C'> = J, and the seeds of its N(A)-orbit give conjugates of J:
       all of them go into ``tried`` with C's orbit.
 
-    The cost of each join is cut by two more exact rules:
+    The cost of each join is cut by more exact rules:
 
     - Free normalizer. N(A) is found once per representative, before its
       first join. A representative whose class has one member is normal, so
-      N(A) = G and the group's generating set serves without a closure.
-      Otherwise N(A) is a union of left cosets of A, tested one coset at a
-      time (:func:`_normalizer_mask`), and its generators are read off it.
+      N(A) = G, found without a closure. Otherwise N(A) is a union of left
+      cosets of A, tested one coset at a time (:func:`_normalizer_mask`),
+      and its generators are read off it.
     - One-generator joins. A join is closed from A by whole cosets, as in
       Dimino's algorithm (:meth:`FiniteGroup.closure_mask` with ``base`` A).
       When the seed C = <c> lies in N(A), <A, C> = AC is the union of the
       cosets A c^k, so it is closed from A with c as the only generator.
+      The table rows of A's elements, which every coset reads, are built
+      once per representative, with N(A), and passed to each closure.
+    - Normality by generators. Classes are orbits under conjugation by the
+      generators s of G, read off one table x -> s x s⁻¹ per s, built once
+      per call. J = <jgens> is normal iff every table maps each of jgens
+      into J: then sJs⁻¹ = <s jgens s⁻¹> lies in J and has its order, so
+      each generator of G, and hence all of G, normalizes J. Such a J's
+      class is [J], found without conjugating J's elements.
+    - Seed classes for a normal A. When A is normal, N(A) = G, so the
+      N(A)-orbit of a seed is its G-class. The classes of the seeds are
+      found once, in the first pass over the cyclic subgroups, and go into
+      ``tried`` whole; only a non-normal A conjugates seeds by N(A)'s
+      generators.
 
     :class:`LatticeCapError` is raised as soon as more than ``lattice_cap``
     subgroups are known, that is exactly when |L(G)| exceeds the cap.
     """
     g = group
     t, inv = g.table, g.inverse
+    tables = _conjugation_tables(g)
     # generators of what gets joined: the cyclic subgroups and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
     cyclic_of = [1] * g.order
@@ -433,35 +470,41 @@ def enumerate_subgroups(group: FiniteGroup,
     frontier: list[int] = []
     seen: set[int] = set()  # every subgroup found so far
     normal: set[int] = set()  # the representatives that are normal subgroups
+    seed_class: dict[int, list[int]] = {}  # the G-class of every seed
     for m in cyclic_masks:
         if m not in seen:
             frontier.append(m)
-            members = _conjugacy_class(g, m, g.generating_set)
+            members = _conjugacy_class(m, gens_of[m], tables)
             seen.update(members)
             if len(members) == 1:
                 normal.add(m)
+            if m in is_seed:
+                seed_class.update(dict.fromkeys(members, members))
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
-            nm = 0  # N(A), found before the first join
-            ngens: tuple[int, ...] = ()
+            a_normal = am in normal
+            nm = 0  # N(A) and A's element rows, found before the first join
+            ngens: tuple[int, ...] = ()  # generators of N(A) when A is not normal
+            arows: list[tuple[int, ...]] = []
             tried: set[int] = set()  # seeds whose join with A is known
             for cm in seeds:
                 u = am | cm
                 if u == am or u == cm or cm in tried:
                     continue
                 if not nm:
-                    if am in normal:
-                        nm, ngens = g.full_mask, g.generating_set
+                    if a_normal:
+                        nm = g.full_mask
                     else:
                         nm = _normalizer_mask(g, am, agens)
                         ngens = g.subgroup_gens(nm, am, agens)
+                    arows = [t[b] for b in _bits(am)]
                 c = gens_of[cm][0]
                 jgens = agens + (c,)
-                jm = g.closure_mask((c,) if cm & nm == cm else jgens, am)
+                jm = g.closure_mask((c,) if cm & nm == cm else jgens, am, arows)
                 if jm not in seen:
-                    members = _conjugacy_class(g, jm, g.generating_set)
+                    members = _conjugacy_class(jm, jgens, tables)
                     seen.update(members)
                     if len(members) == 1:
                         normal.add(jm)
@@ -476,6 +519,9 @@ def enumerate_subgroups(group: FiniteGroup,
                     known += (cyclic_of[x] for x in _bits(jm & ~am))
                 for d in known:
                     if d in tried or d not in is_seed:
+                        continue
+                    if a_normal:
+                        tried.update(seed_class[d])
                         continue
                     # the N(A)-orbit of the seed, by conjugating with N(A)'s generators
                     orbit = [d]

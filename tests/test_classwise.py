@@ -143,8 +143,9 @@ def test_relabelled_d_from_class_number_matches_pair_count(spec, data):
 
 @pytest.fixture
 def counted_rows(monkeypatch):
-    """Counts the rows tested, and keeps every row table made."""
-    calls = {"tables": [], "rows": 0}
+    """Counts the rows tested and the pairs they test by orders, and keeps
+    every row table made."""
+    calls = {"tables": [], "rows": 0, "pairs": 0}
     real_init, real_permuting = (L.PermutabilityRows.__init__,
                                  L.PermutabilityRows._permuting)
 
@@ -154,6 +155,7 @@ def counted_rows(monkeypatch):
 
     def permuting(self, i, rest):
         calls["rows"] += 1
+        calls["pairs"] += rest.bit_count()
         return real_permuting(self, i, rest)
 
     monkeypatch.setattr(L.PermutabilityRows, "__init__", init)
@@ -176,6 +178,24 @@ def test_degree_report_reads_one_row_per_non_normal_class(spec, counted_rows):
     assert counted_rows["rows"] == len(non_normal_classes)
     assert report.permuting_pair_count == full_row_count(
         lat, L.all_subgroups(lat), L.all_subgroups(lat))
+
+
+@pytest.mark.parametrize("spec, pairs", [("S6", 73625), ("D4xS3", 2138)])
+def test_representative_rows_test_each_pair_once(spec, pairs, counted_rows):
+    lat = lat_of(spec)
+    rows = lat.chi_rows()
+    normal = L.normal_subgroups(lat).members_mask
+    open_pairs = [
+        [j for j in range(len(lat)) if not (normal >> j & 1 or lat.leq(i, j)
+                                            or lat.leq(j, i))]
+        for i in lat.class_masks if not normal >> i & 1]
+    reps = set(lat.class_masks)
+    # each pair of non-normal, incomparable representatives is tested once
+    twice = sum(j in reps for js in open_pairs for j in js) // 2
+    assert counted_rows["pairs"] == sum(map(len, open_pairs)) - twice == pairs
+    # a pair read off an earlier row agrees with that row
+    for i in reps:
+        assert all(rows[i] >> j & 1 == rows[j] >> i & 1 for j in reps), (spec, i)
 
 
 def test_lattice_command_reads_no_full_matrix(capsys, counted_rows):

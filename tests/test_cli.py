@@ -365,9 +365,24 @@ class TestInputsAndErrors:
          "row 1 is not a permutation of 0..2"),
         ({"kind": "cayley", "table": [[-2, 2, 0], [2, 0, 1], [0, 1, 2]]},
          "row 2 is not a permutation of 0..2"),
+        # entries must be exact ints: bool, float and str are rejected
+        ({"kind": "cayley", "table": [[0, 1], [1, True]]},
+         "cayley group file: 'table' must be a list of integer rows"),
+        ({"kind": "cayley", "table": [[0, 1], [1, 0.0]]},
+         "cayley group file: 'table' must be a list of integer rows"),
+        ({"kind": "cayley", "table": [[0, 1], [1, "0"]]},
+         "cayley group file: 'table' must be a list of integer rows"),
+        ({"kind": "cayley", "table": "0110"},
+         "cayley group file: 'table' must be a list of integer rows"),
+        ({"kind": "cayley", "table": []}, "table has no two-sided identity"),
+        ({"kind": "cayley", "table": [[]]}, "row 0 has 0 entries, not 1"),
+        ({"kind": "permutation", "degree": 2, "generators": [[True, 0]]},
+         "permutation group file: 'generators' must be a list of integer lists"),
     ], ids=["ragged", "ragged-short-row", "non-latin", "non-associative",
             "non-bijective", "no-table", "no-generators", "top-level-list",
-            "number-row", "entry-too-large", "entry-negative"])
+            "number-row", "entry-too-large", "entry-negative", "bool-entry",
+            "float-entry", "str-entry", "string-table", "empty-table",
+            "empty-row", "bool-generator-entry"])
     def test_malformed_group_file(self, capsys, tmp_path, payload, defect):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))

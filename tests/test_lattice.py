@@ -35,7 +35,10 @@ POOL_SPECS = SELECTION_SPECS + ["Z:2,2,2,2,2"]
 # produced by saturating joins of every node with every cyclic subgroup, the
 # others by class-driven joins with every cyclic subgroup; the 2-groups and the
 # products with normal factors run the prime-index and normal-representative
-# paths of the enumeration
+# paths of the enumeration. The last three were produced before class
+# tests read conjugation tables; most nodes of D4xD4xC2 and Z:2,2,2,2,2,2 are
+# normal, so they run the normality test on generators and the seed classes
+# of normal representatives
 PINNED_MASK_DIGESTS = {
     "S5": "00044c76460a2a1d9f64ef21ab6c7437871645c189b88e81db7788d8358c3ef3",
     "S5xC2": "cd1810a32a3206677518a8e64c83ed83829bd630bb04d8b511700a12d79ae270",
@@ -45,12 +48,17 @@ PINNED_MASK_DIGESTS = {
     "Q8xQ8": "b19587a110a53700f3203e47b6e5d2bcc480f02bbb69d64d8a36f76b9ac23911",
     "S4xS3": "2e2f0e9db102c996bb086e8bc40683407aadd779fc1d07dfaf1f6935283ae98b",
     "A5xA4": "57559c0c7b3e6d319a23999fc7251677719f0156463c6e818dbb16eb71c16b84",
+    "S5xS3": "44e6b4913528d9978aad7dc2b149eb2b24c12f3e634c3bdc40f9a5ca1a8a2371",
+    "D4xD4xC2": "fe89b1f0cd6b550684cc8039cc1b6760a6b1423e155fa7ea65d7c85f267e7248",
+    "Z:2,2,2,2,2,2": "a325e84c1e37f9bcd5f443dfee548f871909b8f82381899a694e8082b9a2b97a",
 }
 
 # closure_mask calls of one enumeration of a freshly built group; the
 # enumeration is deterministic, so a change in the count is a change in the
-# joins or normalizer generators it computes
-PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 156}
+# joins or normalizer generators it computes. D4xD4 has normal
+# representatives whose seeds have classes of more than one member, so its
+# count rises if a normal representative's seed classes are not all tried
+PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 156, "D4xD4": 2754}
 
 
 def lat_of(spec):
@@ -183,14 +191,22 @@ class TestEnumeration:
         calls = []
         closure_mask = G.FiniteGroup.closure_mask
 
-        def counted(self, gens, base=1):
+        def counted(self, gens, *args):
             calls.append(gens)
-            return closure_mask(self, gens, base)
+            return closure_mask(self, gens, *args)
 
         group = G.make_named(spec)
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
         L.enumerate_subgroups(group)
         assert len(calls) == PINNED_ENUMERATION_CLOSURES[spec]
+
+    def test_enumeration_keeps_no_state_on_the_group(self):
+        # benchmark jobs share a group's attribute values through copy.copy,
+        # so per-call tables kept on it would carry over between jobs
+        g = G.make_named("D4xD4")
+        before = set(vars(g))
+        L.enumerate_subgroups(g)
+        assert set(vars(g)) - before == {"generating_set"}
 
     def test_every_node_is_subgroup(self):
         g = G.make_named("S4")
@@ -243,6 +259,21 @@ def test_node_tables_match_closures(spec, relabel, data):
 
 
 @settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_closure_from_given_base_rows_matches_closure(spec, data):
+    g = relabelled(shared_lat(spec).group, data)
+    lat = L.enumerate_subgroups(g)
+    for i, base in enumerate(lat.masks):
+        extra = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3),
+                          label="extra")
+        gens = lat.node_gens[i] + tuple(extra)
+        rows = [g.table[b] for b in G._bits(base)]
+        rows.reverse()  # any order of the rows serves
+        closed = g.closure_mask(gens, base, rows)
+        assert closed == g.closure_mask(gens, base) == g.closure_mask(gens), (spec, i)
+
+
+@settings(max_examples=15, deadline=None)
 @given(st.sampled_from(SMALL_PRODUCTS))
 def test_product_enumeration_matches_powerset_oracle(pair):
     g = G.direct_product(*(G.make_named(s) for s in pair))
@@ -276,6 +307,20 @@ class TestConjugacyClasses:
         for i, m in enumerate(lat.masks):
             assert lat.conjugates(i, ys) == [
                 lat.index_of[g.conjugate_mask(m, y)] for y in ys], (spec, i)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(CATALOG_SPECS), st.data())
+    def test_table_classes_match_element_conjugation(self, spec, data):
+        g = relabelled(shared_lat(spec).group, data)
+        lat = L.enumerate_subgroups(g)
+        tables = L._conjugation_tables(g)
+        normal = L.normal_subgroups(lat)
+        for i, m in enumerate(lat.masks):
+            members = L._conjugacy_class(m, lat.node_gens[i], tables)
+            assert len(set(members)) == len(members), (spec, i)
+            assert set(members) == {
+                g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
+            assert (len(members) == 1) == (i in normal), (spec, i)
 
     @pytest.mark.parametrize("spec, nodes, classes", [
         ("S5", 156, 19), ("S5xC2", 535, 57), ("S6", 1455, 56)])
@@ -594,9 +639,9 @@ class TestRerooting:
         calls = []
         closure_mask = G.FiniteGroup.closure_mask
 
-        def counted(self, gens, base=1):
+        def counted(self, gens, *args):
             calls.append(gens)
-            return closure_mask(self, gens, base)
+            return closure_mask(self, gens, *args)
 
         conjugations = []
         conjugate_mask = G.FiniteGroup.conjugate_mask
