@@ -31,14 +31,16 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
   N as a standalone group (:func:`node_group`), and cor26's |L(N)| is the
   size of [1, N], so no lattice is built for N.
 
-The driver runs the lemma1, cauchy and lb3 checkers once per profile of H
-(:func:`_h_profile`, every value of H they read) for each N. Each H's
-profile is computed once per (N, convention) and numbered in a map that
-lemma1 (both readings), cauchy and lb3 share; each claim keeps its results
-per N by profile number. An (N, H) instance then costs one lookup and a
-copy of the results with a context of its own naming H. The profile is not
-the class of H: conjugate H can have factor-condition violators of
-different orders.
+Each node X has one profile per convention (:func:`_factor_profile`):
+every value of X that the lemma1, cauchy and lb3 checkers read when X is N
+or H. It is numbered once per lattice, on the first visit to X. lemma1 and
+lb3 are decided once per N and (profile of H, whether NH = G). cauchy
+reads nothing of N but its profile and whether it is normal, so it is
+decided once per (profile of N, N normal, profile of H, NH = G) over the
+whole lattice, and one decision covers every N with the same profile. An
+(N, H) instance then costs a lookup and a copy of the results with a
+context of its own naming N and H. The profile is not the class of X:
+conjugate nodes can have factor-condition violators of different orders.
 """
 from __future__ import annotations
 
@@ -224,14 +226,14 @@ def _node_str(lat: SubgroupLattice, i: int) -> str:
     return f"#{i}(order {lat.node_order(i)})"
 
 
-def _relabelled(r: BoundCheckResult, label: str) -> BoundCheckResult:
-    """A copy of ``r`` whose context is a fresh dict naming H = ``label``.
-    The fields are copied directly: the frozen dataclass's ``__init__``
-    costs about three times as much."""
+def _relabelled(r: BoundCheckResult, n_label: str, h_label: str) -> BoundCheckResult:
+    """A copy of ``r`` whose context is a fresh dict naming N and H (the keys
+    keep their order). The fields are copied directly: the frozen
+    dataclass's ``__init__`` costs about three times as much."""
     copy = object.__new__(BoundCheckResult)
     fields = copy.__dict__
     fields.update(r.__dict__)
-    fields["context"] = dict(r.context, h=label)
+    fields["context"] = dict(r.context, n=n_label, h=h_label)
     return copy
 
 
@@ -242,15 +244,23 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
 
 
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with NH = G, listed once per N in the lattice's memo."""
-    return lat.memo(("partners", n_idx),
-                    lambda: [h for h in range(len(lat)) if factorizes(lat, n_idx, h)])
+    """Nodes H with NH = G (|N||H| = |G||N n H|), listed once per N in the
+    lattice's memo."""
+    def compute():
+        nm, order = lat.masks[n_idx], lat.group.order
+        n = nm.bit_count()
+        return [h for h, hm in enumerate(lat.masks)
+                if n * hm.bit_count() == order * (nm & hm).bit_count()]
+    return lat.memo(("partners", n_idx), compute)
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with |H| = |G : N| and NH = G; such an H is isomorphic to G/N."""
-    index = lat.group.order // lat.node_order(n_idx)
-    return [h for h in factor_partners(lat, n_idx) if lat.node_order(h) == index]
+    """Nodes H with |H| = |G : N| and NH = G, listed once per N; such an H
+    is isomorphic to G/N."""
+    def compute():
+        index = lat.group.order // lat.node_order(n_idx)
+        return [h for h in factor_partners(lat, n_idx) if lat.node_order(h) == index]
+    return lat.memo(("complements", n_idx), compute)
 
 
 # -- per-node values read off the parent lattice ------------------------------
@@ -323,36 +333,21 @@ def _half_verdict(lat: SubgroupLattice, idx: int,
                   maximal_subgroups(lat, convention).members_mask)))
 
 
-def _h_profile(lat: SubgroupLattice, n_idx: int, h_idx: int,
-               convention: str) -> tuple:
-    """Every value of H that the lemma1, cauchy and lb3 checkers can read at
-    (N, H), so that instances with equal profiles differ only in H's label:
-    |H| and whether NH = G; for normal N with NH = G the pair count of L(H);
-    where the factor conditions are defined (N and H nontrivial as well)
-    H's violators, and its restricted pair count when it has none. The
-    violators are not a class invariant (the one with the smallest element
-    mask need not have the same order across H's class), so neither is the
-    profile. Where the factor conditions are defined the profile depends on
-    (H, convention) alone, and is kept once per pair in the lattice's memo."""
-    order = lat.node_order(h_idx)
-    split = factorizes(lat, n_idx, h_idx)
-    if not (split and n_idx in normal_subgroups(lat)):
-        return order, split
-    if order == 1 or lat.node_order(n_idx) == 1:
-        return order, split, node_all_pairs(lat, h_idx)
-    return lat.memo(("h-profile", h_idx, convention),
-                    lambda: _factor_profile(lat, h_idx, convention))
-
-
-def _factor_profile(lat: SubgroupLattice, h_idx: int, convention: str) -> tuple:
-    """The profile of a nontrivial H beside a nontrivial normal N with
-    NH = G: |H|, the pair count of L(H), H's violators and, when it has
-    none, its restricted pair count."""
-    order, total = lat.node_order(h_idx), node_all_pairs(lat, h_idx)
-    half = _half_verdict(lat, h_idx, convention)
+def _factor_profile(lat: SubgroupLattice, idx: int, convention: str) -> tuple:
+    """Every value of node X that the lemma1, cauchy and lb3 checkers read
+    when X is N or H: |X| and the pair count of L(X); for nontrivial X its
+    violators and, when it has none, its restricted pair count (the checkers
+    read neither for a trivial node, and the trivial group has no M(G)).
+    The violators are not a class invariant (the one with the smallest
+    element mask need not have the same order across X's class), so
+    neither is the profile."""
+    order, total = lat.node_order(idx), node_all_pairs(lat, idx)
+    if order == 1:
+        return order, total
+    half = _half_verdict(lat, idx, convention)
     if half != (None, None):
-        return order, True, total, half
-    return order, True, total, half, node_restricted_pairs(lat, h_idx, convention)
+        return order, total, half
+    return order, total, half, node_restricted_pairs(lat, idx, convention)
 
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -648,60 +643,65 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     ``h_node`` replace the range of N and of H by that one node. theorem1
     and mu are one instance each, at N = C_G(Fit(G)). ``reading`` is the
     theorem1 reading; "relaxed" also lets rank-1 N qualify for lemma1/2.
-    The lemma1, cauchy and lb3 checkers run once per N and profile of H
-    (:func:`_h_profile`), memoised in the lattice's memo.
+    The lemma1 and lb3 checkers run once per N and (profile of H, NH = G);
+    cauchy runs once per (profile of N, N normal, profile of H, NH = G)
+    over the whole lattice. Profiles are :func:`_factor_profile`, numbered
+    once per node and convention in the lattice's memo.
     """
     if claim not in CLAIM_CHOICES or reading not in ("strict", "relaxed"):
         raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
     rank1 = reading == "relaxed"
     g = lat.group
-    normal = normal_subgroups(lat).members
+    normal = normal_subgroups(lat)
 
     def ns(every: bool) -> list[int]:
         if n_node is not None:
             return [n_node]
-        return [n for n in normal if every or 1 < lat.node_order(n) < g.order]
+        return [n for n in normal.members if every or 1 < lat.node_order(n) < g.order]
 
     def hs(n_idx: int, partners) -> list[int]:
         return [h_node] if h_node is not None else partners(lat, n_idx)
 
     labels = lat.memo("labels",
                       lambda: [_node_str(lat, i) for i in range(len(lat))])
+    profile_ids, numbering = lat.memo(("profiles", convention),
+                                      lambda: ([None] * len(lat), {}))
 
-    def decide(key, every: bool, partners, check):
-        # check(n, h) runs once per (N, profile of H); every (N, H) gets a
-        # copy of the results with a context of its own naming H. Profiles
-        # are numbered per (N, convention), and each claim keeps its
-        # decisions per N by profile number
+    def profile(x: int) -> int:
+        pid = profile_ids[x]
+        if pid is None:
+            pid = profile_ids[x] = numbering.setdefault(
+                _factor_profile(lat, x, convention), len(numbering))
+        return pid
+
+    def decide(key, every: bool, partners, n_key, check):
+        # check(n, h) runs once per (n_key(N), profile of H, NH = G); every
+        # (N, H) gets a copy of the results with a context of its own naming
+        # N and H. Partners of N all have NH = G
+        decided = lat.memo(("decided", key, convention), dict)
         for n in ns(every):
-            profile_id, numbering = lat.memo(("profiles", n, convention),
-                                             lambda: ({}, {}))
-            decided = lat.memo(("decided", key, n, convention), dict)
+            nk, n_label = n_key(n), labels[n]
             for h in hs(n, partners):
-                pid = profile_id.get(h)
-                if pid is None:
-                    pid = profile_id[h] = numbering.setdefault(
-                        _h_profile(lat, n, h, convention), len(numbering))
-                results = decided.get(pid)
+                k = nk, profile(h), h_node is None or factorizes(lat, n, h)
+                results = decided.get(k)
                 if results is None:
-                    results = decided[pid] = check(n, h)
-                label = labels[h]
-                out.extend(_relabelled(r, label) for r in results)
+                    results = decided[k] = check(n, h)
+                out.extend(_relabelled(r, n_label, labels[h]) for r in results)
 
     out: list[BoundCheckResult] = []
     if claim in ("all", "lemma1"):
-        decide(("lemma1", rank1), False, complement_candidates, lambda n, h: (
-            spd_rank2_bound_check(lat, n, h, convention, rank1),))
+        decide(("lemma1", rank1), False, complement_candidates, lambda n: n,
+               lambda n, h: (spd_rank2_bound_check(lat, n, h, convention, rank1),))
     if claim in ("all", "lemma2"):
         out += [sd_rank2_bound_check(lat, n, rank1) for n in ns(False)]
     if claim in ("all", "cor26"):
         out += [abelian_prime_index_sd_check(lat, n) for n in ns(False)]
     if claim in ("all", "cauchy"):
-        decide("cauchy", True, factor_partners, lambda n, h: cauchy_bound_checks(
-            lat, n, h, convention))
+        decide("cauchy", True, factor_partners, lambda n: (profile(n), n in normal),
+               lambda n, h: cauchy_bound_checks(lat, n, h, convention))
     if claim in ("all", "lb3"):
-        decide("lb3", True, complement_candidates, lambda n, h: (
-            decomposition_bound_check(lat, n, h, convention),))
+        decide("lb3", True, complement_candidates, lambda n: n,
+               lambda n, h: (decomposition_bound_check(lat, n, h, convention),))
     if claim in ("all", "theorem1"):
         check = fitting_centralizer_check(lat, convention, reading)
         if check.hypotheses:

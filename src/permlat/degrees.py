@@ -127,19 +127,24 @@ def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
 
 
 def sd(lat: SubgroupLattice) -> Fraction:
-    """Subgroup commutativity degree: permuting fraction over all pairs."""
-    return Fraction(all_pair_count(lat), len(lat) ** 2)
+    """Subgroup commutativity degree: permuting fraction over all pairs,
+    kept in the lattice's memo."""
+    return lat.memo("sd", lambda: Fraction(all_pair_count(lat), len(lat) ** 2))
 
 
 def spd(lat: SubgroupLattice, convention: str = RAW) -> Fraction:
-    """Restricted degree over subnormal x maximal pairs.
+    """Restricted degree over subnormal x maximal pairs, kept in the
+    lattice's memo per convention.
 
     Undefined for the trivial group (no maximal subgroups to pair against).
     """
     if len(lat) == 1:
         raise ValueError("spd is undefined for the trivial group")
-    pairs = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
-    return Fraction(restricted_pair_count(lat, convention), pairs)
+
+    def compute():
+        pairs = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
+        return Fraction(restricted_pair_count(lat, convention), pairs)
+    return lat.memo(("spd", convention), compute)
 
 
 def element_commutativity_degree(g: FiniteGroup) -> Fraction:

@@ -684,14 +684,16 @@ def check_driver_against_direct_calls(lat, n_node=None, h_node=None):
                 assert len({id(r.context) for r in got}) == len(got)
 
 
+# the abelian groups are those where one cauchy decision covers the most N
 @pytest.mark.parametrize("spec", list(CATALOG_SPECS) + [
-    "D4xS3", "Q8xS3", "S4xC2", "S4xC3", "S4xS3", "S5xC2"])
+    "D4xS3", "Q8xS3", "S4xC2", "S4xC3", "S4xS3", "S5xC2",
+    "Z:2,2,2,2", "Z:4,4", "Z:2,2,2xC3"])
 def test_bound_driver_matches_direct_checker_calls(spec):
     check_driver_against_direct_calls(lat_of(spec))
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.sampled_from(["S3", "A4", "D4", "D6", "S4", "Z:2,2,2", "S3xC5"]),
+@given(st.sampled_from(["S3", "A4", "D4", "D6", "S4", "Z:2,2,2", "S3xC5", "Z:4,4"]),
        st.data())
 def test_relabelled_bound_driver_matches_direct_checker_calls(spec, data):
     check_driver_against_direct_calls(
@@ -709,6 +711,23 @@ def test_bound_driver_matches_direct_calls_on_chosen_nodes(spec):
     for n, h in [(non_normal, partner), (proper, apart), (proper, partner),
                  (non_normal, lat.bottom)]:
         check_driver_against_direct_calls(lat, n, h)
+
+
+@pytest.mark.parametrize("spec", ["D4", "Z:2,2,2", "S3xC2"])
+def test_bound_driver_matches_direct_calls_on_every_pair_of_nodes(spec):
+    """Every (N, H) through one lattice, so a decision made at one pair is
+    offered to every later pair with the same key: non-normal N beside
+    normal N of the same profile (D4's reflections and centre), and H with
+    NH != G beside partners of the same profile."""
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            for claim in ("lemma1", "cauchy", "lb3"):
+                for n in range(len(lat)):
+                    for h in range(len(lat)):
+                        assert (B.bound_results(lat, claim, conv, reading, n, h)
+                                == direct_results(lat, claim, conv, reading, n, h)), \
+                            (claim, conv, reading, n, h)
 
 
 @pytest.mark.parametrize("spec", ["S5", "S4xC3", "S4xS3", "S5xC2"])
@@ -736,9 +755,9 @@ def test_results_are_not_class_invariant(spec):
 # per convention, under the strict reading; a relaxed run after it decides
 # lemma1 again (its key holds the reading) and reuses cauchy and lb3
 DECISIONS = {
-    "D4xS3": {"raw": {"lemma1": (29, 229), "cauchy": (286, 1074), "lb3": (31, 231)},
-              "closed": {"lemma1": (28, 229), "cauchy": (280, 1074), "lb3": (30, 231)}},
-    "Z:2,2,2,2": {conv: {"lemma1": (65, 800), "cauchy": (201, 1983), "lb3": (67, 802)}
+    "D4xS3": {"raw": {"lemma1": (29, 229), "cauchy": (206, 1074), "lb3": (31, 231)},
+              "closed": {"lemma1": (28, 229), "cauchy": (194, 1074), "lb3": (30, 231)}},
+    "Z:2,2,2,2": {conv: {"lemma1": (65, 800), "cauchy": (15, 1983), "lb3": (67, 802)}
                   for conv in L.CONVENTIONS},
 }
 
@@ -758,6 +777,12 @@ def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
         monkeypatch.setattr(B, name, counted)
     lat = lat_of(spec)
     for conv in L.CONVENTIONS:
+        # cauchy is decided once per pair of profiles over the whole lattice
+        # (every N the driver visits is normal, and NH = G for its partners)
+        keys = {(B._factor_profile(lat, n, conv), B._factor_profile(lat, h, conv))
+                for n in L.normal_subgroups(lat).members
+                for h in B.factor_partners(lat, n)}
+        assert DECISIONS[spec][conv]["cauchy"][0] == len(keys)
         for reading in ("strict", "relaxed"):
             for claim in checkers:
                 runs.clear()
@@ -770,54 +795,57 @@ def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
                     (conv, reading, claim)
 
 
-# _h_profile runs per (N, H, convention) visited, over "all" under both
-# conventions and both readings: every normal N with each H such that NH = G
-PROFILES = {"D4xS3": 2148, "Z:2,2,2,2": 3966}
-
-
-@pytest.mark.parametrize("spec", sorted(PROFILES))
-def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
+def counted_profiles(monkeypatch):
     calls = collections.Counter()
-    real = B._h_profile
+    real = B._factor_profile
 
-    def counted(lat, n, h, convention):
-        calls[n, h, convention] += 1
-        return real(lat, n, h, convention)
+    def counted(lat, x, convention):
+        calls[x, convention] += 1
+        return real(lat, x, convention)
 
-    monkeypatch.setattr(B, "_h_profile", counted)
-    lat = lat_of(spec)
-    for conv in L.CONVENTIONS:
-        for reading in ("strict", "relaxed"):
-            B.bound_results(lat, "all", conv, reading)
-    visited = {(n, h, conv) for conv in L.CONVENTIONS
-               for n in L.normal_subgroups(lat).members
-               for h in B.factor_partners(lat, n)}
-    assert set(calls) == visited
-    assert set(calls.values()) == {1}
-    assert sum(calls.values()) == PROFILES[spec]
+    monkeypatch.setattr(B, "_factor_profile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["D4xS3", "Z:2,2,2,2"])
+def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
+    # one claim alone profiles only the nodes it visits: lemma1 and lb3 the
+    # complements H (their decisions are kept per N), cauchy every N and
+    # every H with NH = G
+    calls = counted_profiles(monkeypatch)
+    for claim, partners in (("lemma1", B.complement_candidates),
+                            ("lb3", B.complement_candidates),
+                            ("cauchy", B.factor_partners)):
+        lat = lat_of(spec)
+        calls.clear()
+        for conv in L.CONVENTIONS:
+            for reading in ("strict", "relaxed"):
+                B.bound_results(lat, claim, conv, reading)
+        normal = L.normal_subgroups(lat).members
+        if claim == "lemma1":
+            normal = [n for n in normal if 1 < lat.node_order(n) < lat.group.order]
+        visited = {h for n in normal for h in partners(lat, n)}
+        if claim == "cauchy":
+            visited |= set(normal)
+        assert set(calls) == {(x, conv) for x in visited for conv in L.CONVENTIONS}
+        assert set(calls.values()) == {1}, claim
+
+
+# _factor_profile runs per (node, convention) over "all" under both
+# conventions and both readings: every node is a partner of N = G
+PROFILES = {"D4xS3": 240, "Z:2,2,2,2": 134}
 
 
 @pytest.mark.parametrize("spec", sorted(PROFILES))
 def test_factor_profile_computed_once_per_h(spec, monkeypatch):
-    # beside a nontrivial normal N with NH = G, H's profile depends on
-    # (H, convention) alone, whichever N it is visited with
-    calls = collections.Counter()
-    real = B._factor_profile
-
-    def counted(lat, h, convention):
-        calls[h, convention] += 1
-        return real(lat, h, convention)
-
-    monkeypatch.setattr(B, "_factor_profile", counted)
+    calls = counted_profiles(monkeypatch)
     lat = lat_of(spec)
     for conv in L.CONVENTIONS:
         for reading in ("strict", "relaxed"):
             B.bound_results(lat, "all", conv, reading)
-    wanted = {(h, conv) for conv in L.CONVENTIONS
-              for n in L.normal_subgroups(lat).members if n != lat.bottom
-              for h in B.factor_partners(lat, n) if h != lat.bottom}
-    assert set(calls) == wanted
+    assert set(calls) == {(x, conv) for x in range(len(lat)) for conv in L.CONVENTIONS}
     assert set(calls.values()) == {1}
+    assert sum(calls.values()) == PROFILES[spec]
 
 
 def test_bound_driver_results_share_no_mutable_state():
@@ -831,18 +859,50 @@ def test_bound_driver_results_share_no_mutable_state():
     assert got == pristine
 
     def unlabelled(r):
-        return dataclasses.replace(r, context=dict(r.context, h=None))
+        return repr(dataclasses.replace(r, context=dict(r.context, n=None, h=None)))
 
-    # for each profile-decided claim, a result whose decision other H share
+    # for each profile-decided claim, a result whose decision other
+    # instances share: other H of its N for lemma1 and lb3, other N for cauchy
     mutated = set()
     for claim in ("lemma1", "cauchy-sd", "cauchy-spd", "lb3"):
         of_claim = [i for i, r in enumerate(got) if r.claim == claim]
-        shared = collections.Counter(
-            (got[i].context["n"], repr(unlabelled(got[i]))) for i in of_claim)
-        victim = next(i for i in of_claim if shared[
-            got[i].context["n"], repr(unlabelled(got[i]))] > 1)
+        sharers = collections.defaultdict(list)
+        for i in of_claim:
+            sharers[unlabelled(got[i])].append(got[i].context["n"])
+        if claim.startswith("cauchy"):
+            victim = next(i for i in of_claim
+                          if len(set(sharers[unlabelled(got[i])])) > 1)
+        else:
+            victim = next(i for i in of_claim if len(sharers[unlabelled(got[i])]) > 1)
+        got[victim].context["n"] = "mutated"
         got[victim].context["h"] = "mutated"
         got[victim].context["extra"] = "mutated"
         mutated.add(victim)
     assert all(got[i] == pristine[i] for i in range(len(got)) if i not in mutated)
     assert B.bound_results(lat, "all", "raw", "strict") == pristine
+
+
+def test_spd_of_the_trivial_lattice_raises_after_the_bound_driver():
+    lat = lat_of("C1")
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spd(lat, conv)
+    assert sd(lat) == 1
+
+
+@pytest.mark.parametrize("spec", ["S3", "A4", "D4", "Q8", "S4", "Z:2,2,2", "S3xC5"])
+def test_memoised_degrees_match_naive_after_the_bound_driver(spec):
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        B.bound_results(lat, "all", conv, "strict")
+
+    def unfilled():
+        pytest.fail("the bound driver left the degree out of the memo")
+
+    assert lat.memo("sd", unfilled) == sd(lat) == D.sd_naive(lat)
+    for conv in L.CONVENTIONS:
+        assert (lat.memo(("spd", conv), unfilled) == spd(lat, conv)
+                == D.spd_naive(lat, conv)), conv
