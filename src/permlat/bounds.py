@@ -27,9 +27,11 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
   of each N, and Fit(G) (the join of the largest normal p-power nodes);
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver;
-* the shape of N that lemma1, lemma2, cor26 and theorem1 read comes from
-  N as a standalone group (:func:`node_group`), and cor26's |L(N)| is the
-  size of [1, N], so no lattice is built for N.
+* the shape of N that lemma1, lemma2, cor26 and theorem1 read is read off
+  G's lattice: N is abelian iff its generators commute in G's table, and
+  each element's order is the order of its cyclic node
+  (:func:`detect_rank2_shape`); cor26's |L(N)| is the size of [1, N]. So
+  no group and no lattice is built for N.
 
 Each node X has one profile per convention (:func:`_factor_profile`):
 every value of X that the lemma1, cauchy and lb3 checkers read when X is N
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .groups import FiniteGroup, _bits, is_prime, prime_signature, subgroup_group
+from .groups import _bits, is_prime, prime_signature
 from .lattice import (
     RAW,
     SubgroupLattice,
@@ -163,23 +165,36 @@ def sd_bound_poly(shape: Rank2AbelianShape) -> PolyForms:
     return PolyForms(derivation, printed)
 
 
-def detect_rank2_shape(group: FiniteGroup,
+def _is_abelian(lat: SubgroupLattice, idx: int) -> bool:
+    """Whether node X is abelian: X is generated by ``lat.node_gens[idx]``,
+    so it is abelian iff those generators commute pairwise in G's table."""
+    t, gens = lat.group.table, lat.node_gens[idx]
+    return all(t[a][b] == t[b][a] for k, a in enumerate(gens) for b in gens[k + 1:])
+
+
+def detect_rank2_shape(lat: SubgroupLattice, idx: int,
                        allow_rank1: bool = False) -> Optional[Rank2AbelianShape]:
-    """Recognize an abelian p-group of rank 2 (or rank 1 when allowed).
+    """Recognize node X as an abelian p-group of rank 2 (or rank 1 when
+    allowed), read off G's lattice.
 
     Rank is read off the count of solutions of x^p = 1; together with the
     exponent this pins the invariant factors of a rank-2 abelian p-group.
+    The order of x is the order of its cyclic node, and the exponent of a
+    p-group is its largest element order.
     """
-    if group.order == 1 or not group.is_abelian:
+    order = lat.node_order(idx)
+    if order == 1 or not _is_abelian(lat, idx):
         return None
-    sig = prime_signature(group.order)
+    sig = prime_signature(order)
     if len(sig.factors) != 1:
         return None
     p, k = sig.factors[0]
-    pcount = sum(1 for o in group.element_orders if o in (1, p))
+    masks, cyclic = lat.masks, lat.cyclic_nodes
+    orders = [masks[cyclic[x]].bit_count() for x in _bits(masks[idx])]
+    pcount = sum(1 for o in orders if o in (1, p))
     if pcount == p ** 2:
         a2 = 0
-        e = group.exponent
+        e = max(orders)
         while e > 1:
             e //= p
             a2 += 1
@@ -268,21 +283,6 @@ def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
 # Selections of a node X are masks over the parent's node indices
 # (permlat.lattice.node_subnormal, node_maximal), so they can be compared
 # with sn(G) and M(G) and counted against the parent's rows.
-
-def _prime_power_part(n: int, p: int) -> int:
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
-
-
-def node_group(lat: SubgroupLattice, idx: int) -> FiniteGroup:
-    """Node ``idx`` as a standalone group, once per node: what the checkers
-    read N's shape off, without building its subgroup lattice."""
-    return lat.memo(("group-of", idx),
-                    lambda: subgroup_group(lat.group, lat.masks[idx]))
-
 
 def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
                               convention: str = RAW) -> int:
@@ -396,7 +396,7 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        shape = detect_rank2_shape(node_group(lat, n_idx), allow_rank1)
+        shape = detect_rank2_shape(lat, n_idx, allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
     index = g.order // n_order
@@ -437,7 +437,7 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
         reasons.append("N is not normal")
     shape = None
     if not reasons:
-        shape = detect_rank2_shape(node_group(lat, n_idx), allow_rank1)
+        shape = detect_rank2_shape(lat, n_idx, allow_rank1)
         if shape is None:
             reasons.append("N is not an abelian p-group of admissible rank")
     index = g.order // n_order
@@ -460,7 +460,7 @@ def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheck
     n_order = lat.node_order(n_idx)
     if n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
-    if not node_group(lat, n_idx).is_abelian:
+    if not _is_abelian(lat, n_idx):
         reasons.append("N is not abelian")
     if not is_prime(g.order // n_order):
         reasons.append(f"index {g.order // n_order} is not prime")
@@ -563,9 +563,9 @@ def fitting_node(lat: SubgroupLattice) -> int:
     def compute():
         normal = normal_subgroups(lat).members
         fit = lat.bottom
-        for p, _ in prime_signature(lat.group.order).factors:
+        for p in prime_signature(lat.group.order).primes:
             core = max(n for n in normal
-                       if _prime_power_part(lat.node_order(n), p) == lat.node_order(n))
+                       if prime_signature(lat.node_order(n)).primes in ((), (p,)))
             fit = lat.join(fit, core)
         return fit
     return lat.memo("fitting", compute)
@@ -605,7 +605,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     allow_rank1 = reading == "relaxed"
     shape = None
     if not reasons:
-        shape = detect_rank2_shape(node_group(lat, c_idx), allow_rank1)
+        shape = detect_rank2_shape(lat, c_idx, allow_rank1)
         if shape is None:
             reasons.append("centralizer of the Fitting subgroup does not have "
                            "the required abelian p-group shape")

@@ -212,7 +212,6 @@ class DegreeReport:
 
 def build_degree_report(lat: SubgroupLattice, convention: str = RAW) -> DegreeReport:
     g = lat.group
-    count = all_pair_count(lat)
     trivial = len(lat) == 1
     return DegreeReport(
         group_name=g.name,
@@ -221,10 +220,10 @@ def build_degree_report(lat: SubgroupLattice, convention: str = RAW) -> DegreeRe
         subnormal_count=len(subnormal_subgroups(lat)),
         maximal_raw_count=None if trivial else len(maximal_subgroups(lat, "raw")),
         maximal_closed_count=None if trivial else len(maximal_subgroups(lat, "closed")),
-        sd=Fraction(count, len(lat) ** 2),
+        sd=sd(lat),
         spd=None if trivial else spd(lat, convention),
         d=element_commutativity_degree(g),
-        permuting_pair_count=count,
+        permuting_pair_count=all_pair_count(lat),
         quasihamiltonian=is_quasihamiltonian(lat),
         nilpotent=g.is_nilpotent,
         solvable=g.is_solvable,

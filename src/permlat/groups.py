@@ -239,10 +239,6 @@ class FiniteGroup:
         return tuple(self.cyclic_mask(x).bit_count() for x in range(self.order))
 
     @cached_property
-    def exponent(self) -> int:
-        return math.lcm(*self.element_orders)
-
-    @cached_property
     def generating_set(self) -> tuple[int, ...]:
         """A small (greedy, deterministic) generating set; empty for order 1."""
         return self.subgroup_gens(self.full_mask)

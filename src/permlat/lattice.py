@@ -32,9 +32,10 @@ or in any node follows the normal-closure chain of a node through joins of
 its conjugates; the step H^G is the join of H's class, already known. No read
 of a built lattice conjugates an element mask or computes a closure; the
 mask-level class orbit is used only by :func:`enumerate_subgroups`, before
-there is a lattice. The normal, subnormal and maximal selections are built
-once per lattice, in the lattice's memo (:meth:`SubgroupLattice.memo`),
-which also holds the other per-lattice values the degrees and bounds read.
+there is a lattice. The normal, subnormal and maximal selections and the
+permutability rows are built once per lattice, in the lattice's memo
+(:meth:`SubgroupLattice.memo`), which also holds the other per-lattice
+values the degrees and bounds read.
 
 The lattice of a node X is the interval [1, X], so each selection is defined
 once, for any node, and G's is the value at the top node: M(X) is the lower
@@ -136,7 +137,6 @@ class SubgroupLattice:
             node_gens.append(tuple(gens))
         self.up_masks: tuple[int, ...] = tuple(up)
         self.node_gens: tuple[tuple[int, ...], ...] = tuple(node_gens)
-        self._chi: Optional[PermutabilityRows] = None
         # per-lattice values computed on demand (:meth:`memo`)
         self._memo: dict = {}
 
@@ -148,7 +148,8 @@ class SubgroupLattice:
 
     def memo(self, key, compute):
         """The value kept under ``key``, from ``compute()`` on first read:
-        selections, pair counts and per-node values, once per lattice."""
+        selections, permutability rows, pair counts and per-node values,
+        once per lattice."""
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = compute()
@@ -268,9 +269,7 @@ class SubgroupLattice:
         classes reads, are built here. The product-set definition is kept as
         the oracle (:func:`permlat.degrees.permutes`).
         """
-        if self._chi is None:
-            self._chi = PermutabilityRows(self)
-        return self._chi
+        return self.memo("chi", lambda: PermutabilityRows(self))
 
     def rerooted(self, i: int):
         """Node i as a standalone group with its own subgroup lattice.
@@ -573,10 +572,9 @@ def subgroup_masks_bruteforce(group: FiniteGroup) -> list[int]:
 class SublatticeSelection:
     """A tagged subset of lattice nodes (indices into the parent lattice)."""
 
-    __slots__ = ("lattice", "kind", "members", "members_mask", "bounds_included")
+    __slots__ = ("lattice", "kind", "members", "members_mask")
 
-    def __init__(self, lattice: SubgroupLattice, kind: str,
-                 members: Iterable[int], bounds_included: bool = False):
+    def __init__(self, lattice: SubgroupLattice, kind: str, members: Iterable[int]):
         self.lattice = lattice
         self.kind = kind
         self.members = tuple(sorted(set(members)))
@@ -584,7 +582,6 @@ class SublatticeSelection:
         for i in self.members:
             mask |= 1 << i
         self.members_mask = mask
-        self.bounds_included = bounds_included
 
     def __len__(self):
         return len(self.members)
@@ -598,22 +595,14 @@ class SublatticeSelection:
 
 
 def all_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    sel = lat._memo.get("all")
-    if sel is None:
-        sel = SublatticeSelection(lat, "all", range(len(lat)))
-        lat._memo["all"] = sel
-    return sel
+    return lat.memo("all", lambda: SublatticeSelection(lat, "all", range(len(lat))))
 
 
 def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes invariant under conjugation: the classes with one member."""
-    sel = lat._memo.get("normal")
-    if sel is None:
-        # a class with one member is that node alone, its representative
-        sel = SublatticeSelection(lat, "normal", (
-            r for r, members in lat.class_masks.items() if members.bit_count() == 1))
-        lat._memo["normal"] = sel
-    return sel
+    # a class with one member is that node alone, its representative
+    return lat.memo("normal", lambda: SublatticeSelection(lat, "normal", (
+        r for r, members in lat.class_masks.items() if members.bit_count() == 1)))
 
 
 def _join_all(lat: SubgroupLattice, nodes: int) -> int:
@@ -656,15 +645,13 @@ def _is_subnormal_node(lat: SubgroupLattice, i: int, k: Optional[int] = None) ->
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Subnormal nodes. Subnormality is a class invariant, so the closure
     chain runs on class representatives only."""
-    sel = lat._memo.get("subnormal")
-    if sel is None:
+    def compute():
         normal = normal_subgroups(lat)
         reps = {r for r in set(lat.class_of)
                 if r in normal or _is_subnormal_node(lat, r)}
-        sel = SublatticeSelection(
+        return SublatticeSelection(
             lat, "subnormal", (i for i, r in enumerate(lat.class_of) if r in reps))
-        lat._memo["subnormal"] = sel
-    return sel
+    return lat.memo("subnormal", compute)
 
 
 def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
@@ -741,18 +728,13 @@ def closed_maximal(lat: SubgroupLattice, covers: int, top: int) -> int:
 
 def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> SublatticeSelection:
     """Maximal subgroups: M(X) of the top node (:func:`node_maximal`) as a
-    selection, raw or closed under the lattice bounds; a closed selection
-    records the added meet and top via ``bounds_included``."""
+    selection, raw or closed under the lattice bounds."""
     _check_convention(convention)
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
     kind = f"maximal-{convention}"
-    sel = lat._memo.get(kind)
-    if sel is None:
-        sel = SublatticeSelection(lat, kind, _bits(node_maximal(lat, lat.top, convention)),
-                                  bounds_included=convention != RAW)
-        lat._memo[kind] = sel
-    return sel
+    return lat.memo(kind, lambda: SublatticeSelection(
+        lat, kind, _bits(node_maximal(lat, lat.top, convention))))
 
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .groups import is_prime
 from .lattice import RAW, SubgroupLattice
-from .bounds import BoundCheckResult, fitting_centralizer_check, sd_bound_poly
+from .bounds import (BoundCheckResult, _not_satisfied, _satisfied,
+                     fitting_centralizer_check, sd_bound_poly)
 from .degrees import sd
 
 
@@ -108,9 +109,6 @@ def mu_matching_bound_check(lat: SubgroupLattice, convention: str = RAW,
     if len(lat) != mu:
         reasons.append(f"|L| = {len(lat)} differs from mu(1,G) = {mu}")
     if reasons:
-        return BoundCheckResult(claim, False, tuple(reasons), None, None,
-                                None, None, convention, context)
+        return _not_satisfied(claim, reasons, convention, context)
     bound = sd_bound_poly(base.shape).derivation / (2 * mu * mu)
-    actual = sd(lat)
-    return BoundCheckResult(claim, True, (), bound, actual, actual >= bound,
-                            actual - bound, convention, context)
+    return _satisfied(claim, bound, sd(lat), convention, context)

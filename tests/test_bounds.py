@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,26 +99,67 @@ class TestBoundPolynomials:
         assert forms.derivation == B.subgroup_count_rank2(shape) ** 2 + 4
 
 
+def top_shape(spec, allow_rank1=False):
+    lat = lat_of(spec)
+    return B.detect_rank2_shape(lat, lat.top, allow_rank1)
+
+
 class TestShapeDetection:
     def test_rank2_groups(self):
-        assert B.detect_rank2_shape(G.make_named("Z:2,2")) == \
-            B.Rank2AbelianShape(2, 1, 1)
-        assert B.detect_rank2_shape(G.make_named("Z:2,4")) == \
-            B.Rank2AbelianShape(2, 1, 2)
-        assert B.detect_rank2_shape(G.make_named("Z:9,27")) == \
-            B.Rank2AbelianShape(3, 2, 3)
+        assert top_shape("Z:2,2") == B.Rank2AbelianShape(2, 1, 1)
+        assert top_shape("Z:2,4") == B.Rank2AbelianShape(2, 1, 2)
+        assert top_shape("Z:9,27") == B.Rank2AbelianShape(3, 2, 3)
 
     def test_rank1_needs_flag(self):
-        c8 = G.make_named("C8")
-        assert B.detect_rank2_shape(c8) is None
-        assert B.detect_rank2_shape(c8, allow_rank1=True) == \
-            B.Rank2AbelianShape(2, 0, 3)
+        assert top_shape("C8") is None
+        assert top_shape("C8", allow_rank1=True) == B.Rank2AbelianShape(2, 0, 3)
 
     def test_rejections(self):
-        assert B.detect_rank2_shape(G.make_named("C1")) is None
-        assert B.detect_rank2_shape(G.make_named("S3")) is None
-        assert B.detect_rank2_shape(G.make_named("Z:2,2,2")) is None
-        assert B.detect_rank2_shape(G.make_named("C12"), allow_rank1=True) is None
+        assert top_shape("C1") is None
+        assert top_shape("S3") is None
+        assert top_shape("Z:2,2,2") is None
+        assert top_shape("C12", allow_rank1=True) is None
+
+
+def shape_oracle(g, allow_rank1):
+    """Test-local oracle: the shape read element by element off ``g`` as a
+    standalone group, from its table, its element orders and its exponent
+    (the lcm of the orders)."""
+    if g.order == 1 or not g.is_abelian:
+        return None
+    sig = G.prime_signature(g.order)
+    if len(sig.factors) != 1:
+        return None
+    p, k = sig.factors[0]
+    pcount = sum(1 for o in g.element_orders if o in (1, p))
+    if pcount == p ** 2:
+        a2 = G.prime_signature(math.lcm(*g.element_orders)).factors[0][1]
+        return B.Rank2AbelianShape(p, k - a2, a2)
+    if pcount == p and allow_rank1:
+        return B.Rank2AbelianShape(p, 0, k)
+    return None
+
+
+def check_shape_reads_against_oracle(lat):
+    """Every node, normal or not, read off the lattice against the oracle
+    on the node as a standalone group."""
+    for i in range(len(lat)):
+        sub = G.subgroup_group(lat.group, lat.masks[i])
+        assert B._is_abelian(lat, i) is sub.is_abelian, i
+        for rank1 in (False, True):
+            assert B.detect_rank2_shape(lat, i, rank1) == shape_oracle(sub, rank1), (i, rank1)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4xS3", "Q8xS3", "Z:4,4", "Z:2,2,2xC3", "Z:9,3"])
+def test_shape_reads_match_element_oracle_on_every_node(spec):
+    check_shape_reads_against_oracle(lat_of(spec))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_relabelled_shape_reads_match_element_oracle_on_every_node(data):
+    check_shape_reads_against_oracle(
+        L.enumerate_subgroups(relabelled(G.make_named("S4"), data)))
 
 
 class TestFactorConditions:
@@ -533,19 +575,37 @@ def test_classwise_inside_counts_match_row_counts(spec):
 
 @pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S4xC3", "S4xS3"])
 def test_shape_reads_match_rerooted_child(spec):
-    """The checkers read N's shape off its memoised node group and cor26's
-    |L(N)| off the interval [1, N]; the re-rooted child is the oracle."""
+    """The checkers read N's shape off G's lattice and cor26's |L(N)| off
+    the interval [1, N]; the re-rooted child is the oracle."""
     lat = lat_of(spec)
     for n in L.normal_subgroups(lat).members:
         child_group, child = lat.rerooted(n)
         for rank1 in (False, True):
-            assert (B.detect_rank2_shape(B.node_group(lat, n), rank1)
-                    == B.detect_rank2_shape(child_group, rank1)), (n, rank1)
+            assert (B.detect_rank2_shape(lat, n, rank1)
+                    == shape_oracle(child_group, rank1)), (n, rank1)
         res = B.abelian_prime_index_sd_check(lat, n)
         assert res.hypothesis_satisfied is (
             child_group.is_abelian and G.is_prime(lat.group.order // child_group.order))
         if res.hypothesis_satisfied:
             assert res.context["lattice_of_n"] == str(len(child))
+
+
+@pytest.mark.parametrize("spec", ["D4xS3", "S4xC3"])
+def test_bound_driver_builds_no_group(spec, monkeypatch):
+    """N's shape is read off G's lattice, so no node becomes a group."""
+    lat = lat_of(spec)
+    inits = []
+    real_init = G.FiniteGroup.__init__
+
+    def init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(G.FiniteGroup, "__init__", init)
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+    assert inits == []
 
 
 ORACLE_SPECS = list(CATALOG_SPECS) + ["D4xS3", "S4xC2", "Q8xS3"]

@@ -438,7 +438,6 @@ class TestSelections:
             lat = lat_of(spec)
             closed = L.maximal_subgroups(lat, "closed")
             assert closed.members == (lat.bottom, lat.top)
-            assert closed.bounds_included
 
     def test_maximal_raw_bottom_iff_prime_order(self):
         for spec, expected in [("C5", True), ("C12", False), ("S3", False)]:
