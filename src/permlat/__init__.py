@@ -69,6 +69,7 @@ from .degrees import (
 )
 from .bounds import (
     BoundCheckResult,
+    BoundInstance,
     Rank2AbelianShape,
     abelian_prime_index_sd_check,
     bound_results,
@@ -78,6 +79,7 @@ from .bounds import (
     decomposition_bound_check,
     detect_rank2_shape,
     fitting_centralizer_check,
+    iter_bound_results,
     maximal_count_elementary,
     sd_bound_poly,
     sd_rank2_bound_check,

@@ -40,15 +40,22 @@ lb3 are decided once per N and (profile of H, whether NH = G). cauchy
 reads nothing of N but its profile and whether it is normal, so it is
 decided once per (profile of N, N normal, profile of H, NH = G) over the
 whole lattice, and one decision covers every N with the same profile. An
-(N, H) instance then costs a lookup and a copy of the results with a
-context of its own naming N and H. The profile is not the class of X:
-conjugate nodes can have factor-condition violators of different orders.
+(N, H) instance then costs a lookup and a view (:class:`BoundInstance`):
+its verdict fields read through to the shared decision, and its context,
+which names N and H, is built only when it is read. The profile is not the
+class of X: conjugate nodes can have factor-condition violators of
+different orders.
+
+:func:`iter_bound_results` yields the instances in order, one at a time,
+so ``permlat bounds`` renders each row as it comes and keeps no list;
+:func:`bound_results` is that stream as a list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Iterator, Optional, Union
 
 from .groups import _bits, is_prime, prime_signature
 from .lattice import (
@@ -241,15 +248,47 @@ def _node_str(lat: SubgroupLattice, i: int) -> str:
     return f"#{i}(order {lat.node_order(i)})"
 
 
-def _relabelled(r: BoundCheckResult, n_label: str, h_label: str) -> BoundCheckResult:
-    """A copy of ``r`` whose context is a fresh dict naming N and H (the keys
-    keep their order). The fields are copied directly: the frozen
-    dataclass's ``__init__`` costs about three times as much."""
-    copy = object.__new__(BoundCheckResult)
-    fields = copy.__dict__
-    fields.update(r.__dict__)
-    fields["context"] = dict(r.context, n=n_label, h=h_label)
-    return copy
+class BoundInstance:
+    """One (N, H) instance of a decision that every instance with the same
+    key shares (see :func:`iter_bound_results`). The verdict fields read
+    through to the decision; the context is the decision's with N and H
+    named, a dict of the instance's own, built on first read and then kept.
+    Equal to a :class:`BoundCheckResult` (either way round) when every
+    field, context included, is equal."""
+
+    __slots__ = ("decision", "n", "h", "_context")
+
+    def __init__(self, decision: BoundCheckResult, n: str, h: str):
+        self.decision, self.n, self.h, self._context = decision, n, h, None
+
+    claim = property(attrgetter("decision.claim"))
+    hypothesis_satisfied = property(attrgetter("decision.hypothesis_satisfied"))
+    reasons = property(attrgetter("decision.reasons"))
+    bound = property(attrgetter("decision.bound"))
+    actual = property(attrgetter("decision.actual"))
+    holds = property(attrgetter("decision.holds"))
+    slack = property(attrgetter("decision.slack"))
+    convention = property(attrgetter("decision.convention"))
+
+    @property
+    def context(self) -> dict:
+        if self._context is None:
+            self._context = dict(self.decision.context, n=self.n, h=self.h)
+        return self._context
+
+    def __eq__(self, other):
+        if not isinstance(other, (BoundInstance, BoundCheckResult)):
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"BoundInstance({self.decision!r}, n={self.n!r}, h={self.h!r})"
+
+
+_fields = attrgetter("claim", "hypothesis_satisfied", "reasons", "bound", "actual",
+                     "holds", "slack", "convention", "context")
 
 
 def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
@@ -629,12 +668,47 @@ CLAIM_CHOICES = ("all", "lemma1", "lemma2", "theorem1", "cor26", "cauchy",
                  "lb3", "mu")
 
 
-def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RAW,
-                  reading: str = "strict", n_node: Optional[int] = None,
-                  h_node: Optional[int] = None) -> list[BoundCheckResult]:
+def _ns(lat: SubgroupLattice, every: bool, n_node: Optional[int]) -> list[int]:
+    """The N a claim ranges over: every normal node, or only the nontrivial
+    proper ones; ``n_node`` instead when given."""
+    if n_node is not None:
+        return [n_node]
+    return [n for n in normal_subgroups(lat).members
+            if every or 1 < lat.node_order(n) < lat.group.order]
+
+
+def _hs(lat: SubgroupLattice, n_idx: int, partners, h_node: Optional[int]) -> list[int]:
+    """The H a claim pairs with N: ``partners(lat, N)``, or ``h_node``."""
+    return [h_node] if h_node is not None else partners(lat, n_idx)
+
+
+def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
+                                 n_node: Optional[int] = None,
+                                 h_node: Optional[int] = None) -> int:
+    """How many lemma1, cauchy and lb3 results :func:`bound_results` gives,
+    counted from the N's complement and partner lists before any checker
+    runs (cauchy gives two results per (N, H))."""
+    count = 0
+    for key, every, partners, per_pair in (
+            ("lemma1", False, complement_candidates, 1),
+            ("cauchy", True, factor_partners, 2),
+            ("lb3", True, complement_candidates, 1)):
+        if claim in ("all", key):
+            count += per_pair * sum(len(_hs(lat, n, partners, h_node))
+                                    for n in _ns(lat, every, n_node))
+    return count
+
+
+BoundRow = Union[BoundCheckResult, BoundInstance]
+
+
+def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
+                       convention: str = RAW, reading: str = "strict",
+                       n_node: Optional[int] = None,
+                       h_node: Optional[int] = None) -> Iterator[BoundRow]:
     """Every instance of one claim, or of all claims (lemma1, lemma2, cor26,
-    cauchy, lb3, theorem1, mu, in that order); ``permlat bounds`` and the
-    sweeps both come here.
+    cauchy, lb3, theorem1, mu, in that order), one at a time; ``permlat
+    bounds`` renders from here, and :func:`bound_results` lists it.
 
     lemma1, lemma2 and cor26 range over the nontrivial proper normal N;
     cauchy and lb3 over every normal N, so they include the degenerate
@@ -646,22 +720,18 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
     The lemma1 and lb3 checkers run once per N and (profile of H, NH = G);
     cauchy runs once per (profile of N, N normal, profile of H, NH = G)
     over the whole lattice. Profiles are :func:`_factor_profile`, numbered
-    once per node and convention in the lattice's memo.
+    once per node and convention in the lattice's memo. Each (N, H) of
+    these three claims is a :class:`BoundInstance` of its decision.
     """
     if claim not in CLAIM_CHOICES or reading not in ("strict", "relaxed"):
         raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
+    return _bound_stream(lat, claim, convention, reading, n_node, h_node)
+
+
+def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[BoundRow]:
     rank1 = reading == "relaxed"
     g = lat.group
     normal = normal_subgroups(lat)
-
-    def ns(every: bool) -> list[int]:
-        if n_node is not None:
-            return [n_node]
-        return [n for n in normal.members if every or 1 < lat.node_order(n) < g.order]
-
-    def hs(n_idx: int, partners) -> list[int]:
-        return [h_node] if h_node is not None else partners(lat, n_idx)
-
     labels = lat.memo("labels",
                       lambda: [_node_str(lat, i) for i in range(len(lat))])
     profile_ids, numbering = lat.memo(("profiles", convention),
@@ -676,47 +746,60 @@ def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RA
 
     def decide(key, every: bool, partners, n_key, check):
         # check(n, h) runs once per (n_key(N), profile of H, NH = G); every
-        # (N, H) gets a copy of the results with a context of its own naming
-        # N and H. Partners of N all have NH = G
+        # (N, H) gets a view of the results naming N and H. Partners of N
+        # all have NH = G
         decided = lat.memo(("decided", key, convention), dict)
-        for n in ns(every):
+        for n in _ns(lat, every, n_node):
             nk, n_label = n_key(n), labels[n]
-            for h in hs(n, partners):
+            for h in _hs(lat, n, partners, h_node):
                 k = nk, profile(h), h_node is None or factorizes(lat, n, h)
                 results = decided.get(k)
                 if results is None:
                     results = decided[k] = check(n, h)
-                out.extend(_relabelled(r, n_label, labels[h]) for r in results)
+                h_label = labels[h]
+                for r in results:
+                    yield BoundInstance(r, n_label, h_label)
 
-    out: list[BoundCheckResult] = []
     if claim in ("all", "lemma1"):
-        decide(("lemma1", rank1), False, complement_candidates, lambda n: n,
-               lambda n, h: (spd_rank2_bound_check(lat, n, h, convention, rank1),))
+        yield from decide(("lemma1", rank1), False, complement_candidates, lambda n: n,
+                          lambda n, h: (spd_rank2_bound_check(lat, n, h, convention,
+                                                              rank1),))
     if claim in ("all", "lemma2"):
-        out += [sd_rank2_bound_check(lat, n, rank1) for n in ns(False)]
+        for n in _ns(lat, False, n_node):
+            yield sd_rank2_bound_check(lat, n, rank1)
     if claim in ("all", "cor26"):
-        out += [abelian_prime_index_sd_check(lat, n) for n in ns(False)]
+        for n in _ns(lat, False, n_node):
+            yield abelian_prime_index_sd_check(lat, n)
     if claim in ("all", "cauchy"):
-        decide("cauchy", True, factor_partners, lambda n: (profile(n), n in normal),
-               lambda n, h: cauchy_bound_checks(lat, n, h, convention))
+        yield from decide("cauchy", True, factor_partners,
+                          lambda n: (profile(n), n in normal),
+                          lambda n, h: cauchy_bound_checks(lat, n, h, convention))
     if claim in ("all", "lb3"):
-        decide("lb3", True, complement_candidates, lambda n: n,
-               lambda n, h: (decomposition_bound_check(lat, n, h, convention),))
+        yield from decide("lb3", True, complement_candidates, lambda n: n,
+                          lambda n, h: (decomposition_bound_check(lat, n, h,
+                                                                  convention),))
     if claim in ("all", "theorem1"):
         check = fitting_centralizer_check(lat, convention, reading)
         if check.hypotheses:
-            out += (*check.part_i, check.part_ii)
+            yield from (*check.part_i, check.part_ii)
         else:
-            out.append(_not_satisfied("theorem1", check.reasons, convention,
-                                      {"group": g.name}))
+            yield _not_satisfied("theorem1", check.reasons, convention,
+                                 {"group": g.name})
     if claim in ("all", "mu"):
         from .moebius import mu_matching_bound_check  # moebius imports bounds
-        out.append(mu_matching_bound_check(lat, convention, reading))
-    return out
+        yield mu_matching_bound_check(lat, convention, reading)
+
+
+def bound_results(lat: SubgroupLattice, claim: str = "all", convention: str = RAW,
+                  reading: str = "strict", n_node: Optional[int] = None,
+                  h_node: Optional[int] = None) -> list[BoundRow]:
+    """:func:`iter_bound_results` as a list; the sweeps and the verify
+    criteria come here."""
+    return list(iter_bound_results(lat, claim, convention, reading, n_node, h_node))
 
 
 def sweep_rank2_bounds(lat: SubgroupLattice, convention: str = RAW,
-                       allow_rank1: bool = False) -> list[BoundCheckResult]:
+                       allow_rank1: bool = False) -> list[BoundRow]:
     """All rank-2 bound instances over normal N (and complements H for spd)."""
     reading = "relaxed" if allow_rank1 else "strict"
     return (bound_results(lat, "lemma1", convention, reading)
@@ -724,7 +807,7 @@ def sweep_rank2_bounds(lat: SubgroupLattice, convention: str = RAW,
 
 
 def sweep_factorization_bounds(lat: SubgroupLattice,
-                               convention: str = RAW) -> list[BoundCheckResult]:
+                               convention: str = RAW) -> list[BoundRow]:
     """Geometric-mean and decomposition bounds over every factorization
     G = NH with N normal (H any subgroup whose product with N is G)."""
     return (bound_results(lat, "cauchy", convention)

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Optional
 
 from . import cache as cache_mod
-from .bounds import CLAIM_CHOICES, BoundCheckResult, bound_results
+from .bounds import (CLAIM_CHOICES, BoundInstance, BoundRow,
+                     factorization_instance_count, iter_bound_results)
 from .catalog import catalog_groups
 from .degrees import DegreeReport, build_degree_report
 from .groups import (
@@ -85,12 +86,25 @@ def emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def emit_json_list(payload: dict, key: str, texts: Iterable[str]) -> None:
+    """Print ``json.dumps({**payload, key: rows}, indent=2)`` with the same
+    bytes, given each row's ``json.dumps(row, indent=2)`` one at a time, so
+    no list of rows is held. ``key`` is the payload's last key."""
+    empty = json.dumps({**payload, key: []}, indent=2)
+    out = sys.stdout
+    out.write(empty[:-len("[]\n}")] + "[")
+    sep = "\n"
+    for text in texts:
+        out.write(sep + "    " + text.replace("\n", "\n    "))
+        sep = ",\n"
+    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def emit_csv(header: list[str], rows: Iterable[list[str]]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    for row in rows:
+        writer.writerow(row)
 
 
 def emit_kv_table(pairs: list[tuple[str, str]]) -> None:
@@ -277,7 +291,7 @@ def cmd_degrees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bound_json(res: BoundCheckResult) -> dict:
+def _bound_json(res: BoundRow) -> dict:
     return {
         "claim": res.claim,
         "hypothesis_satisfied": res.hypothesis_satisfied,
@@ -291,43 +305,95 @@ def _bound_json(res: BoundCheckResult) -> dict:
     }
 
 
+# labels standing in for N and H in the dump of a decision
+_N_SLOT, _H_SLOT = "\0n", "\0h"
+_N_JSON, _H_JSON = encode_basestring_ascii(_N_SLOT), encode_basestring_ascii(_H_SLOT)
+
+
+def _bound_json_texts(results: Iterable[BoundRow]) -> Iterator[str]:
+    """``json.dumps(_bound_json(r), indent=2)`` for each result. The dumps of
+    the views of one decision differ only in the N and H labels (the
+    context's keys are sorted, h before n), so a decision is dumped once
+    with stand-in labels and each of its views fills in its own."""
+    templates = {}  # id of a decision -> (the decision, the dump's three parts)
+    for r in results:
+        if type(r) is not BoundInstance:
+            yield json.dumps(_bound_json(r), indent=2)
+            continue
+        entry = templates.get(id(r.decision))
+        if entry is None:
+            text = json.dumps(_bound_json(BoundInstance(r.decision, _N_SLOT, _H_SLOT)),
+                              indent=2)
+            head, _, rest = text.partition(_H_JSON)
+            mid, _, tail = rest.partition(_N_JSON)
+            once = text.count(_H_JSON) == text.count(_N_JSON) == 1
+            parts = (head, mid, tail) if once else None
+            entry = templates[id(r.decision)] = (r.decision, parts)
+        parts = entry[1]
+        if parts is None:  # a stand-in label appears elsewhere in the dump
+            yield json.dumps(_bound_json(r), indent=2)
+        else:
+            yield (parts[0] + encode_basestring_ascii(r.h) + parts[1]
+                   + encode_basestring_ascii(r.n) + parts[2])
+
+
+def _bound_csv_row(r: BoundRow) -> list[str]:
+    return [r.claim, str(r.hypothesis_satisfied).lower(), frac_text(r.bound),
+            frac_text(r.actual), "" if r.holds is None else str(r.holds).lower(),
+            frac_text(r.slack), r.convention,
+            r.context.get("n", ""), r.context.get("h", "")]
+
+
+def _bound_text_row(r: BoundRow) -> str:
+    if not r.hypothesis_satisfied:
+        status = "n/a "
+        detail = "; ".join(r.reasons)
+    else:
+        status = "ok  " if r.holds else "FAIL"
+        detail = f"bound {frac_text(r.bound)} vs actual {frac_text(r.actual)}"
+    where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
+                     if k in ("n", "h", "shape"))
+    return f"{status} {r.claim:<12} {where:<40} {detail}"
+
+
+# a run with more (N, H) instances than this says so on stderr before it starts
+LONG_RUN_INSTANCES = 10 ** 5
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
     lat = cache_mod.cached_lattice(args.cache, g)
     for idx in (args.n_node, args.h_node):
         if idx is not None and not 0 <= idx < len(lat):
             raise GroupSpecError(f"node index {idx} out of range (0..{len(lat) - 1})")
-    results = bound_results(lat, args.claim, args.convention,
-                            args.theorem1_reading, args.n_node, args.h_node)
+    count = factorization_instance_count(lat, args.claim, args.n_node, args.h_node)
+    if count > LONG_RUN_INSTANCES:
+        print(f"note: {count:,} lemma1/cauchy/lb3 instances to check on {g.name}; "
+              f"this may take a while", file=sys.stderr)
+    # rows are rendered as the driver yields them; the closing line and the
+    # exit code come from counts kept on the way
+    tally = {"instances": 0, "qualifying": 0, "failed": 0}
+
+    def counted():
+        for r in iter_bound_results(lat, args.claim, args.convention,
+                                    args.theorem1_reading, args.n_node, args.h_node):
+            tally["instances"] += 1
+            if r.hypothesis_satisfied:
+                tally["qualifying"] += 1
+                tally["failed"] += not r.holds
+            yield r
+
     if args.format == "json":
-        emit_json({"group": g.name, "results": [_bound_json(r) for r in results]})
+        emit_json_list({"group": g.name}, "results", _bound_json_texts(counted()))
     elif args.format == "csv":
-        emit_csv(
-            ["claim", "hypothesis_satisfied", "bound", "actual", "holds",
-             "slack", "convention", "n", "h"],
-            [[r.claim, str(r.hypothesis_satisfied).lower(), frac_text(r.bound),
-              frac_text(r.actual),
-              "" if r.holds is None else str(r.holds).lower(),
-              frac_text(r.slack), r.convention,
-              r.context.get("n", ""), r.context.get("h", "")]
-             for r in results],
-        )
+        emit_csv(["claim", "hypothesis_satisfied", "bound", "actual", "holds",
+                  "slack", "convention", "n", "h"], map(_bound_csv_row, counted()))
     else:
-        for r in results:
-            if not r.hypothesis_satisfied:
-                status = "n/a "
-                detail = "; ".join(r.reasons)
-            else:
-                status = "ok  " if r.holds else "FAIL"
-                detail = (f"bound {frac_text(r.bound)} vs actual "
-                          f"{frac_text(r.actual)}")
-            where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
-                             if k in ("n", "h", "shape"))
-            print(f"{status} {r.claim:<12} {where:<40} {detail}")
-        qualifying = sum(r.hypothesis_satisfied for r in results)
-        print(f"{len(results)} instances, {qualifying} with hypotheses satisfied")
-    failed = any(r.hypothesis_satisfied and not r.holds for r in results)
-    return 1 if failed else 0
+        for r in counted():
+            print(_bound_text_row(r))
+        print(f"{tally['instances']} instances, {tally['qualifying']} with "
+              f"hypotheses satisfied")
+    return 1 if tally["failed"] else 0
 
 
 def cmd_moebius(args: argparse.Namespace) -> int:

@@ -908,8 +908,12 @@ def test_factor_profile_computed_once_per_h(spec, monkeypatch):
     assert sum(calls.values()) == PROFILES[spec]
 
 
+VERDICT_FIELDS = ("claim", "hypothesis_satisfied", "reasons", "bound", "actual",
+                  "holds", "slack", "convention")
+
+
 def test_bound_driver_results_share_no_mutable_state():
-    """Results decided once per profile are handed out as copies: mutating
+    """Results decided once per profile are handed out as views: mutating
     one result's context changes no other result and not the memoised
     decision, so a later call returns the same results."""
     lat = lat_of("D4xS3")
@@ -919,7 +923,9 @@ def test_bound_driver_results_share_no_mutable_state():
     assert got == pristine
 
     def unlabelled(r):
-        return repr(dataclasses.replace(r, context=dict(r.context, n=None, h=None)))
+        # the verdict and the context without the N and H that name it
+        rest = sorted((k, v) for k, v in r.context.items() if k not in ("n", "h"))
+        return repr(([getattr(r, f) for f in VERDICT_FIELDS], rest))
 
     # for each profile-decided claim, a result whose decision other
     # instances share: other H of its N for lemma1 and lb3, other N for cauchy
@@ -940,6 +946,53 @@ def test_bound_driver_results_share_no_mutable_state():
         mutated.add(victim)
     assert all(got[i] == pristine[i] for i in range(len(got)) if i not in mutated)
     assert B.bound_results(lat, "all", "raw", "strict") == pristine
+
+
+def test_sweeps_reading_only_the_verdict_build_no_context():
+    lat = lat_of("D4xS3")
+    results = []
+    for conv in L.CONVENTIONS:
+        results += B.sweep_factorization_bounds(lat, conv)
+        results += B.sweep_rank2_bounds(lat, conv, True)
+    verdicts = [tuple(getattr(r, f) for f in VERDICT_FIELDS) for r in results]
+    assert len(verdicts) == len(results)
+    views = [r for r in results if isinstance(r, B.BoundInstance)]
+    assert views and all(r._context is None for r in views)
+
+
+def test_each_view_has_a_context_of_its_own_and_equals_the_direct_result():
+    lat = lat_of("D4xS3")
+    for conv in L.CONVENTIONS:
+        got = B.bound_results(lat, "all", conv, "relaxed")
+        direct = direct_results(lat, "all", conv, "relaxed")
+        views = [r for r in got if isinstance(r, B.BoundInstance)]
+        # several views per decision, so the contexts could be shared
+        assert len({id(r.decision) for r in views}) < len(views)
+        contexts = [r.context for r in views]
+        assert len({id(c) for c in contexts}) == len(views)
+        assert all(r.context is c for r, c in zip(views, contexts))
+        assert all(c is not r.decision.context for r, c in zip(views, contexts))
+        for view, expected in zip(got, direct):
+            assert view == expected and expected == view
+            assert not view != expected and not expected != view
+        # a field apart makes them unequal either way round
+        view = views[0]
+        other = dataclasses.replace(direct[got.index(view)], convention="other")
+        assert view != other and other != view
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "Z:2,2,2,2"])
+def test_factorization_instance_count_matches_the_driver(spec):
+    lat = lat_of(spec)
+    for claim in ("all", "lemma1", "cauchy", "lb3", "lemma2"):
+        rows = B.bound_results(lat, claim, "raw", "strict")
+        want = sum(r.claim in ("lemma1", "cauchy-spd", "cauchy-sd", "lb3")
+                   for r in rows)
+        if claim == "all":
+            # theorem1 reports its instances under the lemma1 key
+            check = B.fitting_centralizer_check(lat, "raw", "strict")
+            want -= check.hypotheses and len(check.part_i)
+        assert B.factorization_instance_count(lat, claim) == want, claim
 
 
 def test_spd_of_the_trivial_lattice_raises_after_the_bound_driver():

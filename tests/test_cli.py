@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,12 +10,15 @@ import pytest
 
 from permlat import make_named
 from permlat.bounds import (
+    BoundInstance,
+    bound_results,
+    factorization_instance_count,
     fitting_centralizer_check,
     sweep_factorization_bounds,
     sweep_rank2_bounds,
 )
 from permlat.cache import _nodes_digest
-from permlat.cli import _bound_json, main
+from permlat.cli import _bound_json, _bound_json_texts, main
 from permlat.lattice import enumerate_subgroups
 
 
@@ -213,6 +217,120 @@ def test_bounds_json_is_byte_identical_to_the_recorded_output(
                            "--theorem1-reading", reading, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of ``permlat bounds --format csv`` and of the text output (all
+# claims), recorded before the output was streamed row by row. CSV carries
+# no reasons and no theorem1 shape, so both readings give the same digest
+BOUNDS_CSV_AND_TEXT_SHA256 = [
+    ("csv", "D4xS3", "raw", "strict", "90c8a624eecbe1907ecd2368929132612a87b7a0fedd7708c06dc2f57e4be118"),
+    ("csv", "D4xS3", "raw", "relaxed", "90c8a624eecbe1907ecd2368929132612a87b7a0fedd7708c06dc2f57e4be118"),
+    ("csv", "D4xS3", "closed", "strict", "2e65407ebb0a24440ed51ee97fe38800b4b9a9cd4a552364aeccececdbe05a18"),
+    ("csv", "D4xS3", "closed", "relaxed", "2e65407ebb0a24440ed51ee97fe38800b4b9a9cd4a552364aeccececdbe05a18"),
+    ("csv", "Q8xS3", "raw", "strict", "cbde335ef759d3680b7df9ddbf2c24ad296e1f2057e75500263d19c36b71b1b2"),
+    ("csv", "Q8xS3", "raw", "relaxed", "cbde335ef759d3680b7df9ddbf2c24ad296e1f2057e75500263d19c36b71b1b2"),
+    ("csv", "Q8xS3", "closed", "strict", "8f37ea31cce82b78e01e25782215168873913520aa52da5743d904a40dfeafef"),
+    ("csv", "Q8xS3", "closed", "relaxed", "8f37ea31cce82b78e01e25782215168873913520aa52da5743d904a40dfeafef"),
+    ("csv", "S4xC3", "raw", "strict", "e581ec8f0100fccfe8c74bac3585981d83425988ed2ed301030dfaef38b3e29a"),
+    ("csv", "S4xC3", "raw", "relaxed", "e581ec8f0100fccfe8c74bac3585981d83425988ed2ed301030dfaef38b3e29a"),
+    ("csv", "S4xC3", "closed", "strict", "6ba015ead8c165b2dfc05ce1aa16ba041adcac99c70e1ba3361943268940eb5d"),
+    ("csv", "S4xC3", "closed", "relaxed", "6ba015ead8c165b2dfc05ce1aa16ba041adcac99c70e1ba3361943268940eb5d"),
+    ("table", "D4xS3", "raw", "strict", "f26c381b60a7c233177d32bfa015192de31ceaec2d5b6d25c91868f6a5489ede"),
+    ("table", "D4xS3", "raw", "relaxed", "f76db5382de03f6d9d229b17ffe43510372c8d56aeafea6d72ff8c58dcf808f8"),
+    ("table", "D4xS3", "closed", "strict", "fd440c737c657946c45e688ee304d4f70f53f749aabdac60358c3bdc1901644e"),
+    ("table", "D4xS3", "closed", "relaxed", "1d6dffbd099b64b22201c7e7b5eaed3cf0bea8a9efa7af0a8194225ba1bb50eb"),
+    ("table", "Q8xS3", "raw", "strict", "d012265ef019ade166df2196f9b0bb9007b67f742134ffb3dd3762d27d71d67f"),
+    ("table", "Q8xS3", "raw", "relaxed", "cc0e28f424625499545caa0eb99f7cca1187c2f042d8b4ebbd6ece99590eee66"),
+    ("table", "Q8xS3", "closed", "strict", "7ec2cb65237c54b7244e68dc8ee90944305e7100d5006006755b686a6573a4fe"),
+    ("table", "Q8xS3", "closed", "relaxed", "94ccae4d3c034eed420a469d206cbfd18e5d3a8c5bc56fee736af5ab1d557a95"),
+    ("table", "S4xC3", "raw", "strict", "99cbdade57adec4182e70a869a6248f68a1201078eba0433639912628bf20959"),
+    ("table", "S4xC3", "raw", "relaxed", "092d84046a57b98c6ba6733e38d393100d18583724b5c9e8d9e740445d2dc702"),
+    ("table", "S4xC3", "closed", "strict", "388410aed530f46cfe38b178ce97868c171e571ffd7b1ece7bbdbb6a1e345dcc"),
+    ("table", "S4xC3", "closed", "relaxed", "bd6dc656b92fd50e72757fc739b31a1b05e9286cda8c614d1a9e29f173cb4335"),
+]
+
+
+@pytest.mark.parametrize("fmt,spec,conv,reading,digest", BOUNDS_CSV_AND_TEXT_SHA256,
+                         ids=lambda v: v[:12] if len(v) == 64 else v)
+def test_bounds_csv_and_text_are_byte_identical_to_the_recorded_output(
+        capsys, fmt, spec, conv, reading, digest):
+    code, out, _ = run_cli(capsys, "bounds", "--group", spec, "--convention", conv,
+                           "--theorem1-reading", reading, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bounds_command_renders_row_by_row(capsys, monkeypatch):
+    """JSON and CSV go out one row at a time: no call to ``json.dumps`` or
+    to the CSV writer gets more than one result, and JSON dumps each shared
+    decision once."""
+    count = len(bound_results(enumerate_subgroups(make_named("D4xS3")), "all"))
+    dumped, written = [], []
+    real_dumps, real_writer = json.dumps, csv.writer
+
+    def dumps(obj, *args, **kwargs):
+        dumped.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    class Writer:
+        def __init__(self, *args, **kwargs):
+            self.inner = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            written.append(row)
+            return self.inner.writerow(row)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            written.append(rows)
+            return self.inner.writerows(rows)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    monkeypatch.setattr(csv, "writer", Writer)
+    for fmt in ("json", "csv"):
+        code, _, _ = run_cli(capsys, "bounds", "--group", "D4xS3", "--format", fmt)
+        assert code == 0
+    # one dump for the payload's head, then at most one per row
+    assert 1 < len(dumped) < count
+    assert dumped[0] == {"group": "D4xS3", "results": []}
+    assert all(isinstance(obj, dict) and "claim" in obj for obj in dumped[1:])
+    # one row per call of the CSV writer
+    assert len(written) == count + 1
+    assert all(isinstance(cell, str) for row in written for cell in row)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4xS3", "Z:2,2,2,2"])
+def test_bound_json_texts_are_the_dumps_of_the_rows(spec):
+    results = bound_results(enumerate_subgroups(make_named(spec)), "all", "closed")
+    assert (list(_bound_json_texts(results))
+            == [json.dumps(_bound_json(r), indent=2) for r in results])
+    # a stand-in label as a value of the decision's own context falls back
+    # to a whole dump of the row
+    view = next(r for r in results if isinstance(r, BoundInstance))
+    odd = BoundInstance(dataclasses.replace(
+        view.decision, context=dict(view.decision.context, group="\0h")), "a", "b")
+    assert list(_bound_json_texts([odd])) == [json.dumps(_bound_json(odd), indent=2)]
+
+
+@pytest.mark.parametrize("spec,notices", [("Z:2,2,2,2,2", 1), ("S6", 0)])
+def test_bounds_notice_goes_out_before_any_checker_runs(capsys, monkeypatch,
+                                                        spec, notices):
+    from permlat import cli
+
+    seen = []
+
+    def no_checks(*args):
+        seen.append(capsys.readouterr().err)
+        return iter(())
+
+    monkeypatch.setattr(cli, "iter_bound_results", no_checks)
+    code, _, err = run_cli(capsys, "bounds", "--group", spec)
+    assert code == 0 and err == ""
+    assert len(seen) == 1 and len(seen[0].splitlines()) == notices
+    if notices:
+        count = factorization_instance_count(enumerate_subgroups(make_named(spec)))
+        assert count > cli.LONG_RUN_INSTANCES
+        assert f"{count:,}" in seen[0]
 
 
 class TestMoebiusCommand:
