@@ -338,10 +338,14 @@ def _bound_json_texts(results: Iterable[BoundRow]) -> Iterator[str]:
 
 
 def _bound_csv_row(r: BoundRow) -> list[str]:
+    # a view's labels are read without building its context dict
+    if type(r) is BoundInstance:
+        n, h = r.n, r.h
+    else:
+        n, h = r.context.get("n", ""), r.context.get("h", "")
     return [r.claim, str(r.hypothesis_satisfied).lower(), frac_text(r.bound),
             frac_text(r.actual), "" if r.holds is None else str(r.holds).lower(),
-            frac_text(r.slack), r.convention,
-            r.context.get("n", ""), r.context.get("h", "")]
+            frac_text(r.slack), r.convention, n, h]
 
 
 def _bound_text_row(r: BoundRow) -> str:
@@ -351,8 +355,16 @@ def _bound_text_row(r: BoundRow) -> str:
     else:
         status = "ok  " if r.holds else "FAIL"
         detail = f"bound {frac_text(r.bound)} vs actual {frac_text(r.actual)}"
-    where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
-                     if k in ("n", "h", "shape"))
+    if type(r) is BoundInstance:
+        # the view's labels and its decision's shape, in sorted key order,
+        # without building the view's context dict
+        where = f"h={r.h} n={r.n}"
+        context = r.decision.context
+        if "shape" in context:
+            where += f" shape={context['shape']}"
+    else:
+        where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
+                         if k in ("n", "h", "shape"))
     return f"{status} {r.claim:<12} {where:<40} {detail}"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 720
 
@@ -436,18 +436,26 @@ class FiniteGroup:
         return all(t[i][j] == t[j][i]
                    for i in range(self.order) for j in range(i + 1, self.order))
 
-    @cached_property
-    def derived_series(self) -> tuple[int, ...]:
-        # [K, K] = <[x, y] : x, y in X>^K for K = <X>
-        series = [self.full_mask]
+    def _derived_terms(self) -> Iterator[int]:
+        # [K, K] = <[x, y] : x, y in X>^K for K = <X>, from G = <generating_set>
+        k, gens = self.full_mask, self.generating_set
         while True:
-            k = series[-1]
-            gens = self.subgroup_gens(k)
+            yield k
             nxt = self._commutator_closure(gens, gens, k)
             if nxt == k:
-                break
-            series.append(nxt)
-        return tuple(series)
+                return
+            k, gens = nxt, self.subgroup_gens(nxt)
+
+    @cached_property
+    def derived_series(self) -> tuple[int, ...]:
+        return tuple(self._derived_terms())
+
+    def solvable_residual(self) -> int:
+        """G^(∞), the last term of the derived series: the largest perfect
+        subgroup, 1 iff G is solvable. Computed afresh on each call and kept
+        nowhere, unlike :attr:`derived_series`."""
+        *_, last = self._derived_terms()
+        return last
 
     @cached_property
     def lower_central_series(self) -> tuple[int, ...]:

@@ -4,13 +4,17 @@ A lattice is built from its node masks alone (:class:`SubgroupLattice`), and
 every lattice comes through that one constructor: enumeration, cache hits
 and re-rooted children. The masks are enumerated once per group by joining
 conjugacy-class representatives A with the cyclic subgroups of prime-power
-order, after Neubüser's cyclic-extension method, and no join is computed
-whose result is already determined: seeds conjugate under N(A) to a joined
-seed give conjugate joins, and a join of prime index over A absorbs every
-seed it holds outside A. A normal representative's normalizer is the whole
-group, found without a closure, and a seed inside N(A) is joined as the
-product of A with its one generator. :func:`enumerate_subgroups` proves each
-of these rules. The masks are then frozen: nodes are sorted by (cardinality,
+order, after Neubüser's cyclic-extension method. A join is skipped when
+its result is known or is reached by another join. Outside the solvable
+residual R = G^(∞) only the normal extensions AC of prime index over A are
+joined, since every subgroup that is not perfect has a normal subgroup of
+prime index; every
+subgroup of prime index over A already found absorbs the seeds it holds
+outside A, and seeds conjugate under N(A) to a joined seed give conjugate
+joins. A normal representative's normalizer is the whole group, found
+without a closure, and a seed inside N(A) is joined as the product of A
+with its one generator. :func:`enumerate_subgroups` proves each of these
+rules. The masks are then frozen: nodes are sorted by (cardinality,
 membership-vector lex order), so two runs of the same table index the nodes
 identically. The lattice of a subgroup H is the interval [1, H] of the
 parent's lattice, so :meth:`SubgroupLattice.rerooted` reads it off the
@@ -61,7 +65,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .groups import (ElementSet, FiniteGroup, _bits, is_prime, prime_signature,
+from .groups import (ElementSet, FiniteGroup, _bits, prime_signature,
                      subgroup_group)
 
 DEFAULT_LATTICE_CAP = 5000
@@ -395,38 +399,66 @@ def enumerate_subgroups(group: FiniteGroup,
     This follows the cyclic-extension method of Neubüser (1960), on which
     GAP's lattice code is built. Every cyclic subgroup starts in the
     frontier, which holds one representative per conjugacy class. Each
-    representative A is joined with the seeds, the cyclic subgroups of
+    representative A is joined with seeds, the cyclic subgroups of
     prime-power order. A join that yields a new subgroup brings in its whole
     conjugacy class at once, by conjugation and without further closures,
     and its representative joins the next frontier.
 
-    The method is complete. Every element x is the product of its p-parts,
-    which commute and are powers of x of prime-power order, so every
-    subgroup H is generated by its elements of prime-power order: H is the
-    top of a chain 1 < <c1> < <c1, c2> < ... with every ci of prime-power
-    order. Each link <K, c> of the chain is found once K is. K = A^g for the
-    representative A of K's class, and <K, c> = <A, c'>^g with c' = c^(g⁻¹),
-    again of prime-power order, so <K, c> is conjugate to the join of A with
-    the seed <c'>. That join is skipped only when its result is known by
-    one of these rules:
+    Normal prime-index extensions. Let R = G^(∞), the last term of the
+    derived series (:meth:`FiniteGroup.solvable_residual`, computed once per
+    call and kept nowhere). A is joined with a seed C only if C <= N(A) and
+    |C : C n A| is prime, or A u C lies in R. Outside R every join is
+    therefore AC, of prime index over A: for solvable G (R = 1) every join
+    is such a one-generator extension, and for perfect G (R = G) the rule
+    skips nothing.
+
+    The method is complete: every subgroup J is conjugate to a join <A, C>
+    that the rule lets through, with A the representative of a class of
+    smaller subgroups. By induction on |J| (1 and the cyclic subgroups are
+    found first):
+
+    - J is not perfect. J' < J and J/J' is abelian, so J has a normal
+      subgroup K of prime index p, and K = A^h for the representative A of
+      K's class, found by induction. Take x in J outside K. x is the
+      product of its q-parts, one for each prime q dividing its order, which
+      are powers of x. In J/K, of order p, every q-part with q != p maps to
+      1, so the p-part x_p lies outside K. Then <K, x_p> = J, x_p
+      normalizes K and x_p^p lies in K, so J^(h⁻¹) = <A, C> with
+      C = <x_p^(h⁻¹)> <= N(A) and |C : C n A| = p.
+    - J is perfect and J != 1. J = J' lies in every term of the derived
+      series, so J <= R. J is generated by its elements of prime-power
+      order; drop one element c from a minimal generating set of them, to
+      get K < J with J = <K, c>. K = A^h as before, and A = K^(h⁻¹) and
+      c^(h⁻¹) both lie in R, which is normal, so J^(h⁻¹) = <A, C> with
+      C = <c^(h⁻¹)> and A u C in R.
+
+    A join that the rule lets through is skipped only when its result is
+    known by one of these rules:
 
     - A seed inside A adds nothing, and a seed containing A is its own join
-      with A.
-    - N(A)-orbits. For n in N(A), <A, C^n> = <A, C>^n, so one seed per
-      N(A)-orbit is joined and the whole orbit goes into ``tried``.
-    - Prime-index absorption. When J = <A, C> has prime index over A, no
-      subgroup lies strictly between A and J, since by Lagrange its index
-      over A would divide that prime. So every seed C' in J but not in A has
-      <A, C'> = J, and the seeds of its N(A)-orbit give conjugates of J:
-      all of them go into ``tried`` with C's orbit.
+      with A, a cyclic subgroup found first.
+    - Seen prime-index overgroups. When K > A has prime index over A, no
+      subgroup lies strictly between them, since by Lagrange its index over
+      A would divide that prime; so every seed in K but not in A joins A to
+      K. Before A's first join, A's cover is the union of A and every K
+      already found with prime index over A, and a seed inside the cover is
+      not joined: its generator lies in one such K, and so does the seed.
+      Each new join J of prime index over A adds the members of its class
+      that contain A to the cover. So every join of prime index is new: a
+      known one would have held C in the cover.
+    - N(A)-orbits. For n in N(A), <A, C^n> = <A, C>^n, so when a join is
+      not of prime index over A (only inside R), C's whole N(A)-orbit goes
+      into ``tried``. A join J of prime index needs none: C^n lies in J^n,
+      a member of J's class that contains A, hence in the cover.
 
     The cost of each join is cut by more exact rules:
 
     - Free normalizer. N(A) is found once per representative, before its
       first join. A representative whose class has one member is normal, so
       N(A) = G, found without a closure. Otherwise N(A) is a union of left
-      cosets of A, tested one coset at a time (:func:`_normalizer_mask`),
-      and its generators are read off it.
+      cosets of A, tested one coset at a time (:func:`_normalizer_mask`).
+      Its generators, which only the N(A)-orbits read, are those of G for a
+      normal A and are otherwise read off N(A) before the first orbit.
     - One-generator joins. A join is closed from A by whole cosets, as in
       Dimino's algorithm (:meth:`FiniteGroup.closure_mask` with ``base`` A).
       When the seed C = <c> lies in N(A), <A, C> = AC is the union of the
@@ -439,11 +471,6 @@ def enumerate_subgroups(group: FiniteGroup,
       into J: then sJs⁻¹ = <s jgens s⁻¹> lies in J and has its order, so
       each generator of G, and hence all of G, normalizes J. Such a J's
       class is [J], found without conjugating J's elements.
-    - Seed classes for a normal A. When A is normal, N(A) = G, so the
-      N(A)-orbit of a seed is its G-class. The classes of the seeds are
-      found once, in the first pass over the cyclic subgroups, and go into
-      ``tried`` whole; only a non-normal A conjugates seeds by N(A)'s
-      generators.
 
     :class:`LatticeCapError` is raised as soon as more than ``lattice_cap``
     subgroups are known, that is exactly when |L(G)| exceeds the cap.
@@ -465,73 +492,85 @@ def enumerate_subgroups(group: FiniteGroup,
         raise LatticeCapError(f"{g.name}: more than {lattice_cap} subgroups")
     seeds = [m for m in cyclic_masks[1:]
              if len(prime_signature(m.bit_count()).factors) == 1]
-    is_seed = set(seeds)
+    primes = set(prime_signature(g.order).primes)
+    rm = g.solvable_residual()
     frontier: list[int] = []
     seen: set[int] = set()  # every subgroup found so far
+    of_order: dict[int, list[int]] = {}  # the subgroups in seen, by order
     normal: set[int] = set()  # the representatives that are normal subgroups
-    seed_class: dict[int, list[int]] = {}  # the G-class of every seed
+
+    def add_class(members: list[int]):
+        seen.update(members)
+        of_order.setdefault(members[0].bit_count(), []).extend(members)
+        if len(members) == 1:
+            normal.add(members[0])
+
     for m in cyclic_masks:
         if m not in seen:
             frontier.append(m)
             members = _conjugacy_class(m, gens_of[m], tables)
-            seen.update(members)
-            if len(members) == 1:
-                normal.add(m)
-            if m in is_seed:
-                seed_class.update(dict.fromkeys(members, members))
+            add_class(members)
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
+            a_order = am.bit_count()
             a_normal = am in normal
             nm = 0  # N(A) and A's element rows, found before the first join
-            ngens: tuple[int, ...] = ()  # generators of N(A) when A is not normal
+            ngens: Optional[tuple[int, ...]] = None  # generators of N(A)
             arows: list[tuple[int, ...]] = []
             tried: set[int] = set()  # seeds whose join with A is known
+            # A and the seen subgroups of prime index over A, each of which is
+            # the join of A with every seed it holds outside A
+            cover = am
+            for p in primes:
+                for km in of_order.get(a_order * p, ()):
+                    if km & am == am:
+                        cover |= km
             for cm in seeds:
-                u = am | cm
-                if u == am or u == cm or cm in tried:
+                if cm & cover == cm or am & cm == am or cm in tried:
+                    continue
+                # outside R, only a C in N(A) with |C : C n A| prime is joined
+                in_r = not (am | cm) & ~rm
+                if not in_r and cm.bit_count() // (cm & am).bit_count() not in primes:
                     continue
                 if not nm:
-                    if a_normal:
-                        nm = g.full_mask
-                    else:
-                        nm = _normalizer_mask(g, am, agens)
-                        ngens = g.subgroup_gens(nm, am, agens)
+                    nm = g.full_mask if a_normal else _normalizer_mask(g, am, agens)
                     arows = [t[b] for b in _bits(am)]
+                c_normalizes = cm & nm == cm
+                if not (in_r or c_normalizes):
+                    continue
                 c = gens_of[cm][0]
                 jgens = agens + (c,)
-                jm = g.closure_mask((c,) if cm & nm == cm else jgens, am, arows)
+                jm = g.closure_mask((c,) if c_normalizes else jgens, am, arows)
                 if jm not in seen:
                     members = _conjugacy_class(jm, jgens, tables)
-                    seen.update(members)
-                    if len(members) == 1:
-                        normal.add(jm)
+                    add_class(members)
                     gens_of[jm] = jgens
                     fresh.append(jm)
                     if len(seen) > lattice_cap:
                         raise LatticeCapError(
                             f"{g.name}: more than {lattice_cap} subgroups")
-                # the seeds joining A to J or to an N(A)-conjugate of J
-                known = [cm]
-                if is_prime(jm.bit_count() // am.bit_count()):
-                    known += (cyclic_of[x] for x in _bits(jm & ~am))
-                for d in known:
-                    if d in tried or d not in is_seed:
+                    if jm.bit_count() // a_order in primes:
+                        # J and its conjugates over A join the cover (a seen
+                        # J of prime index over A would have held C in it)
+                        for km in members:
+                            if km & am == am:
+                                cover |= km
                         continue
-                    if a_normal:
-                        tried.update(seed_class[d])
-                        continue
-                    # the N(A)-orbit of the seed, by conjugating with N(A)'s generators
-                    orbit = [d]
-                    tried.add(d)
-                    for e in orbit:  # orbit grows while we iterate
-                        x = gens_of[e][0]
-                        for y in ngens:
-                            f = cyclic_of[t[t[y][x]][inv[y]]]
-                            if f not in tried:
-                                tried.add(f)
-                                orbit.append(f)
+                # the seeds of C's N(A)-orbit join A to N(A)-conjugates of J
+                if ngens is None:
+                    ngens = (g.generating_set if a_normal
+                             else g.subgroup_gens(nm, am, agens))
+                orbit = [cm]
+                tried.add(cm)
+                for e in orbit:  # orbit grows while we iterate
+                    x = gens_of[e][0]
+                    for y in ngens:
+                        f = cyclic_of[t[t[y][x]][inv[y]]]
+                        if f not in tried:
+                            tried.add(f)
+                            orbit.append(f)
         frontier = fresh
     return SubgroupLattice(g, list(seen))
 

@@ -18,7 +18,8 @@ from permlat.bounds import (
     sweep_rank2_bounds,
 )
 from permlat.cache import _nodes_digest
-from permlat.cli import _bound_json, _bound_json_texts, main
+from permlat.cli import (_bound_csv_row, _bound_json, _bound_json_texts,
+                         _bound_text_row, main)
 from permlat.lattice import enumerate_subgroups
 
 
@@ -310,6 +311,22 @@ def test_bound_json_texts_are_the_dumps_of_the_rows(spec):
     odd = BoundInstance(dataclasses.replace(
         view.decision, context=dict(view.decision.context, group="\0h")), "a", "b")
     assert list(_bound_json_texts([odd])) == [json.dumps(_bound_json(odd), indent=2)]
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4xS3", "Z:2,2,2,2"])
+def test_bound_rows_of_a_view_match_the_rows_of_its_whole_result(spec):
+    # a view's text and CSV rows read its labels and the decision's context;
+    # they must equal the rows of a result carrying the view's full context,
+    # also when the decision's context holds a shape
+    results = bound_results(enumerate_subgroups(make_named(spec)), "all", "closed")
+    views = [r for r in results if isinstance(r, BoundInstance)]
+    views.append(BoundInstance(dataclasses.replace(
+        views[0].decision, context=dict(views[0].decision.context, shape="(p=2)")),
+        "a", "b"))
+    for view in views:
+        whole = dataclasses.replace(view.decision, context=view.context)
+        assert _bound_text_row(view) == _bound_text_row(whole)
+        assert _bound_csv_row(view) == _bound_csv_row(whole)
 
 
 @pytest.mark.parametrize("spec,notices", [("Z:2,2,2,2,2", 1), ("S6", 0)])

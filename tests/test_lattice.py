@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 import tempfile
 from collections import defaultdict
 
@@ -37,8 +38,7 @@ POOL_SPECS = SELECTION_SPECS + ["Z:2,2,2,2,2"]
 # products with normal factors run the prime-index and normal-representative
 # paths of the enumeration. The last three were produced before class
 # tests read conjugation tables; most nodes of D4xD4xC2 and Z:2,2,2,2,2,2 are
-# normal, so they run the normality test on generators and the seed classes
-# of normal representatives
+# normal, so they run the normality test on generators
 PINNED_MASK_DIGESTS = {
     "S5": "00044c76460a2a1d9f64ef21ab6c7437871645c189b88e81db7788d8358c3ef3",
     "S5xC2": "cd1810a32a3206677518a8e64c83ed83829bd630bb04d8b511700a12d79ae270",
@@ -55,10 +55,19 @@ PINNED_MASK_DIGESTS = {
 
 # closure_mask calls of one enumeration of a freshly built group; the
 # enumeration is deterministic, so a change in the count is a change in the
-# joins or normalizer generators it computes. D4xD4 has normal
-# representatives whose seeds have classes of more than one member, so its
-# count rises if a normal representative's seed classes are not all tried
-PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 2051, "S5": 156, "D4xD4": 2754}
+# joins or normalizer generators it computes. Every count rises if the
+# subgroups already found of prime index over a representative stop
+# absorbing its seeds; D4xD4, S5 and S5xC2 have representatives under
+# several conjugates of a prime-index join, so theirs rise if a new join's
+# conjugates over the representative are not all absorbed too. S5 and S5xC2
+# have a nontrivial solvable residual A5, so theirs rise if a join inside it
+# no longer tries its seed's whole N(A)-orbit
+PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 351, "S5": 52, "D4xD4": 201,
+                               "S5xC2": 90}
+
+# PSL(2,7) acting on the seven points of the Fano plane
+PSL27_ON_7_POINTS = {"kind": "permutation", "degree": 7,
+                     "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 1, 4, 3, 2, 6, 5]]}
 
 
 def lat_of(spec):
@@ -113,15 +122,21 @@ def nodes_of_order(lat, k):
     return [i for i in range(len(lat)) if lat.node_order(i) == k]
 
 
-def relabelled(g, data):
-    """``g`` rebuilt from its table under a drawn permutation fixing 0."""
+def relabelled_as(g, sigma):
+    """``g`` rebuilt from its table with element x renamed sigma[x]; sigma
+    is a permutation fixing 0."""
     n = g.order
-    sigma = [0] + data.draw(st.permutations(range(1, n)), label="sigma")
     inv = [0] * n
     for x, y in enumerate(sigma):
         inv[y] = x
     table = [[sigma[g.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
     return G.FiniteGroup.from_table(table, name=g.name)
+
+
+def relabelled(g, data):
+    """``g`` rebuilt from its table under a drawn permutation fixing 0."""
+    return relabelled_as(
+        g, [0] + data.draw(st.permutations(range(1, g.order)), label="sigma"))
 
 
 def subnormal_by_chain(g, m):
@@ -132,6 +147,26 @@ def subnormal_by_chain(g, m):
         if nc == k:
             return False
         k = nc
+    return True
+
+
+def closed_under_cyclic_extension(g, masks):
+    """Oracle, independent of how the masks were found: a list of subgroups
+    is all of L(G) iff it holds {1} and the closure of X u {x} for every
+    node X and element x, since every subgroup is the top of a chain
+    1 < <x1> < <x1, x2> < ... Elements with one cyclic subgroup give one
+    closure, so each cyclic subgroup is tried once."""
+    known = set(masks)
+    cyclic = {g.cyclic_mask(x): x for x in range(g.order)}
+    if 1 not in known:
+        return False
+    for m in masks:
+        gens = g.subgroup_gens(m)
+        if gens is None:
+            return False
+        for cm, x in cyclic.items():
+            if cm & ~m and g.closure_mask(gens + (x,), m) not in known:
+                return False
     return True
 
 
@@ -199,6 +234,24 @@ class TestEnumeration:
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
         L.enumerate_subgroups(group)
         assert len(calls) == PINNED_ENUMERATION_CLOSURES[spec]
+
+    # |R| for the solvable residual R: 1 for solvable groups (relabelled
+    # here), a proper subgroup for S5xC2 and A5xC3, all of a perfect group
+    @pytest.mark.parametrize("spec, seed, residual_order", [
+        ("S4xS3", 1, 1), ("D4xD4", 2, 1), ("S5xC2", 0, 60), ("A5xC3", 0, 60),
+        ("A5", 0, 60), ("PSL27", 0, 168),
+    ])
+    def test_enumeration_is_closed_under_cyclic_extension(self, spec, seed,
+                                                          residual_order):
+        g = (G.group_from_json_dict(PSL27_ON_7_POINTS) if spec == "PSL27"
+             else G.make_named(spec))
+        if seed:
+            rest = list(range(1, g.order))
+            random.Random(seed).shuffle(rest)
+            g = relabelled_as(g, [0] + rest)
+        r = g.solvable_residual()
+        assert r == g.derived_series[-1] and r.bit_count() == residual_order
+        assert closed_under_cyclic_extension(g, L.enumerate_subgroups(g).masks)
 
     def test_enumeration_keeps_no_state_on_the_group(self):
         # benchmark jobs share a group's attribute values through copy.copy,
