@@ -1,20 +1,27 @@
 """Optional on-disk cache for enumerated subgroup lattices.
 
 Cache files are JSON keyed by a digest of the multiplication table, and each
-carries a sha256 of its own node list. On load the format version, both
-digests, the node count and every mask are checked; a file that fails any
-check (truncated, edited, another version) makes the loader return None, so
-the caller recomputes. A hit is therefore bit-identical to a fresh
+carries a sha256 of its own node list. Cache format 3 hashes the table as
+``v3:<order>:`` followed by each row packed as little-endian 4-byte
+integers, fed to sha256 one row at a time; the node-list digest is taken
+over the stored hex text, which :func:`store_lattice` writes in canonical
+lowercase. On load the format version, both digests, the node count and
+every mask are checked; a file that fails any check (truncated, edited,
+another version, hex not as the store writes it) makes the loader return
+None, so the caller recomputes. A hit is therefore bit-identical to a fresh
 enumeration for every file that :func:`store_lattice` wrote for the same
 table; only an edit that also rewrites the node-list digest gets past the
-checks.
+checks. An entry of an earlier format lies under another file name, since
+the table digest names the file, so it is never read.
 
 The masks are checked on the lattice built from them
 (:class:`permlat.lattice.SubgroupLattice`), which reads greedy generators of
 every node off the containment columns. Greedy generator lists of subgroups
 are prefixes of one another, so node k is checked in index order by one
 closure, grown from the node s < k that its leading generators span
-(:meth:`FiniteGroup.closure_mask` with base s; Dimino's algorithm). A hit
+(:meth:`FiniteGroup.closure_mask` with base s; Dimino's algorithm). The
+table rows of s's elements, which the closure multiplies by, are gathered
+once per prefix node s and reused by every node that grows from it. A hit
 thus proves that every node is the subgroup its generators span, so the
 order masks are exact, and that every cyclic subgroup <x> is listed, at
 ``cyclic_nodes[x]``. Completeness beyond that is not checked: a list of
@@ -26,14 +33,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import sys
 import weakref
 from typing import Optional
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _bits
 from .lattice import SubgroupLattice, enumerate_subgroups
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 _digests: "weakref.WeakKeyDictionary[FiniteGroup, str]" = weakref.WeakKeyDictionary()
@@ -50,11 +58,13 @@ def table_digest(group: FiniteGroup) -> str:
 
 
 def _hash_table(group: FiniteGroup) -> str:
-    # sha256 of "v<format>:<order>:" and each row as "a,b,...;", hashed as
-    # one string with every entry's decimal text made once
-    names = [str(i) for i in range(group.order)]
-    rows = "".join([",".join([names[v] for v in row]) + ";" for row in group.table])
-    return hashlib.sha256(f"v{CACHE_FORMAT}:{group.order}:{rows}".encode()).hexdigest()
+    # sha256 of "v<format>:<order>:" and each row packed as <order>
+    # little-endian 4-byte integers, fed one row at a time
+    digest = hashlib.sha256(f"v{CACHE_FORMAT}:{group.order}:".encode())
+    pack = struct.Struct(f"<{group.order}I").pack
+    for row in group.table:
+        digest.update(pack(*row))
+    return digest.hexdigest()
 
 
 def cache_path(cache_dir: str, group: FiniteGroup) -> str:
@@ -106,10 +116,13 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
             return None
         if payload["digest"] != digest:
             return None
-        masks = [int(v, 16) for v in payload["nodes"]]
-        if len(masks) != payload["node_count"] or len(set(masks)) != len(masks):
+        # the node list is hashed as stored: store_lattice writes the
+        # canonical hex that _nodes_digest formats, so other text is refused
+        nodes = payload["nodes"]
+        if payload["nodes_sha256"] != hashlib.sha256(",".join(nodes).encode()).hexdigest():
             return None
-        if payload["nodes_sha256"] != _nodes_digest(masks):
+        masks = [int(v, 16) for v in nodes]
+        if len(masks) != payload["node_count"] or len(set(masks)) != len(masks):
             return None
     except (KeyError, TypeError, ValueError):
         return None
@@ -119,13 +132,20 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
     lat = SubgroupLattice(group, masks)
     if lat.masks[lat.bottom] != 1 or lat.masks[lat.top] != full:
         return None
+    t, masks = group.table, lat.masks
     gens_node = {gens: k for k, gens in enumerate(lat.node_gens)}
+    base_rows: dict[int, list] = {}  # prefix node -> the table rows of its elements
     for k in range(1, len(lat)):
         gens = lat.node_gens[k]
         s = gens_node.get(gens[:-1], k)
-        if s >= k or group.closure_mask(gens, lat.masks[s]) != lat.masks[k]:
+        if s >= k:
             return None
-    if any(lat.masks[c] != group.cyclic_mask(x) for x, c in enumerate(lat.cyclic_nodes)):
+        rows = base_rows.get(s)
+        if rows is None:
+            rows = base_rows[s] = [t[b] for b in _bits(masks[s])]
+        if group.closure_mask(gens, masks[s], rows) != masks[k]:
+            return None
+    if any(masks[c] != group.cyclic_mask(x) for x, c in enumerate(lat.cyclic_nodes)):
         return None
     return lat
 

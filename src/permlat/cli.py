@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
 
 from . import cache as cache_mod
-from .bounds import (CLAIM_CHOICES, BoundInstance, BoundRow,
+from .bounds import (CLAIM_CHOICES, BoundCheckResult, BoundInstance, BoundRow,
                      factorization_instance_count, iter_bound_results)
 from .catalog import catalog_groups
 from .degrees import DegreeReport, build_degree_report
@@ -305,67 +305,100 @@ def _bound_json(res: BoundRow) -> dict:
     }
 
 
+def _rows_by_decision(results: Iterable[BoundRow], row, decision_part, view_row):
+    """``row(r)`` for each result r. A view's row is ``view_row(part, r)``,
+    where ``part = decision_part(r.decision)`` is the text its decision
+    gives every view, made once per decision."""
+    parts = {}  # id of a decision -> (the decision, its part)
+    for r in results:
+        if type(r) is not BoundInstance:
+            yield row(r)
+            continue
+        entry = parts.get(id(r.decision))
+        if entry is None:
+            entry = parts[id(r.decision)] = (r.decision, decision_part(r.decision))
+        yield view_row(entry[1], r)
+
+
 # labels standing in for N and H in the dump of a decision
 _N_SLOT, _H_SLOT = "\0n", "\0h"
 _N_JSON, _H_JSON = encode_basestring_ascii(_N_SLOT), encode_basestring_ascii(_H_SLOT)
 
 
+def _bound_json_text(r: BoundRow) -> str:
+    return json.dumps(_bound_json(r), indent=2)
+
+
+def _decision_json(d: BoundCheckResult) -> Optional[tuple[str, str, str]]:
+    # the dump of a view of d with stand-in labels, split around them (the
+    # context's keys are sorted, h before n); None when a stand-in label
+    # appears elsewhere in the dump
+    text = _bound_json_text(BoundInstance(d, _N_SLOT, _H_SLOT))
+    head, _, rest = text.partition(_H_JSON)
+    mid, _, tail = rest.partition(_N_JSON)
+    once = text.count(_H_JSON) == text.count(_N_JSON) == 1
+    return (head, mid, tail) if once else None
+
+
+def _view_json(parts: Optional[tuple[str, str, str]], r: BoundInstance) -> str:
+    if parts is None:
+        return _bound_json_text(r)
+    return (parts[0] + encode_basestring_ascii(r.h) + parts[1]
+            + encode_basestring_ascii(r.n) + parts[2])
+
+
 def _bound_json_texts(results: Iterable[BoundRow]) -> Iterator[str]:
     """``json.dumps(_bound_json(r), indent=2)`` for each result. The dumps of
-    the views of one decision differ only in the N and H labels (the
-    context's keys are sorted, h before n), so a decision is dumped once
-    with stand-in labels and each of its views fills in its own."""
-    templates = {}  # id of a decision -> (the decision, the dump's three parts)
-    for r in results:
-        if type(r) is not BoundInstance:
-            yield json.dumps(_bound_json(r), indent=2)
-            continue
-        entry = templates.get(id(r.decision))
-        if entry is None:
-            text = json.dumps(_bound_json(BoundInstance(r.decision, _N_SLOT, _H_SLOT)),
-                              indent=2)
-            head, _, rest = text.partition(_H_JSON)
-            mid, _, tail = rest.partition(_N_JSON)
-            once = text.count(_H_JSON) == text.count(_N_JSON) == 1
-            parts = (head, mid, tail) if once else None
-            entry = templates[id(r.decision)] = (r.decision, parts)
-        parts = entry[1]
-        if parts is None:  # a stand-in label appears elsewhere in the dump
-            yield json.dumps(_bound_json(r), indent=2)
-        else:
-            yield (parts[0] + encode_basestring_ascii(r.h) + parts[1]
-                   + encode_basestring_ascii(r.n) + parts[2])
+    the views of one decision differ only in the N and H labels, so a
+    decision is dumped once with stand-in labels and each of its views fills
+    in its own."""
+    return _rows_by_decision(results, _bound_json_text, _decision_json, _view_json)
+
+
+def _decision_csv(d: BoundRow) -> list[str]:
+    # a row's fields before its n and h
+    return [d.claim, str(d.hypothesis_satisfied).lower(), frac_text(d.bound),
+            frac_text(d.actual), "" if d.holds is None else str(d.holds).lower(),
+            frac_text(d.slack), d.convention]
+
+
+def _view_csv(fields: list[str], r: BoundInstance) -> list[str]:
+    return fields + [r.n, r.h]
 
 
 def _bound_csv_row(r: BoundRow) -> list[str]:
-    # a view's labels are read without building its context dict
     if type(r) is BoundInstance:
-        n, h = r.n, r.h
+        return _view_csv(_decision_csv(r.decision), r)
+    return _decision_csv(r) + [r.context.get("n", ""), r.context.get("h", "")]
+
+
+def _decision_text(d: BoundRow) -> tuple[str, str, str]:
+    # a text row around its padded column of labels: "status claim ", the
+    # shape that follows a view's labels (the context's keys in sorted
+    # order: h, n, shape) and " detail"
+    if not d.hypothesis_satisfied:
+        status = "n/a "
+        detail = "; ".join(d.reasons)
     else:
-        n, h = r.context.get("n", ""), r.context.get("h", "")
-    return [r.claim, str(r.hypothesis_satisfied).lower(), frac_text(r.bound),
-            frac_text(r.actual), "" if r.holds is None else str(r.holds).lower(),
-            frac_text(r.slack), r.convention, n, h]
+        status = "ok  " if d.holds else "FAIL"
+        detail = f"bound {frac_text(d.bound)} vs actual {frac_text(d.actual)}"
+    shape = f" shape={d.context['shape']}" if "shape" in d.context else ""
+    return f"{status} {d.claim:<12} ", shape, f" {detail}"
+
+
+def _view_text(parts: tuple[str, str, str], r: BoundInstance) -> str:
+    head, shape, tail = parts
+    where = f"h={r.h} n={r.n}{shape}"
+    return f"{head}{where:<40}{tail}"
 
 
 def _bound_text_row(r: BoundRow) -> str:
-    if not r.hypothesis_satisfied:
-        status = "n/a "
-        detail = "; ".join(r.reasons)
-    else:
-        status = "ok  " if r.holds else "FAIL"
-        detail = f"bound {frac_text(r.bound)} vs actual {frac_text(r.actual)}"
     if type(r) is BoundInstance:
-        # the view's labels and its decision's shape, in sorted key order,
-        # without building the view's context dict
-        where = f"h={r.h} n={r.n}"
-        context = r.decision.context
-        if "shape" in context:
-            where += f" shape={context['shape']}"
-    else:
-        where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
-                         if k in ("n", "h", "shape"))
-    return f"{status} {r.claim:<12} {where:<40} {detail}"
+        return _view_text(_decision_text(r.decision), r)
+    head, _, tail = _decision_text(r)
+    where = " ".join(f"{k}={v}" for k, v in sorted(r.context.items())
+                     if k in ("n", "h", "shape"))
+    return f"{head}{where:<40}{tail}"
 
 
 # a run with more (N, H) instances than this says so on stderr before it starts
@@ -399,10 +432,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         emit_json_list({"group": g.name}, "results", _bound_json_texts(counted()))
     elif args.format == "csv":
         emit_csv(["claim", "hypothesis_satisfied", "bound", "actual", "holds",
-                  "slack", "convention", "n", "h"], map(_bound_csv_row, counted()))
+                  "slack", "convention", "n", "h"],
+                 _rows_by_decision(counted(), _bound_csv_row, _decision_csv, _view_csv))
     else:
-        for r in counted():
-            print(_bound_text_row(r))
+        for line in _rows_by_decision(counted(), _bound_text_row, _decision_text,
+                                      _view_text):
+            print(line)
         print(f"{tally['instances']} instances, {tally['qualifying']} with "
               f"hypotheses satisfied")
     return 1 if tally["failed"] else 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 720
 
@@ -276,7 +276,7 @@ class FiniteGroup:
             y = t[y][x]
         return m
 
-    def closure_mask(self, gens: Iterable[int], base: int = 1,
+    def closure_mask(self, gens: Sequence[int], base: int = 1,
                      base_rows: Optional[Sequence[Sequence[int]]] = None) -> int:
         """Subgroup generated by ``gens`` as a mask.
 
@@ -286,6 +286,8 @@ class FiniteGroup:
         Permutation Groups*, 1991): the coset representatives y are closed
         under right multiplication by ``gens``, so their cosets cover the
         closure. With the trivial base this is a BFS from the identity.
+        ``gens`` may repeat an element or hold the identity: such a
+        generator only leads back to a coset already in the mask.
 
         ``base_rows`` are the table rows ``table[b]`` of the elements b of
         ``base``, in any order; they are read off ``base`` when not given. A
@@ -296,7 +298,6 @@ class FiniteGroup:
         the search stops as soon as it has found that many.
         """
         t = self.table
-        gen_list = [g for g in dict.fromkeys(gens) if g]
         if base_rows is None:
             base_rows = [t[b] for b in _bits(base)]
         size = len(base_rows)
@@ -306,7 +307,7 @@ class FiniteGroup:
         queue = [0]
         for x in queue:  # queue grows while we iterate
             row = t[x]
-            for g in gen_list:
+            for g in gens:
                 y = row[g]
                 if not mask >> y & 1:
                     for b in base_rows:
@@ -542,7 +543,7 @@ def closure(g: FiniteGroup, seed) -> ElementSet:
     mask = _as_mask(g, seed)
     if mask == 0:
         raise ValueError("seed must be nonempty")
-    return ElementSet(g, g.closure_mask(_bits(mask)))
+    return ElementSet(g, g.closure_mask(list(_bits(mask))))
 
 
 def centralizer(g: FiniteGroup, x: int) -> ElementSet:

@@ -31,15 +31,17 @@ X = <x1> v ... v <xm> is the join of the cyclic nodes of the yxiy⁻¹, a few
 ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality and
 subnormality are class invariants and are decided once per conjugacy class
 (:attr:`SubgroupLattice.class_of`). The classes and their conjugators are
-orbits under the group's generators, conjugated that way. Subnormality in G
-or in any node follows the normal-closure chain of a node through joins of
-its conjugates; the step H^G is the join of H's class, already known. No read
-of a built lattice conjugates an element mask or computes a closure; the
-mask-level class orbit is used only by :func:`enumerate_subgroups`, before
-there is a lattice. The normal, subnormal and maximal selections and the
-permutability rows are built once per lattice, in the lattice's memo
-(:meth:`SubgroupLattice.memo`), which also holds the other per-lattice
-values the degrees and bounds read.
+orbits under the group's generators, each member conjugated that way inside
+the walk itself; a node that every generator maps its own generators into
+is normal, and its class is that node alone, found without a walk.
+Subnormality in G or in any node follows the normal-closure chain of a node
+through joins of its conjugates; the step H^G is the join of H's class,
+already known. No read of a built lattice conjugates an element mask or
+computes a closure; the mask-level class orbit is used only by
+:func:`enumerate_subgroups`, before there is a lattice. The normal,
+subnormal and maximal selections and the permutability rows are built once
+per lattice, in the lattice's memo (:meth:`SubgroupLattice.memo`), which
+also holds the other per-lattice values the degrees and bounds read.
 
 The lattice of a node X is the interval [1, X], so each selection is defined
 once, for any node, and G's is the value at the top node: M(X) is the lower
@@ -211,20 +213,34 @@ class SubgroupLattice:
     @cached_property
     def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # (class_of, conjugators): one BFS per class from its lowest node R
-        # over generators s of the group; the member g R g⁻¹ conjugated by s
-        # is (s·g) R (s·g)⁻¹, found from R's generators
-        t = self.group.table
+        # over generators s of the group. The member g R g⁻¹ conjugated by s
+        # is y R y⁻¹ with y = s·g, the join of the cyclic nodes of y x y⁻¹
+        # over R's generators x (the proof is in :meth:`conjugates`), found
+        # here without a call per member. When every s maps R's generators
+        # into R, R is normal and its class is R alone
+        t, inv = self.group.table, self.group.inverse
+        up, cyc, full = self.up_masks, self.cyclic_nodes, self.all_nodes_mask
         gens = self.node_gens[self.top]
+        gen_rows = [(t[s], inv[s]) for s in gens]
         rep = [-1] * len(self.masks)
         conj = [-1] * len(self.masks)
-        for r in range(len(self.masks)):
+        for r, m in enumerate(self.masks):
             if rep[r] >= 0:
                 continue
             rep[r], conj[r] = r, 0
+            rgens = self.node_gens[r]
+            if all(m >> t[row[x]][si] & 1 for row, si in gen_rows for x in rgens):
+                continue
             orbit = [r]
             for i in orbit:  # orbit grows while we iterate
-                ys = [t[s][conj[i]] for s in gens]
-                for y, j in zip(ys, self.conjugates(r, ys)):
+                g = conj[i]
+                for s in gens:
+                    y = t[s][g]
+                    row, yi = t[y], inv[y]
+                    above = full
+                    for x in rgens:
+                        above &= up[cyc[t[row[x]][yi]]]
+                    j = (above & -above).bit_length() - 1
                     if rep[j] < 0:
                         rep[j], conj[j] = r, y
                         orbit.append(j)

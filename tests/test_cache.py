@@ -14,8 +14,10 @@ from permlat import groups as G
 from permlat import lattice as L
 from permlat import moebius as M
 
-# an S4 entry exactly as store_lattice wrote it at cache format 2
+# S4 entries exactly as store_lattice wrote them at cache formats 3 and 2
 DATA = Path(__file__).parent / "data"
+S4_ENTRY = DATA / "lattice-97b4cd1a3ff03b2e47bc48c8959aa10bf3816f138218f6d22955188c08b491de.json"
+S4_FORMAT_2_ENTRY = DATA / "lattice-595ba91201b6c87830c765b3b35b87ee12b2ec4fe50857f40e8571933f0164da.json"
 
 
 @pytest.fixture
@@ -62,10 +64,9 @@ def test_load_then_store_hashes_the_table_once(tmp_path, digest_calls):
 
 
 def test_entry_written_earlier_still_loads(tmp_path, monkeypatch):
-    (entry,) = DATA.glob("lattice-*.json")
-    shutil.copy(entry, tmp_path)
+    shutil.copy(S4_ENTRY, tmp_path)
     g = G.make_named("S4")
-    assert C.cache_path(str(tmp_path), g) == str(tmp_path / entry.name)
+    assert C.cache_path(str(tmp_path), g) == str(tmp_path / S4_ENTRY.name)
     fresh = L.enumerate_subgroups(g)
 
     def no_enumeration(group):
@@ -76,11 +77,38 @@ def test_entry_written_earlier_still_loads(tmp_path, monkeypatch):
     assert C.cached_lattice(str(tmp_path), g).masks == fresh.masks
 
 
-# table digests as the row-by-row hash of cache format 2 produced them; a
-# change here orphans every cache entry on disk
+def test_entry_of_an_earlier_format_is_replaced(tmp_path, capsys):
+    # a format-2 entry found under the format-3 file name fails the format
+    # check, and is enumerated again and rewritten
+    g = G.make_named("S4")
+    path = C.cache_path(str(tmp_path), g)
+    shutil.copy(S4_FORMAT_2_ENTRY, path)
+    assert C.load_lattice(str(tmp_path), g) is None
+    lat = C.cached_lattice(str(tmp_path), g)
+    assert "ignoring corrupt cache entry for S4" in capsys.readouterr().err
+    assert lat.masks == L.enumerate_subgroups(g).masks
+    assert Path(path).read_bytes() == S4_ENTRY.read_bytes()
+
+
+def test_entry_with_uppercase_hex_is_refused(tmp_path):
+    # the node-list digest is checked over the text as stored, and
+    # store_lattice writes lowercase hex
+    g = G.make_named("S4")
+    path = C.store_lattice(str(tmp_path), L.enumerate_subgroups(g))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert any(v != v.upper() for v in payload["nodes"])
+    payload["nodes"] = [v.upper() for v in payload["nodes"]]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert C.load_lattice(str(tmp_path), g) is None
+
+
+# table digests as cache format 3 produces them, from each row packed as
+# 4-byte little-endian integers; a change here orphans every cache entry on disk
 PINNED_TABLE_DIGESTS = {
-    "C1": "7c07cdb8d31877793675e35621fdc2d759fa507e45044ad89bd07e399d8ac0c7",
-    "S5xC2": "5111738a53c93234f9b389d7e372f0c53db1bd25949691a972d873ba4f25e52a",
+    "C1": "7279658286b15fbc68a4a95c26160cec31f816e71701de68c75abbb07bfc41e5",
+    "S5xC2": "29ca63bab2cec3ff214b33869317ac533ad940bd157971f1e39eaac33707a133",
 }
 
 

@@ -65,6 +65,16 @@ PINNED_MASK_DIGESTS = {
 PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 351, "S5": 52, "D4xD4": 201,
                                "S5xC2": 90}
 
+# sha256 of "class_of;conjugators" (each comma-separated) of the group
+# relabelled by random.Random(3); the order in which the class walk visits
+# the group's generators fixes the conjugators, which node_subnormal reads
+PINNED_CLASS_WALKS = {
+    "S5xC2": "003d0fe02b11163d479168828201cb724dc97bcbc740e415d369f35ba9dea123",
+    "D4xD4": "90901c92154e31134c9b427844c04a8771fbeb38cf262dc9e99c23bc62c05645",
+    "A5xC3": "d307039048432b2a27ee7890a13a1e097290eca969d0968679e098675047b11c",
+    "Z:2,2,2,2,2": "a11d439229386795da3cc9d088e1bfa2bdd4d69cc554b72c834026962e7d3d96",
+}
+
 # PSL(2,7) acting on the seven points of the Fano plane
 PSL27_ON_7_POINTS = {"kind": "permutation", "degree": 7,
                      "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 1, 4, 3, 2, 6, 5]]}
@@ -374,6 +384,16 @@ class TestConjugacyClasses:
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
             assert (len(members) == 1) == (i in normal), (spec, i)
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_CLASS_WALKS))
+    def test_class_walk_pinned(self, spec):
+        g = G.make_named(spec)
+        rest = list(range(1, g.order))
+        random.Random(3).shuffle(rest)
+        lat = L.enumerate_subgroups(relabelled_as(g, [0] + rest))
+        text = (",".join(map(str, lat.class_of)) + ";"
+                + ",".join(map(str, lat.conjugators)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLASS_WALKS[spec]
 
     @pytest.mark.parametrize("spec, nodes, classes", [
         ("S5", 156, 19), ("S5xC2", 535, 57), ("S6", 1455, 56)])
