@@ -24,7 +24,9 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
   :func:`permlat.degrees.node_restricted_pairs`), since XY = YX does not
   depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
-  of each N, and Fit(G) (the join of the largest normal p-power nodes);
+  of each N, and Fit(G) (the join of the largest normal p-power nodes). A
+  partner H of N has |H| >= |G : N| and nodes are sorted by order, so N's
+  complements are the head of its partner list, not a list of their own;
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver;
 * the shape of N that lemma1, lemma2, cor26 and theorem1 read is read off
@@ -32,6 +34,12 @@ kept in the lattice's memo, so an (N, H) instance does only lookups:
   each element's order is the order of its cyclic node
   (:func:`detect_rank2_shape`); cor26's |L(N)| is the size of [1, N]. So
   no group and no lattice is built for N.
+
+The checkers share their gates: one rank-2 gate on N serves lemma1 and
+lemma2 (:func:`_rank2_gate`), one complement test serves lemma1 and lb3
+(:func:`_is_complement`), and one list of factor-condition details per side
+of G = NH (:func:`_condition_details`) gives lemma1's a1/a2 reasons, the
+cauchy-spd and lb3 reason and :func:`check_factor_conditions`.
 
 Each node X has one profile per convention (:func:`_factor_profile`):
 every value of X that the lemma1, cauchy and lb3 checkers read when X is N
@@ -52,7 +60,8 @@ so ``permlat bounds`` renders each row as it comes and keeps no list;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, Optional, Union
@@ -287,8 +296,7 @@ class BoundInstance:
         return f"BoundInstance({self.decision!r}, n={self.n!r}, h={self.h!r})"
 
 
-_fields = attrgetter("claim", "hypothesis_satisfied", "reasons", "bound", "actual",
-                     "holds", "slack", "convention", "context")
+_fields = attrgetter(*(f.name for f in fields(BoundCheckResult)))
 
 
 def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
@@ -299,22 +307,31 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
 
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
     """Nodes H with NH = G (|N||H| = |G||N n H|), listed once per N in the
-    lattice's memo."""
+    lattice's memo. Such an H has |H| >= |G : N| and nodes are sorted by
+    order, so the scan starts at the first node of order |G : N|, and the
+    complements of N head the list (:func:`complement_candidates`)."""
     def compute():
-        nm, order = lat.masks[n_idx], lat.group.order
+        masks, order = lat.masks, lat.group.order
+        nm = masks[n_idx]
         n = nm.bit_count()
-        return [h for h, hm in enumerate(lat.masks)
+        start = bisect_left(masks, order // n, key=int.bit_count)
+        return [h for h, hm in enumerate(masks[start:], start)
                 if n * hm.bit_count() == order * (nm & hm).bit_count()]
     return lat.memo(("partners", n_idx), compute)
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with |H| = |G : N| and NH = G, listed once per N; such an H
-    is isomorphic to G/N."""
-    def compute():
-        index = lat.group.order // lat.node_order(n_idx)
-        return [h for h in factor_partners(lat, n_idx) if lat.node_order(h) == index]
-    return lat.memo(("complements", n_idx), compute)
+    """Nodes H with |H| = |G : N| and NH = G, the head of N's partner list;
+    such an H is isomorphic to G/N."""
+    partners = factor_partners(lat, n_idx)
+    index = lat.group.order // lat.node_order(n_idx)
+    return partners[:bisect_right(partners, index, key=lat.node_order)]
+
+
+def _is_complement(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
+    """Whether H is a complement of N: |H| = |G : N| and NH = G."""
+    return (lat.node_order(h_idx) == lat.group.order // lat.node_order(n_idx)
+            and factorizes(lat, n_idx, h_idx))
 
 
 # -- per-node values read off the parent lattice ------------------------------
@@ -389,6 +406,24 @@ def _factor_profile(lat: SubgroupLattice, idx: int, convention: str) -> tuple:
     return order, total, half, node_restricted_pairs(lat, idx, convention)
 
 
+def _condition_details(lat: SubgroupLattice, idx: int, who: str,
+                       convention: str) -> list[str]:
+    """One detail per failed inclusion of sn(X) in sn(G) and of M(X) in
+    M(G) for the side X of G = NH that ``who`` names ("N" or "H")."""
+    return [f"{sel}({who}) in {sel}(G): subgroup of order {order} is not in the "
+            f"ambient selection"
+            for sel, order in zip(("sn", "M"), _half_verdict(lat, idx, convention))
+            if order is not None]
+
+
+def _factor_conditions_reason(lat: SubgroupLattice, n_idx: int, h_idx: int,
+                              convention: str) -> Optional[str]:
+    """The cauchy-spd and lb3 reason when a factor condition fails, or None."""
+    details = (_condition_details(lat, h_idx, "H", convention)
+               + _condition_details(lat, n_idx, "N", convention))
+    return "factor conditions fail: " + "; ".join(details) if details else None
+
+
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
                             convention: str = RAW) -> FactorConditions:
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
@@ -398,20 +433,28 @@ def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
         raise ValueError("NH is not the whole group")
     if nm.bit_count() == 1 or hm.bit_count() == 1:
         raise ValueError("N and H must be nontrivial (maximal sets undefined)")
-    details = []
+    a1 = _condition_details(lat, h_idx, "H", convention)
+    a2 = _condition_details(lat, n_idx, "N", convention)
+    return FactorConditions(not a1, not a2, tuple(a1 + a2))
 
-    def included(idx: int, who: str) -> bool:
-        ok = True
-        for sel, order in zip(("sn", "M"), _half_verdict(lat, idx, convention)):
-            if order is not None:
-                details.append(f"{sel}({who}) in {sel}(G): subgroup of order "
-                               f"{order} is not in the ambient selection")
-                ok = False
-        return ok
 
-    a1 = included(h_idx, "H")
-    a2 = included(n_idx, "N")
-    return FactorConditions(a1, a2, tuple(details))
+def _rank2_gate(lat: SubgroupLattice, n_idx: int, allow_rank1: bool,
+                ) -> tuple[Optional[str], Optional[Rank2AbelianShape]]:
+    """The hypotheses on N that lemma1 and lemma2 share, in order: N is
+    nontrivial, normal, an abelian p-group of admissible rank, and of prime
+    index. Returns (the first that fails, None), or (None, N's shape)."""
+    n_order = lat.node_order(n_idx)
+    if n_order == 1:
+        return "N is trivial", None
+    if n_idx not in normal_subgroups(lat):
+        return "N is not normal", None
+    shape = detect_rank2_shape(lat, n_idx, allow_rank1)
+    if shape is None:
+        return "N is not an abelian p-group of admissible rank", None
+    index = lat.group.order // n_order
+    if not is_prime(index):
+        return f"index {index} is not prime", None
+    return None, shape
 
 
 def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -424,34 +467,17 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     claim = "lemma1"
     context = {"group": g.name, "n": _node_str(lat, n_idx),
                "h": _node_str(lat, h_idx)}
-    reasons = []
-    nm, hm = lat.masks[n_idx], lat.masks[h_idx]
-    n_order = nm.bit_count()
-    if g.order == 1:
-        reasons.append("trivial group: spd undefined")
-    if n_order == 1:
-        reasons.append("N is trivial")
-    elif n_idx not in normal_subgroups(lat):
-        reasons.append("N is not normal")
-    shape = None
-    if not reasons:
-        shape = detect_rank2_shape(lat, n_idx, allow_rank1)
-        if shape is None:
-            reasons.append("N is not an abelian p-group of admissible rank")
-    index = g.order // n_order
-    if not reasons and not is_prime(index):
-        reasons.append(f"index {index} is not prime")
-    if not reasons and (hm.bit_count() != index
-                        or not factorizes(lat, n_idx, h_idx)):
+    reasons = ["trivial group: spd undefined"] if g.order == 1 else []
+    failed, shape = _rank2_gate(lat, n_idx, allow_rank1)
+    if failed:
+        reasons.append(failed)
+    elif not _is_complement(lat, n_idx, h_idx):
         reasons.append("H is not a complement with NH = G")
-    if not reasons:
-        cond = check_factor_conditions(lat, n_idx, h_idx, convention)
-        if not cond.a1:
-            reasons.append("factor condition a1 fails: " +
-                           "; ".join(d for d in cond.details if "(H)" in d))
-        if not cond.a2:
-            reasons.append("factor condition a2 fails: " +
-                           "; ".join(d for d in cond.details if "(N)" in d))
+    else:
+        for name, idx, who in (("a1", h_idx, "H"), ("a2", n_idx, "N")):
+            details = _condition_details(lat, idx, who, convention)
+            if details:
+                reasons.append(f"factor condition {name} fails: " + "; ".join(details))
     if reasons:
         return _not_satisfied(claim, reasons, convention, context)
     context["shape"] = str(shape)
@@ -468,22 +494,9 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
     g = lat.group
     claim = "lemma2"
     context = {"group": g.name, "n": _node_str(lat, n_idx)}
-    reasons = []
-    n_order = lat.node_order(n_idx)
-    if n_order == 1:
-        reasons.append("N is trivial")
-    elif n_idx not in normal_subgroups(lat):
-        reasons.append("N is not normal")
-    shape = None
-    if not reasons:
-        shape = detect_rank2_shape(lat, n_idx, allow_rank1)
-        if shape is None:
-            reasons.append("N is not an abelian p-group of admissible rank")
-    index = g.order // n_order
-    if not reasons and not is_prime(index):
-        reasons.append(f"index {index} is not prime")
-    if reasons:
-        return _not_satisfied(claim, reasons, "-", context)
+    failed, shape = _rank2_gate(lat, n_idx, allow_rank1)
+    if failed:
+        return _not_satisfied(claim, [failed], "-", context)
     context["shape"] = str(shape)
     bound = sd_bound_poly(shape).derivation / (2 * len(lat) ** 2)
     return _satisfied(claim, bound, sd(lat), "-", context)
@@ -537,9 +550,9 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
         if nm.bit_count() == 1 or hm.bit_count() == 1:
             reasons.append("N or H trivial: restricted pairs undefined")
         else:
-            cond = check_factor_conditions(lat, n_idx, h_idx, convention)
-            if not (cond.a1 and cond.a2):
-                reasons.append("factor conditions fail: " + "; ".join(cond.details))
+            failed = _factor_conditions_reason(lat, n_idx, h_idx, convention)
+            if failed:
+                reasons.append(failed)
     if reasons:
         spd_res = _not_satisfied("cauchy-spd", reasons, convention, dict(base_ctx))
     else:
@@ -571,19 +584,16 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     context = {"group": g.name, "n": _node_str(lat, n_idx),
                "h": _node_str(lat, h_idx)}
     reasons = []
-    nm, hm = lat.masks[n_idx], lat.masks[h_idx]
-    n_order = nm.bit_count()
-    if not 1 < n_order < g.order:
+    if not 1 < lat.node_order(n_idx) < g.order:
         reasons.append("N must be nontrivial and proper")
     elif n_idx not in normal_subgroups(lat):
         reasons.append("N is not normal")
-    elif (hm.bit_count() != g.order // n_order
-          or not factorizes(lat, n_idx, h_idx)):
+    elif not _is_complement(lat, n_idx, h_idx):
         reasons.append("H is not a complement with NH = G")
     else:
-        cond = check_factor_conditions(lat, n_idx, h_idx, convention)
-        if not (cond.a1 and cond.a2):
-            reasons.append("factor conditions fail: " + "; ".join(cond.details))
+        failed = _factor_conditions_reason(lat, n_idx, h_idx, convention)
+        if failed:
+            reasons.append(failed)
     if reasons:
         return _not_satisfied(claim, reasons, convention, context)
     count_n = node_restricted_pairs(lat, n_idx, convention)
@@ -682,21 +692,26 @@ def _hs(lat: SubgroupLattice, n_idx: int, partners, h_node: Optional[int]) -> li
     return [h_node] if h_node is not None else partners(lat, n_idx)
 
 
+# The claims decided over factorizations G = NH: whether N ranges over every
+# normal node (or only the nontrivial proper ones), the H each N pairs with,
+# and the results each (N, H) gives
+_FACTORIZATION_CLAIMS = {
+    "lemma1": (False, complement_candidates, 1),
+    "cauchy": (True, factor_partners, 2),
+    "lb3": (True, complement_candidates, 1),
+}
+
+
 def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
                                  n_node: Optional[int] = None,
                                  h_node: Optional[int] = None) -> int:
     """How many lemma1, cauchy and lb3 results :func:`bound_results` gives,
-    counted from the N's complement and partner lists before any checker
-    runs (cauchy gives two results per (N, H))."""
-    count = 0
-    for key, every, partners, per_pair in (
-            ("lemma1", False, complement_candidates, 1),
-            ("cauchy", True, factor_partners, 2),
-            ("lb3", True, complement_candidates, 1)):
-        if claim in ("all", key):
-            count += per_pair * sum(len(_hs(lat, n, partners, h_node))
-                                    for n in _ns(lat, every, n_node))
-    return count
+    counted from each N's partner list (its complements are the list's
+    head) before any checker runs."""
+    return sum(per_pair * sum(len(_hs(lat, n, partners, h_node))
+                              for n in _ns(lat, every, n_node))
+               for key, (every, partners, per_pair) in _FACTORIZATION_CLAIMS.items()
+               if claim in ("all", key))
 
 
 BoundRow = Union[BoundCheckResult, BoundInstance]
@@ -744,10 +759,11 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
                 _factor_profile(lat, x, convention), len(numbering))
         return pid
 
-    def decide(key, every: bool, partners, n_key, check):
+    def decide(key, n_key, check):
         # check(n, h) runs once per (n_key(N), profile of H, NH = G); every
         # (N, H) gets a view of the results naming N and H. Partners of N
         # all have NH = G
+        every, partners, _ = _FACTORIZATION_CLAIMS[key]
         decided = lat.memo(("decided", key, convention), dict)
         for n in _ns(lat, every, n_node):
             nk, n_label = n_key(n), labels[n]
@@ -761,7 +777,7 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
                     yield BoundInstance(r, n_label, h_label)
 
     if claim in ("all", "lemma1"):
-        yield from decide(("lemma1", rank1), False, complement_candidates, lambda n: n,
+        yield from decide("lemma1", lambda n: (n, rank1),
                           lambda n, h: (spd_rank2_bound_check(lat, n, h, convention,
                                                               rank1),))
     if claim in ("all", "lemma2"):
@@ -771,11 +787,10 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
         for n in _ns(lat, False, n_node):
             yield abelian_prime_index_sd_check(lat, n)
     if claim in ("all", "cauchy"):
-        yield from decide("cauchy", True, factor_partners,
-                          lambda n: (profile(n), n in normal),
+        yield from decide("cauchy", lambda n: (profile(n), n in normal),
                           lambda n, h: cauchy_bound_checks(lat, n, h, convention))
     if claim in ("all", "lb3"):
-        yield from decide("lb3", True, complement_candidates, lambda n: n,
+        yield from decide("lb3", lambda n: n,
                           lambda n, h: (decomposition_bound_check(lat, n, h,
                                                                   convention),))
     if claim in ("all", "theorem1"):

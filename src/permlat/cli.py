@@ -82,6 +82,10 @@ def frac_text(value: Optional[Fraction]) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def count_text(value: Optional[int]) -> str:
+    return "undefined" if value is None else str(value)
+
+
 def emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -265,8 +269,8 @@ def _print_report_table(report: DegreeReport) -> None:
         ("order", str(report.order)),
         ("|L|", str(report.lattice_size)),
         ("|sn|", str(report.subnormal_count)),
-        ("|M| raw", str(report.maximal_raw_count)),
-        ("|M| closed", str(report.maximal_closed_count)),
+        ("|M| raw", count_text(report.maximal_raw_count)),
+        ("|M| closed", count_text(report.maximal_closed_count)),
         ("sd", frac_text(report.sd)),
         (f"spd ({report.convention})", frac_text(report.spd)),
         ("d", frac_text(report.d)),
@@ -522,49 +526,58 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", help="group descriptor, e.g. S4, D6, Z:2,4, S3xC5")
-    common.add_argument("--input", help="JSON group file (cayley/permutation/named)")
-    common.add_argument("--convention", choices=("raw", "closed"), default="raw",
-                        help="maximal-subgroup convention (default raw)")
-    common.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
-    common.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
+    # each subcommand takes only the options it reads, so argparse rejects
+    # the others with exit 2 instead of ignoring them
+    single = argparse.ArgumentParser(add_help=False)  # commands on one group
+    single.add_argument("--group", help="group descriptor, e.g. S4, D6, Z:2,4, S3xC5")
+    single.add_argument("--input", help="JSON group file (cayley/permutation/named)")
+    convention = argparse.ArgumentParser(add_help=False)
+    convention.add_argument("--convention", choices=("raw", "closed"), default="raw",
+                            help="maximal-subgroup convention (default raw)")
+    capped = argparse.ArgumentParser(add_help=False)  # every command
+    capped.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
                         help=f"order cap (default {DEFAULT_ORDER_CAP})")
-    common.add_argument("--cache", metavar="DIR", dest="cache",
-                        help="lattice cache directory")
-    common.add_argument("--stretch", action="store_true",
-                        help="include the S6 stretch check in verify-paper")
-    common.add_argument("--theorem1-reading", choices=("strict", "relaxed"),
-                        default="strict",
-                        help="whether a cyclic Fitting-centralizer qualifies "
-                             "for the rank-2 bounds (default strict)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", metavar="DIR", dest="cache",
+                       help="lattice cache directory")
 
     parser = argparse.ArgumentParser(
         prog="permlat",
         description="Exact subgroup-lattice permutability degrees and bounds "
                     "for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", parents=[common],
-                   help="order, prime divisors, structure flags, Fitting data")
-    sub.add_parser("lattice", parents=[common],
-                   help="enumerate the subgroup lattice and node flags")
-    sub.add_parser("degrees", parents=[common],
-                   help="exact sd / spd / d report for one group")
-    bounds_p = sub.add_parser("bounds", parents=[common],
-                              help="run lower-bound checks (gate-and-report)")
+
+    def command(name, about, *parents, formats=("table", "json", "csv")):
+        cmd = sub.add_parser(name, parents=[*parents, capped], help=about)
+        cmd.add_argument("--format", choices=formats, default="table")
+        return cmd
+
+    command("info", "order, prime divisors, structure flags, Fitting data", single)
+    command("lattice", "enumerate the subgroup lattice and node flags",
+            single, convention, cache)
+    command("degrees", "exact sd / spd / d report for one group",
+            single, convention, cache)
+    bounds_p = command("bounds", "run lower-bound checks (gate-and-report)",
+                       single, convention, cache)
+    bounds_p.add_argument("--theorem1-reading", choices=("strict", "relaxed"),
+                          default="strict",
+                          help="whether a cyclic Fitting-centralizer qualifies "
+                               "for the rank-2 bounds (default strict)")
     bounds_p.add_argument("--claim", choices=CLAIM_CHOICES, default="all",
                           help="which bound family to check (default all)")
     bounds_p.add_argument("--n-node", type=int, default=None,
                           help="lattice index of the normal subgroup N")
     bounds_p.add_argument("--h-node", type=int, default=None,
                           help="lattice index of the factor H")
-    sub.add_parser("moebius", parents=[common],
-                   help="bottom Moebius number, with symmetric-group predictions")
-    sub.add_parser("batch", parents=[common],
-                   help="degree reports for every built-in catalog group")
-    sub.add_parser("verify-paper", parents=[common],
-                   help="run the whole claim-verification suite on the catalog")
+    command("moebius", "bottom Moebius number, with symmetric-group predictions",
+            single, cache)
+    command("batch", "degree reports for every built-in catalog group",
+            convention, cache)
+    verify_p = command("verify-paper",
+                       "run the whole claim-verification suite on the catalog",
+                       cache, formats=("table", "json"))
+    verify_p.add_argument("--stretch", action="store_true",
+                          help="include the S6 stretch check in verify-paper")
     return parser
 
 

@@ -1019,3 +1019,27 @@ def test_memoised_degrees_match_naive_after_the_bound_driver(spec):
     for conv in L.CONVENTIONS:
         assert (lat.memo(("spd", conv), unfilled) == spd(lat, conv)
                 == D.spd_naive(lat, conv)), conv
+
+
+@pytest.mark.parametrize("spec", [*CATALOG_SPECS, "D4xS3", "Z:2,2,2,2"])
+def test_complements_are_the_head_of_the_partner_list(spec):
+    # a partner H of N has |H| >= |G : N| and nodes are sorted by order, so
+    # the partner scan may start at order |G : N|, and the complements
+    # (|H| = |G : N|) are a prefix of the partners
+    lat = lat_of(spec)
+    for n in range(len(lat)):
+        index = lat.group.order // lat.node_order(n)
+        partners = B.factor_partners(lat, n)
+        assert partners == [h for h in range(len(lat)) if B.factorizes(lat, n, h)]
+        complements = B.complement_candidates(lat, n)
+        assert complements == [h for h in partners if lat.node_order(h) == index]
+        assert partners[:len(complements)] == complements
+
+
+def test_bound_driver_keeps_no_complement_lists():
+    lat = lat_of("D4xS3")
+    for conv in L.CONVENTIONS:
+        for reading in ("strict", "relaxed"):
+            B.bound_results(lat, "all", conv, reading)
+    firsts = {key[0] for key in lat._memo if isinstance(key, tuple)}
+    assert "partners" in firsts and "complements" not in firsts

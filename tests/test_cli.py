@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -19,7 +20,7 @@ from permlat.bounds import (
 )
 from permlat.cache import _nodes_digest
 from permlat.cli import (_bound_csv_row, _bound_json, _bound_json_texts,
-                         _bound_text_row, main)
+                         _bound_text_row, build_parser, main)
 from permlat.lattice import enumerate_subgroups
 
 
@@ -60,6 +61,14 @@ class TestDegreesCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["spd"] is None and payload["sd"]["num"] == "1"
+
+    def test_trivial_group_table(self, capsys):
+        # C1 has no maximal subgroups: its |M| rows read like its spd row
+        code, out, _ = run_cli(capsys, "degrees", "--group", "C1")
+        assert code == 0 and "None" not in out
+        rows = dict(line.rsplit(None, 1) for line in out.splitlines())
+        assert [rows[k] for k in ("|M| raw", "|M| closed", "spd (raw)")] == [
+            "undefined"] * 3
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "degrees", "--group", "Q8",
@@ -261,6 +270,75 @@ def test_bounds_csv_and_text_are_byte_identical_to_the_recorded_output(
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the other commands' output on S4 and A4xC5 and of ``permlat
+# batch --max-order 12``, in every format, recorded before each subcommand
+# took only the options it reads
+OUTPUT_SHA256 = [
+    (("degrees", "--group", "S4", "--format", "table"),
+     "7af473280acb38ee606ff2bb4f2d65427720d4bdd0c6a4f51495605d371b8969"),
+    (("degrees", "--group", "S4", "--format", "json"),
+     "f430fb7b4dd774f35cbcebe9fa9694f5d94189f50c2b0ac2737a18afbdfb5b8d"),
+    (("degrees", "--group", "S4", "--format", "csv"),
+     "3ff7aa9d2e25d09e662c235d8b2b82a57c94c2a5b2b250756517046e09272a10"),
+    (("degrees", "--group", "A4xC5", "--format", "table"),
+     "62ee0ecb6c37e50fb04629d55e7d0069b2a1a93aa1ec0cf8df6edfbcfcd1bf6a"),
+    (("degrees", "--group", "A4xC5", "--format", "json"),
+     "048af9d3dc7814c1a87c2cab27e7e14d4f312a8e2a6af476060ca824108c60c5"),
+    (("degrees", "--group", "A4xC5", "--format", "csv"),
+     "05208a49930b28bbbe3787363aa35aa8d415e196174f98b4e0653e9a3fd7db66"),
+    (("lattice", "--group", "S4", "--format", "table"),
+     "64a5c1b686aee9780248dfc4e5e1e5d02820decdf89cabba13fd46f52286b04f"),
+    (("lattice", "--group", "S4", "--format", "json"),
+     "ab65366267d681c4ea4a3ecb7ace81e5c18408f2b4ff4a30d640747a6ad38713"),
+    (("lattice", "--group", "S4", "--format", "csv"),
+     "2dfb5c8e1cf306e878fa0018b2dcc352eef3f8d4b433eb1ffdb13ed5476df014"),
+    (("lattice", "--group", "A4xC5", "--format", "table"),
+     "812aa95cd7937f5d09ae3ada45657d0f53e4b0dd347192a84e26be1ee1ca27a2"),
+    (("lattice", "--group", "A4xC5", "--format", "json"),
+     "6d4350199e657ae67910e25e566a1c280c549ed9d7ec3594da50712920842de2"),
+    (("lattice", "--group", "A4xC5", "--format", "csv"),
+     "17ba156c990f062351154473e01530e1088cc74c0270d0af1b303b439d4a8245"),
+    (("moebius", "--group", "S4", "--format", "table"),
+     "9febc74a871f65d978f1ccdb329ff9f69f1ff291c1c39f57c7144400bb59fdcb"),
+    (("moebius", "--group", "S4", "--format", "json"),
+     "8fe14a020707585346b9085cae38cd92eaab4829d8efcd5130bed6aa04830adb"),
+    (("moebius", "--group", "S4", "--format", "csv"),
+     "d39299d3f06234d36c886701cc180b94f283f092aab9f7147f9fd828ad65451a"),
+    (("moebius", "--group", "A4xC5", "--format", "table"),
+     "2f4f07e591a2ad7e70ef832349866fb486f1eaf29619e8bce1765c6f2b3c3b67"),
+    (("moebius", "--group", "A4xC5", "--format", "json"),
+     "5ff589c3a1efe673a2f49399c6e4faeebb79ad675269eaf242c439a74dad2732"),
+    (("moebius", "--group", "A4xC5", "--format", "csv"),
+     "24e346bd4077653980cab3e0cd0b8225c6c212945f090ee4690c916a0e152937"),
+    (("info", "--group", "S4", "--format", "table"),
+     "f2c8dc989c4512a112f1c9d22e1857d026c2f170e1355b287c36336d8413d24a"),
+    (("info", "--group", "S4", "--format", "json"),
+     "0d1c1570d657a032fcc9d1186e33e7c12e0f998316748c868736025ac6321da6"),
+    (("info", "--group", "S4", "--format", "csv"),
+     "ca48b3778128c930075a8839dd408ef860d939e2820e8ce201e358ac8ac38fe3"),
+    (("info", "--group", "A4xC5", "--format", "table"),
+     "4ffd5af8c8728d4f84eae0fa264d23085b795effcee8b98b693f1ddf66aca255"),
+    (("info", "--group", "A4xC5", "--format", "json"),
+     "a565a9fc99c39e7df27ac07c173fd30e39db2482475f38e70b4a7547ea524ee0"),
+    (("info", "--group", "A4xC5", "--format", "csv"),
+     "9fbf4fb7e17d1f827abf92d0e137761bff6177d753076a3f458f31587cf95d38"),
+    (("batch", "--max-order", "12", "--format", "table"),
+     "82728c2139be976fa0c7b2a272841d79db5c88e5fa14cbc4a4af31c9631290ab"),
+    (("batch", "--max-order", "12", "--format", "json"),
+     "ec9ee14951485755fac2c2e2db95a5840bb4b7ad22b276b74aa0a2288fc88d72"),
+    (("batch", "--max-order", "12", "--format", "csv"),
+     "a90dc5b795e35247311195f79994918532669debd94c9b847eb01636fbec14b5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_SHA256,
+                         ids=lambda v: v[:12] if isinstance(v, str) else "-".join(v))
+def test_output_is_byte_identical_to_the_recorded_output(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounds_command_renders_row_by_row(capsys, monkeypatch):
     """JSON and CSV go out one row at a time: no call to ``json.dumps`` or
     to the CSV writer gets more than one result, and JSON dumps each shared
@@ -433,6 +511,18 @@ class TestInputsAndErrors:
         code, _, err = run_cli(capsys, "degrees", "--group", "S5",
                                "--max-order", "60")
         assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("batch", "--group", "S4"),
+        ("verify-paper", "--format", "csv"),
+        ("info", "--group", "S4", "--cache", "DIR"),
+        ("moebius", "--group", "S4", "--convention", "raw"),
+    ], ids=" ".join)
+    def test_option_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
@@ -640,3 +730,31 @@ class TestCache:
         assert code == 0
         assert "corrupt" in err
         assert out == fresh
+
+
+# the options each subcommand reads, besides --help
+SUBCOMMAND_OPTIONS = {
+    "info": {"--group", "--input", "--max-order", "--format"},
+    "lattice": {"--group", "--input", "--convention", "--cache", "--max-order",
+                "--format"},
+    "degrees": {"--group", "--input", "--convention", "--cache", "--max-order",
+                "--format"},
+    "bounds": {"--group", "--input", "--convention", "--cache", "--max-order",
+               "--format", "--theorem1-reading", "--claim", "--n-node", "--h-node"},
+    "moebius": {"--group", "--input", "--cache", "--max-order", "--format"},
+    "batch": {"--convention", "--cache", "--max-order", "--format"},
+    "verify-paper": {"--cache", "--max-order", "--format", "--stretch"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in cmd._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, cmd in sub.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+    formats = {name: next(a.choices for a in cmd._actions if "--format" in a.option_strings)
+               for name, cmd in sub.choices.items()}
+    assert formats == {name: (("table", "json") if name == "verify-paper"
+                              else ("table", "json", "csv")) for name in formats}
