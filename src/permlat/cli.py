@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -597,7 +598,15 @@ def main(argv=None) -> int:
     try:
         if args.max_order < 1:
             raise ValueError("--max-order must be >= 1")
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``): point it at
+        # devnull so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GroupSpecError, OrderCapError, LatticeCapError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

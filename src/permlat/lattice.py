@@ -13,14 +13,18 @@ subgroup of prime index over A already found absorbs the seeds it holds
 outside A, and seeds conjugate under N(A) to a joined seed give conjugate
 joins. A normal representative's normalizer is the whole group, found
 without a closure, and a seed inside N(A) is joined as the product of A
-with its one generator. :func:`enumerate_subgroups` proves each of these
-rules. The masks are then frozen: nodes are sorted by (cardinality,
-membership-vector lex order), so two runs of the same table index the nodes
-identically. The lattice of a subgroup H is the interval [1, H] of the
-parent's lattice, so :meth:`SubgroupLattice.rerooted` reads it off the
-parent instead of enumerating it again. Selections (normal, subnormal,
-maximal, Sylow, perp, ...) are index sets into that fixed node list; they
-never copy subgroups.
+with its one generator. Any other N(A) is read off the walk that finds A's
+class A_i = g_i A g_i⁻¹: G acts on the class, N(A) is the stabilizer of A,
+so by orbit-stabilizer |N(A)| = |G| / |cls A|, and by Schreier's lemma it is
+generated by the elements g_j⁻¹ s g_i of the walk's edges s A_i s⁻¹ = A_j.
+It is closed from A with those elements one at a time until it has that
+order. :func:`enumerate_subgroups` proves each of these rules. The masks
+are then frozen: nodes are sorted by (cardinality, membership-vector lex
+order), so two runs of the same table index the nodes identically. The
+lattice of a subgroup H is the interval [1, H] of the parent's lattice, so
+:meth:`SubgroupLattice.rerooted` reads it off the parent instead of
+enumerating it again. Selections (normal, subnormal, maximal, Sylow, perp,
+...) are index sets into that fixed node list; they never copy subgroups.
 
 Conjugation works on node indices, not element masks. Each lattice keeps
 two tables: the node of every cyclic subgroup <x>, and greedy generators of
@@ -54,6 +58,8 @@ and the order masks ``up_masks``/``down_masks``; deciding them computes no
 product set and no closure. The order masks themselves come from containment
 columns and greedy generators: the nodes above node i are those that hold
 each of its generators, an AND of a few columns however large the node.
+Each column is read off the membership strings that the node sort already
+formats, one character per node, so no loop runs over the nodes' bits.
 ``down_masks``, their transpose, is built only when first read; the
 selections and Moebius read ``up_masks`` alone. Permutability is kept as
 one bitrow per node, built on demand (:class:`PermutabilityRows`). The row
@@ -93,7 +99,10 @@ class SubgroupLattice:
     group. ``up_masks[i]`` / ``down_masks[i]`` are bitmasks over node indices
     with j set iff nodes[i] <= nodes[j] (resp. >=).
 
-    One pass over the nodes builds the order masks and two tables.
+    The sort key of a mask is its order and its membership string, element
+    0 first. Column e, the nodes holding element e, is character e of each
+    string in node order: every |G|-th character of their join, from e.
+    One pass over the nodes then builds the order masks and two tables.
     ``cyclic_nodes[x]`` is the node of <x>, the lowest node holding x.
     ``node_gens[k]`` are greedy generators of node k, as
     :meth:`FiniteGroup.subgroup_gens` finds them by closures: the lowest
@@ -105,27 +114,22 @@ class SubgroupLattice:
     subgroups or not: node k holds its own generators, so it stays in the
     AND and the span is a node at or below k, and while it is not k, k
     holds an element outside it, whose column drops the span from the AND.
-    ``down_masks`` is built on first read.
+    ``down_masks`` and ``nodes`` are built on first read.
     """
 
     def __init__(self, group: FiniteGroup, masks: list[int]):
         n = group.order
-        order_key = lambda m: (m.bit_count(), f"{m:0{n}b}"[::-1])
-        masks = sorted(masks, key=order_key)
+        # each membership string is formatted once, for the sort and the columns
+        keyed = sorted((m.bit_count(), f"{m:0{n}b}"[::-1], m) for m in masks)
+        masks = [m for _, _, m in keyed]
         self.group = group
         self.masks: tuple[int, ...] = tuple(masks)
-        self.nodes: tuple[ElementSet, ...] = tuple(ElementSet(group, m) for m in masks)
         self.index_of: dict[int, int] = {m: i for i, m in enumerate(masks)}
         self.bottom = 0
         self.top = len(masks) - 1
-        # containing[e]: the nodes that hold element e
-        containing = [0] * n
-        for i, m in enumerate(masks):
-            bit = 1 << i
-            while m:
-                low = m & -m
-                containing[low.bit_length() - 1] |= bit
-                m ^= low
+        # containing[e]: the nodes that hold element e, node 0 the lowest bit
+        rows = "".join([s for _, s, _ in keyed])
+        containing = [int(rows[e::n][::-1], 2) for e in range(n)]
         self.all_nodes_mask = full = (1 << len(masks)) - 1
         # the smallest subgroup holding x is <x>, and nodes are sorted by order
         self.cyclic_nodes: tuple[int, ...] = tuple(
@@ -160,6 +164,11 @@ class SubgroupLattice:
         if hit is None:
             hit = self._memo[key] = compute()
         return hit
+
+    @cached_property
+    def nodes(self) -> tuple[ElementSet, ...]:
+        """The nodes as element sets, built on first read."""
+        return tuple(ElementSet(self.group, m) for m in self.masks)
 
     def node_order(self, i: int) -> int:
         return self.masks[i].bit_count()
@@ -385,27 +394,56 @@ def _conjugation_tables(group: FiniteGroup) -> list[tuple[int, ...]]:
     return [tuple(t[y][inv[s]] for y in t[s]) for s in group.generating_set]
 
 
-def _conjugacy_class(mask: int, gens, tables) -> list[int]:
-    """The conjugacy class of the subgroup <gens> = ``mask``, as masks: its
-    orbit under the conjugation ``tables`` of the group's generators
-    (:func:`_conjugation_tables`). When every table maps ``gens`` into the
-    subgroup, it is normal and its class is itself."""
+def _conjugacy_class(group: FiniteGroup, tables, mask: int,
+                     gens) -> tuple[list[int], int]:
+    """The conjugacy class of the subgroup A = <gens> = ``mask``, as masks,
+    and Schreier elements of N(A) as an element mask.
+
+    The class is A's orbit under the conjugation ``tables`` of the group's
+    generators s (:func:`_conjugation_tables`). The walk keeps a conjugator
+    g_i with A_i = g_i A g_i⁻¹ for each member, g = 1 for A itself and
+    s·g_i for a member first found as s A_i s⁻¹. An edge that finds a member
+    A_j already seen gives g_j⁻¹·s·g_i, which maps A to A_i, A_j and back to
+    A, so it lies in N(A); together they generate N(A) (proof in
+    :func:`enumerate_subgroups`). When every table maps ``gens`` into A, A
+    is normal, its class is itself and no element is returned."""
     if all(mask >> tab[x] & 1 for tab in tables for x in gens):
-        return [mask]
+        return [mask], 0
+    t, inv = group.table, group.inverse
     orbit = [mask]
-    members = {mask}
+    conj = {mask: 0}
+    schreier = 0
     for m in orbit:  # orbit grows while we iterate
-        for tab in tables:
+        gi = conj[m]
+        for s, tab in zip(group.generating_set, tables):
             c = 0
             rest = m
             while rest:
                 low = rest & -rest
                 c |= 1 << tab[low.bit_length() - 1]
                 rest ^= low
-            if c not in members:
-                members.add(c)
+            gj = conj.get(c)
+            if gj is None:
+                conj[c] = t[s][gi]
                 orbit.append(c)
-    return orbit
+            else:
+                schreier |= 1 << t[t[inv[gj]][s]][gi]
+    return orbit, schreier
+
+
+def _normalizer(group: FiniteGroup, am: int, arows, class_size: int,
+                schreier: int) -> tuple[int, list[int]]:
+    """N(A) of a non-normal A = ``am``, closed from A, and the Schreier
+    elements (:func:`_conjugacy_class`) it was closed with. By
+    orbit-stabilizer |N(A)| = |G| / ``class_size``, so elements are added
+    until the closure has that order; none is added when N(A) = A."""
+    target = group.order // class_size
+    nm, used = am, []
+    while nm.bit_count() < target:
+        rest = schreier & ~nm
+        used.append((rest & -rest).bit_length() - 1)
+        nm = group.closure_mask(used, am, arows)
+    return nm, used
 
 
 def enumerate_subgroups(group: FiniteGroup,
@@ -469,12 +507,27 @@ def enumerate_subgroups(group: FiniteGroup,
 
     The cost of each join is cut by more exact rules:
 
-    - Free normalizer. N(A) is found once per representative, before its
-      first join. A representative whose class has one member is normal, so
-      N(A) = G, found without a closure. Otherwise N(A) is a union of left
-      cosets of A, tested one coset at a time (:func:`_normalizer_mask`).
-      Its generators, which only the N(A)-orbits read, are those of G for a
-      normal A and are otherwise read off N(A) before the first orbit.
+    - Normalizer from the class orbit. N(A) is found once per
+      representative, before its first join. A representative whose class
+      has one member is normal, so N(A) = G, with G's generators, found
+      without a closure. Otherwise G acts on A's class by conjugation, and
+      N(A) is the stabilizer of A. The walk that finds the class keeps a
+      conjugator g_i with A_i = g_i A g_i⁻¹ for each member (g = 1 for A),
+      and each edge s A_i s⁻¹ = A_j over a generator s of G gives the
+      Schreier element g_j⁻¹ s g_i, which fixes A (:func:`_conjugacy_class`).
+      These generate N(A) (Schreier's lemma; Seress, *Permutation Group
+      Algorithms*, 2003, §4.1): write n in N(A) as a word s_k ... s_1 in
+      the generators (G is finite, so no inverses are needed) and follow A
+      along it through members A = A_(i_0), A_(i_1), ..., A_(i_k) = nAn⁻¹ =
+      A. Then n is the product of g_(i_l)⁻¹ s_l g_(i_(l-1)) over l = k
+      down to 1, since the inner conjugators cancel and g_(i_0) = g_(i_k) =
+      1, and each factor is a Schreier element (one on an edge that found
+      a new member is 1). By orbit-stabilizer |N(A)| = |G| / |cls A|, so N(A)
+      is closed from A (:func:`_normalizer`) with one Schreier element
+      outside it at a time until it has that order, with no closure when
+      N(A) = A. Every Schreier element normalizes A, so the closure from A
+      with them alone is A<used> = <A, used>. A's generators and the
+      elements used generate N(A), and the N(A)-orbits read those.
     - One-generator joins. A join is closed from A by whole cosets, as in
       Dimino's algorithm (:meth:`FiniteGroup.closure_mask` with ``base`` A).
       When the seed C = <c> lies in N(A), <A, C> = AC is the union of the
@@ -513,27 +566,31 @@ def enumerate_subgroups(group: FiniteGroup,
     frontier: list[int] = []
     seen: set[int] = set()  # every subgroup found so far
     of_order: dict[int, list[int]] = {}  # the subgroups in seen, by order
-    normal: set[int] = set()  # the representatives that are normal subgroups
+    # (|cls A|, Schreier elements of N(A)) of each non-normal representative
+    # A that has not made its first join yet
+    orbit_of: dict[int, tuple[int, int]] = {}
 
-    def add_class(members: list[int]):
+    def add_class(am: int) -> list[int]:
+        members, schreier = _conjugacy_class(g, tables, am, gens_of[am])
         seen.update(members)
-        of_order.setdefault(members[0].bit_count(), []).extend(members)
-        if len(members) == 1:
-            normal.add(members[0])
+        of_order.setdefault(am.bit_count(), []).extend(members)
+        if len(members) > 1:
+            orbit_of[am] = len(members), schreier
+        return members
 
     for m in cyclic_masks:
         if m not in seen:
             frontier.append(m)
-            members = _conjugacy_class(m, gens_of[m], tables)
-            add_class(members)
+            add_class(m)
     while frontier:
         fresh: list[int] = []
         for am in frontier:
             agens = gens_of[am]
             a_order = am.bit_count()
-            a_normal = am in normal
-            nm = 0  # N(A) and A's element rows, found before the first join
-            ngens: Optional[tuple[int, ...]] = None  # generators of N(A)
+            # N(A), its generators and A's element rows, found before the
+            # first join
+            nm = 0
+            ngens: tuple[int, ...] = ()
             arows: list[tuple[int, ...]] = []
             tried: set[int] = set()  # seeds whose join with A is known
             # A and the seen subgroups of prime index over A, each of which is
@@ -551,8 +608,12 @@ def enumerate_subgroups(group: FiniteGroup,
                 if not in_r and cm.bit_count() // (cm & am).bit_count() not in primes:
                     continue
                 if not nm:
-                    nm = g.full_mask if a_normal else _normalizer_mask(g, am, agens)
                     arows = [t[b] for b in _bits(am)]
+                    if am in orbit_of:
+                        nm, used = _normalizer(g, am, arows, *orbit_of.pop(am))
+                        ngens = agens + tuple(used)
+                    else:
+                        nm, ngens = g.full_mask, g.generating_set
                 c_normalizes = cm & nm == cm
                 if not (in_r or c_normalizes):
                     continue
@@ -560,9 +621,8 @@ def enumerate_subgroups(group: FiniteGroup,
                 jgens = agens + (c,)
                 jm = g.closure_mask((c,) if c_normalizes else jgens, am, arows)
                 if jm not in seen:
-                    members = _conjugacy_class(jm, jgens, tables)
-                    add_class(members)
                     gens_of[jm] = jgens
+                    members = add_class(jm)
                     fresh.append(jm)
                     if len(seen) > lattice_cap:
                         raise LatticeCapError(
@@ -575,9 +635,6 @@ def enumerate_subgroups(group: FiniteGroup,
                                 cover |= km
                         continue
                 # the seeds of C's N(A)-orbit join A to N(A)-conjugates of J
-                if ngens is None:
-                    ngens = (g.generating_set if a_normal
-                             else g.subgroup_gens(nm, am, agens))
                 orbit = [cm]
                 tried.add(cm)
                 for e in orbit:  # orbit grows while we iterate
@@ -589,26 +646,6 @@ def enumerate_subgroups(group: FiniteGroup,
                             orbit.append(f)
         frontier = fresh
     return SubgroupLattice(g, list(seen))
-
-
-def _normalizer_mask(group: FiniteGroup, am: int, agens) -> int:
-    """N(A) for A = <agens>, tested one left coset yA at a time: y
-    normalizes A iff every element of yA does."""
-    t, inv = group.table, group.inverse
-    a_elems = list(_bits(am))
-    normalizer = 0
-    rest = group.full_mask
-    while rest:
-        y = (rest & -rest).bit_length() - 1
-        row = t[y]
-        coset = 0
-        for a in a_elems:
-            coset |= 1 << row[a]
-        rest &= ~coset
-        yi = inv[y]
-        if all(am >> t[row[a]][yi] & 1 for a in agens):
-            normalizer |= coset
-    return normalizer
 
 
 def subgroup_masks_bruteforce(group: FiniteGroup) -> list[int]:

@@ -538,6 +538,35 @@ class TestInputsAndErrors:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("C6,6,")
 
+    def test_closed_output_pipe_exits_1_without_an_error_line(self):
+        # the bounds of S5xS3 run to megabytes, far past a pipe's buffer, so
+        # the writer is still writing when the reader closes after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permlat", "bounds", "--group", "S5xS3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"n/a  lemma1")
+        proc.stdout.close()
+        # stderr holds at most an error line, well inside its pipe's buffer
+        code = proc.wait(timeout=120)
+        with proc.stderr:
+            assert proc.stderr.read() == b""
+        assert code == 1
+
+    @pytest.mark.parametrize("option", ["--input", "--cache"])
+    def test_real_os_error_exits_2(self, tmp_path, option):
+        # a missing group file cannot be read, and a cache directory that is
+        # a regular file cannot be written
+        path = tmp_path / "file"
+        if option == "--cache":
+            path.write_text("")
+            argv = ["degrees", "--group", "S3", "--cache", str(path)]
+        else:
+            argv = ["degrees", "--input", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "permlat", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: [Errno")
+
     def test_json_deterministic_across_processes(self):
         runs = [
             subprocess.run(

@@ -1,8 +1,9 @@
 import functools
 import hashlib
 import random
+import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,9 @@ SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4", "S5xC2", "A4xA4", "A5
 # the catalog and the groups of the benchmark's lattice pool
 POOL_SPECS = SELECTION_SPECS + ["Z:2,2,2,2,2"]
 
+# the benchmark's lattice pool alone
+LATTICE_POOL_SPECS = ["S5xC2", "D4xD4", "Z:2,2,2,2,2", "S4xS3", "A4xA4", "S5", "A5xC3"]
+
 # sha256 of the node masks in node order. The first three were first
 # produced by saturating joins of every node with every cyclic subgroup, the
 # others by class-driven joins with every cyclic subgroup; the 2-groups and the
@@ -53,17 +57,25 @@ PINNED_MASK_DIGESTS = {
     "Z:2,2,2,2,2,2": "a325e84c1e37f9bcd5f443dfee548f871909b8f82381899a694e8082b9a2b97a",
 }
 
-# closure_mask calls of one enumeration of a freshly built group; the
-# enumeration is deterministic, so a change in the count is a change in the
-# joins or normalizer generators it computes. Every count rises if the
-# subgroups already found of prime index over a representative stop
-# absorbing its seeds; D4xD4, S5 and S5xC2 have representatives under
+# closure_mask calls of one enumeration of a freshly built group, counted by
+# call site; the enumeration is deterministic, so a change in a count is a
+# change in the joins or normalizers it computes. The joins: every count
+# rises if the subgroups already found of prime index over a representative
+# stop absorbing its seeds; D4xD4, S5 and S5xC2 have representatives under
 # several conjugates of a prime-index join, so theirs rise if a new join's
 # conjugates over the representative are not all absorbed too. S5 and S5xC2
 # have a nontrivial solvable residual A5, so theirs rise if a join inside it
 # no longer tries its seed's whole N(A)-orbit
-PINNED_ENUMERATION_CLOSURES = {"Z:2,2,2,2,2": 351, "S5": 52, "D4xD4": 201,
-                               "S5xC2": 90}
+PINNED_JOIN_CLOSURES = {"Z:2,2,2,2,2": 342, "S5": 32, "D4xD4": 189,
+                        "S5xC2": 63}
+
+# The normalizers: one closure per Schreier element that N(A) is closed with.
+# Every count rises if a Schreier element inside the closure so far is
+# added, or if adding stops only when none is left rather than at the order
+# |G| / |cls A|; Z:2,2,2,2,2 is abelian, so every representative is normal
+# and none is closed
+PINNED_NORMALIZER_CLOSURES = {"Z:2,2,2,2,2": 0, "S5": 16, "D4xD4": 260,
+                              "S5xC2": 77}
 
 # sha256 of "class_of;conjugators" (each comma-separated) of the group
 # relabelled by random.Random(3); the order in which the class walk visits
@@ -78,6 +90,16 @@ PINNED_CLASS_WALKS = {
 # PSL(2,7) acting on the seven points of the Fano plane
 PSL27_ON_7_POINTS = {"kind": "permutation", "degree": 7,
                      "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 1, 4, 3, 2, 6, 5]]}
+
+# groups with non-normal subgroups of many kinds, and a simple group
+NORMALIZER_SPECS = ["S4xS3", "D4xD4", "S5xC2", "A5xC3", "PSL27"]
+
+
+@functools.cache
+def named_group(spec):
+    # enumeration keeps no state on a group, so the tests may share them
+    return (G.group_from_json_dict(PSL27_ON_7_POINTS) if spec == "PSL27"
+            else G.make_named(spec))
 
 
 def lat_of(spec):
@@ -180,6 +202,22 @@ def closed_under_cyclic_extension(g, masks):
     return True
 
 
+def closures_by_call_site(spec, monkeypatch):
+    """closure_mask calls of one enumeration of a freshly built ``spec``,
+    counted by the name of the calling function."""
+    sites = Counter()
+    closure_mask = G.FiniteGroup.closure_mask
+
+    def counted(self, gens, *args):
+        sites[sys._getframe(1).f_code.co_name] += 1
+        return closure_mask(self, gens, *args)
+
+    group = G.make_named(spec)
+    monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
+    L.enumerate_subgroups(group)
+    return sites
+
+
 def masks_digest(lat):
     return hashlib.sha256(",".join(f"{m:x}" for m in lat.masks).encode()).hexdigest()
 
@@ -231,19 +269,15 @@ class TestEnumeration:
     def test_node_masks_pinned(self, spec):
         assert masks_digest(shared_lat(spec)) == PINNED_MASK_DIGESTS[spec]
 
-    @pytest.mark.parametrize("spec", sorted(PINNED_ENUMERATION_CLOSURES))
+    @pytest.mark.parametrize("spec", sorted(PINNED_JOIN_CLOSURES))
     def test_enumeration_closures_pinned(self, spec, monkeypatch):
-        calls = []
-        closure_mask = G.FiniteGroup.closure_mask
+        assert closures_by_call_site(spec, monkeypatch)["enumerate_subgroups"] \
+            == PINNED_JOIN_CLOSURES[spec]
 
-        def counted(self, gens, *args):
-            calls.append(gens)
-            return closure_mask(self, gens, *args)
-
-        group = G.make_named(spec)
-        monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
-        L.enumerate_subgroups(group)
-        assert len(calls) == PINNED_ENUMERATION_CLOSURES[spec]
+    @pytest.mark.parametrize("spec", sorted(PINNED_NORMALIZER_CLOSURES))
+    def test_normalizer_closures_pinned(self, spec, monkeypatch):
+        assert closures_by_call_site(spec, monkeypatch)["_normalizer"] \
+            == PINNED_NORMALIZER_CLOSURES[spec]
 
     # |R| for the solvable residual R: 1 for solvable groups (relabelled
     # here), a proper subgroup for S5xC2 and A5xC3, all of a perfect group
@@ -253,8 +287,7 @@ class TestEnumeration:
     ])
     def test_enumeration_is_closed_under_cyclic_extension(self, spec, seed,
                                                           residual_order):
-        g = (G.group_from_json_dict(PSL27_ON_7_POINTS) if spec == "PSL27"
-             else G.make_named(spec))
+        g = named_group(spec)
         if seed:
             rest = list(range(1, g.order))
             random.Random(seed).shuffle(rest)
@@ -307,6 +340,38 @@ def test_relabelled_order_masks_match_subset_tests(spec, data):
     i = data.draw(st.integers(0, len(rel) - 1), label="node")
     _, child = rel.rerooted(i)
     assert_order_masks_match_subset_tests(child, (spec, "rerooted", i))
+
+
+def assert_three_ways_in_agree(g, rng):
+    """The enumerated lattice of ``g``, one built from its masks shuffled by
+    ``rng``, and one stored and loaded from a cache hold the same tables."""
+    def tables(lat):
+        return (lat.masks, lat.up_masks, lat.node_gens, lat.cyclic_nodes,
+                lat.class_of, lat.conjugators)
+
+    lat = L.enumerate_subgroups(g)
+    shuffled = list(lat.masks)
+    rng.shuffle(shuffled)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        C.store_lattice(cache_dir, lat)
+        loaded = C.load_lattice(cache_dir, G.FiniteGroup(g.table, g.name))
+    expected = tables(lat)
+    assert tables(L.SubgroupLattice(g, shuffled)) == expected, g.name
+    assert tables(loaded) == expected, g.name
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(LATTICE_POOL_SPECS), st.data())
+def test_lattice_construction_round_trips_on_the_pool(spec, data):
+    g = relabelled(shared_lat(spec).group, data)
+    assert_three_ways_in_agree(g, data.draw(st.randoms(use_true_random=False)))
+
+
+# the trivial group, whose membership strings are one character long, and a
+# group outside the pool whose order is not a multiple of 8
+@pytest.mark.parametrize("spec", ["C1", "A4xC5"])
+def test_lattice_construction_round_trips(spec):
+    assert_three_ways_in_agree(G.make_named(spec), random.Random(0))
 
 
 @settings(max_examples=15, deadline=None)
@@ -379,11 +444,34 @@ class TestConjugacyClasses:
         tables = L._conjugation_tables(g)
         normal = L.normal_subgroups(lat)
         for i, m in enumerate(lat.masks):
-            members = L._conjugacy_class(m, lat.node_gens[i], tables)
+            members, schreier = L._conjugacy_class(g, tables, m, lat.node_gens[i])
             assert len(set(members)) == len(members), (spec, i)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
             assert (len(members) == 1) == (i in normal), (spec, i)
+            assert all(g.conjugate_mask(m, y) == m for y in G._bits(schreier)), (spec, i)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(NORMALIZER_SPECS), st.data())
+    def test_orbit_normalizers_match_element_conjugation(self, spec, data):
+        g = relabelled(named_group(spec), data)
+        lat = L.enumerate_subgroups(g)
+        tables = L._conjugation_tables(g)
+        for r in lat.class_masks:
+            m, gens = lat.masks[r], lat.node_gens[r]
+            members, schreier = L._conjugacy_class(g, tables, m, gens)
+            oracle = sum(1 << y for y in range(g.order) if g.conjugate_mask(m, y) == m)
+            assert oracle.bit_count() * len(members) == g.order, (spec, r)
+            if len(members) == 1:
+                assert oracle == g.full_mask, (spec, r)
+                continue
+            rows = [g.table[b] for b in G._bits(m)]
+            nm, used = L._normalizer(g, m, rows, len(members), schreier)
+            assert nm == oracle, (spec, r)
+            # A's generators and the elements used generate N(A), whose
+            # generators the N(A)-orbits of the enumeration read
+            assert all(schreier >> y & 1 for y in used), (spec, r)
+            assert g.closure_mask(gens + tuple(used)) == nm, (spec, r)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_CLASS_WALKS))
     def test_class_walk_pinned(self, spec):
