@@ -42,7 +42,6 @@ from .lattice import (
     SubgroupLattice,
     SublatticeSelection,
     all_subgroups,
-    custom_selection,
     enumerate_subgroups,
     is_modular_lattice,
     is_quasihamiltonian,

@@ -90,21 +90,20 @@ def node_restricted_pairs(lat: SubgroupLattice, idx: int,
 
 
 def mask_pair_count(lat: SubgroupLattice, s: int, t: int) -> int:
-    """Number of ordered pairs (X, Y) in s x t with XY = YX, for node masks.
-
-    When both s and t are unions of conjugacy classes, this is the
-    class-wise count inside the top node (:func:`inside_count`). Any other
-    pair of masks reads the row of every member of s.
+    """Number of ordered pairs (X, Y) in s x t with XY = YX, for node masks
+    that are unions of conjugacy classes: the class-wise count inside the
+    top node (:func:`inside_count`). Any other node set raises
+    ``ValueError``; :func:`degree_naive` counts arbitrary selections.
     """
-    if lat.class_reps(s) is not None and lat.class_reps(t) is not None:
-        return inside_count(lat, lat.top, lambda x: s, lambda x: t)
-    rows = lat.chi_rows()
-    return sum((rows[i] & t).bit_count() for i in _bits(s))
+    if not (lat.is_class_union(s) and lat.is_class_union(t)):
+        raise ValueError("node sets must be unions of conjugacy classes")
+    return inside_count(lat, lat.top, lambda x: s, lambda x: t)
 
 
 def permuting_pair_count(lat: SubgroupLattice, s: SublatticeSelection,
                          t: SublatticeSelection) -> int:
-    """Number of ordered pairs (X, Y) in s x t with XY = YX."""
+    """Number of ordered pairs (X, Y) in s x t with XY = YX, for
+    selections that are unions of conjugacy classes (:func:`mask_pair_count`)."""
     return mask_pair_count(lat, s.members_mask, t.members_mask)
 
 
@@ -120,7 +119,8 @@ def restricted_pair_count(lat: SubgroupLattice, convention: str = RAW) -> int:
 
 def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
                        t: SublatticeSelection) -> Fraction:
-    """Fraction of permuting ordered pairs over two node selections, exact."""
+    """Fraction of permuting ordered pairs over two nonempty selections
+    that are unions of conjugacy classes, exact."""
     if not s.members or not t.members:
         raise ValueError("selections must be nonempty")
     return Fraction(permuting_pair_count(lat, s, t), len(s) * len(t))

@@ -62,10 +62,11 @@ Each column is read off the membership strings that the node sort already
 formats, one character per node, so no loop runs over the nodes' bits.
 ``down_masks``, their transpose, is built only when first read; the
 selections and Moebius read ``up_masks`` alone. Permutability is kept as
-one bitrow per node, built on demand (:class:`PermutabilityRows`). The row
-of X^g is the row of X conjugated by g, so the degrees, perp and the bound
-checkers' counts read the rows of class representatives only; other rows
-are built only for custom selections.
+one bitrow per class representative (:meth:`SubgroupLattice.chi_rows`).
+Every node set that the degrees, perp and the bound checkers count over is
+a union of conjugacy classes, and the row of X^g is the row of X
+conjugated by g, so no other row is ever needed; a node set that is not a
+union of classes is refused (:meth:`SubgroupLattice.is_class_union`).
 """
 from __future__ import annotations
 
@@ -279,26 +280,19 @@ class SubgroupLattice:
             out[r] = out.get(r, 0) | 1 << i
         return out
 
-    def class_reps(self, mask: int) -> Optional[list[int]]:
-        """Representatives of the classes that make up the node set ``mask``,
-        or None when ``mask`` is not a union of conjugacy classes."""
-        reps = []
-        for r, members in self.class_masks.items():
-            hit = members & mask
-            if hit:
-                if hit != members:
-                    return None
-                reps.append(r)
-        return reps
+    def is_class_union(self, mask: int) -> bool:
+        """Whether the node set ``mask`` is a union of conjugacy classes;
+        false when it has a bit at or above ``len(self)``."""
+        return not mask >> len(self.masks) and all(
+            members & mask in (0, members) for members in self.class_masks.values())
 
-    def chi_rows(self) -> PermutabilityRows:
-        """Permutability bitmatrix: bit j of row i set iff nodes i and j
-        permute. Its rows are built on demand (:class:`PermutabilityRows`);
-        the rows of class representatives, which every count over unions of
-        classes reads, are built here. The product-set definition is kept as
-        the oracle (:func:`permlat.degrees.permutes`).
+    def chi_rows(self) -> dict[int, int]:
+        """Permutability rows of the class representatives, keyed by
+        representative: bit j of row r set iff nodes r and j permute
+        (:func:`_representative_rows`). The product-set definition is kept
+        as the oracle (:func:`permlat.degrees.permutes`).
         """
-        return self.memo("chi", lambda: PermutabilityRows(self))
+        return self.memo("chi", lambda: _representative_rows(self))
 
     def rerooted(self, i: int):
         """Node i as a standalone group with its own subgroup lattice.
@@ -316,76 +310,57 @@ class SubgroupLattice:
         return sub, SubgroupLattice(sub, masks)
 
 
-class PermutabilityRows(Sequence):
-    """The permutability bitmatrix of a lattice, row by row: bit j of row i
-    is set iff nodes i and j permute. A row is built on first read and kept.
+def _representative_rows(lat: SubgroupLattice) -> dict[int, int]:
+    """The permutability row of each class representative r: bit j is set
+    iff nodes r and j permute.
+
+    Comparable pairs always permute, and so does a normal node N with every
+    node (NY = YN): neither is tested, and a normal node's row is full.
+    Every other pair is tested once by the order test (:func:`_permuting`):
+    permutability is symmetric, so a row reads bit r of each row built
+    before it instead of testing that pair again."""
+    normal = normal_subgroups(lat).members_mask
+    full, up, down = lat.all_nodes_mask, lat.up_masks, lat.down_masks
+    sizes = tuple(m.bit_count() for m in lat.masks)
+    rows: dict[int, int] = {}
+    built = 0
+    for r in lat.class_masks:
+        if normal >> r & 1:
+            row = full
+        else:
+            known = up[r] | down[r] | normal
+            rest = full & ~known
+            done = rest & built
+            row = known | _permuting(lat, sizes, r, rest & ~done)
+            for j in _bits(done):
+                if rows[j] >> r & 1:
+                    row |= 1 << j
+        rows[r] = row
+        built |= 1 << r
+    return rows
+
+
+def _permuting(lat: SubgroupLattice, sizes: tuple[int, ...], i: int,
+               rest: int) -> int:
+    """The nodes of ``rest`` that permute with node i, by the order test.
 
     X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
     |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
     |X v Y| |X ^ Y| = |X| |Y|, which needs only node orders and the order
     masks (join and meet as in :meth:`SubgroupLattice.join` and
-    :meth:`SubgroupLattice.meet`, inlined). Comparable pairs always permute,
-    and so does a normal node N with every node (NY = YN): neither is
-    tested, and a normal node's row is full; every other pair is tested
-    once: a row reads bit i of each row built before it instead of testing
-    that pair again.
-
-    The row of X^g is the row of X conjugated by g, so the pair counts of G
-    and inside any node, and perp, read the rows of class representatives
-    only (:func:`permlat.degrees.inside_count`, :func:`perp`). Those rows are
-    built with the matrix; ``built`` is the node mask of the rows built, and
-    only custom selections build others.
-    """
-
-    def __init__(self, lat: SubgroupLattice):
-        self._lat = lat
-        self._normal = normal_subgroups(lat).members_mask
-        self._sizes = tuple(m.bit_count() for m in lat.masks)
-        self._rows: list[Optional[int]] = [None] * len(lat)
-        self.built = 0
-        for r in lat.class_masks:
-            self._build(r)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> int:
-        row = self._rows[i]
-        return self._build(i % len(self._rows)) if row is None else row
-
-    def _build(self, i: int) -> int:
-        lat = self._lat
-        if self._normal >> i & 1:
-            row = lat.all_nodes_mask
-        else:
-            known = lat.up_masks[i] | lat.down_masks[i] | self._normal
-            rest = lat.all_nodes_mask & ~known
-            # permutability is symmetric: a row built before holds bit i
-            done = rest & self.built
-            row = known | self._permuting(i, rest & ~done)
-            rows = self._rows
-            for j in _bits(done):
-                if rows[j] >> i & 1:
-                    row |= 1 << j
-        self._rows[i] = row
-        self.built |= 1 << i
-        return row
-
-    def _permuting(self, i: int, rest: int) -> int:
-        """The nodes of ``rest`` that permute with node i, by the order test."""
-        sizes = self._sizes
-        up, down = self._lat.up_masks, self._lat.down_masks
-        ui, di, si = up[i], down[i], sizes[i]
-        out = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            common = ui & up[j]
-            if (sizes[(common & -common).bit_length() - 1]
-                    * sizes[(di & down[j]).bit_length() - 1] == si * sizes[j]):
-                out |= low
-        return out
+    :meth:`SubgroupLattice.meet`, inlined)."""
+    up, down = lat.up_masks, lat.down_masks
+    ui, di, si = up[i], down[i], sizes[i]
+    out = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length() - 1
+        common = ui & up[j]
+        if (sizes[(common & -common).bit_length() - 1]
+                * sizes[(di & down[j]).bit_length() - 1] == si * sizes[j]):
+            out |= low
+    return out
 
 
 def _conjugation_tables(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -670,6 +645,9 @@ class SublatticeSelection:
         self.lattice = lattice
         self.kind = kind
         self.members = tuple(sorted(set(members)))
+        for i in self.members[:1] + self.members[-1:]:  # sorted: the extremes
+            if not 0 <= i < len(lattice):
+                raise ValueError(f"node index {i} is outside 0..{len(lattice) - 1}")
         mask = 0
         for i in self.members:
             mask |= 1 << i
@@ -831,40 +809,29 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes of full prime-power order p^v_p(|G|); empty for the trivial group."""
-    g = lat.group
-    sizes = {p ** e for p, e in prime_signature(g.order).factors}
-    members = [i for i in range(len(lat)) if lat.node_order(i) in sizes]
-    return SublatticeSelection(lat, "sylow", members)
+    def compute():
+        sizes = {p ** e for p, e in prime_signature(lat.group.order).factors}
+        return SublatticeSelection(lat, "sylow", (
+            i for i in range(len(lat)) if lat.node_order(i) in sizes))
+    return lat.memo("sylow", compute)
 
 
 def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:
     """Nodes permuting with every member of ``s``; always holds bottom and top.
 
-    When ``s`` is a union of conjugacy classes, s^g = s and the row of X^g
-    is the row of X conjugated by g, so X is in perp(s) iff its class
-    representative is: only representative rows are read. Any other ``s``
-    reads every row.
+    ``s`` must be a union of conjugacy classes. Then s^g = s and the row of
+    X^g is the row of X conjugated by g, so X is in perp(s) iff its class
+    representative is: only representative rows are read.
     """
     if s.lattice is not lat:
         raise ValueError("selection belongs to a different lattice")
-    rows = lat.chi_rows()
     sm = s.members_mask
-    if lat.class_reps(sm) is None:
-        members = [i for i in range(len(lat)) if rows[i] & sm == sm]
-    else:
-        ok = {r for r in lat.class_masks if rows[r] & sm == sm}
-        members = [i for i, r in enumerate(lat.class_of) if r in ok]
-    return SublatticeSelection(lat, f"perp({s.kind})", members)
-
-
-def custom_selection(lat: SubgroupLattice, members: Iterable[int]) -> SublatticeSelection:
-    members = list(members)
-    if not members:
-        raise ValueError("custom selection must be nonempty")
-    for i in members:
-        if not 0 <= i < len(lat):
-            raise ValueError(f"node index {i} is outside 0..{len(lat) - 1}")
-    return SublatticeSelection(lat, "custom", members)
+    if not lat.is_class_union(sm):
+        raise ValueError(f"{s.kind} is not a union of conjugacy classes")
+    rows = lat.chi_rows()
+    ok = {r for r, row in rows.items() if row & sm == sm}
+    return SublatticeSelection(
+        lat, f"perp({s.kind})", (i for i, r in enumerate(lat.class_of) if r in ok))
 
 
 def cover_table(lat: SubgroupLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -916,8 +883,8 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
 def is_quasihamiltonian(lat: SubgroupLattice) -> bool:
     """Every pair of subgroups permutes: the row of every class
     representative is full, and then so is every row."""
-    rows, full = lat.chi_rows(), lat.all_nodes_mask
-    return all(rows[r] == full for r in lat.class_masks)
+    full = lat.all_nodes_mask
+    return all(row == full for row in lat.chi_rows().values())
 
 
 def selection_meet_join_closed(lat: SubgroupLattice, s: SublatticeSelection) -> bool:

@@ -1,6 +1,6 @@
 """Permutability counted once per conjugacy class: class-wise pair counts and
-perp against the full matrix and the naive oracle, d(G) from the class
-number, the coset-wise cache check and the permutation tables."""
+perp against a test-local full matrix and the naive oracle, d(G) from the
+class number, the coset-wise cache check and the permutation tables."""
 import json
 import random
 from fractions import Fraction
@@ -41,36 +41,44 @@ def class_selections(lat):
     return [s for s in sels if s.members]
 
 
-def full_row_count(lat, s, t):
-    rows = lat.chi_rows()
-    return sum((rows[i] & t.members_mask).bit_count() for i in s.members)
+_ALL_ROWS: dict = {}
 
 
-def full_row_perp(lat, s):
-    rows = lat.chi_rows()
-    sm = s.members_mask
-    return tuple(i for i in range(len(lat)) if rows[i] & sm == sm)
+def all_rows(lat):
+    """Test-local full permutability matrix: the order test
+    |X v Y| |X ^ Y| = |X| |Y| on every pair of nodes, with join and meet
+    from the lattice. The node masks decide the rows, so they are kept per
+    node list."""
+    if lat.masks not in _ALL_ROWS:
+        size = [m.bit_count() for m in lat.masks]
+        nodes = range(len(lat))
+        _ALL_ROWS[lat.masks] = [
+            sum(1 << j for j in nodes
+                if size[lat.join(i, j)] * size[lat.meet(i, j)] == size[i] * size[j])
+            for i in nodes]
+    return _ALL_ROWS[lat.masks]
 
 
-def reps_mask(lat):
-    return sum(1 << r for r in lat.class_masks)
+def row_count(lat, s, t):
+    """Permuting pairs in s x t, node masks, off the row of each member of s."""
+    rows = all_rows(lat)
+    return sum((rows[i] & t).bit_count() for i in G._bits(s))
 
 
 def check_counts(lat, naive=True):
-    """Class-wise counts, read before any other row is built, against the
-    full matrix and (when ``naive``) the product-set oracle."""
+    """Class-wise counts and perp against the full matrix and (when
+    ``naive``) the product-set oracle."""
     sels = class_selections(lat)
-    classwise = {(s.kind, t.kind): D.permuting_pair_count(lat, s, t)
-                 for s in sels for t in sels}
-    perps = {s.kind: L.perp(lat, s).members for s in sels}
-    # nothing above read a row outside the class representatives
-    assert lat.chi_rows().built == reps_mask(lat)
+    rows = all_rows(lat)
+    assert lat.chi_rows() == {r: rows[r] for r in lat.class_masks}
     for s in sels:
-        assert lat.class_reps(s.members_mask) is not None, s.kind
-        assert perps[s.kind] == full_row_perp(lat, s), s.kind
+        sm = s.members_mask
+        assert lat.is_class_union(sm), s.kind
+        assert L.perp(lat, s).members == tuple(
+            i for i, row in enumerate(rows) if row & sm == sm), s.kind
         for t in sels:
-            count = classwise[s.kind, t.kind]
-            assert count == full_row_count(lat, s, t), (s.kind, t.kind)
+            count = D.permuting_pair_count(lat, s, t)
+            assert count == row_count(lat, sm, t.members_mask), (s.kind, t.kind)
             if naive:
                 assert (Fraction(count, len(s) * len(t))
                         == D.degree_naive(lat, s, t)), (s.kind, t.kind)
@@ -92,34 +100,49 @@ def test_classwise_counts_match_full_rows_on_s6():
     check_counts(lat_of("S6"), naive=False)
 
 
-def test_custom_selection_against_all_falls_back_to_full_rows():
+def test_selection_that_is_no_union_of_classes_is_refused():
     lat = lat_of("S4")
     a = L.all_subgroups(lat)
-    # a member of a class of size > 1 other than its representative: not a
-    # union of classes, and its row is not built with the matrix
+    # a member of a class of size > 1 other than its representative
     i = next(i for i in range(len(lat)) if lat.class_of[i] != i)
-    custom = L.custom_selection(lat, [lat.bottom, i])
-    assert lat.class_reps(custom.members_mask) is None
-    assert not lat.chi_rows().built >> i & 1
-    count = D.permuting_pair_count(lat, custom, a)
-    assert lat.chi_rows().built >> i & 1
-    assert Fraction(count, len(custom) * len(a)) == D.degree_naive(lat, custom, a)
-    # s a union of classes does not make the identity hold for any t
-    assert D.permuting_pair_count(lat, a, custom) == count
-    assert L.perp(lat, custom).members == full_row_perp(lat, custom)
+    odd = L.SublatticeSelection(lat, "odd", [lat.bottom, i])
+    assert not lat.is_class_union(odd.members_mask)
+    for s, t in ((odd, a), (a, odd), (odd, odd)):
+        with pytest.raises(ValueError, match="unions of conjugacy classes"):
+            D.permuting_pair_count(lat, s, t)
+        with pytest.raises(ValueError, match="unions of conjugacy classes"):
+            D.generalized_degree(lat, s, t)
+    with pytest.raises(ValueError, match="odd is not a union of conjugacy classes"):
+        L.perp(lat, odd)
+    # the product-set oracle still answers any node set
+    count = row_count(lat, odd.members_mask, a.members_mask)
+    assert D.degree_naive(lat, odd, a) == Fraction(count, len(odd) * len(a))
 
 
-@pytest.mark.parametrize("spec", ["S4", "S5"])
-def test_rows_do_not_depend_on_the_order_they_are_built_in(spec):
-    """Any order of first reads gives the same matrix."""
-    forward = list(lat_of(spec).chi_rows())
+def test_bits_outside_the_lattice_are_no_union_of_classes():
+    lat = lat_of("S3")
+    assert lat.is_class_union(lat.all_nodes_mask)
+    assert lat.is_class_union(0)
+    assert not lat.is_class_union(1 << len(lat))
+    assert not lat.is_class_union(lat.all_nodes_mask | 1 << 999)
+
+
+@pytest.mark.parametrize("spec", list(CATALOG_SPECS) + ["D4xS3", "S6"])
+def test_counted_node_sets_are_unions_of_classes(spec):
+    """Every selection and every [N, G] slice the counts read, for each
+    normal N: [N, G] and its sn and M parts, raw and closed; the closed
+    M(G/N) is the raw slice closed as the lb3 count closes it."""
     lat = lat_of(spec)
-    order = list(range(len(lat)))
-    random.Random(spec).shuffle(order)
-    rows = lat.chi_rows()
-    shuffled = {i: rows[i] for i in order}
-    assert [shuffled[i] for i in range(len(lat))] == forward
-    assert list(rows) == forward
+    for s in class_selections(lat):
+        assert lat.is_class_union(s.members_mask), s.kind
+    sn = L.subnormal_subgroups(lat).members_mask
+    raw = L.node_maximal(lat, lat.top)
+    closed = L.node_maximal(lat, lat.top, L.CLOSED)
+    for n in L.normal_subgroups(lat).members:
+        above = lat.up_masks[n]
+        for part in (above, sn & above, raw & above, closed & above,
+                     L.closed_maximal(lat, raw & above, lat.top)):
+            assert lat.is_class_union(part), n
 
 
 def check_d(g):
@@ -146,20 +169,20 @@ def counted_rows(monkeypatch):
     """Counts the rows tested and the pairs they test by orders, and keeps
     every row table made."""
     calls = {"tables": [], "rows": 0, "pairs": 0}
-    real_init, real_permuting = (L.PermutabilityRows.__init__,
-                                 L.PermutabilityRows._permuting)
+    real_rows, real_permuting = L._representative_rows, L._permuting
 
-    def init(self, lat):
-        calls["tables"].append((lat, self))
-        real_init(self, lat)
+    def representative_rows(lat):
+        rows = real_rows(lat)
+        calls["tables"].append((lat, rows))
+        return rows
 
-    def permuting(self, i, rest):
+    def permuting(lat, sizes, i, rest):
         calls["rows"] += 1
         calls["pairs"] += rest.bit_count()
-        return real_permuting(self, i, rest)
+        return real_permuting(lat, sizes, i, rest)
 
-    monkeypatch.setattr(L.PermutabilityRows, "__init__", init)
-    monkeypatch.setattr(L.PermutabilityRows, "_permuting", permuting)
+    monkeypatch.setattr(L, "_representative_rows", representative_rows)
+    monkeypatch.setattr(L, "_permuting", permuting)
     return calls
 
 
@@ -171,13 +194,12 @@ def test_degree_report_reads_one_row_per_non_normal_class(spec, counted_rows):
         D.check_extremal_spd(lat, conv)
     normal = L.normal_subgroups(lat)
     non_normal_classes = {r for r in lat.class_masks if r not in normal}
-    # one tested row per non-normal class, and no row outside the class
-    # representatives: the full matrix is never built
+    # one table, with one tested row per non-normal class
     assert counted_rows["tables"] == [(lat, lat.chi_rows())]
-    assert lat.chi_rows().built == reps_mask(lat)
+    assert set(lat.chi_rows()) == set(lat.class_masks)
     assert counted_rows["rows"] == len(non_normal_classes)
-    assert report.permuting_pair_count == full_row_count(
-        lat, L.all_subgroups(lat), L.all_subgroups(lat))
+    full = lat.all_nodes_mask
+    assert report.permuting_pair_count == row_count(lat, full, full)
 
 
 @pytest.mark.parametrize("spec, pairs", [("S6", 73625), ("D4xS3", 2138)])
@@ -203,7 +225,7 @@ def test_lattice_command_reads_no_full_matrix(capsys, counted_rows):
     assert json.loads(capsys.readouterr().out)["diagnostics"]["quasihamiltonian"] is False
     assert counted_rows["tables"]
     for lat, rows in counted_rows["tables"]:
-        assert rows.built == reps_mask(lat)
+        assert set(rows) == set(lat.class_masks)
 
 
 # -- subgroup checks of cache entries ----------------------------------------

@@ -13,6 +13,7 @@ from permlat import groups as G
 from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
 from permlat.degrees import permutes, sd
+from test_classwise import all_rows
 
 SMALL_SPECS = ["C1", "C2", "C3", "C5", "C12", "Z:2,2", "Z:2,4", "Z:2,2,2",
                "Z:3,3", "S3", "D4", "Q8", "A4", "D6"]
@@ -128,6 +129,14 @@ def chi_rows_by_product_sets(lat):
     g = lat.group
     return [sum(1 << j for j, mj in enumerate(lat.masks) if permutes(g, mi, mj))
             for mi in lat.masks]
+
+
+def assert_rows_match_product_sets(lat):
+    """The full order-test matrix and the representative rows against the
+    product sets."""
+    rows = chi_rows_by_product_sets(lat)
+    assert all_rows(lat) == rows
+    assert lat.chi_rows() == {r: rows[r] for r in lat.class_masks}
 
 
 def modular_law_holds(lat):
@@ -539,7 +548,7 @@ class TestOrderRulesAgainstOracles:
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_chi_rows_match_product_sets(self, spec):
         lat = shared_lat(spec)
-        assert list(lat.chi_rows()) == chi_rows_by_product_sets(lat)
+        assert_rows_match_product_sets(lat)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_modularity_matches_modular_law(self, spec):
@@ -652,7 +661,8 @@ class TestClassInvariantSelections:
 
     def test_selections_are_built_once_per_lattice(self):
         lat = lat_of("S4")
-        for select in (L.all_subgroups, L.normal_subgroups, L.subnormal_subgroups):
+        for select in (L.all_subgroups, L.normal_subgroups, L.subnormal_subgroups,
+                       L.sylow_subgroups):
             assert select(lat) is select(lat)
         for conv in L.CONVENTIONS:
             assert L.maximal_subgroups(lat, conv) is L.maximal_subgroups(lat, conv)
@@ -718,17 +728,17 @@ class TestPerp:
 
     def test_perp_antitone(self):
         lat = lat_of("S4")
-        small = L.custom_selection(lat, [lat.bottom, lat.top])
+        small = L.SublatticeSelection(lat, "bounds", [lat.bottom, lat.top])
         big = L.all_subgroups(lat)
         p_small = L.perp(lat, small).members_mask
         p_big = L.perp(lat, big).members_mask
         assert p_big & ~p_small == 0
 
-    @pytest.mark.parametrize("bad", [-1, 6])
-    def test_custom_selection_rejects_out_of_range_index(self, bad):
+    @pytest.mark.parametrize("bad", [-1, 6, 999])
+    def test_selection_rejects_out_of_range_index(self, bad):
         lat = lat_of("S3")
         with pytest.raises(ValueError, match=rf"{bad} is outside 0\.\.5"):
-            L.custom_selection(lat, [0, bad])
+            L.SublatticeSelection(lat, "x", [0, bad])
 
     def test_perp_contains_bounds(self):
         for spec in ["S3", "A4", "S4", "D6"]:
@@ -870,7 +880,7 @@ def test_relabelling_invariance(spec, data):
     assert len(rel) == len(lat)
     assert sd(rel) == sd(lat)
     assert L.is_modular_lattice(rel) is L.is_modular_lattice(lat)
-    assert list(rel.chi_rows()) == chi_rows_by_product_sets(rel)
+    assert_rows_match_product_sets(rel)
 
 
 @settings(max_examples=15, deadline=None)
