@@ -14,7 +14,6 @@ from .groups import (
     GroupSpecError,
     OrderCapError,
     PrimeSignature,
-    StructuralPredicates,
     centralizer,
     centralizer_of_set,
     closure,
@@ -32,7 +31,6 @@ from .groups import (
     prime_signature,
     quaternion_group,
     quotient_group,
-    structural_predicates,
     subgroup_group,
     symmetric_group,
 )

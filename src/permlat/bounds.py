@@ -642,7 +642,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     ``reading`` picks whether a cyclic centralizer (rank 1) qualifies:
     "strict" demands two nontrivial factors, "relaxed" absorbs a trivial one.
     """
-    if reading not in ("strict", "relaxed"):
+    if reading not in READINGS:
         raise ValueError("reading must be 'strict' or 'relaxed'")
     g = lat.group
     reasons = []
@@ -676,6 +676,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
 
 CLAIM_CHOICES = ("all", "lemma1", "lemma2", "theorem1", "cor26", "cauchy",
                  "lb3", "mu")
+READINGS = ("strict", "relaxed")  # the theorem1 readings
 
 
 def _ns(lat: SubgroupLattice, every: bool, n_node: Optional[int]) -> list[int]:
@@ -738,7 +739,7 @@ def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
     once per node and convention in the lattice's memo. Each (N, H) of
     these three claims is a :class:`BoundInstance` of its decision.
     """
-    if claim not in CLAIM_CHOICES or reading not in ("strict", "relaxed"):
+    if claim not in CLAIM_CHOICES or reading not in READINGS:
         raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
     return _bound_stream(lat, claim, convention, reading, n_node, h_node)
 

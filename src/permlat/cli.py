@@ -19,8 +19,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
 
 from . import cache as cache_mod
-from .bounds import (CLAIM_CHOICES, BoundCheckResult, BoundInstance, BoundRow,
-                     factorization_instance_count, iter_bound_results)
+from .bounds import (CLAIM_CHOICES, READINGS, BoundCheckResult, BoundInstance,
+                     BoundRow, factorization_instance_count, iter_bound_results)
 from .catalog import catalog_groups
 from .degrees import DegreeReport, build_degree_report
 from .groups import (
@@ -33,9 +33,9 @@ from .groups import (
     load_group_file,
     make_named,
     prime_signature,
-    structural_predicates,
 )
 from .lattice import (
+    CONVENTIONS,
     LatticeCapError,
     SubgroupLattice,
     all_subgroups,
@@ -122,7 +122,6 @@ def emit_kv_table(pairs: list[tuple[str, str]]) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
-    preds = structural_predicates(g)
     fit = fitting_subgroup(g)
     cent = centralizer_of_set(g, fit)
     sig = prime_signature(g.order)
@@ -130,9 +129,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         ("group", g.name),
         ("order", str(g.order)),
         ("prime divisors", ",".join(str(p) for p in sig.primes) or "-"),
-        ("abelian", str(preds.is_abelian).lower()),
-        ("nilpotent", str(preds.is_nilpotent).lower()),
-        ("solvable", str(preds.is_solvable).lower()),
+        ("abelian", str(g.is_abelian).lower()),
+        ("nilpotent", str(g.is_nilpotent).lower()),
+        ("solvable", str(g.is_solvable).lower()),
         ("cyclic", str(g.is_cyclic).lower()),
         ("fitting subgroup order", str(len(fit))),
         ("centralizer of fitting order", str(len(cent))),
@@ -143,9 +142,9 @@ def cmd_info(args: argparse.Namespace) -> int:
             "group": g.name,
             "order": g.order,
             "prime_divisors": list(sig.primes),
-            "abelian": preds.is_abelian,
-            "nilpotent": preds.is_nilpotent,
-            "solvable": preds.is_solvable,
+            "abelian": g.is_abelian,
+            "nilpotent": g.is_nilpotent,
+            "solvable": g.is_solvable,
             "cyclic": g.is_cyclic,
             "fitting_order": len(fit),
             "fitting_elements": list(fit.elements()),
@@ -452,7 +451,8 @@ def cmd_moebius(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
     lat = cache_mod.cached_lattice(args.cache, g)
     mu = moebius_table(lat).bottom_value
-    match = re.fullmatch(r"S(\d+)", g.name)
+    # n comes from a --group S<n> descriptor only: a file's name is free text
+    match = args.group and re.fullmatch(r"S(\d+)", args.group.strip())
     predicted = predicted_mu_symmetric(int(match.group(1))) if match else None
     conjectured = (conjectured_mu_symmetric(int(match.group(1)))
                    if match and int(match.group(1)) > 1 else None)
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--group", help="group descriptor, e.g. S4, D6, Z:2,4, S3xC5")
     single.add_argument("--input", help="JSON group file (cayley/permutation/named)")
     convention = argparse.ArgumentParser(add_help=False)
-    convention.add_argument("--convention", choices=("raw", "closed"), default="raw",
+    convention.add_argument("--convention", choices=CONVENTIONS, default="raw",
                             help="maximal-subgroup convention (default raw)")
     capped = argparse.ArgumentParser(add_help=False)  # every command
     capped.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
             single, convention, cache)
     bounds_p = command("bounds", "run lower-bound checks (gate-and-report)",
                        single, convention, cache)
-    bounds_p.add_argument("--theorem1-reading", choices=("strict", "relaxed"),
+    bounds_p.add_argument("--theorem1-reading", choices=READINGS,
                           default="strict",
                           help="whether a cyclic Fitting-centralizer qualifies "
                                "for the rank-2 bounds (default strict)")

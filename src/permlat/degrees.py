@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import ElementSet, FiniteGroup, _bits, direct_product
+from .groups import DEFAULT_ORDER_CAP, ElementSet, FiniteGroup, _bits, direct_product
 from .lattice import (
     CLOSED,
     RAW,
@@ -256,7 +256,7 @@ class MultiplicativityCheck:
 
 def check_multiplicativity(parts: list[FiniteGroup],
                            convention: str = RAW,
-                           max_order: int = 720) -> MultiplicativityCheck:
+                           max_order: int = DEFAULT_ORDER_CAP) -> MultiplicativityCheck:
     """Compare degrees of a direct product against the factor-degree products.
 
     Equality is only meaningful when the factor orders are pairwise coprime.

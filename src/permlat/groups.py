@@ -13,8 +13,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import chain, permutations
+from functools import cache, cached_property, reduce
+from itertools import chain, permutations, product
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -85,21 +85,19 @@ def prime_signature(n: int) -> PrimeSignature:
     return PrimeSignature(tuple(factors))
 
 
-@dataclass(frozen=True)
-class StructuralPredicates:
-    is_abelian: bool
-    is_nilpotent: bool
-    is_solvable: bool
-
-
 class FiniteGroup:
     """Order-n group with multiplication table, inverses and optional labels.
 
-    Invariants enforced at construction: the identity is element 0, each row
-    and column of the table is a permutation of 0..n-1, and every element has
-    an inverse. Associativity is checked, by Light's test in O(|S|·n²), only
-    where the table comes from untrusted input (see :meth:`from_table`); the
-    internal constructors produce associative tables by construction.
+    Invariants enforced at construction, whichever constructor builds the
+    group: the identity is element 0 and each row and column of the table is
+    a permutation of 0..n-1, so each row holds the identity and every element
+    has an inverse. Associativity is checked, by Light's test in O(|S|·n²),
+    only where the table comes from untrusted input (see :meth:`from_table`).
+    The internal constructors build every table with :func:`_cayley_table`,
+    whose row x is left multiplication by x written as a composite of the
+    generators' left multiplications; composition of maps is associative, so
+    those tables are associative by construction. :func:`subgroup_group`
+    alone reads its rows off an existing group's table.
     """
 
     def __init__(self, table, name: str, element_labels=None):
@@ -114,13 +112,8 @@ class FiniteGroup:
         if self.order < 1:
             raise GroupSpecError("empty multiplication table")
         self._check_structure()
-        inv = [0] * self.order
-        for i, row in enumerate(self.table):
-            try:
-                inv[i] = row.index(0)
-            except ValueError:
-                raise GroupSpecError(f"element {i} has no inverse") from None
-        self.inverse: tuple[int, ...] = tuple(inv)
+        # every row is a permutation of 0..n-1 now, so each holds the identity
+        self.inverse: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self.full_mask: int = (1 << self.order) - 1
 
     def _check_structure(self):
@@ -354,22 +347,19 @@ class FiniteGroup:
                     return False
         return True
 
-    def subgroup_gens(self, mask: int, base: int = 1,
-                      base_gens: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
+    def subgroup_gens(self, mask: int) -> Optional[tuple[int, ...]]:
         """Small generating set of a subgroup given as a mask, or None when
         ``mask`` is not a subgroup.
 
         Greedy: the lowest element of ``mask`` outside the span so far, each
-        closure grown from the previous span. Every span is a subgroup and
-        each step enlarges it, so if ``mask`` is a subgroup the spans stay in
-        it until they equal it; if not, some span leaves it. This decides
-        subgroup-ness by cosets rather than by the |m|^2 products of
-        :meth:`is_subgroup_mask`. The first span is ``base``, the subgroup
-        generated by ``base_gens`` (the trivial one by default), and the
-        result starts with ``base_gens``.
+        closure grown from the previous span, starting from the trivial
+        subgroup. Every span is a subgroup and each step enlarges it, so if
+        ``mask`` is a subgroup the spans stay in it until they equal it; if
+        not, some span leaves it. This decides subgroup-ness by cosets rather
+        than by the |m|^2 products of :meth:`is_subgroup_mask`.
         """
-        gens = list(base_gens)
-        m = base
+        gens: list[int] = []
+        m = 1
         while m != mask:
             if m & ~mask:
                 return None
@@ -433,9 +423,10 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i]
-                   for i in range(self.order) for j in range(i + 1, self.order))
+        """Whether the elements of :attr:`generating_set` commute pairwise,
+        which makes every pair of products of them commute."""
+        t, gens = self.table, self.generating_set
+        return all(t[a][b] == t[b][a] for k, a in enumerate(gens) for b in gens[k + 1:])
 
     def _derived_terms(self) -> Iterator[int]:
         # [K, K] = <[x, y] : x, y in X>^K for K = <X>, from G = <generating_set>
@@ -561,11 +552,6 @@ def normal_closure(g: FiniteGroup, h, k) -> ElementSet:
     return ElementSet(g, g.normal_closure_mask(_as_mask(g, h), _as_mask(g, k)))
 
 
-def structural_predicates(g: FiniteGroup) -> StructuralPredicates:
-    """Abelian / nilpotent / solvable flags; the implications ab => nil => solv hold."""
-    return StructuralPredicates(g.is_abelian, g.is_nilpotent, g.is_solvable)
-
-
 def fitting_subgroup(g: FiniteGroup) -> ElementSet:
     """Largest nilpotent normal subgroup, assembled from the p-cores.
 
@@ -603,9 +589,45 @@ def _require_cap(order: int, cap: int, what: str):
         raise OrderCapError(f"{what} has order {order}, above the cap {cap}")
 
 
+def _cayley_table(gen_rows: Sequence[Sequence[int]], n: int) -> list:
+    """Table of the order-n group generated by the elements whose rows are
+    ``gen_rows``, with the identity at 0.
+
+    The rows grow outward from the identity's along the Cayley graph of left
+    multiplication by the generators: (s·x)·y = s·(x·y), so the row of s·x
+    is the row of x mapped through the row of s. Each element's row is built
+    once, from the first edge that reaches it.
+    """
+    if n == 0:
+        return []  # for FiniteGroup to reject as empty
+    table = [None] * n
+    table[0] = tuple(range(n))
+    queue = [0]
+    for x in queue:  # grows while we iterate
+        row_x = table[x]
+        for row_s in gen_rows:
+            y = row_s[x]
+            if table[y] is None:
+                table[y] = tuple(map(row_s.__getitem__, row_x))
+                queue.append(y)
+    return table
+
+
+def _cyclic_table(n: int) -> list:
+    return _cayley_table([tuple((i + 1) % n for i in range(n))], n)
+
+
+def _product_table(ta: Sequence[Sequence[int]], tb: Sequence[Sequence[int]]) -> list:
+    """Table of A x B with (x, y) at index x*|B| + y: row (x, y) is the row
+    y of B repeated as blocks, block x' shifted by |B|·(x·x')."""
+    nb = len(tb)
+    shifted = [[tuple(map((c * nb).__add__, rb)) for c in range(len(ta))] for rb in tb]
+    return [tuple(chain.from_iterable(map(shifted[y].__getitem__, ra)))
+            for ra in ta for y in range(nb)]
+
+
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name or f"C{n}", [str(i) for i in range(n)])
+    return FiniteGroup(_cyclic_table(n), name or f"C{n}", [str(i) for i in range(n)])
 
 
 def abelian_group(ks: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
@@ -613,66 +635,60 @@ def abelian_group(ks: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
     ks = list(ks)
     if not ks or any(k < 1 for k in ks):
         raise GroupSpecError(f"bad cyclic factors {ks}")
-    n = math.prod(ks)
-
-    def decode(i):
-        out = []
-        for k in reversed(ks):
-            i, r = divmod(i, k)
-            out.append(r)
-        return list(reversed(out))
-
-    def encode(t):
-        i = 0
-        for k, v in zip(ks, t):
-            i = i * k + v
-        return i
-
-    tuples = [decode(i) for i in range(n)]
-    table = [[encode([(a + b) % k for a, b, k in zip(ta, tb, ks)])
-              for tb in tuples] for ta in tuples]
-    labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
+    table = reduce(_product_table, map(_cyclic_table, ks))
+    labels = ["(" + ",".join(map(str, t)) + ")" for t in product(*map(range, ks))]
     return FiniteGroup(table, name or "Z:" + ",".join(map(str, ks)), labels)
 
 
-def _perm_group_from_elements(elems: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    # a*b is the composite k -> a[b[k]], the tuple itemgetter(*b)(a); at
-    # degree 1 itemgetter returns the scalar a[b[0]], so index by that
-    index = {p if len(p) > 1 else p[0]: i for i, p in enumerate(elems)}
-    compose = [itemgetter(*b) for b in elems]
-    table = [[index[c(a)] for c in compose] for a in elems]
+def _perm_closure(degree: int, gens: Sequence[tuple[int, ...]],
+                  max_order: float = math.inf) -> list[tuple[int, ...]]:
+    """The permutations generated by ``gens``, from the identity onwards in
+    the order right multiplication by the generators reaches them."""
+    ident = tuple(range(degree))
+    elems = [ident]
+    seen = {ident}
+    for p in elems:  # grows during iteration
+        for q in gens:
+            r = tuple(map(p.__getitem__, q))
+            if r not in seen:
+                if len(elems) >= max_order:
+                    raise OrderCapError(
+                        f"closure exceeds the order cap {max_order}")
+                seen.add(r)
+                elems.append(r)
+    return elems
+
+
+def _perm_group_from_elements(elems: list[tuple[int, ...]],
+                              gens: Sequence[tuple[int, ...]], name: str) -> FiniteGroup:
+    # s·x is the composite k -> s[x[k]]; only the generators' rows are
+    # composed, and the Cayley graph fills in the rest
+    index = {p: i for i, p in enumerate(elems)}
+    gen_rows = [[index[tuple(map(s.__getitem__, x))] for x in elems] for s in gens]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
-    return FiniteGroup(table, name, labels)
+    return FiniteGroup(_cayley_table(gen_rows, len(elems)), name, labels)
 
 
 def symmetric_group(n: int, name: Optional[str] = None) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError("degree must be >= 1")
-    elems = [tuple(p) for p in permutations(range(n))]  # identity is lex-first
-    return _perm_group_from_elements(elems, name or f"S{n}")
-
-
-def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    elems = list(permutations(range(n)))  # identity is lex-first
+    # the transposition (0 1) and the n-cycle k -> k+1
+    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    return _perm_group_from_elements(elems, gens, name or f"S{n}")
 
 
 def alternating_group(n: int, name: Optional[str] = None) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError("degree must be >= 1")
-    elems = [tuple(p) for p in permutations(range(n)) if _perm_parity(p) == 0]
-    return _perm_group_from_elements(elems, name or f"A{n}")
+    # the 3-cycles (0 1 k) generate A_n; its elements are listed in lex order
+    gens = []
+    for k in range(2, n):
+        p = list(range(n))
+        p[0], p[1], p[k] = 1, k, 0
+        gens.append(tuple(p))
+    elems = sorted(_perm_closure(n, gens))
+    return _perm_group_from_elements(elems, gens, name or f"A{n}")
 
 
 def dihedral_group(n: int, name: Optional[str] = None) -> FiniteGroup:
@@ -686,32 +702,16 @@ def dihedral_group(n: int, name: Optional[str] = None) -> FiniteGroup:
         return abelian_group([2, 2], label)
     r = tuple((i + 1) % n for i in range(n))
     s = tuple((n - i) % n for i in range(n))
-    g = from_permutations(n, [r, s], name=label, max_order=2 * n)
-    return g
-
-
-_Q8_UNIT = (
-    ((0, 0), (0, 1), (0, 2), (0, 3)),
-    ((0, 1), (1, 0), (0, 3), (1, 2)),
-    ((0, 2), (1, 3), (1, 0), (0, 1)),
-    ((0, 3), (0, 2), (1, 1), (1, 0)),
-)
+    return from_permutations(n, [r, s], name=label, max_order=2 * n)
 
 
 def quaternion_group(name: Optional[str] = None) -> FiniteGroup:
-    """The quaternion group of order 8: units 1, i, j, k with signs."""
-    def idx(sign, unit):
-        return unit * 2 + sign
-
-    table = [[0] * 8 for _ in range(8)]
-    for s1 in (0, 1):
-        for u1 in range(4):
-            for s2 in (0, 1):
-                for u2 in range(4):
-                    s3, u3 = _Q8_UNIT[u1][u2]
-                    table[idx(s1, u1)][idx(s2, u2)] = idx(s1 ^ s2 ^ s3, u3)
+    """The quaternion group of order 8, elements 1, -1, i, -i, j, -j, k, -k,
+    generated by i and j; their rows are the only hand-written ones."""
+    row_i = (2, 3, 1, 0, 6, 7, 5, 4)  # i·j = k, i·k = -j
+    row_j = (4, 5, 7, 6, 1, 0, 2, 3)  # j·i = -k, j·k = i
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup(table, name or "Q8", labels)
+    return FiniteGroup(_cayley_table([row_i, row_j], 8), name or "Q8", labels)
 
 
 def from_permutations(degree: int, generators: Sequence[Sequence[int]],
@@ -726,43 +726,18 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]],
         if sorted(p) != list(range(degree)):
             raise GroupSpecError(f"generator {raw} is not a bijection on 0..{degree - 1}")
         gens.append(p)
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    for p in elems:  # grows during iteration
-        for q in gens:
-            r = tuple(p[q[k]] for k in range(degree))
-            if r not in index:
-                if len(elems) >= max_order:
-                    raise OrderCapError(
-                        f"closure exceeds the order cap {max_order}")
-                index[r] = len(elems)
-                elems.append(r)
-    return _perm_group_from_elements(elems, name or f"perm({degree})")
+    elems = _perm_closure(degree, gens, max_order)
+    return _perm_group_from_elements(elems, gens, name or f"perm({degree})")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
                    max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Componentwise product; element (x, y) is index x*|b| + y."""
-    n = a.order * b.order
-    _require_cap(n, max_order, f"{a.name}x{b.name}")
-    nb = b.order
-    ta, tb = a.table, b.table
-    table = [[0] * n for _ in range(n)]
-    for x1 in range(a.order):
-        for y1 in range(b.order):
-            row = table[x1 * nb + y1]
-            ra = ta[x1]
-            rb = tb[y1]
-            for x2 in range(a.order):
-                base = ra[x2] * nb
-                for y2 in range(b.order):
-                    row[x2 * nb + y2] = base + rb[y2]
+    _require_cap(a.order * b.order, max_order, f"{a.name}x{b.name}")
     labels = None
     if a.element_labels is not None and b.element_labels is not None:
-        labels = [f"({a.element_labels[x]},{b.element_labels[y]})"
-                  for x in range(a.order) for y in range(b.order)]
-    return FiniteGroup(table, f"{a.name}x{b.name}", labels)
+        labels = [f"({la},{lb})" for la in a.element_labels for lb in b.element_labels]
+    return FiniteGroup(_product_table(a.table, b.table), f"{a.name}x{b.name}", labels)
 
 
 def subgroup_group(g: FiniteGroup, s) -> FiniteGroup:
@@ -775,8 +750,10 @@ def subgroup_group(g: FiniteGroup, s) -> FiniteGroup:
     if not g.is_subgroup_mask(mask):
         raise ValueError("set is not a subgroup")
     elems = list(_bits(mask))
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[g.table[x][y]] for y in elems] for x in elems]
+    index = {e: i for i, e in enumerate(elems)}.__getitem__
+    # H's rows are read off G's, not grown from generators: finding those
+    # would cost closures, which rerooting a lattice node never makes
+    table = [tuple(map(index, map(g.table[x].__getitem__, elems))) for x in elems]
     labels = [g.label(x) for x in elems]
     return FiniteGroup(table, f"{g.name}|sub{len(elems)}", labels)
 
@@ -799,9 +776,11 @@ def quotient_group(g: FiniteGroup, n) -> FiniteGroup:
                 coset_of[y] = len(reps)
             reps.append(x)
             covered |= cm
-    table = [[coset_of[g.table[a][b]] for b in reps] for a in reps]
+    # the cosets of G's generators generate G/N; coset xN maps yN to xyN
+    gen_rows = [[coset_of[g.table[x][r]] for r in reps] for x in g.generating_set]
     labels = [g.label(r) + "N" for r in reps]
-    return FiniteGroup(table, f"{g.name}/N{nmask.bit_count()}", labels)
+    return FiniteGroup(_cayley_table(gen_rows, len(reps)),
+                       f"{g.name}/N{nmask.bit_count()}", labels)
 
 
 # -- descriptor grammar and file formats ------------------------------------

@@ -1,6 +1,7 @@
 """Lattice cache files: one table hash per group, and entries written by an
 earlier build of the same cache format still load."""
 import functools
+import hashlib
 import json
 import shutil
 import tempfile
@@ -13,6 +14,7 @@ from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
 from permlat import moebius as M
+from test_lattice import PSL27_ON_7_POINTS
 
 # S4 entries exactly as store_lattice wrote them at cache formats 3 and 2
 DATA = Path(__file__).parent / "data"
@@ -115,6 +117,56 @@ PINNED_TABLE_DIGESTS = {
 @pytest.mark.parametrize("spec", sorted(PINNED_TABLE_DIGESTS))
 def test_table_digest_pinned(spec):
     assert C.table_digest(G.make_named(spec)) == PINNED_TABLE_DIGESTS[spec]
+
+
+# sha256 of the JSON of [table, element labels, name]: the constructors must
+# give every named group exactly these, or its node order and its cache entry
+# would change with them
+PINNED_GROUP_DIGESTS = {
+    "C1": "f81b3a5b50e66c42e94dd06699b8a8700138ee3d9abe66bc5d3c95c060f82721",
+    "C2": "e4144af6421ed6af11927f8b47bb144bb588fc86796498861b16b64cb10f02ee",
+    "C12": "1d5395d4dd99430fadc143ed8f1780b66968c925a0f054896abf36278b7bf29b",
+    "Z:1,3": "8012a96d2fb3703729a6cd2a1e9a983582f1e1884689bd9b3f96f2c724a70536",
+    "Z:2,4,3": "9b64ff0f3edb3827b052e98a5e56650dcca1cea89f6eb43d0506a57227318e47",
+    "Z:2,2,2,2,2,2": "5840c76d77240e9ff71f43921abb0aabbd2a3c21bb6b7a4f2dd82e2ec4d32548",
+    "S1": "3e86338fa9029b4649ed201c1c7834a3a5eb43832a689ab8b4adbb1796b69de6",
+    "S2": "dde2808f18d0ee336c5cd67c038f4515720a7eab4c15c332ee838e80be323dce",
+    "S3": "459b06578de449da5478fe4703a17ab830f64f60b097314deac18c86810bf5c5",
+    "S4": "79468bed811389ed6f90eb5be00953b3e58237662553671fd958c5e513802866",
+    "S5": "eed7d0d84236cd050c9246e491705babb6225f14481f003d088f3682d92ae99e",
+    "S6": "693d9ef507f4eccc4d1a75a25568b7b1d63472e507fecb1a734fa9a3e9e2172a",
+    "A1": "7cdd5a4b8cc167865c52ffc2267a51a31e0033ea6912eab8374791c20322f60e",
+    "A2": "50d366329f51d91ffbc554e580732b8c9ba21b616eb373e1e7f99651b8e8695e",
+    "A3": "7bed15de90395ad25d366b9f8e7125c30b11b1f5a560ab08d949afe8ca080b87",
+    "A4": "0c81a219e21d115cc1ef24f4a046d789729d8f1ce5cef89e2a3be5adeba44cb0",
+    "A5": "16a4d5495155775d377aac4ffcdee46e6a7e05a0d1e197c7752b7e7217c0e01b",
+    "A6": "c2057ac09fd890ebfe31ad25495e95777f71cb1ef91540b9de11130beb208822",
+    "D1": "f631217ef64acbb2db55cb9ae79055fb53ae43952559d4fd0f5044da31414212",
+    "D2": "51587b846d3517f44d6283f21ceed1303a497765a4dcf1ab6f1140903b5a6ed2",
+    "D3": "40ac1c60cc6984162f7ebe53bd1d771169326f8e72bd435bc89554e3ebd15310",
+    "D6": "1c9f797f6af2792220447a257ffab7881c9eb238528624115c6f09b2f4f9304d",
+    "Q8": "5b50fbc3dae65bff7ef4487dcd0cba5707f5cae6a79e1ecf3ba40db2a9e8669c",
+    "PSL27": "0bd8e136da7681c89c5625d3b97f67e905d40d9b742844481ef8db5b67cd4984",
+    "S3xC5": "bece57c81237c87dc319627b2bc5e3bb06a3b00f263523819945f4767d1feffb",
+    "C5xS3": "73ab5270e3537d2175b45c5317fb1e7b2a1f82c5c151f6656e682db8e7a5cf1e",
+    "S5xS3": "69630a974d0f36dcdcc47228f28dea4d3091df49ab3bed4e02db42876fb12d7c",
+    "A5xA4": "bd202cb6eb2277f7b685594e2d2294b85445cc5078a2b8a7b171c07355f52a2f",
+    "D4xD4xC2": "a9f12083bf0136fbeb561cd6499a3bf4f5f2e119dca7b18424fbdb4dca0a2ec5",
+}
+
+
+def pinned_group(spec):
+    return (G.group_from_json_dict(PSL27_ON_7_POINTS) if spec == "PSL27"
+            else G.make_named(spec))
+
+
+@pytest.mark.parametrize("spec", list(PINNED_GROUP_DIGESTS))
+def test_group_table_labels_and_name_pinned(spec):
+    g = pinned_group(spec)
+    payload = json.dumps([g.table, g.element_labels, g.name]).encode()
+    assert hashlib.sha256(payload).hexdigest() == PINNED_GROUP_DIGESTS[spec]
+    # only from_table runs Light's test on construction
+    g.check_associativity()
 
 
 # -- the hit check: one closure per node --------------------------------------

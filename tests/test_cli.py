@@ -438,6 +438,27 @@ class TestMoebiusCommand:
         assert payload["predicted"] == -12
         assert payload["agrees"] is True
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_group_file_named_like_a_symmetric_group_has_no_prediction(
+            self, capsys, tmp_path, fmt):
+        # a file's name is free text: this C2 table calls itself S4
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(
+            {"kind": "cayley", "name": "S4", "table": [[0, 1], [1, 0]]}))
+        code, out, _ = run_cli(capsys, "moebius", "--input", str(path),
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["mu_bottom"], payload["predicted"], payload["agrees"],
+                    payload["conjectured"]) == (-1, None, None, None)
+        elif fmt == "csv":
+            assert out.splitlines()[1] == "S4,2,-1,,,"
+        else:
+            rows = dict(line.split(None, 1) for line in out.splitlines()
+                        if not line.startswith("|L|"))
+            assert [rows[k] for k in ("predicted", "agrees", "conjectured")] == ["-"] * 3
+
     def test_non_symmetric_group_has_no_prediction(self, capsys):
         _, out, _ = run_cli(capsys, "moebius", "--group", "A4",
                             "--format", "json")
@@ -506,6 +527,18 @@ class TestInputsAndErrors:
         code, _, err = run_cli(capsys, "degrees", "--group", "C2",
                                "--input", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ("C0", "empty multiplication table"),
+        ("S0", "degree must be >= 1"),
+        ("A0", "degree must be >= 1"),
+        ("D0", "dihedral parameter must be >= 1"),
+        ("Z:0", "bad cyclic factors [0]"),
+        ("Z:2,0", "bad cyclic factors [2, 0]"),
+    ])
+    def test_degenerate_descriptor_is_a_group_error(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "info", "--group", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_order_cap_respected(self, capsys):
         code, _, err = run_cli(capsys, "degrees", "--group", "S5",

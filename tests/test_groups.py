@@ -10,6 +10,18 @@ from permlat.catalog import CATALOG_SPECS
 SERIES_SPECS = list(CATALOG_SPECS) + ["S5xC2", "S4xS3", "A5xC3"]
 
 
+def composition_table(elems):
+    """Oracle: the table of the permutations ``elems``, by composing every
+    pair; a·b is the composite k -> a[b[k]]."""
+    index = {p: i for i, p in enumerate(elems)}
+    return tuple(tuple(index[tuple(a[k] for k in b)] for b in elems) for a in elems)
+
+
+def permutations_of(g):
+    """The image arrays of a permutation group's elements, read off its labels."""
+    return [tuple(map(int, label[1:-1].split())) for label in g.element_labels]
+
+
 def first_nonassociative_triple(t):
     """Oracle: the lexicographically first (a, b, c) with (ab)c != a(bc), by
     scanning all n^3 triples; None for an associative table."""
@@ -185,24 +197,31 @@ class TestElementSets:
 
 class TestStructure:
     def test_predicates_cyclic(self):
-        p = G.structural_predicates(G.make_named("C12"))
-        assert (p.is_abelian, p.is_nilpotent, p.is_solvable) == (True, True, True)
+        g = G.make_named("C12")
+        assert (g.is_abelian, g.is_nilpotent, g.is_solvable) == (True, True, True)
 
     def test_predicates_s3(self):
-        p = G.structural_predicates(G.make_named("S3"))
-        assert (p.is_abelian, p.is_nilpotent, p.is_solvable) == (False, False, True)
+        g = G.make_named("S3")
+        assert (g.is_abelian, g.is_nilpotent, g.is_solvable) == (False, False, True)
 
     def test_predicates_q8(self):
-        p = G.structural_predicates(G.make_named("Q8"))
-        assert (p.is_abelian, p.is_nilpotent, p.is_solvable) == (False, True, True)
+        g = G.make_named("Q8")
+        assert (g.is_abelian, g.is_nilpotent, g.is_solvable) == (False, True, True)
 
     def test_predicate_implications(self):
         for spec in ["C1", "C5", "Z:2,4", "S3", "D4", "Q8", "A4", "D6", "S4", "A5"]:
-            p = G.structural_predicates(G.make_named(spec))
-            if p.is_abelian:
-                assert p.is_nilpotent
-            if p.is_nilpotent:
-                assert p.is_solvable
+            g = G.make_named(spec)
+            if g.is_abelian:
+                assert g.is_nilpotent
+            if g.is_nilpotent:
+                assert g.is_solvable
+
+    @pytest.mark.parametrize("spec", SERIES_SPECS + ["Z:2,2,2,2,2", "D4xD4", "Q8xC3"])
+    def test_abelian_from_generators_matches_all_pairs(self, spec):
+        g = G.make_named(spec)
+        t = g.table
+        all_pairs = all(t[i][j] == t[j][i] for i in range(g.order) for j in range(g.order))
+        assert g.is_abelian is all_pairs
 
     def test_a5_not_solvable(self):
         assert not G.make_named("A5").is_solvable
@@ -256,6 +275,19 @@ class TestStructure:
         with pytest.raises(ValueError):
             G.quotient_group(g, b)
 
+    @pytest.mark.parametrize("spec", ["C1", "C12", "S3", "Q8", "A4", "S4", "D4xC3"])
+    def test_quotient_table_is_the_coset_product(self, spec):
+        g = G.make_named(spec)
+        for n in [1, g.full_mask, g.derived_series[-1], *g.lower_central_series,
+                  G.fitting_subgroup(g).mask]:
+            q = G.quotient_group(g, n)
+            cosets = sorted({g.product_mask(n, 1 << x) for x in range(g.order)},
+                            key=lambda c: c & -c)
+            coset_of = {y: i for i, c in enumerate(cosets) for y in G._bits(c)}
+            reps = [(c & -c).bit_length() - 1 for c in cosets]
+            assert q.table == tuple(tuple(coset_of[g.table[a][b]] for b in reps)
+                                    for a in reps), (spec, n)
+
     def test_quotient_q8_by_center(self):
         g = G.make_named("Q8")
         center = g.centralizer_of_set_mask(g.full_mask)
@@ -308,6 +340,24 @@ def test_permutation_closure_forms_group(gens):
     assert g.order % 1 == 0
     for x in range(g.order):
         assert g.table[x][g.inverse[x]] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(tuple(range(d))), max_size=3))))
+def test_permutation_table_matches_pairwise_composition(case):
+    degree, gens = case
+    g = G.from_permutations(degree, [list(p) for p in gens], max_order=120)
+    elems = permutations_of(g)
+    assert elems[0] == tuple(range(degree)) and len(set(elems)) == g.order
+    assert g.table == composition_table(elems)
+
+
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "A1", "A2", "A3",
+                                  "A4", "A5", "D3", "D4", "D7"])
+def test_named_permutation_tables_match_pairwise_composition(spec):
+    g = G.make_named(spec)
+    assert g.table == composition_table(permutations_of(g))
 
 
 @settings(max_examples=30, deadline=None)
