@@ -641,35 +641,41 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
 
     ``reading`` picks whether a cyclic centralizer (rank 1) qualifies:
     "strict" demands two nontrivial factors, "relaxed" absorbs a trivial one.
+    The check is kept in the lattice's memo, once per convention and
+    reading, so the mu claim (:func:`permlat.moebius.mu_matching_bound_check`)
+    reads theorem1's decision instead of deciding it again.
     """
     if reading not in READINGS:
         raise ValueError("reading must be 'strict' or 'relaxed'")
-    g = lat.group
-    reasons = []
-    if not g.is_solvable:
-        reasons.append("group is not solvable")
-    c_mask = lat.memo("fit-centralizer", lambda: g.centralizer_of_set_mask(
-        lat.masks[fitting_node(lat)]))
-    c_idx = lat.index_of[c_mask]
-    allow_rank1 = reading == "relaxed"
-    shape = None
-    if not reasons:
-        shape = detect_rank2_shape(lat, c_idx, allow_rank1)
-        if shape is None:
-            reasons.append("centralizer of the Fitting subgroup does not have "
-                           "the required abelian p-group shape")
-    index = g.order // c_mask.bit_count()
-    if not reasons and not is_prime(index):
-        reasons.append(f"centralizer index {index} is not prime")
-    if reasons:
-        return CentralizerShapeCheck(g.name, False, tuple(reasons), c_idx,
-                                     shape, (), None)
-    part_i = tuple(
-        spd_rank2_bound_check(lat, c_idx, h_idx, convention, allow_rank1)
-        for h_idx in complement_candidates(lat, c_idx)
-    )
-    part_ii = sd_rank2_bound_check(lat, c_idx, allow_rank1)
-    return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
+
+    def compute():
+        g = lat.group
+        reasons = []
+        if not g.is_solvable:
+            reasons.append("group is not solvable")
+        c_mask = lat.memo("fit-centralizer", lambda: g.centralizer_of_set_mask(
+            lat.masks[fitting_node(lat)]))
+        c_idx = lat.index_of[c_mask]
+        allow_rank1 = reading == "relaxed"
+        shape = None
+        if not reasons:
+            shape = detect_rank2_shape(lat, c_idx, allow_rank1)
+            if shape is None:
+                reasons.append("centralizer of the Fitting subgroup does not have "
+                               "the required abelian p-group shape")
+        index = g.order // c_mask.bit_count()
+        if not reasons and not is_prime(index):
+            reasons.append(f"centralizer index {index} is not prime")
+        if reasons:
+            return CentralizerShapeCheck(g.name, False, tuple(reasons), c_idx,
+                                         shape, (), None)
+        part_i = tuple(
+            spd_rank2_bound_check(lat, c_idx, h_idx, convention, allow_rank1)
+            for h_idx in complement_candidates(lat, c_idx)
+        )
+        part_ii = sd_rank2_bound_check(lat, c_idx, allow_rank1)
+        return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
+    return lat.memo(("theorem1", convention, reading), compute)
 
 
 # -- the bound driver --------------------------------------------------------

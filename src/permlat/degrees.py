@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import DEFAULT_ORDER_CAP, ElementSet, FiniteGroup, _bits, direct_product
+from .groups import ElementSet, FiniteGroup, _bits, direct_product
 from .lattice import (
     CLOSED,
     RAW,
@@ -255,8 +255,7 @@ class MultiplicativityCheck:
 
 
 def check_multiplicativity(parts: list[FiniteGroup],
-                           convention: str = RAW,
-                           max_order: int = DEFAULT_ORDER_CAP) -> MultiplicativityCheck:
+                           convention: str = RAW) -> MultiplicativityCheck:
     """Compare degrees of a direct product against the factor-degree products.
 
     Equality is only meaningful when the factor orders are pairwise coprime.
@@ -280,7 +279,7 @@ def check_multiplicativity(parts: list[FiniteGroup],
         raise ValueError("need at least one factor")
     product = parts[0]
     for part in parts[1:]:
-        product = direct_product(product, part, max_order)
+        product = direct_product(product, part)
     orders = [p.order for p in parts]
     coprime = all(math.gcd(orders[i], orders[j]) == 1
                   for i in range(len(orders)) for j in range(i + 1, len(orders)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, permutations, product
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 DEFAULT_ORDER_CAP = 720
 
@@ -98,6 +98,11 @@ class FiniteGroup:
     generators' left multiplications; composition of maps is associative, so
     those tables are associative by construction. :func:`subgroup_group`
     alone reads its rows off an existing group's table.
+
+    The structure flags keep no series: :attr:`is_abelian` tests the
+    generators, :attr:`is_nilpotent` counts the elements of p-power order
+    for each prime p (the Sylow count), and :attr:`is_solvable` walks the
+    derived series to its residual (:meth:`solvable_residual`).
     """
 
     def __init__(self, table, name: str, element_labels=None):
@@ -407,18 +412,6 @@ class FiniteGroup:
                 conjugates.add(t[row[h]][ki])
         return self.closure_mask(sorted(conjugates), h_mask)
 
-    def _commutator_closure(self, xs: Sequence[int], ys: Sequence[int],
-                            k_mask: int) -> int:
-        """Normal closure in K of the commutators [x,y] = x^-1 y^-1 x y.
-
-        With X and Y generating normal subgroups of K = <X, Y>, this is the
-        commutator subgroup [<X>, <Y>].
-        """
-        t = self.table
-        inv = self.inverse
-        comms = sorted({t[t[t[inv[x]][inv[y]]][x]][y] for x in xs for y in ys})
-        return self.normal_closure_mask(self.closure_mask(comms), k_mask, comms)
-
     # -- structure --------------------------------------------------------
 
     @cached_property
@@ -428,47 +421,40 @@ class FiniteGroup:
         t, gens = self.table, self.generating_set
         return all(t[a][b] == t[b][a] for k, a in enumerate(gens) for b in gens[k + 1:])
 
-    def _derived_terms(self) -> Iterator[int]:
-        # [K, K] = <[x, y] : x, y in X>^K for K = <X>, from G = <generating_set>
+    def solvable_residual(self) -> int:
+        """G^(∞), the last term of the derived series: the largest perfect
+        subgroup, 1 iff G is solvable. Each step is [K, K] = <[x, y] : x, y
+        in X>^K for K = <X>, the normal closure in K of the commutators
+        [x, y] = x^-1 y^-1 x y of K's generators, from G = <generating_set>.
+        Computed afresh on each call and kept nowhere."""
+        t, inv = self.table, self.inverse
         k, gens = self.full_mask, self.generating_set
         while True:
-            yield k
-            nxt = self._commutator_closure(gens, gens, k)
+            comms = sorted({t[t[t[inv[x]][inv[y]]][x]][y] for x in gens for y in gens})
+            nxt = self.normal_closure_mask(self.closure_mask(comms), k, comms)
             if nxt == k:
-                return
+                return k
             k, gens = nxt, self.subgroup_gens(nxt)
 
     @cached_property
-    def derived_series(self) -> tuple[int, ...]:
-        return tuple(self._derived_terms())
-
-    def solvable_residual(self) -> int:
-        """G^(∞), the last term of the derived series: the largest perfect
-        subgroup, 1 iff G is solvable. Computed afresh on each call and kept
-        nowhere, unlike :attr:`derived_series`."""
-        *_, last = self._derived_terms()
-        return last
-
-    @cached_property
-    def lower_central_series(self) -> tuple[int, ...]:
-        # [K, G] = <[x, s] : x in X, s in S>^G for normal K = <X> and G = <S>
-        series = [self.full_mask]
-        while True:
-            k = series[-1]
-            nxt = self._commutator_closure(self.subgroup_gens(k),
-                                           self.generating_set, self.full_mask)
-            if nxt == k:
-                break
-            series.append(nxt)
-        return tuple(series)
-
-    @cached_property
     def is_solvable(self) -> bool:
-        return self.derived_series[-1] == 1
+        return self.solvable_residual() == 1
 
     @cached_property
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series[-1] == 1
+        """Whether, for every prime p with |G|_p = p^e, exactly p^e elements
+        have p-power order (counted in :attr:`element_orders`).
+
+        A finite group is nilpotent iff each of its Sylow subgroups is
+        normal, that is, the only one for its prime. Every p-element lies in
+        some Sylow p-subgroup (Sylow), so a unique Sylow subgroup P holds all
+        of them; every element of P is one, so they number |P| = p^e. A
+        second Sylow subgroup Q adds the elements of Q outside P, so then
+        there are more than p^e.
+        """
+        orders = self.element_orders
+        return all(sum(prime_signature(o).primes in ((), (p,)) for o in orders) == p ** e
+                   for p, e in prime_signature(self.order).factors)
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -561,22 +547,16 @@ def fitting_subgroup(g: FiniteGroup) -> ElementSet:
     fit_gens: list[int] = []
     seen_cyclic: dict[int, bool] = {}
     orders = g.element_orders
-    for p, _ in prime_signature(g.order).factors:
+    for p in prime_signature(g.order).primes:
+        p_power = ((), (p,))
         for x in range(1, g.order):
-            q = orders[x]
-            while q % p == 0:
-                q //= p
-            if q != 1:  # p-elements only
-                continue
+            if prime_signature(orders[x]).primes not in p_power:
+                continue  # p-elements only
             cm = g.cyclic_mask(x)
             hit = seen_cyclic.get(cm)
             if hit is None:
                 nc = g.normal_closure_mask(cm, g.full_mask)
-                size = nc.bit_count()
-                while size % p == 0:
-                    size //= p
-                hit = size == 1
-                seen_cyclic[cm] = hit
+                hit = seen_cyclic[cm] = prime_signature(nc.bit_count()).primes in p_power
             if hit:
                 fit_gens.append(x)
     return ElementSet(g, g.closure_mask(fit_gens))

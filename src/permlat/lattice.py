@@ -421,8 +421,7 @@ def _normalizer(group: FiniteGroup, am: int, arows, class_size: int,
     return nm, used
 
 
-def enumerate_subgroups(group: FiniteGroup,
-                        lattice_cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
+def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by class-driven saturation.
 
     This follows the cyclic-extension method of Neubüser (1960), on which
@@ -516,8 +515,9 @@ def enumerate_subgroups(group: FiniteGroup,
       each generator of G, and hence all of G, normalizes J. Such a J's
       class is [J], found without conjugating J's elements.
 
-    :class:`LatticeCapError` is raised as soon as more than ``lattice_cap``
-    subgroups are known, that is exactly when |L(G)| exceeds the cap.
+    :class:`LatticeCapError` is raised as soon as more than
+    ``DEFAULT_LATTICE_CAP`` subgroups are known, that is exactly when |L(G)|
+    exceeds the cap. The cap is read on each call.
     """
     g = group
     t, inv = g.table, g.inverse
@@ -532,8 +532,8 @@ def enumerate_subgroups(group: FiniteGroup,
         if m not in gens_of:
             gens_of[m] = (x,)
             cyclic_masks.append(m)
-    if len(cyclic_masks) > lattice_cap:
-        raise LatticeCapError(f"{g.name}: more than {lattice_cap} subgroups")
+    if len(cyclic_masks) > DEFAULT_LATTICE_CAP:
+        raise LatticeCapError(f"{g.name}: more than {DEFAULT_LATTICE_CAP} subgroups")
     seeds = [m for m in cyclic_masks[1:]
              if len(prime_signature(m.bit_count()).factors) == 1]
     primes = set(prime_signature(g.order).primes)
@@ -599,9 +599,9 @@ def enumerate_subgroups(group: FiniteGroup,
                     gens_of[jm] = jgens
                     members = add_class(jm)
                     fresh.append(jm)
-                    if len(seen) > lattice_cap:
+                    if len(seen) > DEFAULT_LATTICE_CAP:
                         raise LatticeCapError(
-                            f"{g.name}: more than {lattice_cap} subgroups")
+                            f"{g.name}: more than {DEFAULT_LATTICE_CAP} subgroups")
                     if jm.bit_count() // a_order in primes:
                         # J and its conjugates over A join the cover (a seen
                         # J of prime index over A would have held C in it)
@@ -834,27 +834,6 @@ def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:
         lat, f"perp({s.kind})", (i for i, r in enumerate(lat.class_of) if r in ok))
 
 
-def cover_table(lat: SubgroupLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(upper, lower): bit j of ``upper[i]`` set iff node j covers node i,
-    and bit j of ``lower[i]`` set iff node i covers node j."""
-    up = lat.up_masks
-    up_cov = []
-    for i, above in enumerate(up):
-        rest = above ^ (1 << i)
-        cov = 0
-        while rest:
-            # the lowest remaining node is minimal above i: a cover
-            low = rest & -rest
-            cov |= low
-            rest &= ~up[low.bit_length() - 1]
-        up_cov.append(cov)
-    down_cov = [0] * len(lat)
-    for i, cov in enumerate(up_cov):
-        for j in _bits(cov):
-            down_cov[j] |= 1 << i
-    return tuple(up_cov), tuple(down_cov)
-
-
 def is_modular_lattice(lat: SubgroupLattice) -> bool:
     """Modular law: X <= Z implies X v (Y ^ Z) = (X v Y) ^ Z.
 
@@ -862,8 +841,14 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
     semimodular (Birkhoff, *Lattice Theory*), which needs cover pairs only:
     two distinct upper covers of a node must both be covered by their join,
     and two distinct lower covers of a node must both cover their meet.
+    The lower covers of each node are the raw M(X) of :func:`node_maximal`,
+    and the upper covers are those masks transposed.
     """
-    up_cov, down_cov = cover_table(lat)
+    down_cov = [node_maximal(lat, x) for x in range(len(lat))]
+    up_cov = [0] * len(lat)
+    for x, cov in enumerate(down_cov):
+        for c in _bits(cov):
+            up_cov[c] |= 1 << x
     for x in range(len(lat)):
         ups = list(_bits(up_cov[x]))
         for k, a in enumerate(ups):

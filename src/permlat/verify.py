@@ -38,7 +38,7 @@ from .degrees import (
     spd_naive,
 )
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, make_named
-from .lattice import CONVENTIONS, SubgroupLattice, enumerate_subgroups
+from .lattice import CONVENTIONS, SubgroupLattice
 from .moebius import moebius_table, predicted_mu_symmetric
 
 PASS = "PASS"
@@ -161,8 +161,7 @@ class VerificationRun:
                     or self.group(left).order * self.group(right).order > self.max_order:
                 self.note(f"skipped (above order cap): {left}x{right}")
                 continue
-            res = check_multiplicativity(
-                [self.group(left), self.group(right)], max_order=DEFAULT_ORDER_CAP)
+            res = check_multiplicativity([self.group(left), self.group(right)])
             if not res.coprime:
                 problems.append(f"{left}x{right}: factors not coprime")
                 continue
@@ -192,7 +191,7 @@ class VerificationRun:
                 self.note(f"skipped (above order cap): {shape}")
                 continue
             spec = f"Z:{shape.p ** shape.alpha1},{shape.p ** shape.alpha2}"
-            lat = enumerate_subgroups(make_named(spec))
+            lat = self.lattice(spec)
             formula = subgroup_count_rank2(shape)
             if formula != len(lat):
                 return (f"{spec}: formula gives {formula}, enumeration "
@@ -365,11 +364,9 @@ class VerificationRun:
         return None
 
     def check_moebius_stretch(self) -> Optional[str]:
-        g = make_named("S6", max_order=DEFAULT_ORDER_CAP)
-        if g.order > self.max_order:
+        if self.group("S6") is None:
             raise _Skip("S6 above order cap")
-        lat = enumerate_subgroups(g)
-        mu = moebius_table(lat).bottom_value
+        mu = moebius_table(self.lattice("S6")).bottom_value
         pred = predicted_mu_symmetric(6)
         if mu != -720 or pred != -720:
             return f"S6: recursion {mu}, prediction {pred}, expected -720"

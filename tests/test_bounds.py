@@ -524,6 +524,34 @@ def test_bound_driver_computes_per_lattice_values_once(monkeypatch):
     assert len({key[1] for key in count_calls}) > 1
 
 
+def test_theorem1_is_decided_once_per_lattice(monkeypatch):
+    """The mu claim reads theorem1's decision from the lattice's memo. On A4,
+    N = C_G(Fit(G)) = V4 has four complements, so one run of every claim
+    makes 5 rank-2 spd checks: lemma1's one decision and theorem1's four
+    part_i instances (9 when mu decided theorem1 again)."""
+    calls = []
+    real_check = B.spd_rank2_bound_check
+
+    def check(lat, n_idx, h_idx, *args):
+        calls.append((n_idx, h_idx))
+        return real_check(lat, n_idx, h_idx, *args)
+
+    monkeypatch.setattr(B, "spd_rank2_bound_check", check)
+    lat = lat_of("A4")
+    B.bound_results(lat, "all", "raw", "strict")
+    assert len(calls) == 5
+    theorem1 = B.fitting_centralizer_check(lat, "raw", "strict")
+    assert theorem1.hypotheses and len(theorem1.part_i) == 4
+    assert (B.bound_results(lat, "theorem1", "raw", "strict")
+            == [*theorem1.part_i, theorem1.part_ii])
+    assert len(calls) == 5
+    fresh = lat_of("A4")
+    for conv in L.CONVENTIONS:
+        for reading in B.READINGS:
+            assert (B.fitting_centralizer_check(lat, conv, reading)
+                    == B.fitting_centralizer_check(fresh, conv, reading))
+
+
 @pytest.mark.parametrize("spec", ["S5", "S4xS3", "S6"])
 def test_bound_driver_builds_no_child_lattice_and_only_representative_rows(
         spec, monkeypatch):

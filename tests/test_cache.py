@@ -14,6 +14,7 @@ from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
 from permlat import moebius as M
+from permlat import verify as V
 from test_lattice import PSL27_ON_7_POINTS
 
 # S4 entries exactly as store_lattice wrote them at cache formats 3 and 2
@@ -63,6 +64,31 @@ def test_load_then_store_hashes_the_table_once(tmp_path, digest_calls):
     C.store_lattice(cache_dir, L.enumerate_subgroups(g))
     assert C.load_lattice(cache_dir, g) is not None
     assert digest_calls == [g]
+
+
+def test_verify_paper_gets_its_lattices_through_the_cache(tmp_path):
+    # the Moebius stretch and the rank-2 count grid read their lattices
+    # through the run, so --cache stores them
+    run = V.VerificationRun(stretch=True, cache_dir=str(tmp_path))
+    assert run.check_moebius_stretch() is None
+    assert Path(C.cache_path(str(tmp_path), G.make_named("S6"))).exists()
+    assert run.check_rank2_count_grid() is None
+    for shape in V.SHAPE_GRID:
+        spec = f"Z:{shape.p ** shape.alpha1},{shape.p ** shape.alpha2}"
+        assert Path(C.cache_path(str(tmp_path), G.make_named(spec))).exists()
+    assert len(list(tmp_path.iterdir())) == 1 + len(V.SHAPE_GRID)
+
+
+def test_verify_paper_skips_above_the_order_cap_as_before():
+    run = V.VerificationRun(max_order=60, stretch=True)
+    run._run("moebius-s6-stretch", run.check_moebius_stretch)
+    run._run("rank2-count-grid", run.check_rank2_count_grid)
+    stretch, grid = run.outcomes
+    assert (stretch.status, stretch.detail) == (V.SKIP, "S6 above order cap")
+    assert grid.status == V.PASS
+    assert grid.detail == "; ".join(
+        f"skipped (above order cap): {shape}" for shape in V.SHAPE_GRID
+        if shape.group_order() > 60)
 
 
 def test_entry_written_earlier_still_loads(tmp_path, monkeypatch):

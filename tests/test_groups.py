@@ -278,8 +278,8 @@ class TestStructure:
     @pytest.mark.parametrize("spec", ["C1", "C12", "S3", "Q8", "A4", "S4", "D4xC3"])
     def test_quotient_table_is_the_coset_product(self, spec):
         g = G.make_named(spec)
-        for n in [1, g.full_mask, g.derived_series[-1], *g.lower_central_series,
-                  G.fitting_subgroup(g).mask]:
+        for n in [1, g.full_mask, series_pairwise(g, lower=False)[-1],
+                  *series_pairwise(g, lower=True), G.fitting_subgroup(g).mask]:
             q = G.quotient_group(g, n)
             cosets = sorted({g.product_mask(n, 1 << x) for x in range(g.order)},
                             key=lambda c: c & -c)
@@ -342,9 +342,13 @@ def test_permutation_closure_forms_group(gens):
         assert g.table[x][g.inverse[x]] == 0
 
 
+# a degree from 1 to 5 and up to three permutations of that degree
+PERMUTATION_GENERATORS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(tuple(range(d))), max_size=3)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=5).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.permutations(tuple(range(d))), max_size=3))))
+@given(PERMUTATION_GENERATORS)
 def test_permutation_table_matches_pairwise_composition(case):
     degree, gens = case
     g = G.from_permutations(degree, [list(p) for p in gens], max_order=120)
@@ -426,19 +430,54 @@ def test_closure_from_a_subgroup_matches_closure_from_identity(spec, data):
     assert g.closure_mask(gens, base) == g.closure_mask(gens) == closure_by_words(g, gens)
 
 
+def assert_series_flags(g):
+    """The residual and the solvable and nilpotent flags against the last
+    terms of the derived and lower central series of the oracle."""
+    residual = series_pairwise(g, lower=False)[-1]
+    assert g.solvable_residual() == residual
+    assert g.is_solvable is (residual == 1)
+    assert g.is_nilpotent is (series_pairwise(g, lower=True)[-1] == 1)
+
+
 @pytest.mark.parametrize("spec", SERIES_SPECS)
 def test_series_match_pairwise_commutators(spec):
-    g = G.make_named(spec)
-    assert g.derived_series == series_pairwise(g, lower=False)
-    assert g.lower_central_series == series_pairwise(g, lower=True)
+    assert_series_flags(G.make_named(spec))
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_relabelled_series_match_pairwise_commutators(spec, data):
-    g = relabelled(G.make_named(spec), data)
-    assert g.derived_series == series_pairwise(g, lower=False)
-    assert g.lower_central_series == series_pairwise(g, lower=True)
+    assert_series_flags(relabelled(G.make_named(spec), data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PERMUTATION_GENERATORS)
+def test_permutation_group_series_match_pairwise_commutators(case):
+    degree, gens = case
+    assert_series_flags(G.from_permutations(degree, [list(p) for p in gens]))
+
+
+def modular_16():
+    """M16 = <r, s | r^8 = s^2 = 1, s r s = r^5>, on the 16 points (i, j) of
+    Z8 x Z2 as i + 8j: r adds 1 to i, s maps (i, j) to (5i, j + 1)."""
+    r = [(i + 1) % 8 + 8 * j for j in (0, 1) for i in range(8)]
+    s = [5 * i % 8 + 8 * (1 - j) for j in (0, 1) for i in range(8)]
+    return G.from_permutations(16, [r, s], name="M16")
+
+
+@pytest.mark.parametrize("make, nilpotent", [
+    (modular_16, True),
+    (lambda: G.make_named("Q8xC3"), True),
+    (lambda: G.make_named("D4xC5"), True),
+    (lambda: G.make_named("S3"), False),
+    (lambda: G.make_named("A4"), False),
+    (lambda: G.make_named("D6"), False),
+], ids=["M16", "Q8xC3", "D4xC5", "S3", "A4", "D6"])
+def test_nilpotency_of_nonabelian_groups(make, nilpotent):
+    g = make()
+    assert not g.is_abelian and g.is_solvable
+    assert g.is_nilpotent is nilpotent
+    assert_series_flags(g)
 
 
 # -- Light's associativity test against the exhaustive oracle ---------------

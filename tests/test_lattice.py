@@ -14,6 +14,7 @@ from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
 from permlat.degrees import permutes, sd
 from test_classwise import all_rows
+from test_groups import series_pairwise
 
 SMALL_SPECS = ["C1", "C2", "C3", "C5", "C12", "Z:2,2", "Z:2,4", "Z:2,2,2",
                "Z:3,3", "S3", "D4", "Q8", "A4", "D6"]
@@ -259,20 +260,25 @@ class TestEnumeration:
         sizes = [lat.node_order(i) for i in range(len(lat))]
         assert sizes == sorted(sizes)
 
-    def test_lattice_cap(self):
+    def test_lattice_cap(self, monkeypatch):
+        monkeypatch.setattr(L, "DEFAULT_LATTICE_CAP", 10)
         with pytest.raises(L.LatticeCapError):
-            L.enumerate_subgroups(G.make_named("S4"), lattice_cap=10)
+            L.enumerate_subgroups(G.make_named("S4"))
 
-    def test_lattice_cap_boundary(self):
+    def test_lattice_cap_boundary(self, monkeypatch):
         s4 = G.make_named("S4")
-        assert len(L.enumerate_subgroups(s4, lattice_cap=30)) == 30
+        monkeypatch.setattr(L, "DEFAULT_LATTICE_CAP", 30)
+        assert len(L.enumerate_subgroups(s4)) == 30
+        monkeypatch.setattr(L, "DEFAULT_LATTICE_CAP", 29)
         with pytest.raises(L.LatticeCapError):
-            L.enumerate_subgroups(s4, lattice_cap=29)
+            L.enumerate_subgroups(s4)
         # C12 has only cyclic subgroups: the seeds alone pass the cap
         c12 = G.make_named("C12")
-        assert len(L.enumerate_subgroups(c12, lattice_cap=6)) == 6
+        monkeypatch.setattr(L, "DEFAULT_LATTICE_CAP", 6)
+        assert len(L.enumerate_subgroups(c12)) == 6
+        monkeypatch.setattr(L, "DEFAULT_LATTICE_CAP", 5)
         with pytest.raises(L.LatticeCapError):
-            L.enumerate_subgroups(c12, lattice_cap=5)
+            L.enumerate_subgroups(c12)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_MASK_DIGESTS))
     def test_node_masks_pinned(self, spec):
@@ -302,7 +308,7 @@ class TestEnumeration:
             random.Random(seed).shuffle(rest)
             g = relabelled_as(g, [0] + rest)
         r = g.solvable_residual()
-        assert r == g.derived_series[-1] and r.bit_count() == residual_order
+        assert r == series_pairwise(g, lower=False)[-1] and r.bit_count() == residual_order
         assert closed_under_cyclic_extension(g, L.enumerate_subgroups(g).masks)
 
     def test_enumeration_keeps_no_state_on_the_group(self):
