@@ -13,18 +13,21 @@ that everything stays an exact rational.
 
 :func:`bound_results` is the one driver that decides which (N, H)
 instances each claim visits; the CLI and the sweeps both call it. Every
-value an instance needs is read off the parent lattice once per node and
-kept in the lattice's memo, so an (N, H) instance does only lookups:
+value an instance needs is read off the parent lattice, and each one that
+costs more than a walk of a node's down mask is kept in the lattice's memo,
+once per node, so an (N, H) instance does only lookups and such walks:
 
 * L(X) is the interval [1, X], so sn(X), M(X) and the pair counts inside X
-  are the ones G's degrees read at the top node
+  are the ones G's degrees read at the top node; M(X), the lower covers of
+  X, is read afresh on each call
   (:func:`permlat.lattice.node_subnormal`,
   :func:`permlat.lattice.node_maximal`,
   :func:`permlat.degrees.node_all_pairs`,
   :func:`permlat.degrees.node_restricted_pairs`), since XY = YX does not
   depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
-  of each N, and Fit(G) (the join of the largest normal p-power nodes). A
+  of each N, and C_G(Fit(G)), Fit(G) the join of the largest normal
+  p-power nodes. A
   partner H of N has |H| >= |G : N| and nodes are sorted by order, so N's
   complements are the head of its partner list, not a list of their own;
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
@@ -68,6 +71,7 @@ from typing import Iterator, Optional, Union
 
 from .groups import _bits, is_prime, prime_signature
 from .lattice import (
+    CONVENTIONS,
     RAW,
     SubgroupLattice,
     closed_maximal,
@@ -349,7 +353,7 @@ def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
     class-wise."""
     above = lat.up_masks[n_idx]
     sn = subnormal_subgroups(lat).members_mask & above
-    mx = node_maximal(lat, lat.top) & above
+    mx = maximal_subgroups(lat).members_mask & above
     if convention != RAW:
         mx = closed_maximal(lat, mx, lat.top)
     return mask_pair_count(lat, sn, mx)
@@ -608,16 +612,16 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
 
 def fitting_node(lat: SubgroupLattice) -> int:
     """Fit(G) as a node: the join of the p-cores O_p(G), each the largest
-    normal node of p-power order (nodes are sorted by order, so the last)."""
-    def compute():
-        normal = normal_subgroups(lat).members
-        fit = lat.bottom
-        for p in prime_signature(lat.group.order).primes:
-            core = max(n for n in normal
-                       if prime_signature(lat.node_order(n)).primes in ((), (p,)))
-            fit = lat.join(fit, core)
-        return fit
-    return lat.memo("fitting", compute)
+    normal node of p-power order (nodes are sorted by order, so the last).
+    Nothing is kept: theorem1 reads it once per lattice, through the memo
+    of C_G(Fit(G))."""
+    normal = normal_subgroups(lat).members
+    fit = lat.bottom
+    for p in prime_signature(lat.group.order).primes:
+        core = max(n for n in normal
+                   if prime_signature(lat.node_order(n)).primes in ((), (p,)))
+        fit = lat.join(fit, core)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -715,6 +719,8 @@ def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
     """How many lemma1, cauchy and lb3 results :func:`bound_results` gives,
     counted from each N's partner list (its complements are the list's
     head) before any checker runs."""
+    if claim not in CLAIM_CHOICES:
+        raise ValueError(f"unknown claim {claim!r}")
     return sum(per_pair * sum(len(_hs(lat, n, partners, h_node))
                               for n in _ns(lat, every, n_node))
                for key, (every, partners, per_pair) in _FACTORIZATION_CLAIMS.items()
@@ -745,8 +751,10 @@ def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
     once per node and convention in the lattice's memo. Each (N, H) of
     these three claims is a :class:`BoundInstance` of its decision.
     """
-    if claim not in CLAIM_CHOICES or reading not in READINGS:
-        raise ValueError(f"unknown claim {claim!r} or reading {reading!r}")
+    if (claim not in CLAIM_CHOICES or convention not in CONVENTIONS
+            or reading not in READINGS):
+        raise ValueError(f"unknown claim {claim!r}, convention {convention!r} "
+                         f"or reading {reading!r}")
     return _bound_stream(lat, claim, convention, reading, n_node, h_node)
 
 

@@ -410,6 +410,13 @@ LONG_RUN_INSTANCES = 10 ** 5
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    # theorem1 and mu range over neither N nor H, lemma2 and cor26 over N
+    # alone; "all" applies each node option to the claims that range over it
+    for option, idx, unread in (("--n-node", args.n_node, ("theorem1", "mu")),
+                                ("--h-node", args.h_node,
+                                 ("lemma2", "cor26", "theorem1", "mu"))):
+        if idx is not None and args.claim in unread:
+            raise ValueError(f"{option} does not apply to --claim {args.claim}")
     g = _resolve_group(args)
     lat = cache_mod.cached_lattice(args.cache, g)
     for idx in (args.n_node, args.h_node):

@@ -23,8 +23,10 @@ are then frozen: nodes are sorted by (cardinality, membership-vector lex
 order), so two runs of the same table index the nodes identically. The
 lattice of a subgroup H is the interval [1, H] of the parent's lattice, so
 :meth:`SubgroupLattice.rerooted` reads it off the parent instead of
-enumerating it again. Selections (normal, subnormal, maximal, Sylow, perp,
-...) are index sets into that fixed node list; they never copy subgroups.
+enumerating it again. Every node set (normal, subnormal, maximal, Sylow,
+perp, ...) is a node mask over that fixed node list, bit i for node i; a
+:class:`SublatticeSelection` is such a mask with a name, and no node set
+copies subgroups.
 
 Conjugation works on node indices, not element masks. Each lattice keeps
 two tables: the node of every cyclic subgroup <x>, and greedy generators of
@@ -49,19 +51,23 @@ also holds the other per-lattice values the degrees and bounds read.
 
 The lattice of a node X is the interval [1, X], so each selection is defined
 once, for any node, and G's is the value at the top node: M(X) is the lower
-covers of X (:func:`node_maximal`, which :func:`maximal_subgroups` reads at
-the top) and sn(X) is read off sn(G) and normal-closure chains inside X
-(:func:`node_subnormal`).
+covers of X (:func:`node_maximal`, read off the down masks on each call and
+kept nowhere, and at the top the mask of :func:`maximal_subgroups`) and
+sn(X) is read off sn(G) and normal-closure chains inside X
+(:func:`node_subnormal`). The selections that are unions of conjugacy
+classes are built from ``class_masks``, one mask per class.
 
-Meets, joins, permutability and modularity are all read off the node orders
-and the order masks ``up_masks``/``down_masks``; deciding them computes no
+Joins, permutability and modularity are read off the node orders and the
+order masks ``up_masks``/``down_masks``, and a meet is the intersection of
+two element masks, looked up in ``index_of``; deciding them computes no
 product set and no closure. The order masks themselves come from containment
 columns and greedy generators: the nodes above node i are those that hold
 each of its generators, an AND of a few columns however large the node.
 Each column is read off the membership strings that the node sort already
 formats, one character per node, so no loop runs over the nodes' bits.
-``down_masks``, their transpose, is built only when first read; the
-selections and Moebius read ``up_masks`` alone. Permutability is kept as
+``down_masks``, their transpose, is built only when first read; the normal,
+subnormal, maximal and Sylow selections of G and Moebius read no
+``down_masks``. Permutability is kept as
 one bitrow per class representative (:meth:`SubgroupLattice.chi_rows`).
 Every node set that the degrees, perp and the bound checkers count over is
 a union of conjugacy classes, and the row of X^g is the row of X
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .groups import (ElementSet, FiniteGroup, _bits, prime_signature,
                      subgroup_group)
@@ -86,11 +92,6 @@ CONVENTIONS = (RAW, CLOSED)
 
 class LatticeCapError(ValueError):
     """Enumeration found more subgroups than the configured node cap."""
-
-
-def _check_convention(convention: str):
-    if convention not in CONVENTIONS:
-        raise ValueError(f"maximal-subgroup convention must be one of {CONVENTIONS}")
 
 
 class SubgroupLattice:
@@ -178,12 +179,13 @@ class SubgroupLattice:
         return bool(self.up_masks[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
-        # common lower bounds are sorted by order and all lie under the meet,
-        # so the meet is the highest one
-        return (self.down_masks[a] & self.down_masks[b]).bit_length() - 1
+        """The meet of nodes a and b: the intersection of two subgroups is a
+        subgroup, so it is the node of their element masks' AND."""
+        return self.index_of[self.masks[a] & self.masks[b]]
 
     def join(self, a: int, b: int) -> int:
-        # dually, the join is the lowest common upper bound
+        # the common upper bounds are sorted by order and all lie above the
+        # join, so the join is the lowest one
         common = self.up_masks[a] & self.up_masks[b]
         return (common & -common).bit_length() - 1
 
@@ -346,11 +348,11 @@ def _permuting(lat: SubgroupLattice, sizes: tuple[int, ...], i: int,
 
     X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
     |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
-    |X v Y| |X ^ Y| = |X| |Y|, which needs only node orders and the order
-    masks (join and meet as in :meth:`SubgroupLattice.join` and
-    :meth:`SubgroupLattice.meet`, inlined)."""
-    up, down = lat.up_masks, lat.down_masks
-    ui, di, si = up[i], down[i], sizes[i]
+    |X v Y| |X ^ Y| = |X| |Y|. The join is read off the up masks as in
+    :meth:`SubgroupLattice.join`, and |X ^ Y| = |X n Y| is the popcount of
+    the two element masks' AND, as in :meth:`SubgroupLattice.meet`."""
+    up, masks = lat.up_masks, lat.masks
+    ui, mi, si = up[i], masks[i], sizes[i]
     out = 0
     while rest:
         low = rest & -rest
@@ -358,7 +360,7 @@ def _permuting(lat: SubgroupLattice, sizes: tuple[int, ...], i: int,
         j = low.bit_length() - 1
         common = ui & up[j]
         if (sizes[(common & -common).bit_length() - 1]
-                * sizes[(di & down[j]).bit_length() - 1] == si * sizes[j]):
+                * (mi & masks[j]).bit_count() == si * sizes[j]):
             out |= low
     return out
 
@@ -637,20 +639,20 @@ def subgroup_masks_bruteforce(group: FiniteGroup) -> list[int]:
 
 
 class SublatticeSelection:
-    """A tagged subset of lattice nodes (indices into the parent lattice)."""
+    """A node set of a lattice with a name: the node mask ``members_mask``,
+    bit i for node i, and ``members``, its set bits in ascending order."""
 
     __slots__ = ("lattice", "kind", "members", "members_mask")
 
-    def __init__(self, lattice: SubgroupLattice, kind: str, members: Iterable[int]):
+    def __init__(self, lattice: SubgroupLattice, kind: str, mask: int):
+        if mask < 0:
+            raise ValueError(f"node mask {mask} is negative")
+        if mask >> len(lattice):
+            raise ValueError(f"node index {mask.bit_length() - 1} is outside "
+                             f"0..{len(lattice) - 1}")
         self.lattice = lattice
         self.kind = kind
-        self.members = tuple(sorted(set(members)))
-        for i in self.members[:1] + self.members[-1:]:  # sorted: the extremes
-            if not 0 <= i < len(lattice):
-                raise ValueError(f"node index {i} is outside 0..{len(lattice) - 1}")
-        mask = 0
-        for i in self.members:
-            mask |= 1 << i
+        self.members = tuple(_bits(mask))
         self.members_mask = mask
 
     def __len__(self):
@@ -665,14 +667,14 @@ class SublatticeSelection:
 
 
 def all_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    return lat.memo("all", lambda: SublatticeSelection(lat, "all", range(len(lat))))
+    return lat.memo("all", lambda: SublatticeSelection(lat, "all", lat.all_nodes_mask))
 
 
 def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes invariant under conjugation: the classes with one member."""
-    # a class with one member is that node alone, its representative
-    return lat.memo("normal", lambda: SublatticeSelection(lat, "normal", (
-        r for r, members in lat.class_masks.items() if members.bit_count() == 1)))
+    # classes are disjoint, so the sum of their masks is their union
+    return lat.memo("normal", lambda: SublatticeSelection(lat, "normal", sum(
+        members for members in lat.class_masks.values() if members.bit_count() == 1)))
 
 
 def _join_all(lat: SubgroupLattice, nodes: int) -> int:
@@ -717,10 +719,9 @@ def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     chain runs on class representatives only."""
     def compute():
         normal = normal_subgroups(lat)
-        reps = {r for r in set(lat.class_of)
-                if r in normal or _is_subnormal_node(lat, r)}
-        return SublatticeSelection(
-            lat, "subnormal", (i for i, r in enumerate(lat.class_of) if r in reps))
+        return SublatticeSelection(lat, "subnormal", sum(
+            members for r, members in lat.class_masks.items()
+            if r in normal or _is_subnormal_node(lat, r)))
     return lat.memo("subnormal", compute)
 
 
@@ -753,43 +754,36 @@ def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
 
 
 def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:
-    """M(X) of node X as a node mask, once per node and convention: the
-    lower covers of X, plus their meet and X when closed
-    (:func:`closed_maximal`).
+    """M(X) of node X as a node mask, read off the lattice on each call and
+    kept nowhere: the lower covers of X, plus their meet and X under any
+    convention other than raw (:func:`closed_maximal`). The convention is
+    checked where it enters, as by :func:`maximal_subgroups`.
 
     Strict inclusion raises the order, and nodes are sorted by order. So
     below the top, the highest node left in [1, X) is a lower cover of X:
     a node strictly between it and X would be higher, and is cleared only
     with the down mask of a cover above it, which clears it too. Clearing
-    the down mask of each cover found leaves the next. At the top no down
-    mask is read: the lowest bit of ``up_masks[i]`` is i itself, so node i
-    is a cover of G exactly when the rest of its up mask is G alone."""
-    _check_convention(convention)
-
-    def compute():
-        if convention != RAW:
-            return closed_maximal(lat, node_maximal(lat, idx), idx)
-        covers = 0
-        if idx == lat.top:
-            top_bit = 1 << idx
-            for i, above in enumerate(lat.up_masks[:idx]):
-                if above & (above - 1) == top_bit:
-                    covers |= 1 << i
-            return covers
+    the down mask of each cover found leaves the next. At the top of a
+    lattice with more than one node, M(G) is the raw maximal selection's
+    mask, whose scan of the up masks runs once per lattice."""
+    if idx == lat.top and len(lat) > 1:
+        covers = maximal_subgroups(lat).members_mask
+    else:
         down = lat.down_masks
+        covers = 0
         rest = down[idx] ^ 1 << idx
         while rest:
             c = rest.bit_length() - 1
             covers |= 1 << c
             rest &= ~down[c]
-        return covers
-    return lat.memo(("maximal-of", idx, convention), compute)
+    return covers if convention == RAW else closed_maximal(lat, covers, idx)
 
 
 def closed_maximal(lat: SubgroupLattice, covers: int, top: int) -> int:
     """The closed convention of a set of lower covers of node ``top``: the
     covers with their meet and ``top`` added. The meet is the intersection
-    of the covers' element masks, so no down mask is read."""
+    of the covers' element masks (:meth:`SubgroupLattice.meet`), so no down
+    mask is read."""
     meet = lat.masks[top]
     for c in _bits(covers):
         meet &= lat.masks[c]
@@ -797,22 +791,33 @@ def closed_maximal(lat: SubgroupLattice, covers: int, top: int) -> int:
 
 
 def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> SublatticeSelection:
-    """Maximal subgroups: M(X) of the top node (:func:`node_maximal`) as a
-    selection, raw or closed under the lattice bounds."""
-    _check_convention(convention)
+    """Maximal subgroups: M(X) of the top node as a selection, raw or
+    closed under the lattice bounds. The raw mask is scanned here, once per
+    lattice, and read by :func:`node_maximal` at the top, which adds any
+    other convention to it. No down mask is read: the lowest bit of
+    ``up_masks[i]`` is i itself, so node i is a cover of G exactly when the
+    rest of its up mask is G alone."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"maximal-subgroup convention must be one of {CONVENTIONS}")
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
+
+    def compute():
+        if convention != RAW:
+            return node_maximal(lat, lat.top, convention)
+        top_bit = 1 << lat.top
+        return sum(1 << i for i, above in enumerate(lat.up_masks[:lat.top])
+                   if above & (above - 1) == top_bit)
     kind = f"maximal-{convention}"
-    return lat.memo(kind, lambda: SublatticeSelection(
-        lat, kind, _bits(node_maximal(lat, lat.top, convention))))
+    return lat.memo(kind, lambda: SublatticeSelection(lat, kind, compute()))
 
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes of full prime-power order p^v_p(|G|); empty for the trivial group."""
     def compute():
         sizes = {p ** e for p, e in prime_signature(lat.group.order).factors}
-        return SublatticeSelection(lat, "sylow", (
-            i for i in range(len(lat)) if lat.node_order(i) in sizes))
+        return SublatticeSelection(lat, "sylow", sum(
+            1 << i for i, m in enumerate(lat.masks) if m.bit_count() in sizes))
     return lat.memo("sylow", compute)
 
 
@@ -828,10 +833,8 @@ def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:
     sm = s.members_mask
     if not lat.is_class_union(sm):
         raise ValueError(f"{s.kind} is not a union of conjugacy classes")
-    rows = lat.chi_rows()
-    ok = {r for r, row in rows.items() if row & sm == sm}
-    return SublatticeSelection(
-        lat, f"perp({s.kind})", (i for i, r in enumerate(lat.class_of) if r in ok))
+    return SublatticeSelection(lat, f"perp({s.kind})", sum(
+        lat.class_masks[r] for r, row in lat.chi_rows().items() if row & sm == sm))
 
 
 def is_modular_lattice(lat: SubgroupLattice) -> bool:

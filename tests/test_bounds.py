@@ -11,6 +11,7 @@ from permlat import bounds as B
 from permlat import degrees as D
 from permlat import groups as G
 from permlat import lattice as L
+from permlat import moebius as M
 from permlat.catalog import CATALOG_SPECS
 from permlat.degrees import sd, spd
 from test_classwise import relabelled, row_count
@@ -697,6 +698,38 @@ def test_bound_driver_rejects_unknown_claims_and_readings():
         B.bound_results(lat, "lemma3")
     with pytest.raises(ValueError):
         B.bound_results(lat, "lemma1", reading="loose")
+
+
+@pytest.mark.parametrize("claim", ["lemma2", "all"])
+def test_bound_driver_rejects_unknown_conventions(claim):
+    # lemma2 reads no convention, and "all" used to fail only inside M(X)
+    lat = lat_of("S4")
+    with pytest.raises(ValueError, match="convention 'bogus'"):
+        B.bound_results(lat, claim, "bogus")
+    with pytest.raises(ValueError, match="convention 'bogus'"):
+        B.iter_bound_results(lat, claim, "bogus")
+
+
+def test_instance_count_rejects_unknown_claims():
+    with pytest.raises(ValueError, match="unknown claim 'bogus'"):
+        B.factorization_instance_count(lat_of("S4"), "bogus")
+
+
+def test_degrees_and_bounds_keep_no_maximal_or_fitting_memo():
+    # M(X) is a read of the lattice and Fit(G) is read once, inside the
+    # memo of its centralizer, so neither is kept
+    lat = lat_of("D4xS3")
+    D.build_degree_report(lat)
+    for conv in L.CONVENTIONS:
+        B.sweep_factorization_bounds(lat, conv)
+        for rank1 in (False, True):
+            B.sweep_rank2_bounds(lat, conv, rank1)
+        B.fitting_centralizer_check(lat, conv, "strict")
+        M.mu_matching_bound_check(lat, conv, "strict")
+    assert "fit-centralizer" in lat._memo
+    assert "fitting" not in lat._memo
+    assert not [key for key in lat._memo
+                if isinstance(key, tuple) and key[0] == "maximal-of"]
 
 
 # -- decisions once per profile of H, stamped with each H's label ----------

@@ -105,7 +105,7 @@ def test_selection_that_is_no_union_of_classes_is_refused():
     a = L.all_subgroups(lat)
     # a member of a class of size > 1 other than its representative
     i = next(i for i in range(len(lat)) if lat.class_of[i] != i)
-    odd = L.SublatticeSelection(lat, "odd", [lat.bottom, i])
+    odd = L.SublatticeSelection(lat, "odd", 1 << lat.bottom | 1 << i)
     assert not lat.is_class_union(odd.members_mask)
     for s, t in ((odd, a), (a, odd), (odd, odd)):
         with pytest.raises(ValueError, match="unions of conjugacy classes"):

@@ -165,6 +165,15 @@ class TestBoundsCommand:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("option, claim", [
+        *(("--h-node", c) for c in ("lemma2", "cor26", "theorem1", "mu")),
+        *(("--n-node", c) for c in ("theorem1", "mu"))])
+    def test_node_option_the_claim_does_not_read(self, capsys, option, claim):
+        code, out, err = run_cli(capsys, "bounds", "--group", "S4",
+                                 "--claim", claim, option, "3")
+        assert code == 2 and out == ""
+        assert f"{option} does not apply to --claim {claim}" in err
+
     def test_theorem1_nonqualifying_reported(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--group", "S5",
                                "--claim", "theorem1", "--format", "json")

@@ -78,7 +78,7 @@ class TestDegrees:
 
     def test_generalized_degree_trivial_selection(self):
         lat = lat_of("S4")
-        bottom_only = L.SublatticeSelection(lat, "bottom", [lat.bottom])
+        bottom_only = L.SublatticeSelection(lat, "bottom", 1 << lat.bottom)
         assert D.generalized_degree(lat, bottom_only, bottom_only) == 1
 
     def test_generalized_degree_subnormal_vs_maximal_s3(self):

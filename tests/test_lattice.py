@@ -571,6 +571,24 @@ class TestOrderRulesAgainstOracles:
         assert L.is_modular_lattice(lat) is False
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(LATTICE_POOL_SPECS), st.data())
+def test_relabelled_meets_and_joins_match_intersection_and_closure(spec, data):
+    g = relabelled(shared_lat(spec).group, data)
+    lat = L.enumerate_subgroups(g)
+    rng = data.draw(st.randoms(use_true_random=False))
+    down = lat.down_masks
+    for _ in range(100):
+        a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
+        ma, mb = lat.masks[a], lat.masks[b]
+        meet, join = lat.meet(a, b), lat.join(a, b)
+        assert lat.masks[meet] == ma & mb, (spec, a, b)
+        # the highest common lower bound in the order masks
+        assert meet == (down[a] & down[b]).bit_length() - 1, (spec, a, b)
+        assert lat.masks[join] == g.closure_mask(
+            g.subgroup_gens(ma) + g.subgroup_gens(mb)), (spec, a, b)
+
+
 class TestSelections:
     def test_normal_abelian(self):
         lat = lat_of("C12")
@@ -734,7 +752,7 @@ class TestPerp:
 
     def test_perp_antitone(self):
         lat = lat_of("S4")
-        small = L.SublatticeSelection(lat, "bounds", [lat.bottom, lat.top])
+        small = L.SublatticeSelection(lat, "bounds", 1 << lat.bottom | 1 << lat.top)
         big = L.all_subgroups(lat)
         p_small = L.perp(lat, small).members_mask
         p_big = L.perp(lat, big).members_mask
@@ -742,9 +760,15 @@ class TestPerp:
 
     @pytest.mark.parametrize("bad", [-1, 6, 999])
     def test_selection_rejects_out_of_range_index(self, bad):
+        # a selection is a node mask: -1 stands for a negative mask, which
+        # has no highest bit, and 6 and 999 for a bit above the last node
         lat = lat_of("S3")
-        with pytest.raises(ValueError, match=rf"{bad} is outside 0\.\.5"):
-            L.SublatticeSelection(lat, "x", [0, bad])
+        if bad < 0:
+            mask, message = bad, r"node mask -1 is negative"
+        else:
+            mask, message = 1 | 1 << bad, rf"node index {bad} is outside 0\.\.5"
+        with pytest.raises(ValueError, match=message):
+            L.SublatticeSelection(lat, "x", mask)
 
     def test_perp_contains_bounds(self):
         for spec in ["S3", "A4", "S4", "D6"]:
