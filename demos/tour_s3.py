@@ -36,8 +36,9 @@ print()
 # The full subgroup lattice: trivial, three order-2, one order-3, and S3.
 lat = enumerate_subgroups(g)
 print(f"{len(lat)} subgroups:")
-for i, node in enumerate(lat.nodes):
-    print(f"  node {i}: order {lat.node_order(i):d}, elements {node.elements()}")
+for i, mask in enumerate(lat.masks):  # bit x of a node's mask is element x
+    elements = tuple(x for x in range(g.order) if mask >> x & 1)
+    print(f"  node {i}: order {mask.bit_count()}, elements {elements}")
 print()
 
 # Two distinct order-2 subgroups do not permute: their product set has four
@@ -45,10 +46,10 @@ print()
 # subgroup. The order-3 subgroup permutes with everything (it is normal).
 twos = [i for i in range(len(lat)) if lat.node_order(i) == 2]
 three = next(i for i in range(len(lat)) if lat.node_order(i) == 3)
-a, b = lat.nodes[twos[0]], lat.nodes[twos[1]]
+a, b = lat.masks[twos[0]], lat.masks[twos[1]]
 print(f"order-2 pair permutes? {permutes(g, a, b)}")
-print(f"product set size: {g.product_mask(a.mask, b.mask).bit_count()}")
-print(f"order-3 with order-2 permutes? {permutes(g, lat.nodes[three], a)}")
+print(f"product set size: {g.product_mask(a, b).bit_count()}")
+print(f"order-3 with order-2 permutes? {permutes(g, lat.masks[three], a)}")
 print()
 
 # Count over all ordered pairs: 30 of 36 permute.

@@ -9,14 +9,10 @@ bounds for the degrees, and Moebius numbers of subgroup lattices.
 
 from .groups import (
     DEFAULT_ORDER_CAP,
-    ElementSet,
     FiniteGroup,
     GroupSpecError,
     OrderCapError,
     PrimeSignature,
-    centralizer,
-    centralizer_of_set,
-    closure,
     cyclic_group,
     abelian_group,
     alternating_group,
@@ -27,7 +23,6 @@ from .groups import (
     group_from_json_dict,
     load_group_file,
     make_named,
-    normal_closure,
     prime_signature,
     quaternion_group,
     quotient_group,

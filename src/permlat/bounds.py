@@ -26,10 +26,10 @@ once per node, so an (N, H) instance does only lookups and such walks:
   :func:`permlat.degrees.node_restricted_pairs`), since XY = YX does not
   depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
-  of each N, and C_G(Fit(G)), Fit(G) the join of the largest normal
-  p-power nodes. A
-  partner H of N has |H| >= |G : N| and nodes are sorted by order, so N's
-  complements are the head of its partner list, not a list of their own;
+  of each N, as a node mask, and C_G(Fit(G)), Fit(G) the join of the
+  largest normal p-power nodes. A partner H of N has |H| >= |G : N| and
+  nodes are sorted by order, so N's complements are its partners among the
+  nodes of order at most |G : N|, one AND and no set of their own;
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver;
 * the shape of N that lemma1, lemma2, cor26 and theorem1 read is read off
@@ -309,27 +309,31 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     return nm.bit_count() * hm.bit_count() == lat.group.order * (nm & hm).bit_count()
 
 
-def factor_partners(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with NH = G (|N||H| = |G||N n H|), listed once per N in the
-    lattice's memo. Such an H has |H| >= |G : N| and nodes are sorted by
-    order, so the scan starts at the first node of order |G : N|, and the
-    complements of N head the list (:func:`complement_candidates`)."""
+def factor_partners(lat: SubgroupLattice, n_idx: int) -> int:
+    """Node mask of the H with NH = G (|N||H| = |G||N n H|), kept once per N
+    in the lattice's memo. Such an H has |H| >= |G : N| and nodes are sorted
+    by order, so the scan starts at the first node of order |G : N|, and
+    the complements of N are its lowest partners
+    (:func:`complement_candidates`)."""
     def compute():
         masks, order = lat.masks, lat.group.order
         nm = masks[n_idx]
         n = nm.bit_count()
         start = bisect_left(masks, order // n, key=int.bit_count)
-        return [h for h, hm in enumerate(masks[start:], start)
-                if n * hm.bit_count() == order * (nm & hm).bit_count()]
+        partners = 0
+        for h, hm in enumerate(masks[start:], start):
+            if n * hm.bit_count() == order * (nm & hm).bit_count():
+                partners |= 1 << h
+        return partners
     return lat.memo(("partners", n_idx), compute)
 
 
-def complement_candidates(lat: SubgroupLattice, n_idx: int) -> list[int]:
-    """Nodes H with |H| = |G : N| and NH = G, the head of N's partner list;
-    such an H is isomorphic to G/N."""
-    partners = factor_partners(lat, n_idx)
+def complement_candidates(lat: SubgroupLattice, n_idx: int) -> int:
+    """Node mask of the H with |H| = |G : N| and NH = G: N's partners among
+    the nodes of order at most |G : N|. Such an H is isomorphic to G/N."""
     index = lat.group.order // lat.node_order(n_idx)
-    return partners[:bisect_right(partners, index, key=lat.node_order)]
+    return factor_partners(lat, n_idx) & (
+        (1 << bisect_right(lat.masks, index, key=int.bit_count)) - 1)
 
 
 def _is_complement(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
@@ -675,7 +679,7 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
                                          shape, (), None)
         part_i = tuple(
             spd_rank2_bound_check(lat, c_idx, h_idx, convention, allow_rank1)
-            for h_idx in complement_candidates(lat, c_idx)
+            for h_idx in _bits(complement_candidates(lat, c_idx))
         )
         part_ii = sd_rank2_bound_check(lat, c_idx, allow_rank1)
         return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
@@ -698,9 +702,17 @@ def _ns(lat: SubgroupLattice, every: bool, n_node: Optional[int]) -> list[int]:
             if every or 1 < lat.node_order(n) < lat.group.order]
 
 
-def _hs(lat: SubgroupLattice, n_idx: int, partners, h_node: Optional[int]) -> list[int]:
-    """The H a claim pairs with N: ``partners(lat, N)``, or ``h_node``."""
-    return [h_node] if h_node is not None else partners(lat, n_idx)
+def _hs(lat: SubgroupLattice, n_idx: int, partners, h_node: Optional[int]) -> int:
+    """The H a claim pairs with N as a node mask: ``partners(lat, N)``, or
+    ``h_node``."""
+    return 1 << h_node if h_node is not None else partners(lat, n_idx)
+
+
+def _check_nodes(lat: SubgroupLattice, *nodes: Optional[int]) -> None:
+    """Refuse a given node index outside the lattice."""
+    for idx in nodes:
+        if idx is not None and not 0 <= idx < len(lat):
+            raise ValueError(f"node index {idx} out of range (0..{len(lat) - 1})")
 
 
 # The claims decided over factorizations G = NH: whether N ranges over every
@@ -717,11 +729,12 @@ def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
                                  n_node: Optional[int] = None,
                                  h_node: Optional[int] = None) -> int:
     """How many lemma1, cauchy and lb3 results :func:`bound_results` gives,
-    counted from each N's partner list (its complements are the list's
-    head) before any checker runs."""
+    counted as popcounts of each N's partner and complement masks before
+    any checker runs."""
     if claim not in CLAIM_CHOICES:
         raise ValueError(f"unknown claim {claim!r}")
-    return sum(per_pair * sum(len(_hs(lat, n, partners, h_node))
+    _check_nodes(lat, n_node, h_node)
+    return sum(per_pair * sum(_hs(lat, n, partners, h_node).bit_count()
                               for n in _ns(lat, every, n_node))
                for key, (every, partners, per_pair) in _FACTORIZATION_CLAIMS.items()
                if claim in ("all", key))
@@ -755,6 +768,7 @@ def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
             or reading not in READINGS):
         raise ValueError(f"unknown claim {claim!r}, convention {convention!r} "
                          f"or reading {reading!r}")
+    _check_nodes(lat, n_node, h_node)
     return _bound_stream(lat, claim, convention, reading, n_node, h_node)
 
 
@@ -782,7 +796,11 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
         decided = lat.memo(("decided", key, convention), dict)
         for n in _ns(lat, every, n_node):
             nk, n_label = n_key(n), labels[n]
-            for h in _hs(lat, n, partners, h_node):
+            hs = _hs(lat, n, partners, h_node)
+            while hs:  # the set bits in ascending order
+                bit = hs & -hs
+                hs ^= bit
+                h = bit.bit_length() - 1
                 k = nk, profile(h), h_node is None or factorizes(lat, n, h)
                 results = decided.get(k)
                 if results is None:

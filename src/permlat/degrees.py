@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import ElementSet, FiniteGroup, _bits, direct_product
+from .groups import FiniteGroup, _bits, direct_product
 from .lattice import (
     CLOSED,
     RAW,
@@ -38,10 +38,9 @@ from .lattice import (
 )
 
 
-def permutes(g: FiniteGroup, x, y) -> bool:
-    """Whether two subgroups permute: the product sets XY and YX coincide."""
-    xm = x.mask if isinstance(x, ElementSet) else x
-    ym = y.mask if isinstance(y, ElementSet) else y
+def permutes(g: FiniteGroup, xm: int, ym: int) -> bool:
+    """Whether the subgroups with element masks ``xm`` and ``ym`` permute:
+    the product sets XY and YX coincide."""
     return g.product_mask(xm, ym) == g.product_mask(ym, xm)
 
 

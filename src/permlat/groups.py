@@ -2,10 +2,10 @@
 
 A group of order n is a dense n-by-n table of element indices with the
 identity pinned at index 0. Subsets of the group (subgroups, product sets,
-cosets) are plain int bitmasks over 0..n-1, wrapped in :class:`ElementSet`
-at the public surface. Everything is immutable after construction and all
-operations are pure functions, so groups, element sets and anything derived
-from them can be shared freely between workers.
+cosets) are plain int bitmasks over 0..n-1, bit x for element x, in the
+library and at its public surface alike. Everything is immutable after
+construction and all operations are pure functions, so groups, masks and
+anything derived from them can be shared freely between workers.
 """
 from __future__ import annotations
 
@@ -461,85 +461,10 @@ class FiniteGroup:
         return any(o == self.order for o in self.element_orders)
 
 
-class ElementSet:
-    """A subset of a group's elements: membership mask plus owning group."""
-
-    __slots__ = ("owner", "mask")
-
-    def __init__(self, owner: FiniteGroup, mask: int):
-        if mask < 0 or mask > owner.full_mask:
-            raise ValueError("mask out of range for the owning group")
-        self.owner = owner
-        self.mask = mask
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.owner.label(x) for x in _bits(self.mask))
-
-    def is_subgroup(self) -> bool:
-        return self.owner.is_subgroup_mask(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __contains__(self, x: int):
-        return 0 <= x < self.owner.order and self.mask >> x & 1
-
-    def __eq__(self, other):
-        return (isinstance(other, ElementSet)
-                and self.owner is other.owner and self.mask == other.mask)
-
-    def __hash__(self):
-        return hash((id(self.owner), self.mask))
-
-    def __repr__(self):
-        els = ",".join(self.labels()[:8])
-        more = "..." if len(self) > 8 else ""
-        return f"ElementSet({self.owner.name}, {{{els}{more}}})"
-
-
-def _as_mask(g: FiniteGroup, s) -> int:
-    if isinstance(s, ElementSet):
-        if s.owner is not g:
-            raise ValueError("element set belongs to a different group")
-        return s.mask
-    if isinstance(s, int):
-        return s
-    mask = 0
-    for x in s:
-        mask |= 1 << x
-    return mask
-
-
 # -- public operations on groups ------------------------------------------
 
-def closure(g: FiniteGroup, seed) -> ElementSet:
-    """Smallest subgroup containing the seed set."""
-    mask = _as_mask(g, seed)
-    if mask == 0:
-        raise ValueError("seed must be nonempty")
-    return ElementSet(g, g.closure_mask(list(_bits(mask))))
-
-
-def centralizer(g: FiniteGroup, x: int) -> ElementSet:
-    return ElementSet(g, g.centralizer_mask(x))
-
-
-def centralizer_of_set(g: FiniteGroup, s) -> ElementSet:
-    mask = _as_mask(g, s)
-    if mask == 0:
-        raise ValueError("set must be nonempty")
-    return ElementSet(g, g.centralizer_of_set_mask(mask))
-
-
-def normal_closure(g: FiniteGroup, h, k) -> ElementSet:
-    return ElementSet(g, g.normal_closure_mask(_as_mask(g, h), _as_mask(g, k)))
-
-
-def fitting_subgroup(g: FiniteGroup) -> ElementSet:
-    """Largest nilpotent normal subgroup, assembled from the p-cores.
+def fitting_subgroup(g: FiniteGroup) -> int:
+    """Largest nilpotent normal subgroup as a mask, assembled from the p-cores.
 
     An element of p-power order lies in the p-core exactly when the normal
     closure of its cyclic subgroup is again a p-group.
@@ -559,7 +484,7 @@ def fitting_subgroup(g: FiniteGroup) -> ElementSet:
                 hit = seen_cyclic[cm] = prime_signature(nc.bit_count()).primes in p_power
             if hit:
                 fit_gens.append(x)
-    return ElementSet(g, g.closure_mask(fit_gens))
+    return g.closure_mask(fit_gens)
 
 
 # -- constructors -----------------------------------------------------------
@@ -720,13 +645,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
     return FiniteGroup(_product_table(a.table, b.table), f"{a.name}x{b.name}", labels)
 
 
-def subgroup_group(g: FiniteGroup, s) -> FiniteGroup:
-    """Re-root a subgroup as a standalone group.
+def subgroup_group(g: FiniteGroup, mask: int) -> FiniteGroup:
+    """Re-root the subgroup with element mask ``mask`` as a standalone group.
 
     Its elements are renumbered in ascending order, so 0 stays the identity
     and :meth:`permlat.lattice.SubgroupLattice.rerooted` keeps node order.
     """
-    mask = _as_mask(g, s)
     if not g.is_subgroup_mask(mask):
         raise ValueError("set is not a subgroup")
     elems = list(_bits(mask))
@@ -738,9 +662,9 @@ def subgroup_group(g: FiniteGroup, s) -> FiniteGroup:
     return FiniteGroup(table, f"{g.name}|sub{len(elems)}", labels)
 
 
-def quotient_group(g: FiniteGroup, n) -> FiniteGroup:
-    """Quotient by a normal subgroup, via the coset multiplication table."""
-    nmask = _as_mask(g, n)
+def quotient_group(g: FiniteGroup, nmask: int) -> FiniteGroup:
+    """Quotient by the normal subgroup with element mask ``nmask``, via the
+    coset multiplication table."""
     if not g.is_subgroup_mask(nmask):
         raise ValueError("set is not a subgroup")
     for x in g.generating_set:

@@ -80,8 +80,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from typing import Optional
 
-from .groups import (ElementSet, FiniteGroup, _bits, prime_signature,
-                     subgroup_group)
+from .groups import FiniteGroup, _bits, prime_signature, subgroup_group
 
 DEFAULT_LATTICE_CAP = 5000
 
@@ -97,9 +96,10 @@ class LatticeCapError(ValueError):
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
-    ``nodes[bottom]`` is the trivial subgroup and ``nodes[top]`` the whole
-    group. ``up_masks[i]`` / ``down_masks[i]`` are bitmasks over node indices
-    with j set iff nodes[i] <= nodes[j] (resp. >=).
+    ``masks[i]`` is the element mask of node i; ``masks[bottom]`` is the
+    trivial subgroup and ``masks[top]`` the whole group. ``up_masks[i]`` /
+    ``down_masks[i]`` are bitmasks over node indices with j set iff node i
+    <= node j (resp. >=).
 
     The sort key of a mask is its order and its membership string, element
     0 first. Column e, the nodes holding element e, is character e of each
@@ -116,7 +116,7 @@ class SubgroupLattice:
     subgroups or not: node k holds its own generators, so it stays in the
     AND and the span is a node at or below k, and while it is not k, k
     holds an element outside it, whose column drops the span from the AND.
-    ``down_masks`` and ``nodes`` are built on first read.
+    ``down_masks`` is built on first read.
     """
 
     def __init__(self, group: FiniteGroup, masks: list[int]):
@@ -167,11 +167,6 @@ class SubgroupLattice:
             hit = self._memo[key] = compute()
         return hit
 
-    @cached_property
-    def nodes(self) -> tuple[ElementSet, ...]:
-        """The nodes as element sets, built on first read."""
-        return tuple(ElementSet(self.group, m) for m in self.masks)
-
     def node_order(self, i: int) -> int:
         return self.masks[i].bit_count()
 
@@ -192,7 +187,7 @@ class SubgroupLattice:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """The transpose of ``up_masks``, built on first read: bit j of
-        ``down_masks[i]`` is set iff nodes[j] <= nodes[i]."""
+        ``down_masks[i]`` is set iff node j <= node i."""
         down = [0] * len(self.masks)
         for i, above in enumerate(self.up_masks):
             bit = 1 << i
@@ -201,7 +196,7 @@ class SubgroupLattice:
         return tuple(down)
 
     def conjugates(self, i: int, ys: Sequence[int]) -> list[int]:
-        """The nodes y X y⁻¹ for X = nodes[i] and each element y of ``ys``:
+        """The nodes y X y⁻¹ for X = node i and each element y of ``ys``:
         the join of the cyclic nodes of y x y⁻¹ over X's generators x.
 
         For any set S, y<S>y⁻¹ = <ySy⁻¹>: the left side is a subgroup
@@ -269,7 +264,7 @@ class SubgroupLattice:
 
     @property
     def conjugators(self) -> tuple[int, ...]:
-        """An element g for each node i with nodes[i] = g R g⁻¹, R the
+        """An element g for each node i with node i = g R g⁻¹, R the
         representative of its class: a BFS from R over generators of the
         group, where conjugating g R g⁻¹ by s composes the conjugator to s·g."""
         return self._classes[1]
@@ -299,7 +294,7 @@ class SubgroupLattice:
     def rerooted(self, i: int):
         """Node i as a standalone group with its own subgroup lattice.
 
-        Returns (group, lattice). The subgroups of H = nodes[i] are the
+        Returns (group, lattice). The subgroups of H, node i, are the
         interval [1, H] of this lattice, the set bits of ``down_masks[i]``,
         so nothing is enumerated. :func:`subgroup_group` numbers H's elements
         in ascending order, which keeps the (cardinality, membership-lex)
@@ -686,7 +681,7 @@ def _join_all(lat: SubgroupLattice, nodes: int) -> int:
 
 
 def _is_subnormal_node(lat: SubgroupLattice, i: int, k: Optional[int] = None) -> bool:
-    """Whether node H = nodes[i] is subnormal in K = nodes[k] (G when k is
+    """Whether node i, H, is subnormal in node k, K (G when k is
     None), by the descending normal-closure chain K0 = K,
     K_{t+1} = H^{K_t}: H is subnormal in K exactly when the chain reaches H,
     and is not when it stalls first. H must lie in K.

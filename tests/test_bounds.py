@@ -480,7 +480,7 @@ def test_factor_conditions_match_mask_set_oracle(spec):
     for n_idx in L.normal_subgroups(lat).members:
         if lat.node_order(n_idx) == 1:
             continue
-        for h_idx in B.factor_partners(lat, n_idx):
+        for h_idx in G._bits(B.factor_partners(lat, n_idx)):
             if lat.node_order(h_idx) == 1:
                 continue
             for conv in L.CONVENTIONS:
@@ -658,7 +658,7 @@ def test_lattice_read_node_values_match_rerooted_child(spec):
     "D4xS3", "S4xC2", "Q8xS3", "S4xC3", "S3xS3", "S4xS3", "A4xA4"])
 def test_lattice_fitting_matches_closure_oracle(spec):
     lat = lat_of(spec)
-    assert lat.masks[B.fitting_node(lat)] == G.fitting_subgroup(lat.group).mask
+    assert lat.masks[B.fitting_node(lat)] == G.fitting_subgroup(lat.group)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS)
@@ -679,7 +679,7 @@ def test_lb3_count_quotient_matches_enumerated_quotient():
     for spec in CATALOG_SPECS:
         lat = lat_of(spec)
         for n in L.normal_subgroups(lat).members:
-            for h in B.complement_candidates(lat, n):
+            for h in G._bits(B.complement_candidates(lat, n)):
                 for conv in L.CONVENTIONS:
                     res = B.decomposition_bound_check(lat, n, h, conv)
                     if not res.hypothesis_satisfied:
@@ -749,7 +749,7 @@ def direct_results(lat, claim, convention, reading, n_node=None, h_node=None):
         return [n for n in normal if every or 1 < lat.node_order(n) < g.order]
 
     def hs(n, partners):
-        return [h_node] if h_node is not None else partners(lat, n)
+        return [h_node] if h_node is not None else list(G._bits(partners(lat, n)))
 
     out = []
     if claim in ("all", "lemma1"):
@@ -820,7 +820,7 @@ def test_bound_driver_matches_direct_calls_on_chosen_nodes(spec):
     non_normal = next(i for i in range(len(lat)) if i not in normal)
     proper = next(n for n in normal.members if 1 < lat.node_order(n) < lat.group.order)
     apart = next(h for h in range(len(lat)) if not B.factorizes(lat, proper, h))
-    partner = B.factor_partners(lat, proper)[-1]
+    partner = B.factor_partners(lat, proper).bit_length() - 1
     for n, h in [(non_normal, partner), (proper, apart), (proper, partner),
                  (non_normal, lat.bottom)]:
         check_driver_against_direct_calls(lat, n, h)
@@ -856,7 +856,7 @@ def test_results_are_not_class_invariant(spec):
 
     for n in L.normal_subgroups(lat).members:
         seen = {}
-        for h in B.factor_partners(lat, n):
+        for h in G._bits(B.factor_partners(lat, n)):
             for r in B.cauchy_bound_checks(lat, n, h, "raw"):
                 first = seen.setdefault((lat.class_of[h], r.claim), unlabelled(r))
                 if unlabelled(r) != first:
@@ -894,7 +894,7 @@ def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
         # (every N the driver visits is normal, and NH = G for its partners)
         keys = {(B._factor_profile(lat, n, conv), B._factor_profile(lat, h, conv))
                 for n in L.normal_subgroups(lat).members
-                for h in B.factor_partners(lat, n)}
+                for h in G._bits(B.factor_partners(lat, n))}
         assert DECISIONS[spec][conv]["cauchy"][0] == len(keys)
         for reading in ("strict", "relaxed"):
             for claim in checkers:
@@ -937,7 +937,7 @@ def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
         normal = L.normal_subgroups(lat).members
         if claim == "lemma1":
             normal = [n for n in normal if 1 < lat.node_order(n) < lat.group.order]
-        visited = {h for n in normal for h in partners(lat, n)}
+        visited = {h for n in normal for h in G._bits(partners(lat, n))}
         if claim == "cauchy":
             visited |= set(normal)
         assert set(calls) == {(x, conv) for x in visited for conv in L.CONVENTIONS}
@@ -1078,15 +1078,33 @@ def test_memoised_degrees_match_naive_after_the_bound_driver(spec):
 def test_complements_are_the_head_of_the_partner_list(spec):
     # a partner H of N has |H| >= |G : N| and nodes are sorted by order, so
     # the partner scan may start at order |G : N|, and the complements
-    # (|H| = |G : N|) are a prefix of the partners
+    # (|H| = |G : N|) are the lowest bits of the partner mask
     lat = lat_of(spec)
     for n in range(len(lat)):
         index = lat.group.order // lat.node_order(n)
         partners = B.factor_partners(lat, n)
-        assert partners == [h for h in range(len(lat)) if B.factorizes(lat, n, h)]
+        assert list(G._bits(partners)) == [h for h in range(len(lat))
+                                           if B.factorizes(lat, n, h)]
         complements = B.complement_candidates(lat, n)
-        assert complements == [h for h in partners if lat.node_order(h) == index]
-        assert partners[:len(complements)] == complements
+        assert list(G._bits(complements)) == [h for h in G._bits(partners)
+                                              if lat.node_order(h) == index]
+        assert partners & ((1 << complements.bit_length()) - 1) == complements
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_relabelled_partner_masks_match_product_sets(data):
+    """The bits of N's partner mask are the H with NH = G, found by the
+    product set, and its complement mask holds those of order |G : N|."""
+    spec = data.draw(st.sampled_from(CATALOG_SPECS), label="spec")
+    lat = L.enumerate_subgroups(relabelled(G.make_named(spec), data))
+    g = lat.group
+    for n, nm in enumerate(lat.masks):
+        partners = {h for h, hm in enumerate(lat.masks)
+                    if g.product_mask(nm, hm) == g.full_mask}
+        assert set(G._bits(B.factor_partners(lat, n))) == partners
+        assert set(G._bits(B.complement_candidates(lat, n))) == {
+            h for h in partners if lat.node_order(h) * nm.bit_count() == g.order}
 
 
 def test_bound_driver_keeps_no_complement_lists():
@@ -1096,3 +1114,25 @@ def test_bound_driver_keeps_no_complement_lists():
             B.bound_results(lat, "all", conv, reading)
     firsts = {key[0] for key in lat._memo if isinstance(key, tuple)}
     assert "partners" in firsts and "complements" not in firsts
+
+
+def test_partner_memo_holds_node_masks():
+    lat = lat_of("Z:2,2,2,2")
+    B.bound_results(lat, "all")
+    partners = [value for key, value in lat._memo.items()
+                if isinstance(key, tuple) and key[0] == "partners"]
+    assert len(partners) == len(L.normal_subgroups(lat))
+    assert all(type(value) is int for value in partners)
+
+
+@pytest.mark.parametrize("option", ["n_node", "h_node"])
+@pytest.mark.parametrize("idx", [99, 6, -1])
+def test_bound_driver_refuses_nodes_outside_the_lattice(option, idx):
+    lat = lat_of("S3")
+    message = rf"node index {idx} out of range \(0\.\.5\)"
+    with pytest.raises(ValueError, match=message):
+        B.iter_bound_results(lat, "cauchy", **{option: idx})  # before next()
+    with pytest.raises(ValueError, match=message):
+        B.bound_results(lat, "all", **{option: idx})
+    with pytest.raises(ValueError, match=message):
+        B.factorization_instance_count(lat, "all", **{option: idx})

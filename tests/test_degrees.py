@@ -19,33 +19,32 @@ def nodes_of_order(lat, k):
 class TestPermutes:
     def test_bottom_permutes_with_everything(self):
         lat = lat_of("S4")
-        bottom = lat.nodes[lat.bottom]
-        assert all(D.permutes(lat.group, bottom, node) for node in lat.nodes)
+        bottom = lat.masks[lat.bottom]
+        assert all(D.permutes(lat.group, bottom, node) for node in lat.masks)
 
     def test_s3_order3_with_order2(self):
         lat = lat_of("S3")
-        three = lat.nodes[nodes_of_order(lat, 3)[0]]
-        two = lat.nodes[nodes_of_order(lat, 2)[0]]
+        three = lat.masks[nodes_of_order(lat, 3)[0]]
+        two = lat.masks[nodes_of_order(lat, 2)[0]]
         assert D.permutes(lat.group, three, two)
-        assert lat.group.product_mask(three.mask, two.mask) == lat.group.full_mask
+        assert lat.group.product_mask(three, two) == lat.group.full_mask
 
     def test_s3_two_transposition_subgroups(self):
         lat = lat_of("S3")
         twos = nodes_of_order(lat, 2)
-        a, b = lat.nodes[twos[0]], lat.nodes[twos[1]]
+        a, b = lat.masks[twos[0]], lat.masks[twos[1]]
         assert not D.permutes(lat.group, a, b)
-        assert lat.group.product_mask(a.mask, b.mask).bit_count() == 4
+        assert lat.group.product_mask(a, b).bit_count() == 4
 
     def test_chi_symmetry_and_reflexivity(self):
         lat = lat_of("A4")
-        g = lat.group
-        for i in range(len(lat)):
-            assert D.permutes(g, lat.nodes[i], lat.nodes[i])
-            assert D.permutes(g, lat.nodes[i], lat.nodes[lat.top])
-            assert D.permutes(g, lat.nodes[i], lat.nodes[lat.bottom])
-            for j in range(len(lat)):
-                assert D.permutes(g, lat.nodes[i], lat.nodes[j]) == \
-                    D.permutes(g, lat.nodes[j], lat.nodes[i])
+        g, masks = lat.group, lat.masks
+        for x in masks:
+            assert D.permutes(g, x, x)
+            assert D.permutes(g, x, masks[lat.top])
+            assert D.permutes(g, x, masks[lat.bottom])
+            for y in masks:
+                assert D.permutes(g, x, y) == D.permutes(g, y, x)
 
 
 class TestDegrees:
@@ -241,5 +240,5 @@ def test_pair_permutability_is_symmetric(spec, data):
     i = data.draw(st.integers(0, len(lat) - 1))
     j = data.draw(st.integers(0, len(lat) - 1))
     g = lat.group
-    assert D.permutes(g, lat.nodes[i], lat.nodes[j]) == \
-        D.permutes(g, lat.nodes[j], lat.nodes[i])
+    assert D.permutes(g, lat.masks[i], lat.masks[j]) == \
+        D.permutes(g, lat.masks[j], lat.masks[i])

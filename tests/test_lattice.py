@@ -878,7 +878,7 @@ class TestFittingAgainstLattice:
         for i in L.normal_subgroups(lat).members:
             child, _ = lat.rerooted(i)
             if child.is_nilpotent:
-                assert lat.masks[i] & ~fit.mask == 0, (spec, i)
+                assert lat.masks[i] & ~fit == 0, (spec, i)
         assert G.subgroup_group(g, fit).is_nilpotent
 
 
