@@ -101,8 +101,9 @@ class FiniteGroup:
 
     The structure flags keep no series: :attr:`is_abelian` tests the
     generators, :attr:`is_nilpotent` counts the elements of p-power order
-    for each prime p (the Sylow count), and :attr:`is_solvable` walks the
-    derived series to its residual (:meth:`solvable_residual`).
+    for each prime p (the Sylow count), and :attr:`is_solvable` reads the
+    residual of the derived series (:attr:`solvable_residual`), which the
+    enumeration reads too.
     """
 
     def __init__(self, table, name: str, element_labels=None):
@@ -421,12 +422,14 @@ class FiniteGroup:
         t, gens = self.table, self.generating_set
         return all(t[a][b] == t[b][a] for k, a in enumerate(gens) for b in gens[k + 1:])
 
+    @cached_property
     def solvable_residual(self) -> int:
         """G^(∞), the last term of the derived series: the largest perfect
         subgroup, 1 iff G is solvable. Each step is [K, K] = <[x, y] : x, y
         in X>^K for K = <X>, the normal closure in K of the commutators
         [x, y] = x^-1 y^-1 x y of K's generators, from G = <generating_set>.
-        Computed afresh on each call and kept nowhere."""
+        A group invariant, walked once per group and read by
+        :attr:`is_solvable` and the enumeration alike."""
         t, inv = self.table, self.inverse
         k, gens = self.full_mask, self.generating_set
         while True:
@@ -438,7 +441,7 @@ class FiniteGroup:
 
     @cached_property
     def is_solvable(self) -> bool:
-        return self.solvable_residual() == 1
+        return self.solvable_residual == 1
 
     @cached_property
     def is_nilpotent(self) -> bool:

@@ -39,10 +39,13 @@ subnormality are class invariants and are decided once per conjugacy class
 (:attr:`SubgroupLattice.class_of`). The classes and their conjugators are
 orbits under the group's generators, each member conjugated that way inside
 the walk itself; a node that every generator maps its own generators into
-is normal, and its class is that node alone, found without a walk.
-Subnormality in G or in any node follows the normal-closure chain of a node
-through joins of its conjugates; the step H^G is the join of H's class,
-already known. No read of a built lattice conjugates an element mask or
+is normal, and its class is that node alone, found without a walk. The
+walk also gives each representative R its normalizer N_G(R), the join of R
+and the Schreier elements of its edges, and N_G(R^g) is N_G(R)^g
+(:attr:`SubgroupLattice.normalizers`). Y ⊴ Z iff Y <= Z <= N_G(Y), so
+subnormality, in G and in any node, is the transitive closure of the
+normalizer intervals [Y, N_G(Y)] (Wielandt; Schmidt, *Subgroup Lattices of
+Groups*, 1994). No read of a built lattice conjugates an element mask or
 computes a closure; the mask-level class orbit is used only by
 :func:`enumerate_subgroups`, before there is a lattice. The normal,
 subnormal and maximal selections and the permutability rows are built once
@@ -53,9 +56,10 @@ The lattice of a node X is the interval [1, X], so each selection is defined
 once, for any node, and G's is the value at the top node: M(X) is the lower
 covers of X (:func:`node_maximal`, read off the down masks on each call and
 kept nowhere, and at the top the mask of :func:`maximal_subgroups`) and
-sn(X) is read off sn(G) and normal-closure chains inside X
-(:func:`node_subnormal`). The selections that are unions of conjugacy
-classes are built from ``class_masks``, one mask per class.
+sn(X) is sn(G) below X with X's row of one table per lattice, the nodes
+outside sn(G) that are subnormal in X (:func:`node_subnormal`). The
+selections that are unions of conjugacy classes are built from
+``class_masks``, one mask per class.
 
 Joins, permutability and modularity are read off the node orders and the
 order masks ``up_masks``/``down_masks``, and a meet is the intersection of
@@ -78,7 +82,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional
 
 from .groups import FiniteGroup, _bits, prime_signature, subgroup_group
 
@@ -218,19 +221,24 @@ class SubgroupLattice:
         return out
 
     @cached_property
-    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # (class_of, conjugators): one BFS per class from its lowest node R
-        # over generators s of the group. The member g R g⁻¹ conjugated by s
-        # is y R y⁻¹ with y = s·g, the join of the cyclic nodes of y x y⁻¹
-        # over R's generators x (the proof is in :meth:`conjugates`), found
-        # here without a call per member. When every s maps R's generators
-        # into R, R is normal and its class is R alone
+    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+        # (class_of, conjugators, N(R) of each representative R): one BFS
+        # per class from its lowest node R over generators s of the group.
+        # The member g R g⁻¹ conjugated by s is y R y⁻¹ with y = s·g, the
+        # join of the cyclic nodes of y x y⁻¹ over R's generators x (the
+        # proof is in :meth:`conjugates`), found here without a call per
+        # member. An edge to a member R_j = g_j R g_j⁻¹ already seen gives the
+        # Schreier element g_j⁻¹·y of N(R), and these generate N(R) (the proof
+        # is in :func:`enumerate_subgroups`), so N(R) is the lowest node above
+        # R and each of their cyclic nodes. When every s maps R's generators
+        # into R, R is normal, its class is R alone and N(R) is the top
         t, inv = self.group.table, self.group.inverse
         up, cyc, full = self.up_masks, self.cyclic_nodes, self.all_nodes_mask
         gens = self.node_gens[self.top]
         gen_rows = [(t[s], inv[s]) for s in gens]
         rep = [-1] * len(self.masks)
         conj = [-1] * len(self.masks)
+        norm = [self.top] * len(self.masks)  # read at representatives only
         for r, m in enumerate(self.masks):
             if rep[r] >= 0:
                 continue
@@ -239,6 +247,7 @@ class SubgroupLattice:
             if all(m >> t[row[x]][si] & 1 for row, si in gen_rows for x in rgens):
                 continue
             orbit = [r]
+            stab = up[r]
             for i in orbit:  # orbit grows while we iterate
                 g = conj[i]
                 for s in gens:
@@ -251,7 +260,10 @@ class SubgroupLattice:
                     if rep[j] < 0:
                         rep[j], conj[j] = r, y
                         orbit.append(j)
-        return tuple(rep), tuple(conj)
+                    else:
+                        stab &= up[cyc[t[inv[conj[j]]][y]]]
+            norm[r] = (stab & -stab).bit_length() - 1
+        return tuple(rep), tuple(conj), norm
 
     @property
     def class_of(self) -> tuple[int, ...]:
@@ -268,6 +280,16 @@ class SubgroupLattice:
         representative of its class: a BFS from R over generators of the
         group, where conjugating g R g⁻¹ by s composes the conjugator to s·g."""
         return self._classes[1]
+
+    @cached_property
+    def normalizers(self) -> tuple[int, ...]:
+        """The node N_G(X) of each node X. A representative's is read off
+        its class walk (:attr:`class_of`), and N_G(R^g) = N_G(R)^g, so any
+        other member's is its representative's conjugated by the member's
+        conjugator (:meth:`conjugates`)."""
+        norm, conj = self._classes[2], self.conjugators
+        return tuple(self.conjugates(norm[r], (conj[i],))[0]
+                     for i, r in enumerate(self.class_of))
 
     @cached_property
     def class_masks(self) -> dict[int, int]:
@@ -430,8 +452,8 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     and its representative joins the next frontier.
 
     Normal prime-index extensions. Let R = G^(∞), the last term of the
-    derived series (:meth:`FiniteGroup.solvable_residual`, computed once per
-    call and kept nowhere). A is joined with a seed C only if C <= N(A) and
+    derived series (:attr:`FiniteGroup.solvable_residual`, walked once per
+    group). A is joined with a seed C only if C <= N(A) and
     |C : C n A| is prime, or A u C lies in R. Outside R every join is
     therefore AC, of prime index over A: for solvable G (R = 1) every join
     is such a one-generator extension, and for perfect G (R = G) the rule
@@ -534,7 +556,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     seeds = [m for m in cyclic_masks[1:]
              if len(prime_signature(m.bit_count()).factors) == 1]
     primes = set(prime_signature(g.order).primes)
-    rm = g.solvable_residual()
+    rm = g.solvable_residual
     frontier: list[int] = []
     seen: set[int] = set()  # every subgroup found so far
     of_order: dict[int, list[int]] = {}  # the subgroups in seen, by order
@@ -672,80 +694,69 @@ def normal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
         members for members in lat.class_masks.values() if members.bit_count() == 1)))
 
 
-def _join_all(lat: SubgroupLattice, nodes: int) -> int:
-    """The join of a node set: the lowest node above each of its nodes."""
-    above = lat.all_nodes_mask
-    for j in _bits(nodes):
-        above &= lat.up_masks[j]
-    return (above & -above).bit_length() - 1
-
-
-def _is_subnormal_node(lat: SubgroupLattice, i: int, k: Optional[int] = None) -> bool:
-    """Whether node i, H, is subnormal in node k, K (G when k is
-    None), by the descending normal-closure chain K0 = K,
-    K_{t+1} = H^{K_t}: H is subnormal in K exactly when the chain reaches H,
-    and is not when it stalls first. H must lie in K.
-
-    H^K is the subgroup generated by H's K-conjugates, the join of H's orbit
-    under conjugation by K's generators (:meth:`SubgroupLattice.conjugates`).
-    The step from G is free: the G-conjugates of H are exactly the members
-    of H's conjugacy class, so H^G is the join of its node set in
-    ``class_masks`` and needs no conjugation."""
-    k = lat.top if k is None else k
-    while k != i:
-        if k == lat.top:
-            members = lat.class_masks[lat.class_of[i]]
-        else:
-            orbit, members = [i], 1 << i
-            for j in orbit:  # orbit grows while we iterate
-                for c in lat.conjugates(j, lat.node_gens[k]):
-                    if not members >> c & 1:
-                        members |= 1 << c
-                        orbit.append(c)
-        nk = _join_all(lat, members)
-        if nk == k:
-            return False
-        k = nk
-    return True
-
-
 def subnormal_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
-    """Subnormal nodes. Subnormality is a class invariant, so the closure
-    chain runs on class representatives only."""
+    """Subnormal nodes, read off normalizer intervals.
+
+    Y ⊴ Z iff Y <= Z <= N_G(Y), so the nodes that Y is normal in form the
+    interval [Y, N_G(Y)]. Y < G is subnormal in G iff some Z in
+    (Y, N_G(Y)] is: a chain Y ⊴ Y1 ⊴ ... ⊴ G with its repeated terms
+    dropped has such a Z = Y1, subnormal through the rest of the chain, and
+    conversely Y ⊴ Z sn G puts Y in front of Z's chain, so Y sn G.
+    Subnormality is a class invariant, and each Z > Y, like every member of
+    Z's class, has a larger order and so a higher node than Y, so the class
+    representatives are decided in descending order, each from the classes
+    above it; a normal R, N_G(R) = G, is subnormal without a search. A
+    representative's normalizer comes off its class walk
+    (:attr:`SubgroupLattice.normalizers`), and no down mask is read."""
     def compute():
-        normal = normal_subgroups(lat)
-        return SublatticeSelection(lat, "subnormal", sum(
-            members for r, members in lat.class_masks.items()
-            if r in normal or _is_subnormal_node(lat, r)))
+        masks, up, norm = lat.masks, lat.up_masks, lat._classes[2]
+        sn = 0
+        for r in sorted(lat.class_masks, reverse=True):
+            nm = masks[norm[r]]
+            if norm[r] == lat.top or any(
+                    masks[z] & ~nm == 0 for z in _bits(sn & up[r])):
+                sn |= lat.class_masks[r]
+        return SublatticeSelection(lat, "subnormal", sn)
     return lat.memo("subnormal", compute)
 
 
+def _subnormal_outside(lat: SubgroupLattice) -> list[int]:
+    """Row X: the nodes Y outside sn(G) that are subnormal in X.
+
+    As in :func:`subnormal_subgroups`, over[Y] = {X : Y sn X} is Y and the
+    union of over[Z] for Z in (Y, N_G(Y)] = ``up[Y] & down[N_G(Y)]`` minus
+    Y. For Y outside sn(G) each such Z is outside sn(G) too, since Y ⊴ Z
+    sn G would make Y subnormal in G, and it is above Y, so descending node
+    order finds over[Z] first. The rows are over transposed."""
+    sn = subnormal_subgroups(lat).members_mask
+    up, down, norm = lat.up_masks, lat.down_masks, lat.normalizers
+    over: dict[int, int] = {}
+    rows = [0] * len(lat)
+    for y in sorted(_bits(lat.all_nodes_mask ^ sn), reverse=True):
+        o = 1 << y
+        for z in _bits((up[y] & down[norm[y]]) ^ o):
+            o |= over[z]
+        over[y] = o
+        for x in _bits(o):
+            rows[x] |= 1 << y
+    return rows
+
+
 def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
-    """sn(X) of node X as a node mask, once per node. For Y <= X, a
-    subnormal chain of Y in G meets X in one of Y in X, so sn(G) n [1, X]
-    lies in sn(X), with equality when X is itself subnormal in G. For a
-    class representative R outside sn(G), each other Y <= R is tested by its
-    normal-closure chain inside R (:func:`_is_subnormal_node` from R). Any
-    other X = R^g has sn(X) = sn(R)^g, each node of sn(R) conjugated on the
-    lattice (:meth:`SubgroupLattice.conjugates`)."""
-    def compute():
-        sn_g = subnormal_subgroups(lat)
-        below = lat.down_masks[idx]
-        if idx in sn_g:
-            return sn_g.members_mask & below
-        rep = lat.class_of[idx]
-        if rep != idx:
-            x = lat.conjugators[idx]
-            out = 0
-            for j in _bits(node_subnormal(lat, rep)):
-                out |= 1 << lat.conjugates(j, (x,))[0]
-            return out
-        out = sn_g.members_mask & below
-        for y in _bits(below & ~out):
-            if _is_subnormal_node(lat, y, idx):
-                out |= 1 << y
-        return out
-    return lat.memo(("sn-of", idx), compute)
+    """sn(X) of node X as a node mask.
+
+    For Y <= X, a chain Y = Y0 ⊴ Y1 ⊴ ... ⊴ Yk = G meets X in a chain
+    Y = Y0 n X ⊴ Y1 n X ⊴ ... ⊴ Yk n X = X, since conjugation by an
+    element of Y(i+1) n X fixes both Yi and X. So sn(G) n [1, X] lies in
+    sn(X), and the rest of sn(X) is X's row of the nodes outside sn(G)
+    (:func:`_subnormal_outside`, one table per lattice). That row is empty
+    when X is in sn(G), because Y sn X sn G makes Y subnormal in G, so
+    those reads build no table."""
+    sn = subnormal_subgroups(lat).members_mask
+    below = sn & lat.down_masks[idx]
+    if sn >> idx & 1:
+        return below
+    return below | lat.memo("subnormal-outside", lambda: _subnormal_outside(lat))[idx]
 
 
 def node_maximal(lat: SubgroupLattice, idx: int, convention: str = RAW) -> int:

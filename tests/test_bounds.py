@@ -556,9 +556,10 @@ def test_theorem1_is_decided_once_per_lattice(monkeypatch):
 @pytest.mark.parametrize("spec", ["S5", "S4xS3", "S6"])
 def test_bound_driver_builds_no_child_lattice_and_only_representative_rows(
         spec, monkeypatch):
-    """sn(X) comes from subnormal chains on the parent and the pair counts
-    inside X from class-wise double counting, so the driver re-roots no
-    node and reads no permutability row outside the class representatives."""
+    """sn(X) comes from the parent's normalizer intervals and the pair
+    counts inside X from class-wise double counting, so the driver re-roots
+    no node and reads no permutability row outside the class
+    representatives."""
     chi_calls, rerooted_calls = [], []
     real_chi = L.SubgroupLattice.chi_rows
 

@@ -427,7 +427,7 @@ def assert_series_flags(g):
     """The residual and the solvable and nilpotent flags against the last
     terms of the derived and lower central series of the oracle."""
     residual = series_pairwise(g, lower=False)[-1]
-    assert g.solvable_residual() == residual
+    assert g.solvable_residual == residual
     assert g.is_solvable is (residual == 1)
     assert g.is_nilpotent is (series_pairwise(g, lower=True)[-1] == 1)
 

@@ -81,12 +81,27 @@ PINNED_NORMALIZER_CLOSURES = {"Z:2,2,2,2,2": 0, "S5": 16, "D4xD4": 260,
 
 # sha256 of "class_of;conjugators" (each comma-separated) of the group
 # relabelled by random.Random(3); the order in which the class walk visits
-# the group's generators fixes the conjugators, which node_subnormal reads
+# the group's generators fixes the conjugators, which conjugate each
+# representative's normalizer to the other members' (SubgroupLattice.normalizers)
 PINNED_CLASS_WALKS = {
     "S5xC2": "003d0fe02b11163d479168828201cb724dc97bcbc740e415d369f35ba9dea123",
     "D4xD4": "90901c92154e31134c9b427844c04a8771fbeb38cf262dc9e99c23bc62c05645",
     "A5xC3": "d307039048432b2a27ee7890a13a1e097290eca969d0968679e098675047b11c",
     "Z:2,2,2,2,2": "a11d439229386795da3cc9d088e1bfa2bdd4d69cc554b72c834026962e7d3d96",
+}
+
+# sha256 of sn(G)'s node mask and of every node's sn(X) (each in hex, the
+# latter comma-separated in node order), first produced by normal-closure
+# chains; no benchmark pool holds these groups
+PINNED_SUBNORMAL_DIGESTS = {
+    "S6": ("79a9a554588bbd09be252fb6f76585c7b90d5bab60ad505002337bc4ab525952",
+           "daef0e2d7f0df1ff1704cece3757f0cd07efda2ad6d080fb46c9a080c2080e8f"),
+    "S5xS3": ("c29748b035dc6463a83cc763f0a228b856c894cc8ba716b2b0937de157efc74f",
+              "9798197ae608706cdfa71409422097a550bb04e0606b6fefe706faa49b68dbf9"),
+    "S4xS4": ("d29cb28f15d55f1cb8ea2c8373d473cb6eb85aaf14500efd8e11b59c2532d01a",
+              "08c9d16e79d4baf93021d8aab12b6693616172b30cd240754a8b3465e82daff2"),
+    "D4xD4xC2": ("12ee79758661b2460829bfaa04a0c08cff59815a667eaddd49086424a68b40f9",
+                 "e1b306b14d4f92c5c3ab7a26dda5373d4fab2f6f6bdd4fd20314ed0f741a4164"),
 }
 
 # PSL(2,7) acting on the seven points of the Fano plane
@@ -181,15 +196,37 @@ def relabelled(g, data):
         g, [0] + data.draw(st.permutations(range(1, g.order)), label="sigma"))
 
 
-def subnormal_by_chain(g, m):
-    """Oracle: the normal-closure chain from G, run on one subgroup."""
-    k = g.full_mask
+def subnormal_by_chain(g, m, k=None):
+    """Oracle: whether H = ``m`` is subnormal in K = ``k`` (G when None),
+    by the normal-closure chain K0 = K, K_{t+1} = H^{K_t}, run on one
+    subgroup: it reaches H exactly when H is subnormal, and stalls first
+    otherwise."""
+    k = g.full_mask if k is None else k
+    gens = g.subgroup_gens(m)
     while k != m:
-        nc = g.normal_closure_mask(m, k)
+        nc = g.normal_closure_mask(m, k, gens)
         if nc == k:
             return False
         k = nc
     return True
+
+
+def assert_node_subnormal_matches_chain(lat):
+    """sn(X) of every node X against the chain oracle run inside X."""
+    g, masks = lat.group, lat.masks
+    for x in range(len(lat)):
+        assert L.node_subnormal(lat, x) == sum(
+            1 << y for y in G._bits(lat.down_masks[x])
+            if subnormal_by_chain(g, masks[y], masks[x])), (g.name, x)
+
+
+def assert_normalizers_match_stabilizers(lat):
+    """N_G(X) of every node X against the elements that conjugate X's
+    element mask to itself."""
+    g = lat.group
+    for i, m in enumerate(lat.masks):
+        stabilizer = sum(1 << y for y in range(g.order) if g.conjugate_mask(m, y) == m)
+        assert lat.masks[lat.normalizers[i]] == stabilizer, (g.name, i)
 
 
 def closed_under_cyclic_extension(g, masks):
@@ -307,17 +344,18 @@ class TestEnumeration:
             rest = list(range(1, g.order))
             random.Random(seed).shuffle(rest)
             g = relabelled_as(g, [0] + rest)
-        r = g.solvable_residual()
+        r = g.solvable_residual
         assert r == series_pairwise(g, lower=False)[-1] and r.bit_count() == residual_order
         assert closed_under_cyclic_extension(g, L.enumerate_subgroups(g).masks)
 
     def test_enumeration_keeps_no_state_on_the_group(self):
         # benchmark jobs share a group's attribute values through copy.copy,
-        # so per-call tables kept on it would carry over between jobs
+        # so per-call tables kept on it would carry over between jobs; the
+        # generators and the solvable residual are invariants of the group
         g = G.make_named("D4xD4")
         before = set(vars(g))
         L.enumerate_subgroups(g)
-        assert set(vars(g)) - before == {"generating_set"}
+        assert set(vars(g)) - before == {"generating_set", "solvable_residual"}
 
     def test_every_node_is_subgroup(self):
         g = G.make_named("S4")
@@ -465,6 +503,11 @@ class TestConjugacyClasses:
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
             assert (len(members) == 1) == (i in normal), (spec, i)
             assert all(g.conjugate_mask(m, y) == m for y in G._bits(schreier)), (spec, i)
+        assert_normalizers_match_stabilizers(lat)
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_normalizers_match_element_stabilizers(self, spec):
+        assert_normalizers_match_stabilizers(shared_lat(spec))
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(NORMALIZER_SPECS), st.data())
@@ -673,6 +716,26 @@ class TestClassInvariantSelections:
         assert set(L.subnormal_subgroups(lat).members) == subnormal
 
     @pytest.mark.parametrize("spec", SELECTION_SPECS)
+    def test_node_subnormal_matches_chain_inside_every_node(self, spec):
+        assert_node_subnormal_matches_chain(shared_lat(spec))
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SUBNORMAL_DIGESTS))
+    def test_subnormal_pinned(self, spec):
+        lat = shared_lat(spec)
+        sn = f"{L.subnormal_subgroups(lat).members_mask:x}"
+        sn_of = ",".join(f"{L.node_subnormal(lat, i):x}" for i in range(len(lat)))
+        assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (sn, sn_of)) == PINNED_SUBNORMAL_DIGESTS[spec]
+
+    @pytest.mark.parametrize("spec", ["S4", "S4xS3", "D4xD4", "S5xC2"])
+    def test_subnormal_selection_reads_no_down_masks(self, spec):
+        # sn(G) reads the representatives' normalizers off the class walk,
+        # so it builds neither the down masks nor every node's normalizer
+        lat = L.SubgroupLattice(shared_lat(spec).group, list(shared_lat(spec).masks))
+        L.subnormal_subgroups(lat)
+        assert "down_masks" not in vars(lat) and "normalizers" not in vars(lat)
+
+    @pytest.mark.parametrize("spec", SELECTION_SPECS)
     def test_flags_are_constant_on_classes(self, spec):
         lat = shared_lat(spec)
         selections = [L.normal_subgroups(lat), L.subnormal_subgroups(lat),
@@ -852,13 +915,13 @@ class TestRerooting:
 
         subnormal = L.subnormal_subgroups(lat).members
         sn_of = [L.node_subnormal(lat, i) for i in range(len(lat))]
-        classes = (lat.class_of, lat.conjugators)
+        classes = (lat.class_of, lat.conjugators, lat.normalizers)
         monkeypatch.setattr(G.FiniteGroup, "closure_mask", counted)
         monkeypatch.setattr(G.FiniteGroup, "conjugate_mask", counted_conjugation)
         # a fresh group object, as on a cache hit: nothing is cached on it
         group = G.FiniteGroup(lat.group.table, lat.group.name)
         rebuilt = L.SubgroupLattice(group, list(lat.masks))
-        assert (rebuilt.class_of, rebuilt.conjugators) == classes
+        assert (rebuilt.class_of, rebuilt.conjugators, rebuilt.normalizers) == classes
         assert L.subnormal_subgroups(rebuilt).members == subnormal
         assert [L.node_subnormal(rebuilt, i) for i in range(len(rebuilt))] == sn_of
         for i in range(len(rebuilt)):
@@ -920,3 +983,4 @@ def test_relabelled_subnormal_selection_matches_chain(spec, data):
     lat = L.enumerate_subgroups(g)
     subnormal = {i for i, m in enumerate(lat.masks) if subnormal_by_chain(g, m)}
     assert set(L.subnormal_subgroups(lat).members) == subnormal
+    assert_node_subnormal_matches_chain(lat)
