@@ -27,9 +27,11 @@ once per node, so an (N, H) instance does only lookups and such walks:
   depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
   of each N, as a node mask, and C_G(Fit(G)), Fit(G) the join of the
-  largest normal p-power nodes. A partner H of N has |H| >= |G : N| and
-  nodes are sorted by order, so N's complements are its partners among the
-  nodes of order at most |G : N|, one AND and no set of their own;
+  largest normal p-power nodes. The partners are the H with NH = G, read
+  off the product rule |NH| = |N||H| / |N n H| in one AND per node order
+  (:func:`permlat.lattice.products`), the rule the permutability rows
+  read too. A partner H of N has |H| >= |G : N|, so N's complements are
+  its partners of order |G : N|, one AND and no set of their own;
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver;
 * the shape of N that lemma1, lemma2, cor26 and theorem1 read is read off
@@ -63,7 +65,6 @@ so ``permlat bounds`` renders each row as it comes and keeps no list;
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
@@ -79,6 +80,7 @@ from .lattice import (
     node_maximal,
     node_subnormal,
     normal_subgroups,
+    products,
     subnormal_subgroups,
 )
 from .degrees import (mask_pair_count, node_all_pairs, node_restricted_pairs,
@@ -304,42 +306,30 @@ _fields = attrgetter(*(f.name for f in fields(BoundCheckResult)))
 
 
 def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
-    """Whether NH = G, decided by |NH| = |N||H| / |N n H| without the product set."""
-    nm, hm = lat.masks[n_idx], lat.masks[h_idx]
-    return nm.bit_count() * hm.bit_count() == lat.group.order * (nm & hm).bit_count()
+    """Whether NH = G: bit H of N's partner mask (:func:`factor_partners`)."""
+    return bool(factor_partners(lat, n_idx) >> h_idx & 1)
 
 
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> int:
-    """Node mask of the H with NH = G (|N||H| = |G||N n H|), kept once per N
-    in the lattice's memo. Such an H has |H| >= |G : N| and nodes are sorted
-    by order, so the scan starts at the first node of order |G : N|, and
-    the complements of N are its lowest partners
-    (:func:`complement_candidates`)."""
-    def compute():
-        masks, order = lat.masks, lat.group.order
-        nm = masks[n_idx]
-        n = nm.bit_count()
-        start = bisect_left(masks, order // n, key=int.bit_count)
-        partners = 0
-        for h, hm in enumerate(masks[start:], start):
-            if n * hm.bit_count() == order * (nm & hm).bit_count():
-                partners |= 1 << h
-        return partners
-    return lat.memo(("partners", n_idx), compute)
+    """Node mask of the H with NH = G, kept once per N in the lattice's
+    memo: the products of N equal to the top node, which lies above every
+    N v H (:func:`permlat.lattice.products`). The complements of N are its
+    lowest partners (:func:`complement_candidates`)."""
+    return lat.memo(("partners", n_idx),
+                    lambda: products(lat, n_idx, lat.top, lat.all_nodes_mask))
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> int:
-    """Node mask of the H with |H| = |G : N| and NH = G: N's partners among
-    the nodes of order at most |G : N|. Such an H is isomorphic to G/N."""
+    """Node mask of the H with |H| = |G : N| and NH = G: N's partners of
+    that order, the lowest a partner can have, since |G| = |NH| <= |N||H|.
+    Such an H is isomorphic to G/N."""
     index = lat.group.order // lat.node_order(n_idx)
-    return factor_partners(lat, n_idx) & (
-        (1 << bisect_right(lat.masks, index, key=int.bit_count)) - 1)
+    return factor_partners(lat, n_idx) & lat.nodes_of_order.get(index, 0)
 
 
 def _is_complement(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     """Whether H is a complement of N: |H| = |G : N| and NH = G."""
-    return (lat.node_order(h_idx) == lat.group.order // lat.node_order(n_idx)
-            and factorizes(lat, n_idx, h_idx))
+    return bool(complement_candidates(lat, n_idx) >> h_idx & 1)
 
 
 # -- per-node values read off the parent lattice ------------------------------

@@ -11,7 +11,8 @@ one class-wise count (:func:`inside_count`). The lattice of X is the
 interval [1, X], so G's counts are the counts at the top node, and the bound
 checkers read the same function at every other node. Every degree also has
 a naive oracle (``*_naive``) that tests each pair by its two product sets
-(:func:`permutes`), sharing nothing with the order test but the node list.
+(:func:`permutes`), sharing nothing with the product rule of the rows but
+the node list.
 """
 from __future__ import annotations
 
@@ -164,7 +165,7 @@ def element_commutativity_degree(g: FiniteGroup) -> Fraction:
 def degree_naive(lat: SubgroupLattice, s: SublatticeSelection,
                  t: SublatticeSelection) -> Fraction:
     """Double loop over node masks, each pair tested by its product sets
-    (:func:`permutes`); independent of the order test and the order masks."""
+    (:func:`permutes`); independent of the product rule and the order masks."""
     g, masks = lat.group, lat.masks
     count = sum(permutes(g, masks[i], masks[j])
                 for i in s.members for j in t.members)

@@ -71,12 +71,22 @@ Each column is read off the membership strings that the node sort already
 formats, one character per node, so no loop runs over the nodes' bits.
 ``down_masks``, their transpose, is built only when first read; the normal,
 subnormal, maximal and Sylow selections of G and Moebius read no
-``down_masks``. Permutability is kept as
-one bitrow per class representative (:meth:`SubgroupLattice.chi_rows`).
-Every node set that the degrees, perp and the bound checkers count over is
-a union of conjugacy classes, and the row of X^g is the row of X
-conjugated by g, so no other row is ever needed; a node set that is not a
-union of classes is refused (:meth:`SubgroupLattice.is_class_union`).
+``down_masks``.
+
+Permutability and factorization share one product rule: |XY| = |X||Y| /
+|X n Y|, so for a node J above X v Y, XY = J iff |X n Y| <= |X||Y| / |J|
+(:func:`products`). The nodes that meet X above each order are one table
+per X (:func:`_meets_over`), and the Y of one order with XY = J are one
+AND with it, so no pair is tested on its own. X and Y permute iff
+XY = X v Y, and the Y with X v Y = J are read off the down masks of the J
+above X, lowest first; the bound checkers' partners H with NH = G are the
+rule at J = G (:func:`permlat.bounds.factor_partners`). Permutability is
+kept as one bitrow per class representative
+(:meth:`SubgroupLattice.chi_rows`). Every node set that the degrees, perp
+and the bound checkers count over is a union of conjugacy classes, and the
+row of X^g is the row of X conjugated by g, so no other row is ever needed;
+a node set that is not a union of classes is refused
+(:meth:`SubgroupLattice.is_class_union`).
 """
 from __future__ import annotations
 
@@ -197,6 +207,16 @@ class SubgroupLattice:
             for j in _bits(above):
                 down[j] |= bit
         return tuple(down)
+
+    @cached_property
+    def nodes_of_order(self) -> dict[int, int]:
+        """Node mask of each node order, in ascending order. Nodes are sorted
+        by order, so each mask is one run of bits, from the end of the run
+        below it to one past its last node."""
+        ends = {m.bit_count(): i + 1 for i, m in enumerate(self.masks)}
+        starts = (0, *ends.values())
+        return {s: (1 << end) - (1 << start)
+                for (s, end), start in zip(ends.items(), starts)}
 
     def conjugates(self, i: int, ys: Sequence[int]) -> list[int]:
         """The nodes y X y⁻¹ for X = node i and each element y of ``ys``:
@@ -333,52 +353,71 @@ def _representative_rows(lat: SubgroupLattice) -> dict[int, int]:
     """The permutability row of each class representative r: bit j is set
     iff nodes r and j permute.
 
-    Comparable pairs always permute, and so does a normal node N with every
-    node (NY = YN): neither is tested, and a normal node's row is full.
-    Every other pair is tested once by the order test (:func:`_permuting`):
-    permutability is symmetric, so a row reads bit r of each row built
-    before it instead of testing that pair again."""
+    A normal node N permutes with every node (NY = YN), so its row is full.
+    For any other representative X, X and Y permute iff XY is a subgroup,
+    that is iff XY = X v Y. The joins J >= X are walked in ascending node
+    order, and since the join is the lowest common upper bound, the Y of
+    ``down_masks[J]`` under no J met before are exactly those with
+    X v Y = J; :func:`products` reads the Y among them with XY = J off X's
+    table of meets (:func:`_meets_over`), with no step per pair."""
     normal = normal_subgroups(lat).members_mask
     full, up, down = lat.all_nodes_mask, lat.up_masks, lat.down_masks
-    sizes = tuple(m.bit_count() for m in lat.masks)
     rows: dict[int, int] = {}
-    built = 0
     for r in lat.class_masks:
         if normal >> r & 1:
-            row = full
-        else:
-            known = up[r] | down[r] | normal
-            rest = full & ~known
-            done = rest & built
-            row = known | _permuting(lat, sizes, r, rest & ~done)
-            for j in _bits(done):
-                if rows[j] >> r & 1:
-                    row |= 1 << j
+            rows[r] = full
+            continue
+        over = _meets_over(lat, r)
+        row, rest = 0, full
+        for j in _bits(up[r]):
+            ys = down[j] & rest
+            if ys:
+                rest ^= ys
+                row |= products(lat, r, j, ys, over)
         rows[r] = row
-        built |= 1 << r
     return rows
 
 
-def _permuting(lat: SubgroupLattice, sizes: tuple[int, ...], i: int,
-               rest: int) -> int:
-    """The nodes of ``rest`` that permute with node i, by the order test.
+def _meets_over(lat: SubgroupLattice, x: int) -> dict[int, int]:
+    """For each order t of a node below X = node x, the node mask of the Y
+    with |X n Y| > t.
 
-    X and Y permute iff XY is a subgroup, that is iff XY = X v Y. Since
-    |XY| = |X||Y| / |X ^ Y| for any two subgroups, that holds exactly when
-    |X v Y| |X ^ Y| = |X| |Y|. The join is read off the up masks as in
-    :meth:`SubgroupLattice.join`, and |X ^ Y| = |X n Y| is the popcount of
-    the two element masks' AND, as in :meth:`SubgroupLattice.meet`."""
+    X n Y is a node M <= X, and M <= Y iff Y is in ``up_masks[M]``, so that
+    mask is the union of ``up_masks[M]`` over the M <= X with |M| > t.
+    Nodes are sorted by order, so one descending pass over
+    ``down_masks[x]`` meets each order first with the union over the orders
+    above it."""
     up, masks = lat.up_masks, lat.masks
-    ui, mi, si = up[i], masks[i], sizes[i]
+    over: dict[int, int] = {}
+    acc, below = 0, lat.down_masks[x]
+    while below:
+        m = below.bit_length() - 1
+        below ^= 1 << m
+        over.setdefault(masks[m].bit_count(), acc)
+        acc |= up[m]
+    return over
+
+
+def products(lat: SubgroupLattice, x: int, j: int, ys: int,
+             over: dict[int, int] | None = None) -> int:
+    """The nodes Y of ``ys`` with XY = J, for X = node x and J = node j,
+    when every Y of ``ys`` has X v Y <= J. ``over`` is X's
+    :func:`_meets_over` table, built here when not given.
+
+    For any two subgroups |XY| = |X||Y| / |X n Y|, and XY lies in
+    X v Y <= J, so |X n Y| >= t = |X||Y| / |J|, and XY = J iff
+    |X n Y| <= t, that is iff Y is outside ``over[t]``. A Y <= J has an
+    order s dividing |J|; when t is no integer or no node below X has order
+    t, |X n Y| = t cannot hold, and no Y of order s qualifies. So the Y of
+    each order are one AND of node masks."""
+    if over is None:
+        over = _meets_over(lat, x)
+    nx, nj = lat.node_order(x), lat.node_order(j)
     out = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        j = low.bit_length() - 1
-        common = ui & up[j]
-        if (sizes[(common & -common).bit_length() - 1]
-                * (mi & masks[j]).bit_count() == si * sizes[j]):
-            out |= low
+    for s, nodes in lat.nodes_of_order.items():
+        t, r = divmod(nx * s, nj)
+        if not (nj % s or r) and t in over:
+            out |= nodes & ys & ~over[t]
     return out
 
 
@@ -820,11 +859,9 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     """Nodes of full prime-power order p^v_p(|G|); empty for the trivial group."""
-    def compute():
-        sizes = {p ** e for p, e in prime_signature(lat.group.order).factors}
-        return SublatticeSelection(lat, "sylow", sum(
-            1 << i for i, m in enumerate(lat.masks) if m.bit_count() in sizes))
-    return lat.memo("sylow", compute)
+    return lat.memo("sylow", lambda: SublatticeSelection(lat, "sylow", sum(
+        lat.nodes_of_order.get(p ** e, 0)
+        for p, e in prime_signature(lat.group.order).factors)))
 
 
 def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:

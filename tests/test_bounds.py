@@ -1077,15 +1077,19 @@ def test_memoised_degrees_match_naive_after_the_bound_driver(spec):
 
 @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "D4xS3", "Z:2,2,2,2"])
 def test_complements_are_the_head_of_the_partner_list(spec):
-    # a partner H of N has |H| >= |G : N| and nodes are sorted by order, so
-    # the partner scan may start at order |G : N|, and the complements
-    # (|H| = |G : N|) are the lowest bits of the partner mask
+    # the partners are the H with |N||H| = |G||N n H|, tested here pair by
+    # pair; a partner H of N has |H| >= |G : N| and nodes are sorted by
+    # order, so the complements (|H| = |G : N|) are the lowest bits of the
+    # partner mask
     lat = lat_of(spec)
-    for n in range(len(lat)):
-        index = lat.group.order // lat.node_order(n)
+    order = lat.group.order
+    for n, nm in enumerate(lat.masks):
+        index = order // nm.bit_count()
         partners = B.factor_partners(lat, n)
-        assert list(G._bits(partners)) == [h for h in range(len(lat))
-                                           if B.factorizes(lat, n, h)]
+        expected = [h for h, hm in enumerate(lat.masks)
+                    if nm.bit_count() * hm.bit_count() == order * (nm & hm).bit_count()]
+        assert list(G._bits(partners)) == expected
+        assert [h for h in range(len(lat)) if B.factorizes(lat, n, h)] == expected
         complements = B.complement_candidates(lat, n)
         assert list(G._bits(complements)) == [h for h in G._bits(partners)
                                               if lat.node_order(h) == index]

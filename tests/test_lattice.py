@@ -8,6 +8,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permlat import bounds as B
 from permlat import cache as C
 from permlat import groups as G
 from permlat import lattice as L
@@ -102,6 +103,21 @@ PINNED_SUBNORMAL_DIGESTS = {
               "08c9d16e79d4baf93021d8aab12b6693616172b30cd240754a8b3465e82daff2"),
     "D4xD4xC2": ("12ee79758661b2460829bfaa04a0c08cff59815a667eaddd49086424a68b40f9",
                  "e1b306b14d4f92c5c3ab7a26dda5373d4fab2f6f6bdd4fd20314ed0f741a4164"),
+}
+
+# sha256 of the representative rows (``r:row``, row in hex, comma-separated
+# in representative order) and of the factorization partners of every normal
+# N (``n:partners`` likewise), first produced by the order test on each pair;
+# no benchmark pool holds these groups
+PINNED_ROW_DIGESTS = {
+    ("rows", "S6"): "1774cfe7a528f16f69befdc4ad55fbf946e88b876eafea58b289416f82e62780",
+    ("rows", "S5xS3"): "9f5ffd4faa16c19c369932809a361d54edb8c7c4e6746a29afe7e2be4bce4d88",
+    ("rows", "S4xS4"): "8f56149dc2500b6c5728d5ae60b06d8dab9757c7da41b0855bb82711e48b5596",
+    ("rows", "D4xD4xC2"): "23b38075bd06941301ee9fb34cb8faa52e25a707af4b5939e910a0b994da15eb",
+    ("partners", "D4xD4xC2"):
+        "2947c55fd3fcf02c9a6f1537dcab17c5fd2d7a1f20800a64fb11ab2c7df984f6",
+    ("partners", "Z:2,2,2,2,2"):
+        "7ec5f78ca9514ba8f3586d3fcc7111dc02a58b2fbaf041ce7ecbe875918dc8c4",
 }
 
 # PSL(2,7) acting on the seven points of the Fano plane
@@ -598,6 +614,39 @@ class TestOrderRulesAgainstOracles:
     def test_chi_rows_match_product_sets(self, spec):
         lat = shared_lat(spec)
         assert_rows_match_product_sets(lat)
+
+    @pytest.mark.parametrize("spec", ["S5xC2", "D4xD4", "S4xS3"])
+    def test_chi_rows_match_order_test_on_every_pair(self, spec):
+        lat = shared_lat(spec)
+        rows = all_rows(lat)
+        assert lat.chi_rows() == {r: rows[r] for r in lat.class_masks}
+
+    @pytest.mark.parametrize("kind, spec", sorted(PINNED_ROW_DIGESTS))
+    def test_rows_and_partners_pinned(self, kind, spec):
+        lat = shared_lat(spec)
+        if kind == "rows":
+            table = lat.chi_rows()
+        else:
+            table = {n: B.factor_partners(lat, n)
+                     for n in L.normal_subgroups(lat).members}
+        text = ",".join(f"{k}:{table[k]:x}" for k in sorted(table))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_ROW_DIGESTS[kind, spec]
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_meets_over_holds_the_nodes_meeting_x_above_each_order(self, spec):
+        lat = shared_lat(spec)
+        orders = sorted({m.bit_count() for m in lat.masks})
+        assert list(lat.nodes_of_order) == orders
+        assert lat.nodes_of_order == {
+            s: sum(1 << i for i, m in enumerate(lat.masks) if m.bit_count() == s)
+            for s in orders}
+        for x, mx in enumerate(lat.masks):
+            over = L._meets_over(lat, x)
+            assert set(over) == {lat.node_order(m) for m in G._bits(lat.down_masks[x])}
+            for t, mask in over.items():
+                assert mask == sum(1 << y for y, my in enumerate(lat.masks)
+                                   if (mx & my).bit_count() > t), (spec, x, t)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_modularity_matches_modular_law(self, spec):
