@@ -27,11 +27,12 @@ once per node, so an (N, H) instance does only lookups and such walks:
   depend on the ambient group;
 * the factor-condition violators of each node, the factorization partners
   of each N, as a node mask, and C_G(Fit(G)), Fit(G) the join of the
-  largest normal p-power nodes. The partners are the H with NH = G, read
-  off the product rule |NH| = |N||H| / |N n H| in one AND per node order
-  (:func:`permlat.lattice.products`), the rule the permutability rows
-  read too. A partner H of N has |H| >= |G : N|, so N's complements are
-  its partners of order |G : N|, one AND and no set of their own;
+  largest normal p-power nodes. The partners are the H with NH = G: the
+  product rule |NH| = |N||H| / |N n H| with G as the one given product,
+  one AND per order of a node below N (:func:`permlat.lattice.products`),
+  the rule the permutability rows read too. A partner H of N has
+  |H| >= |G : N|, so N's complements are its partners of order |G : N|,
+  one AND and no set of their own;
 * lb3's quotient G/N is the interval [N, G] (correspondence theorem), so
   nothing is enumerated inside the driver;
 * the shape of N that lemma1, lemma2, cor26 and theorem1 read is read off
@@ -312,11 +313,11 @@ def factorizes(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
 
 def factor_partners(lat: SubgroupLattice, n_idx: int) -> int:
     """Node mask of the H with NH = G, kept once per N in the lattice's
-    memo: the products of N equal to the top node, which lies above every
-    N v H (:func:`permlat.lattice.products`). The complements of N are its
-    lowest partners (:func:`complement_candidates`)."""
-    return lat.memo(("partners", n_idx),
-                    lambda: products(lat, n_idx, lat.top, lat.all_nodes_mask))
+    memo: the product rule with G, of order |G| and down mask every node,
+    as the one given product (:func:`permlat.lattice.products`). The
+    complements of N are its lowest partners (:func:`complement_candidates`)."""
+    return lat.memo(("partners", n_idx), lambda: products(
+        lat, n_idx, {lat.group.order: lat.all_nodes_mask}))
 
 
 def complement_candidates(lat: SubgroupLattice, n_idx: int) -> int:
@@ -786,11 +787,7 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
         decided = lat.memo(("decided", key, convention), dict)
         for n in _ns(lat, every, n_node):
             nk, n_label = n_key(n), labels[n]
-            hs = _hs(lat, n, partners, h_node)
-            while hs:  # the set bits in ascending order
-                bit = hs & -hs
-                hs ^= bit
-                h = bit.bit_length() - 1
+            for h in _bits(_hs(lat, n, partners, h_node)):
                 k = nk, profile(h), h_node is None or factorizes(lat, n, h)
                 results = decided.get(k)
                 if results is None:

@@ -28,6 +28,7 @@ from .lattice import (
     SublatticeSelection,
     SubgroupLattice,
     all_subgroups,
+    check_lattice,
     enumerate_subgroups,
     is_modular_lattice,
     is_quasihamiltonian,
@@ -103,7 +104,9 @@ def mask_pair_count(lat: SubgroupLattice, s: int, t: int) -> int:
 def permuting_pair_count(lat: SubgroupLattice, s: SublatticeSelection,
                          t: SublatticeSelection) -> int:
     """Number of ordered pairs (X, Y) in s x t with XY = YX, for
-    selections that are unions of conjugacy classes (:func:`mask_pair_count`)."""
+    selections of ``lat`` that are unions of conjugacy classes
+    (:func:`mask_pair_count`)."""
+    check_lattice(lat, s, t)
     return mask_pair_count(lat, s.members_mask, t.members_mask)
 
 
@@ -120,7 +123,8 @@ def restricted_pair_count(lat: SubgroupLattice, convention: str = RAW) -> int:
 def generalized_degree(lat: SubgroupLattice, s: SublatticeSelection,
                        t: SublatticeSelection) -> Fraction:
     """Fraction of permuting ordered pairs over two nonempty selections
-    that are unions of conjugacy classes, exact."""
+    of ``lat`` that are unions of conjugacy classes, exact
+    (:func:`permuting_pair_count`)."""
     if not s.members or not t.members:
         raise ValueError("selections must be nonempty")
     return Fraction(permuting_pair_count(lat, s, t), len(s) * len(t))
@@ -166,6 +170,7 @@ def degree_naive(lat: SubgroupLattice, s: SublatticeSelection,
                  t: SublatticeSelection) -> Fraction:
     """Double loop over node masks, each pair tested by its product sets
     (:func:`permutes`); independent of the product rule and the order masks."""
+    check_lattice(lat, s, t)
     g, masks = lat.group, lat.masks
     count = sum(permutes(g, masks[i], masks[j])
                 for i in s.members for j in t.members)

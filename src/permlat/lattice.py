@@ -73,20 +73,23 @@ formats, one character per node, so no loop runs over the nodes' bits.
 subnormal, maximal and Sylow selections of G and Moebius read no
 ``down_masks``.
 
-Permutability and factorization share one product rule: |XY| = |X||Y| /
-|X n Y|, so for a node J above X v Y, XY = J iff |X n Y| <= |X||Y| / |J|
-(:func:`products`). The nodes that meet X above each order are one table
-per X (:func:`_meets_over`), and the Y of one order with XY = J are one
-AND with it, so no pair is tested on its own. X and Y permute iff
-XY = X v Y, and the Y with X v Y = J are read off the down masks of the J
-above X, lowest first; the bound checkers' partners H with NH = G are the
-rule at J = G (:func:`permlat.bounds.factor_partners`). Permutability is
-kept as one bitrow per class representative
+Permutability and factorization share one product rule, keyed by orders
+(:func:`products`): given nodes J >= X, grouped by order m, the Y whose
+product XY is one of them are, for each order t of a node below X, the Y of
+order m t / |X| under some J of order m that meet X in at most t elements,
+since |XY| = |X||Y| / |X n Y|. The nodes that meet X above each order are
+one table per X (:func:`_meets_over`), so the Y of one (t, m) are one AND
+and no pair is tested on its own. X and Y permute iff XY is a subgroup,
+that is a node above X, so a row is the rule over all the nodes above X,
+and no join X v Y is computed; the bound checkers' partners H with NH = G
+are the rule with G alone (:func:`permlat.bounds.factor_partners`).
+Permutability is kept as one bitrow per class representative
 (:meth:`SubgroupLattice.chi_rows`). Every node set that the degrees, perp
 and the bound checkers count over is a union of conjugacy classes, and the
 row of X^g is the row of X conjugated by g, so no other row is ever needed;
 a node set that is not a union of classes is refused
-(:meth:`SubgroupLattice.is_class_union`).
+(:meth:`SubgroupLattice.is_class_union`), and so is a selection of another
+lattice (:func:`check_lattice`).
 """
 from __future__ import annotations
 
@@ -201,12 +204,7 @@ class SubgroupLattice:
     def down_masks(self) -> tuple[int, ...]:
         """The transpose of ``up_masks``, built on first read: bit j of
         ``down_masks[i]`` is set iff node j <= node i."""
-        down = [0] * len(self.masks)
-        for i, above in enumerate(self.up_masks):
-            bit = 1 << i
-            for j in _bits(above):
-                down[j] |= bit
-        return tuple(down)
+        return tuple(_transpose(self.up_masks))
 
     @cached_property
     def nodes_of_order(self) -> dict[int, int]:
@@ -355,26 +353,23 @@ def _representative_rows(lat: SubgroupLattice) -> dict[int, int]:
 
     A normal node N permutes with every node (NY = YN), so its row is full.
     For any other representative X, X and Y permute iff XY is a subgroup,
-    that is iff XY = X v Y. The joins J >= X are walked in ascending node
-    order, and since the join is the lowest common upper bound, the Y of
-    ``down_masks[J]`` under no J met before are exactly those with
-    X v Y = J; :func:`products` reads the Y among them with XY = J off X's
-    table of meets (:func:`_meets_over`), with no step per pair."""
+    that is iff XY is a node J, and then J >= X. So the row is the Y whose
+    product with X is one of the nodes above X: one :func:`products` call,
+    with the down masks of the J in ``up_masks[X]`` ORed by order. No join
+    X v Y is computed."""
     normal = normal_subgroups(lat).members_mask
-    full, up, down = lat.all_nodes_mask, lat.up_masks, lat.down_masks
+    full, masks = lat.all_nodes_mask, lat.masks
+    up, down = lat.up_masks, lat.down_masks
     rows: dict[int, int] = {}
     for r in lat.class_masks:
         if normal >> r & 1:
             rows[r] = full
             continue
-        over = _meets_over(lat, r)
-        row, rest = 0, full
+        joins: dict[int, int] = {}
         for j in _bits(up[r]):
-            ys = down[j] & rest
-            if ys:
-                rest ^= ys
-                row |= products(lat, r, j, ys, over)
-        rows[r] = row
+            m = masks[j].bit_count()
+            joins[m] = joins.get(m, 0) | down[j]
+        rows[r] = products(lat, r, joins)
     return rows
 
 
@@ -398,26 +393,44 @@ def _meets_over(lat: SubgroupLattice, x: int) -> dict[int, int]:
     return over
 
 
-def products(lat: SubgroupLattice, x: int, j: int, ys: int,
-             over: dict[int, int] | None = None) -> int:
-    """The nodes Y of ``ys`` with XY = J, for X = node x and J = node j,
-    when every Y of ``ys`` has X v Y <= J. ``over`` is X's
-    :func:`_meets_over` table, built here when not given.
+def products(lat: SubgroupLattice, x: int, joins: dict[int, int]) -> int:
+    """The nodes Y whose product XY, X = node x, is one of a given set of
+    nodes J >= X. ``joins`` maps an order m to the OR of ``down_masks[J]``
+    over the given J of order m.
 
-    For any two subgroups |XY| = |X||Y| / |X n Y|, and XY lies in
-    X v Y <= J, so |X n Y| >= t = |X||Y| / |J|, and XY = J iff
-    |X n Y| <= t, that is iff Y is outside ``over[t]``. A Y <= J has an
-    order s dividing |J|; when t is no integer or no node below X has order
-    t, |X n Y| = t cannot hold, and no Y of order s qualifies. So the Y of
-    each order are one AND of node masks."""
-    if over is None:
-        over = _meets_over(lat, x)
-    nx, nj = lat.node_order(x), lat.node_order(j)
+    Let ``over`` be X's :func:`_meets_over` table. The result is the
+    union, over each key t of ``over`` and each m of ``joins``, of the Y of
+    order s = m t / |X| in ``joins[m]`` and outside ``over[t]``, whenever s
+    is an integer and a node order. For any two subgroups
+    |XY| = |X||Y| / |X n Y|:
+
+    - such a Y lies under some given J >= X of order m, so XY lies in J;
+      and |X n Y| <= t, so |XY| >= |X| s / t = m = |J|. Hence XY = J.
+    - conversely, if XY is a given J of order m, then t = |X n Y| is the
+      order of the node X n Y <= X, a key of ``over``; Y <= J, Y has order
+      s = m t / |X|, and Y is outside ``over[t]``.
+
+    So a Y need only lie under some given J of the right order, and the Y
+    of each (t, m) are one AND of node masks, with no step per pair."""
+    over = _meets_over(lat, x)
+    nx, of_order = lat.node_order(x), lat.nodes_of_order
     out = 0
-    for s, nodes in lat.nodes_of_order.items():
-        t, r = divmod(nx * s, nj)
-        if not (nj % s or r) and t in over:
-            out |= nodes & ys & ~over[t]
+    for m, ys in joins.items():
+        for t, meets in over.items():
+            s, r = divmod(m * t, nx)
+            if not r and s in of_order:
+                out |= of_order[s] & ys & ~meets
+    return out
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square bit matrix, one row per node: bit i of
+    row j of the result is set iff bit j of ``rows[i]`` is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            out[j] |= bit
     return out
 
 
@@ -722,6 +735,13 @@ class SublatticeSelection:
                 f"{len(self.members)} nodes)")
 
 
+def check_lattice(lat: SubgroupLattice, *selections: SublatticeSelection) -> None:
+    """Raise ``ValueError`` unless every selection is a node set of ``lat``:
+    another lattice's node bits index other subgroups."""
+    if any(s.lattice is not lat for s in selections):
+        raise ValueError("selection belongs to a different lattice")
+
+
 def all_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     return lat.memo("all", lambda: SublatticeSelection(lat, "all", lat.all_nodes_mask))
 
@@ -766,19 +786,17 @@ def _subnormal_outside(lat: SubgroupLattice) -> list[int]:
     union of over[Z] for Z in (Y, N_G(Y)] = ``up[Y] & down[N_G(Y)]`` minus
     Y. For Y outside sn(G) each such Z is outside sn(G) too, since Y ⊴ Z
     sn G would make Y subnormal in G, and it is above Y, so descending node
-    order finds over[Z] first. The rows are over transposed."""
+    order finds over[Z] first. The rows are over transposed, with over[Y]
+    empty for Y in sn(G)."""
     sn = subnormal_subgroups(lat).members_mask
     up, down, norm = lat.up_masks, lat.down_masks, lat.normalizers
-    over: dict[int, int] = {}
-    rows = [0] * len(lat)
+    over = [0] * len(lat)
     for y in sorted(_bits(lat.all_nodes_mask ^ sn), reverse=True):
         o = 1 << y
         for z in _bits((up[y] & down[norm[y]]) ^ o):
             o |= over[z]
         over[y] = o
-        for x in _bits(o):
-            rows[x] |= 1 << y
-    return rows
+    return _transpose(over)
 
 
 def node_subnormal(lat: SubgroupLattice, idx: int) -> int:
@@ -871,8 +889,7 @@ def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:
     X^g is the row of X conjugated by g, so X is in perp(s) iff its class
     representative is: only representative rows are read.
     """
-    if s.lattice is not lat:
-        raise ValueError("selection belongs to a different lattice")
+    check_lattice(lat, s)
     sm = s.members_mask
     if not lat.is_class_union(sm):
         raise ValueError(f"{s.kind} is not a union of conjugacy classes")
@@ -891,10 +908,7 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
     and the upper covers are those masks transposed.
     """
     down_cov = [node_maximal(lat, x) for x in range(len(lat))]
-    up_cov = [0] * len(lat)
-    for x, cov in enumerate(down_cov):
-        for c in _bits(cov):
-            up_cov[c] |= 1 << x
+    up_cov = _transpose(down_cov)
     for x in range(len(lat)):
         ups = list(_bits(up_cov[x]))
         for k, a in enumerate(ups):
@@ -920,6 +934,7 @@ def is_quasihamiltonian(lat: SubgroupLattice) -> bool:
 
 def selection_meet_join_closed(lat: SubgroupLattice, s: SublatticeSelection) -> bool:
     """Diagnostic: is the selection closed under pairwise meet and join?"""
+    check_lattice(lat, s)
     for a in s.members:
         for b in s.members:
             if b < a:

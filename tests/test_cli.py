@@ -295,6 +295,11 @@ OUTPUT_SHA256 = [
      "048af9d3dc7814c1a87c2cab27e7e14d4f312a8e2a6af476060ca824108c60c5"),
     (("degrees", "--group", "A4xC5", "--format", "csv"),
      "05208a49930b28bbbe3787363aa35aa8d415e196174f98b4e0653e9a3fd7db66"),
+    # the two largest row tables that the pinned row digests cover
+    (("degrees", "--group", "S4xS4"),
+     "96cf9a0603183d47396150cbd274cd859a6320dfbaa9a70f0e91d26b3d3ac000"),
+    (("degrees", "--group", "D4xD4xC2"),
+     "63253d9e72c42075215607ceaa2832780ef17bc9ebb6de8ca9f67b44bc922520"),
     (("lattice", "--group", "S4", "--format", "table"),
      "64a5c1b686aee9780248dfc4e5e1e5d02820decdf89cabba13fd46f52286b04f"),
     (("lattice", "--group", "S4", "--format", "json"),

@@ -16,6 +16,26 @@ def nodes_of_order(lat, k):
     return [i for i in range(len(lat)) if lat.node_order(i) == k]
 
 
+# L(S3) and L(C12) both have 6 nodes, so the node bits of one index nodes
+# of the other
+FOREIGN_SELECTION_CALLS = {
+    "generalized_degree": lambda lat, s: D.generalized_degree(lat, s, s),
+    "permuting_pair_count": lambda lat, s: D.permuting_pair_count(
+        lat, L.all_subgroups(lat), s),
+    "degree_naive": lambda lat, s: D.degree_naive(lat, s, L.all_subgroups(lat)),
+    "selection_meet_join_closed": L.selection_meet_join_closed,
+    "perp": L.perp,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_SELECTION_CALLS))
+def test_selection_of_another_lattice_is_refused(name):
+    s3, c12 = lat_of("S3"), lat_of("C12")
+    assert len(s3) == len(c12)
+    with pytest.raises(ValueError, match="selection belongs to a different lattice"):
+        FOREIGN_SELECTION_CALLS[name](s3, L.normal_subgroups(c12))
+
+
 class TestPermutes:
     def test_bottom_permutes_with_everything(self):
         lat = lat_of("S4")

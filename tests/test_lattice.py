@@ -436,6 +436,26 @@ def test_lattice_construction_round_trips_on_the_pool(spec, data):
     assert_three_ways_in_agree(g, data.draw(st.randoms(use_true_random=False)))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(CATALOG_SPECS) + ["D4xS3", "Q8xS3"]), st.data())
+def test_products_are_the_y_whose_product_set_is_a_given_node(spec, data):
+    """For every X and a random set S of nodes above X, given to
+    ``products`` as the OR of their down masks by order, the result is the
+    Y whose product set XY is the element mask of a node of S."""
+    g = relabelled(shared_lat(spec).group, data)
+    lat = L.enumerate_subgroups(g)
+    rng = data.draw(st.randoms(use_true_random=False))
+    for x, mx in enumerate(lat.masks):
+        chosen = [j for j in G._bits(lat.up_masks[x]) if rng.random() < 0.5]
+        joins = defaultdict(int)
+        for j in chosen:
+            joins[lat.node_order(j)] |= lat.down_masks[j]
+        targets = {lat.masks[j] for j in chosen}
+        expected = sum(1 << y for y, my in enumerate(lat.masks)
+                       if g.product_mask(mx, my) in targets)
+        assert L.products(lat, x, joins) == expected, (spec, x, chosen)
+
+
 # the trivial group, whose membership strings are one character long, and a
 # group outside the pool whose order is not a multiple of 8
 @pytest.mark.parametrize("spec", ["C1", "A4xC5"])
