@@ -4,8 +4,9 @@ Every checker follows the same gate-and-report contract: hypotheses are
 verified first, and only when all of them hold is the inequality asserted.
 A failed hypothesis never raises; it yields ``hypothesis_satisfied = False``
 with the reasons spelled out, so catalog sweeps can report qualification
-rates instead of crashing. Hard misuse (invalid node indices, calling the
-factor-condition checker on a non-normal N) still raises ``ValueError``.
+rates instead of crashing. Hard misuse (invalid node indices, an unknown
+convention or reading, calling the factor-condition checker on a
+non-normal N) still raises ``ValueError``.
 
 Square-root bounds are compared by cross-squaring in integers; the stored
 ``bound``/``actual`` fields for those claims are the squared quantities so
@@ -41,24 +42,39 @@ once per node, so an (N, H) instance does only lookups and such walks:
   (:func:`detect_rank2_shape`); cor26's |L(N)| is the size of [1, N]. So
   no group and no lattice is built for N.
 
-The checkers share their gates: one rank-2 gate on N serves lemma1 and
-lemma2 (:func:`_rank2_gate`), one complement test serves lemma1 and lb3
-(:func:`_is_complement`), and one list of factor-condition details per side
+The checkers share their gates: one rank-2 gate on N serves lemma1, lemma2
+and theorem1, kept once per (N, reading) since it reads no convention
+(:func:`_rank2_gate`); one complement test serves lemma1 and lb3
+(:func:`_is_complement`); and one list of factor-condition details per side
 of G = NH (:func:`_condition_details`) gives lemma1's a1/a2 reasons, the
-cauchy-spd and lb3 reason and :func:`check_factor_conditions`.
+cauchy-spd and lb3 reason and :func:`check_factor_conditions`. Of those
+details, the sn violator is kept once per node and the M violator once per
+node and convention (:func:`_half_verdict`). Arguments are checked at the
+public checkers only; the driver checks its own once and calls the
+checkers' bodies.
 
-Each node X has one profile per convention (:func:`_factor_profile`):
-every value of X that the lemma1, cauchy and lb3 checkers read when X is N
-or H. It is numbered once per lattice, on the first visit to X. lemma1 and
-lb3 are decided once per N and (profile of H, whether NH = G). cauchy
-reads nothing of N but its profile and whether it is normal, so it is
-decided once per (profile of N, N normal, profile of H, NH = G) over the
-whole lattice, and one decision covers every N with the same profile. An
-(N, H) instance then costs a lookup and a view (:class:`BoundInstance`):
-its verdict fields read through to the shared decision, and its context,
-which names N and H, is built only when it is read. The profile is not the
-class of X: conjugate nodes can have factor-condition violators of
-different orders.
+Each result is decided once per key, and the key is exactly the values its
+checker reads (the proof is in each body's docstring). Each node X has one
+profile per convention (:func:`_factor_profile`): every value of X that the
+lemma1, cauchy and lb3 checkers read when X is N or H, numbered once per
+lattice on the first visit to X, together with the two parts of it that the
+cauchy halves read:
+
+* cauchy-spd reads of each side only its spd side (the profile without |X|
+  and the pair count of L(X)), so it is decided once per (N normal, NH = G,
+  spd side of N, spd side of H) and convention;
+* cauchy-sd reads the pair counts of L(N) and L(H) and no convention, so it
+  is decided once per (N normal, NH = G, pairs of L(N), pairs of L(H)) over
+  the lattice, and both conventions share each decision;
+* lemma1 reads nothing past a failed rank-2 gate but the gate's reason, so
+  it is decided once per reason; past a gate that holds, lemma1 and lb3 are
+  decided once per N and (NH = G, profile of H). No key holds the reading.
+
+One decision covers every (N, H) with its key. An instance then costs
+lookups and a view per result (:class:`BoundInstance`): its verdict fields
+read through to the shared decision, and its context, which names N and H,
+is built only when it is read. The profile is not the class of X:
+conjugate nodes can have factor-condition violators of different orders.
 
 :func:`iter_bound_results` yields the instances in order, one at a time,
 so ``permlat bounds`` renders each row as it comes and keeps no list;
@@ -333,6 +349,21 @@ def _is_complement(lat: SubgroupLattice, n_idx: int, h_idx: int) -> bool:
     return bool(complement_candidates(lat, n_idx) >> h_idx & 1)
 
 
+# -- argument checks, made at the public entry points only -------------------
+
+def _check_nodes(lat: SubgroupLattice, *nodes: Optional[int]) -> None:
+    """Refuse a given node index outside the lattice."""
+    for idx in nodes:
+        if idx is not None and not 0 <= idx < len(lat):
+            raise ValueError(f"node index {idx} out of range (0..{len(lat) - 1})")
+
+
+def _check_choice(kind: str, value: str, choices: tuple[str, ...]) -> None:
+    """Refuse a claim, convention or reading outside its choices."""
+    if value not in choices:
+        raise ValueError(f"unknown {kind} {value!r}")
+
+
 # -- per-node values read off the parent lattice ------------------------------
 #
 # Selections of a node X are masks over the parent's node indices
@@ -346,6 +377,12 @@ def quotient_restricted_pairs(lat: SubgroupLattice, n_idx: int,
     iff K is subnormal in G, maximal iff K is, and K/N, L/N permute iff K, L
     do. N is normal, so both masks are unions of classes and the count is
     class-wise."""
+    _check_nodes(lat, n_idx)
+    _check_choice("convention", convention, CONVENTIONS)
+    return _quotient_pairs(lat, n_idx, convention)
+
+
+def _quotient_pairs(lat: SubgroupLattice, n_idx: int, convention: str) -> int:
     above = lat.up_masks[n_idx]
     sn = subnormal_subgroups(lat).members_mask & above
     mx = maximal_subgroups(lat).members_mask & above
@@ -380,10 +417,12 @@ def _violator(lat: SubgroupLattice, nodes: int, target: int) -> Optional[int]:
 def _half_verdict(lat: SubgroupLattice, idx: int,
                   convention: str) -> tuple[Optional[int], Optional[int]]:
     """Orders of the violators of sn(X) in sn(G) and of M(X) in M(G) for
-    node X, each the violator with the smallest element mask, or None."""
+    node X, each the violator with the smallest element mask, or None. The
+    sn half reads no convention, so it is kept once per node; the pair once
+    per node and convention."""
     return lat.memo(("half", idx, convention), lambda: (
-        _violator(lat, node_subnormal(lat, idx),
-                  subnormal_subgroups(lat).members_mask),
+        lat.memo(("sn-violator", idx), lambda: _violator(
+            lat, node_subnormal(lat, idx), subnormal_subgroups(lat).members_mask)),
         _violator(lat, node_maximal(lat, idx, convention),
                   maximal_subgroups(lat, convention).members_mask)))
 
@@ -393,9 +432,11 @@ def _factor_profile(lat: SubgroupLattice, idx: int, convention: str) -> tuple:
     when X is N or H: |X| and the pair count of L(X); for nontrivial X its
     violators and, when it has none, its restricted pair count (the checkers
     read neither for a trivial node, and the trivial group has no M(G)).
-    The violators are not a class invariant (the one with the smallest
-    element mask need not have the same order across X's class), so
-    neither is the profile."""
+    The profile without its first two values is X's spd side, all that
+    cauchy-spd reads of X (:func:`_cauchy_spd`), and it is empty exactly
+    when X is trivial. The violators are not a class invariant (the one
+    with the smallest element mask need not have the same order across X's
+    class), so neither is the profile."""
     order, total = lat.node_order(idx), node_all_pairs(lat, idx)
     if order == 1:
         return order, total
@@ -425,6 +466,8 @@ def _factor_conditions_reason(lat: SubgroupLattice, n_idx: int, h_idx: int,
 
 def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
                             convention: str = RAW) -> FactorConditions:
+    _check_nodes(lat, n_idx, h_idx)
+    _check_choice("convention", convention, CONVENTIONS)
     nm, hm = lat.masks[n_idx], lat.masks[h_idx]
     if n_idx not in normal_subgroups(lat):
         raise ValueError(f"N = {_node_str(lat, n_idx)} is not normal")
@@ -439,21 +482,23 @@ def check_factor_conditions(lat: SubgroupLattice, n_idx: int, h_idx: int,
 
 def _rank2_gate(lat: SubgroupLattice, n_idx: int, allow_rank1: bool,
                 ) -> tuple[Optional[str], Optional[Rank2AbelianShape]]:
-    """The hypotheses on N that lemma1 and lemma2 share, in order: N is
-    nontrivial, normal, an abelian p-group of admissible rank, and of prime
-    index. Returns (the first that fails, None), or (None, N's shape)."""
-    n_order = lat.node_order(n_idx)
-    if n_order == 1:
-        return "N is trivial", None
-    if n_idx not in normal_subgroups(lat):
-        return "N is not normal", None
-    shape = detect_rank2_shape(lat, n_idx, allow_rank1)
-    if shape is None:
-        return "N is not an abelian p-group of admissible rank", None
-    index = lat.group.order // n_order
-    if not is_prime(index):
-        return f"index {index} is not prime", None
-    return None, shape
+    """The hypotheses on N that lemma1, lemma2 and theorem1 share, in
+    order: N is nontrivial, normal, an abelian p-group of admissible rank,
+    and of prime index. Returns (the first that fails, or None; N's shape
+    once it is read, else None). It reads no convention, so it is kept in
+    the lattice's memo once per (N, allow_rank1)."""
+    def compute():
+        n_order = lat.node_order(n_idx)
+        if n_order == 1:
+            return "N is trivial", None
+        if n_idx not in normal_subgroups(lat):
+            return "N is not normal", None
+        shape = detect_rank2_shape(lat, n_idx, allow_rank1)
+        if shape is None:
+            return "N is not an abelian p-group of admissible rank", None
+        index = lat.group.order // n_order
+        return None if is_prime(index) else f"index {index} is not prime", shape
+    return lat.memo(("rank2-gate", n_idx, allow_rank1), compute)
 
 
 def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -462,6 +507,22 @@ def spd_rank2_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     """spd(G) >= f / (2 |sn(G)| |M(G)|) for a nontrivial normal abelian
     p-subgroup N of rank <= 2 and prime index, given a complement H and the
     factor-inclusion conditions. Claim key: lemma1."""
+    _check_nodes(lat, n_idx, h_idx)
+    _check_choice("convention", convention, CONVENTIONS)
+    return _lemma1(lat, n_idx, h_idx, convention, allow_rank1)
+
+
+def _lemma1(lat, n_idx, h_idx, convention, allow_rank1) -> BoundCheckResult:
+    """:func:`spd_rank2_bound_check` on checked arguments. When N's gate
+    fails, the result reads nothing but the gate's reason (the trivial-group
+    reason is one per lattice, and a view names its own N and H), so the
+    driver keys it by that reason alone. When the gate holds, it reads N's
+    shape and violators, whether H is a complement (|H| and NH = G) and H's
+    violators, so the driver keys it by (N, NH = G, profile of H). Neither
+    key holds the reading: a gate that holds under the strict reading holds
+    under the relaxed one with the same shape (the rank-2 case is read
+    first), and one that holds only under the relaxed reading fails, and so
+    is keyed by its reason, under the strict one."""
     g = lat.group
     claim = "lemma1"
     context = {"group": g.name, "n": _node_str(lat, n_idx),
@@ -490,6 +551,11 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
                          allow_rank1: bool = False) -> BoundCheckResult:
     """sd(G) >= g / (2 |L(G)|^2) for a nontrivial normal abelian p-subgroup
     of rank <= 2 and prime index. Claim key: lemma2."""
+    _check_nodes(lat, n_idx)
+    return _lemma2(lat, n_idx, allow_rank1)
+
+
+def _lemma2(lat, n_idx, allow_rank1) -> BoundCheckResult:
     g = lat.group
     claim = "lemma2"
     context = {"group": g.name, "n": _node_str(lat, n_idx)}
@@ -504,6 +570,11 @@ def sd_rank2_bound_check(lat: SubgroupLattice, n_idx: int,
 def abelian_prime_index_sd_check(lat: SubgroupLattice, n_idx: int) -> BoundCheckResult:
     """|L(G)|^2 sd(G) >= |L(N)|^2 + 2 |L(N)| + 1 for a normal abelian N of
     prime index. Claim key: cor26."""
+    _check_nodes(lat, n_idx)
+    return _cor26(lat, n_idx)
+
+
+def _cor26(lat, n_idx) -> BoundCheckResult:
     g = lat.group
     claim = "cor26"
     context = {"group": g.name, "n": _node_str(lat, n_idx)}
@@ -533,44 +604,61 @@ def cauchy_bound_checks(lat: SubgroupLattice, n_idx: int, h_idx: int,
     conditions; the sd bound needs only the factorization. Both compare by
     cross-squaring, and the recorded bound/actual are the squared values.
     """
-    g = lat.group
-    nm, hm = lat.masks[n_idx], lat.masks[h_idx]
-    base_ctx = {"group": g.name, "n": _node_str(lat, n_idx),
-                "h": _node_str(lat, h_idx), "squared_form": "yes"}
+    _check_nodes(lat, n_idx, h_idx)
+    _check_choice("convention", convention, CONVENTIONS)
+    return _cauchy_spd(lat, n_idx, h_idx, convention), _cauchy_sd(lat, n_idx, h_idx)
+
+
+def _cauchy_common(lat, n_idx, h_idx) -> tuple[list[str], dict]:
+    """The reason both cauchy halves fail for, if any, and their context."""
     common = []
     if n_idx not in normal_subgroups(lat):
         common.append("N is not normal")
     elif not factorizes(lat, n_idx, h_idx):
         common.append("NH is not the whole group")
+    return common, {"group": lat.group.name, "n": _node_str(lat, n_idx),
+                    "h": _node_str(lat, h_idx), "squared_form": "yes"}
 
-    # restricted-degree version
-    reasons = list(common)
+
+def _cauchy_spd(lat, n_idx, h_idx, convention) -> BoundCheckResult:
+    """The restricted half of :func:`cauchy_bound_checks`. It reads whether
+    N is normal and NH = G, then whether N or H is trivial, then each side's
+    violators and, when neither has one, each side's restricted pair count:
+    of each side nothing but its spd side (:func:`_factor_profile`), which
+    is empty exactly for a trivial side. So the driver keys it by (N normal,
+    NH = G, spd side of N, spd side of H), once per convention."""
+    reasons, context = _cauchy_common(lat, n_idx, h_idx)
     if not reasons:
-        if nm.bit_count() == 1 or hm.bit_count() == 1:
+        if lat.node_order(n_idx) == 1 or lat.node_order(h_idx) == 1:
             reasons.append("N or H trivial: restricted pairs undefined")
         else:
             failed = _factor_conditions_reason(lat, n_idx, h_idx, convention)
             if failed:
                 reasons.append(failed)
     if reasons:
-        spd_res = _not_satisfied("cauchy-spd", reasons, convention, dict(base_ctx))
-    else:
-        sum_n = node_restricted_pairs(lat, n_idx, convention)
-        sum_h = node_restricted_pairs(lat, h_idx, convention)
-        denom = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
-        ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
-        spd_res = _satisfied("cauchy-spd", Fraction(sum_n * sum_h, denom ** 2),
-                             spd(lat, convention) ** 2, convention, ctx)
+        return _not_satisfied("cauchy-spd", reasons, convention, context)
+    sum_n = node_restricted_pairs(lat, n_idx, convention)
+    sum_h = node_restricted_pairs(lat, h_idx, convention)
+    denom = len(subnormal_subgroups(lat)) * len(maximal_subgroups(lat, convention))
+    context.update(sum_n=str(sum_n), sum_h=str(sum_h))
+    return _satisfied("cauchy-spd", Fraction(sum_n * sum_h, denom ** 2),
+                      spd(lat, convention) ** 2, convention, context)
 
-    if common:
-        sd_res = _not_satisfied("cauchy-sd", common, "-", dict(base_ctx))
-    else:
-        sum_n = node_all_pairs(lat, n_idx)
-        sum_h = node_all_pairs(lat, h_idx)
-        ctx = dict(base_ctx, sum_n=str(sum_n), sum_h=str(sum_h))
-        sd_res = _satisfied("cauchy-sd", Fraction(sum_n * sum_h, len(lat) ** 4),
-                            sd(lat) ** 2, "-", ctx)
-    return spd_res, sd_res
+
+def _cauchy_sd(lat, n_idx, h_idx) -> BoundCheckResult:
+    """The full half of :func:`cauchy_bound_checks`. It reads whether N is
+    normal and NH = G, then the pair counts of L(N) and L(H), and its
+    convention is "-": no read depends on the convention. So the driver
+    keys it by (N normal, NH = G, pairs of L(N), pairs of L(H)) once per
+    lattice, and both conventions share each decision."""
+    reasons, context = _cauchy_common(lat, n_idx, h_idx)
+    if reasons:
+        return _not_satisfied("cauchy-sd", reasons, "-", context)
+    sum_n = node_all_pairs(lat, n_idx)
+    sum_h = node_all_pairs(lat, h_idx)
+    context.update(sum_n=str(sum_n), sum_h=str(sum_h))
+    return _satisfied("cauchy-sd", Fraction(sum_n * sum_h, len(lat) ** 4),
+                      sd(lat) ** 2, "-", context)
 
 
 def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
@@ -578,6 +666,16 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     """2 |sn(G)| |M(G)| spd(G) >= (restricted pair count of N) + (of G/N),
     for a proper nontrivial normal N with complement H and the factor
     conditions. Claim key: lb3."""
+    _check_nodes(lat, n_idx, h_idx)
+    _check_choice("convention", convention, CONVENTIONS)
+    return _lb3(lat, n_idx, h_idx, convention)
+
+
+def _lb3(lat, n_idx, h_idx, convention) -> BoundCheckResult:
+    """:func:`decomposition_bound_check` on checked arguments. Of H it reads
+    whether H is a complement (|H| and NH = G), its violators and its
+    restricted pair count, all fixed by NH = G and H's profile; so the
+    driver keys it by (N, NH = G, profile of H), once per convention."""
     g = lat.group
     claim = "lb3"
     context = {"group": g.name, "n": _node_str(lat, n_idx),
@@ -596,7 +694,7 @@ def decomposition_bound_check(lat: SubgroupLattice, n_idx: int, h_idx: int,
     if reasons:
         return _not_satisfied(claim, reasons, convention, context)
     count_n = node_restricted_pairs(lat, n_idx, convention)
-    count_q = quotient_restricted_pairs(lat, n_idx, convention)
+    count_q = _quotient_pairs(lat, n_idx, convention)
     count_h = node_restricted_pairs(lat, h_idx, convention)
     context["count_n"] = str(count_n)
     context["count_quotient"] = str(count_q)
@@ -644,9 +742,12 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     reading, so the mu claim (:func:`permlat.moebius.mu_matching_bound_check`)
     reads theorem1's decision instead of deciding it again.
     """
-    if reading not in READINGS:
-        raise ValueError("reading must be 'strict' or 'relaxed'")
+    _check_choice("convention", convention, CONVENTIONS)
+    _check_choice("reading", reading, READINGS)
+    return _theorem1(lat, convention, reading)
 
+
+def _theorem1(lat, convention, reading) -> CentralizerShapeCheck:
     def compute():
         g = lat.group
         reasons = []
@@ -657,22 +758,22 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
         c_idx = lat.index_of[c_mask]
         allow_rank1 = reading == "relaxed"
         shape = None
+        index = g.order // c_mask.bit_count()
         if not reasons:
-            shape = detect_rank2_shape(lat, c_idx, allow_rank1)
+            # C_G(Fit(G)) is normal, so the gate fails before its shape is
+            # read only when it is trivial, and then it has no shape either
+            failed, shape = _rank2_gate(lat, c_idx, allow_rank1)
             if shape is None:
                 reasons.append("centralizer of the Fitting subgroup does not have "
                                "the required abelian p-group shape")
-        index = g.order // c_mask.bit_count()
-        if not reasons and not is_prime(index):
-            reasons.append(f"centralizer index {index} is not prime")
+            elif failed:
+                reasons.append(f"centralizer index {index} is not prime")
         if reasons:
             return CentralizerShapeCheck(g.name, False, tuple(reasons), c_idx,
                                          shape, (), None)
-        part_i = tuple(
-            spd_rank2_bound_check(lat, c_idx, h_idx, convention, allow_rank1)
-            for h_idx in _bits(complement_candidates(lat, c_idx))
-        )
-        part_ii = sd_rank2_bound_check(lat, c_idx, allow_rank1)
+        part_i = tuple(_lemma1(lat, c_idx, h_idx, convention, allow_rank1)
+                       for h_idx in _bits(complement_candidates(lat, c_idx)))
+        part_ii = _lemma2(lat, c_idx, allow_rank1)
         return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
     return lat.memo(("theorem1", convention, reading), compute)
 
@@ -699,13 +800,6 @@ def _hs(lat: SubgroupLattice, n_idx: int, partners, h_node: Optional[int]) -> in
     return 1 << h_node if h_node is not None else partners(lat, n_idx)
 
 
-def _check_nodes(lat: SubgroupLattice, *nodes: Optional[int]) -> None:
-    """Refuse a given node index outside the lattice."""
-    for idx in nodes:
-        if idx is not None and not 0 <= idx < len(lat):
-            raise ValueError(f"node index {idx} out of range (0..{len(lat) - 1})")
-
-
 # The claims decided over factorizations G = NH: whether N ranges over every
 # normal node (or only the nontrivial proper ones), the H each N pairs with,
 # and the results each (N, H) gives
@@ -722,8 +816,7 @@ def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
     """How many lemma1, cauchy and lb3 results :func:`bound_results` gives,
     counted as popcounts of each N's partner and complement masks before
     any checker runs."""
-    if claim not in CLAIM_CHOICES:
-        raise ValueError(f"unknown claim {claim!r}")
+    _check_choice("claim", claim, CLAIM_CHOICES)
     _check_nodes(lat, n_node, h_node)
     return sum(per_pair * sum(_hs(lat, n, partners, h_node).bit_count()
                               for n in _ns(lat, every, n_node))
@@ -732,6 +825,10 @@ def factorization_instance_count(lat: SubgroupLattice, claim: str = "all",
 
 
 BoundRow = Union[BoundCheckResult, BoundInstance]
+
+# the fields of a node's numbers in the driver: its profile's number, its
+# spd side's number and the pair count of L(X)
+_PROFILE, _SPD_SIDE, _PAIRS = range(3)
 
 
 def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
@@ -749,16 +846,22 @@ def iter_bound_results(lat: SubgroupLattice, claim: str = "all",
     ``h_node`` replace the range of N and of H by that one node. theorem1
     and mu are one instance each, at N = C_G(Fit(G)). ``reading`` is the
     theorem1 reading; "relaxed" also lets rank-1 N qualify for lemma1/2.
-    The lemma1 and lb3 checkers run once per N and (profile of H, NH = G);
-    cauchy runs once per (profile of N, N normal, profile of H, NH = G)
-    over the whole lattice. Profiles are :func:`_factor_profile`, numbered
-    once per node and convention in the lattice's memo. Each (N, H) of
-    these three claims is a :class:`BoundInstance` of its decision.
+
+    Each result of these three claims is decided once per key, the values
+    its checker reads (proved in each checker's docstring): lemma1 once per
+    failure reason of N's gate, or per (N, NH = G, profile of H) when the
+    gate holds; lb3 once per (N, NH = G, profile of H); cauchy-spd once per
+    (N normal, NH = G, spd side of N, spd side of H); cauchy-sd once per
+    (N normal, NH = G, pairs of L(N), pairs of L(H)). The sd key reads no
+    convention, so both conventions share its decisions, and no key holds
+    the reading. Profiles are :func:`_factor_profile`, numbered once per
+    node and convention in the lattice's memo with the spd side and the
+    pair count read off them. Each (N, H) gets a :class:`BoundInstance` of
+    each of its decisions.
     """
-    if (claim not in CLAIM_CHOICES or convention not in CONVENTIONS
-            or reading not in READINGS):
-        raise ValueError(f"unknown claim {claim!r}, convention {convention!r} "
-                         f"or reading {reading!r}")
+    _check_choice("claim", claim, CLAIM_CHOICES)
+    _check_choice("convention", convention, CONVENTIONS)
+    _check_choice("reading", reading, READINGS)
     _check_nodes(lat, n_node, h_node)
     return _bound_stream(lat, claim, convention, reading, n_node, h_node)
 
@@ -769,52 +872,71 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
     normal = normal_subgroups(lat)
     labels = lat.memo("labels",
                       lambda: [_node_str(lat, i) for i in range(len(lat))])
-    profile_ids, numbering = lat.memo(("profiles", convention),
-                                      lambda: ([None] * len(lat), {}))
+    numbers, profiles, sides = lat.memo(("profiles", convention),
+                                        lambda: ([None] * len(lat), {}, {}))
 
-    def profile(x: int) -> int:
-        pid = profile_ids[x]
-        if pid is None:
-            pid = profile_ids[x] = numbering.setdefault(
-                _factor_profile(lat, x, convention), len(numbering))
-        return pid
+    def number(x: int) -> tuple[int, int, int]:
+        # X's numbers (see _PROFILE), on the first visit to X
+        p = _factor_profile(lat, x, convention)
+        numbers[x] = ids = (profiles.setdefault(p, len(profiles)),
+                            sides.setdefault(p[2:], len(sides)), p[1])
+        return ids
 
-    def decide(key, n_key, check):
-        # check(n, h) runs once per (n_key(N), profile of H, NH = G); every
-        # (N, H) gets a view of the results naming N and H. Partners of N
-        # all have NH = G
+    def decide(key, halves):
+        # halves: one (decisions, n_key, check) per result of an (N, H), in
+        # order. n_key(N) is (the part of the key read off N, the field of
+        # H's numbers that check reads, or None when it reads nothing of
+        # H); the key is that part alone, or with NH = G and the field.
+        # check(N, H) runs once per key. Partners of N all have NH = G, so
+        # within one N a result is also kept by the field alone
         every, partners, _ = _FACTORIZATION_CLAIMS[key]
-        decided = lat.memo(("decided", key, convention), dict)
         for n in _ns(lat, every, n_node):
-            nk, n_label = n_key(n), labels[n]
+            n_label = labels[n]
+            keyed = [(known, *n_key(n), check, {}) for known, n_key, check in halves]
             for h in _bits(_hs(lat, n, partners, h_node)):
-                k = nk, profile(h), h_node is None or factorizes(lat, n, h)
-                results = decided.get(k)
-                if results is None:
-                    results = decided[k] = check(n, h)
                 h_label = labels[h]
-                for r in results:
-                    yield BoundInstance(r, n_label, h_label)
+                for known, nk, field, check, of_n in keyed:
+                    x = None if field is None else (numbers[h] or number(h))[field]
+                    result = of_n.get(x)
+                    if result is None:
+                        k = nk
+                        if field is not None:
+                            k = nk, h_node is None or factorizes(lat, n, h), x
+                        result = known.get(k)
+                        if result is None:
+                            result = known[k] = check(n, h)
+                        of_n[x] = result
+                    yield BoundInstance(result, n_label, h_label)
+
+    def lemma1_key(n):
+        failed = _rank2_gate(lat, n, rank1)[0]
+        return (failed, None) if failed else (n, _PROFILE)
+
+    def cauchy_key(field):
+        return lambda n: ((n in normal, (numbers[n] or number(n))[field]), field)
 
     if claim in ("all", "lemma1"):
-        yield from decide("lemma1", lambda n: (n, rank1),
-                          lambda n, h: (spd_rank2_bound_check(lat, n, h, convention,
-                                                              rank1),))
+        yield from decide("lemma1", [(
+            lat.memo(("decided", "lemma1", convention), dict), lemma1_key,
+            lambda n, h: _lemma1(lat, n, h, convention, rank1))])
     if claim in ("all", "lemma2"):
         for n in _ns(lat, False, n_node):
-            yield sd_rank2_bound_check(lat, n, rank1)
+            yield _lemma2(lat, n, rank1)
     if claim in ("all", "cor26"):
         for n in _ns(lat, False, n_node):
-            yield abelian_prime_index_sd_check(lat, n)
+            yield _cor26(lat, n)
     if claim in ("all", "cauchy"):
-        yield from decide("cauchy", lambda n: (profile(n), n in normal),
-                          lambda n, h: cauchy_bound_checks(lat, n, h, convention))
+        yield from decide("cauchy", [
+            (lat.memo(("decided", "cauchy-spd", convention), dict),
+             cauchy_key(_SPD_SIDE), lambda n, h: _cauchy_spd(lat, n, h, convention)),
+            (lat.memo(("decided", "cauchy-sd"), dict), cauchy_key(_PAIRS),
+             lambda n, h: _cauchy_sd(lat, n, h))])
     if claim in ("all", "lb3"):
-        yield from decide("lb3", lambda n: n,
-                          lambda n, h: (decomposition_bound_check(lat, n, h,
-                                                                  convention),))
+        yield from decide("lb3", [(
+            lat.memo(("decided", "lb3", convention), dict), lambda n: (n, _PROFILE),
+            lambda n, h: _lb3(lat, n, h, convention))])
     if claim in ("all", "theorem1"):
-        check = fitting_centralizer_check(lat, convention, reading)
+        check = _theorem1(lat, convention, reading)
         if check.hypotheses:
             yield from (*check.part_i, check.part_ii)
         else:

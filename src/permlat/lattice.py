@@ -103,6 +103,7 @@ DEFAULT_LATTICE_CAP = 5000
 RAW = "raw"
 CLOSED = "closed"
 CONVENTIONS = (RAW, CLOSED)
+_UNSET = object()  # a memo key not yet computed (None is a value)
 
 
 class LatticeCapError(ValueError):
@@ -177,9 +178,9 @@ class SubgroupLattice:
     def memo(self, key, compute):
         """The value kept under ``key``, from ``compute()`` on first read:
         selections, permutability rows, pair counts and per-node values,
-        once per lattice."""
-        hit = self._memo.get(key)
-        if hit is None:
+        once per lattice. A value of None is kept like any other."""
+        hit = self._memo.get(key, _UNSET)
+        if hit is _UNSET:
             hit = self._memo[key] = compute()
         return hit
 

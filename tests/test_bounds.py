@@ -529,15 +529,16 @@ def test_theorem1_is_decided_once_per_lattice(monkeypatch):
     """The mu claim reads theorem1's decision from the lattice's memo. On A4,
     N = C_G(Fit(G)) = V4 has four complements, so one run of every claim
     makes 5 rank-2 spd checks: lemma1's one decision and theorem1's four
-    part_i instances (9 when mu decided theorem1 again)."""
+    part_i instances (9 when mu decided theorem1 again). Both run the
+    checker's body, past the argument checks of ``spd_rank2_bound_check``."""
     calls = []
-    real_check = B.spd_rank2_bound_check
+    real_check = B._lemma1
 
     def check(lat, n_idx, h_idx, *args):
         calls.append((n_idx, h_idx))
         return real_check(lat, n_idx, h_idx, *args)
 
-    monkeypatch.setattr(B, "spd_rank2_bound_check", check)
+    monkeypatch.setattr(B, "_lemma1", check)
     lat = lat_of("A4")
     B.bound_results(lat, "all", "raw", "strict")
     assert len(calls) == 5
@@ -711,6 +712,51 @@ def test_bound_driver_rejects_unknown_conventions(claim):
         B.iter_bound_results(lat, claim, "bogus")
 
 
+# each public checker on L(S3) (nodes 0..5; node 3 is an order-2 node, 4
+# is A3), with the driver's refusal for a bad convention or node index
+BAD_CHECKER_CALLS = {
+    "cauchy-convention": (lambda lat: B.cauchy_bound_checks(lat, 0, 5, "bogus"),
+                          "unknown convention 'bogus'"),
+    "lb3-convention": (lambda lat: B.decomposition_bound_check(lat, 3, 1, "bogus"),
+                       "unknown convention 'bogus'"),
+    "lemma1-convention": (lambda lat: B.spd_rank2_bound_check(lat, 3, 1, "bogus"),
+                          "unknown convention 'bogus'"),
+    "theorem1-convention": (lambda lat: B.fitting_centralizer_check(lat, "bogus"),
+                            "unknown convention 'bogus'"),
+    "theorem1-reading": (lambda lat: B.fitting_centralizer_check(lat, "raw", "loose"),
+                         "unknown reading 'loose'"),
+    "mu-convention": (lambda lat: M.mu_matching_bound_check(lat, "bogus"),
+                      "unknown convention 'bogus'"),
+    "quotient-convention": (lambda lat: B.quotient_restricted_pairs(lat, 3, "bogus"),
+                            "unknown convention 'bogus'"),
+    "conditions-convention": (lambda lat: B.check_factor_conditions(lat, 4, 1, "bogus"),
+                              "unknown convention 'bogus'"),
+    "cauchy-n": (lambda lat: B.cauchy_bound_checks(lat, 99, 5),
+                 r"node index 99 out of range \(0..5\)"),
+    "cauchy-h": (lambda lat: B.cauchy_bound_checks(lat, 4, 6),
+                 r"node index 6 out of range \(0..5\)"),
+    "lb3-h": (lambda lat: B.decomposition_bound_check(lat, 4, -1),
+              "node index -1 out of range"),
+    "lemma1-n": (lambda lat: B.spd_rank2_bound_check(lat, 99, 1),
+                 "node index 99 out of range"),
+    "lemma2-n": (lambda lat: B.sd_rank2_bound_check(lat, 99),
+                 r"node index 99 out of range \(0..5\)"),
+    "cor26-n": (lambda lat: B.abelian_prime_index_sd_check(lat, -1),
+                "node index -1 out of range"),
+    "quotient-n": (lambda lat: B.quotient_restricted_pairs(lat, 6),
+                   "node index 6 out of range"),
+    "conditions-h": (lambda lat: B.check_factor_conditions(lat, 4, 99),
+                     "node index 99 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKER_CALLS))
+def test_public_checkers_refuse_bad_conventions_and_nodes(case):
+    call, message = BAD_CHECKER_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call(lat_of("S3"))
+
+
 def test_instance_count_rejects_unknown_claims():
     with pytest.raises(ValueError, match="unknown claim 'bogus'"):
         B.factorization_instance_count(lat_of("S4"), "bogus")
@@ -865,48 +911,104 @@ def test_results_are_not_class_invariant(spec):
     pytest.fail("every class of H gave one result")
 
 
-# checker runs inside ``bound_results`` and the (N, H) instances they decide,
-# per convention, under the strict reading; a relaxed run after it decides
-# lemma1 again (its key holds the reading) and reuses cauchy and lb3
+# runs of each checker body inside ``bound_results`` and the instances of
+# each result, per convention with raw run first: (runs under the strict
+# reading, runs under the relaxed reading after it, instances). No key holds
+# the reading, so a relaxed run decides only the lemma1 keys it adds (here
+# one new failure reason of the gate); the cauchy-sd key holds no
+# convention, so the closed run decides none
 DECISIONS = {
-    "D4xS3": {"raw": {"lemma1": (29, 229), "cauchy": (206, 1074), "lb3": (31, 231)},
-              "closed": {"lemma1": (28, 229), "cauchy": (194, 1074), "lb3": (30, 231)}},
-    "Z:2,2,2,2": {conv: {"lemma1": (65, 800), "cauchy": (15, 1983), "lb3": (67, 802)}
-                  for conv in L.CONVENTIONS},
+    "D4xS3": {
+        "raw": {"lemma1": (2, 1, 229), "cauchy-spd": (51, 0, 1074),
+                "cauchy-sd": (172, 0, 1074), "lb3": (31, 0, 231)},
+        "closed": {"lemma1": (2, 1, 229), "cauchy-spd": (40, 0, 1074),
+                   "cauchy-sd": (0, 0, 1074), "lb3": (30, 0, 231)}},
+    "Z:2,2,2,2": {
+        "raw": {"lemma1": (2, 1, 800), "cauchy-spd": (15, 0, 1983),
+                "cauchy-sd": (15, 0, 1983), "lb3": (67, 0, 802)},
+        "closed": {"lemma1": (2, 1, 800), "cauchy-spd": (11, 0, 1983),
+                   "cauchy-sd": (0, 0, 1983), "lb3": (67, 0, 802)}},
 }
+# the checker body behind each result
+BODIES = {"lemma1": "_lemma1", "cauchy-spd": "_cauchy_spd", "cauchy-sd": "_cauchy_sd",
+          "lb3": "_lb3"}
+
+
+def counted_bodies(monkeypatch):
+    runs = collections.Counter()
+    for half, name in BODIES.items():
+        real = getattr(B, name)
+
+        def counted(*args, _real=real, _half=half):
+            runs[_half] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(B, name, counted)
+    return runs
 
 
 @pytest.mark.parametrize("spec", sorted(DECISIONS))
 def test_bound_driver_decides_once_per_profile_of_h(spec, monkeypatch):
-    runs = collections.Counter()
-    checkers = {"lemma1": "spd_rank2_bound_check", "cauchy": "cauchy_bound_checks",
-                "lb3": "decomposition_bound_check"}
-    for claim, name in checkers.items():
-        real = getattr(B, name)
-
-        def counted(*args, _real=real, _claim=claim):
-            runs[_claim] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(B, name, counted)
+    runs = counted_bodies(monkeypatch)
     lat = lat_of(spec)
+    # every N the driver visits is normal, and NH = G for its partners, so
+    # each cauchy half runs once per pair of the values it reads off N and H
+    pairs = [(n, h) for n in L.normal_subgroups(lat).members
+             for h in G._bits(B.factor_partners(lat, n))]
+    assert DECISIONS[spec]["raw"]["cauchy-sd"][0] == len(
+        {(D.node_all_pairs(lat, n), D.node_all_pairs(lat, h)) for n, h in pairs})
     for conv in L.CONVENTIONS:
-        # cauchy is decided once per pair of profiles over the whole lattice
-        # (every N the driver visits is normal, and NH = G for its partners)
-        keys = {(B._factor_profile(lat, n, conv), B._factor_profile(lat, h, conv))
-                for n in L.normal_subgroups(lat).members
-                for h in G._bits(B.factor_partners(lat, n))}
-        assert DECISIONS[spec][conv]["cauchy"][0] == len(keys)
-        for reading in ("strict", "relaxed"):
-            for claim in checkers:
+        sides = {(B._factor_profile(lat, n, conv)[2:], B._factor_profile(lat, h, conv)[2:])
+                 for n, h in pairs}
+        assert DECISIONS[spec][conv]["cauchy-spd"][0] == len(sides)
+        for column, reading in enumerate(("strict", "relaxed")):
+            for claim, halves in (("lemma1", ["lemma1"]),
+                                  ("cauchy", ["cauchy-spd", "cauchy-sd"]),
+                                  ("lb3", ["lb3"])):
                 runs.clear()
                 results = B.bound_results(lat, claim, conv, reading)
-                instances = len(results) // (2 if claim == "cauchy" else 1)
-                want_runs, want_instances = DECISIONS[spec][conv][claim]
-                if reading == "relaxed" and claim != "lemma1":
-                    want_runs = 0
-                assert (runs[claim], instances) == (want_runs, want_instances), \
-                    (conv, reading, claim)
+                for half in halves:
+                    want = DECISIONS[spec][conv][half]
+                    got = runs[half], sum(r.claim == half for r in results)
+                    assert got == (want[column], want[2]), (conv, reading, half)
+
+
+@pytest.mark.parametrize("spec", ["D4xS3", "S4", "Z:2,2,2xC3"])
+@pytest.mark.parametrize("first", L.CONVENTIONS)
+def test_second_convention_runs_no_cauchy_sd_half(spec, first, monkeypatch):
+    runs = counted_bodies(monkeypatch)
+    second = next(c for c in L.CONVENTIONS if c != first)
+    lat = lat_of(spec)
+    B.bound_results(lat, "cauchy", first)
+    assert runs["cauchy-sd"] > 0
+    runs.clear()
+    got = B.bound_results(lat, "cauchy", second)
+    assert runs["cauchy-sd"] == 0 and runs["cauchy-spd"] > 0
+    assert got == B.bound_results(lat_of(spec), "cauchy", second)
+
+
+@pytest.mark.parametrize("spec", ["D4xS3", "Z:4,4", "S4", "A4xC5", "Z:2,2,2xC3"])
+def test_bounds_sweep_job_reads_each_rank2_shape_once(spec, monkeypatch):
+    """A bounds-sweep job (under both conventions: the factorization sweep,
+    the rank-2 sweep under both readings, theorem1 and mu) reads the rank-2
+    shape of each N once per reading: lemma1, lemma2 and theorem1 share one
+    gate per (N, reading)."""
+    calls = collections.Counter()
+    real = B.detect_rank2_shape
+
+    def detect(lat, idx, allow_rank1=False):
+        calls[idx, allow_rank1] += 1
+        return real(lat, idx, allow_rank1)
+
+    monkeypatch.setattr(B, "detect_rank2_shape", detect)
+    lat = lat_of(spec)
+    for conv in L.CONVENTIONS:
+        B.sweep_factorization_bounds(lat, conv)
+        for rank1 in (False, True):
+            B.sweep_rank2_bounds(lat, conv, rank1)
+        B.fitting_centralizer_check(lat, conv, "strict")
+        M.mu_matching_bound_check(lat, conv, "strict")
+    assert calls and set(calls.values()) == {1}
 
 
 def counted_profiles(monkeypatch):
@@ -921,10 +1023,12 @@ def counted_profiles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spec", ["D4xS3", "Z:2,2,2,2"])
+# no N of D4xS3 or Z:2,2,2,2 passes lemma1's gate; two of Z:4,4 do
+@pytest.mark.parametrize("spec", ["D4xS3", "Z:2,2,2,2", "Z:4,4"])
 def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
-    # one claim alone profiles only the nodes it visits: lemma1 and lb3 the
-    # complements H (their decisions are kept per N), cauchy every N and
+    # one claim alone profiles only the nodes whose profile a key reads:
+    # lb3 the complements H, lemma1 the complements of the N whose rank-2
+    # gate holds (a failed gate is decided without H), cauchy every N and
     # every H with NH = G
     calls = counted_profiles(monkeypatch)
     for claim, partners in (("lemma1", B.complement_candidates),
@@ -937,12 +1041,13 @@ def test_bound_driver_profiles_each_visited_h_once(spec, monkeypatch):
                 B.bound_results(lat, claim, conv, reading)
         normal = L.normal_subgroups(lat).members
         if claim == "lemma1":
-            normal = [n for n in normal if 1 < lat.node_order(n) < lat.group.order]
+            normal = [n for n in normal if any(
+                B._rank2_gate(lat, n, rank1)[0] is None for rank1 in (False, True))]
         visited = {h for n in normal for h in G._bits(partners(lat, n))}
         if claim == "cauchy":
             visited |= set(normal)
         assert set(calls) == {(x, conv) for x in visited for conv in L.CONVENTIONS}
-        assert set(calls.values()) == {1}, claim
+        assert set(calls.values()) <= {1}, claim
 
 
 # _factor_profile runs per (node, convention) over "all" under both

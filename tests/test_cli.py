@@ -324,6 +324,23 @@ OUTPUT_SHA256 = [
      "5ff589c3a1efe673a2f49399c6e4faeebb79ad675269eaf242c439a74dad2732"),
     (("moebius", "--group", "A4xC5", "--format", "csv"),
      "24e346bd4077653980cab3e0cd0b8225c6c212945f090ee4690c916a0e152937"),
+    (("bounds", "--group", "S4", "--format", "table"),
+     "199fa8be313a465362b16aad4fc8a5b4661a0709e9948b50389348acadc51292"),
+    (("bounds", "--group", "S4", "--format", "json"),
+     "8766d71e9014cc940be8b646fe6a6d91024f4df3049988b007bb92b779b4a45a"),
+    (("bounds", "--group", "S4", "--format", "csv"),
+     "0dfbd3c9158cd36db9cfcbf3094fdc00d03c6878117f0b0a28f9a0d485bf8919"),
+    (("bounds", "--group", "A4xC5", "--format", "table"),
+     "f3d296dabb4e26403093927b13716c74fe97f1c054eb511f7498b3e7381383e3"),
+    (("bounds", "--group", "A4xC5", "--format", "json"),
+     "61556c4e347e594e12ac2f999fcceb5f8634dde290f9e2a1b27ddba913c83d01"),
+    (("bounds", "--group", "A4xC5", "--format", "csv"),
+     "883a1b633eb21ea802e7885316c31a0830e6091b2cd4db43ea2ccf0c065185bf"),
+    # many H per profile, and one cauchy decision over many N
+    (("bounds", "--group", "S4xS4", "--format", "csv"),
+     "e136b0d47fb943b04c4edb3f9a6c38d58bc70ccea8732a90692786978941cb77"),
+    (("bounds", "--group", "Z:2,2,2,2", "--convention", "closed", "--format", "json"),
+     "45c3e0517e82d049b7892dda34735176dc73035ddbb4ca15a9c2612fd17517f3"),
     (("info", "--group", "S4", "--format", "table"),
      "f2c8dc989c4512a112f1c9d22e1857d026c2f170e1355b287c36336d8413d24a"),
     (("info", "--group", "S4", "--format", "json"),
