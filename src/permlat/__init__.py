@@ -32,6 +32,7 @@ from .groups import (
 from .lattice import (
     DEFAULT_LATTICE_CAP,
     LatticeCapError,
+    MoebiusTable,
     SubgroupLattice,
     SublatticeSelection,
     all_subgroups,
@@ -39,6 +40,7 @@ from .lattice import (
     is_modular_lattice,
     is_quasihamiltonian,
     maximal_subgroups,
+    moebius_table,
     normal_subgroups,
     perp,
     selection_meet_join_closed,
@@ -73,6 +75,7 @@ from .bounds import (
     fitting_centralizer_check,
     iter_bound_results,
     maximal_count_elementary,
+    mu_matching_bound_check,
     sd_bound_poly,
     sd_rank2_bound_check,
     spd_bound_poly,
@@ -80,13 +83,7 @@ from .bounds import (
     spd_rank2_bound_check,
     subgroup_count_rank2,
 )
-from .moebius import (
-    MoebiusTable,
-    conjectured_mu_symmetric,
-    moebius_table,
-    mu_matching_bound_check,
-    predicted_mu_symmetric,
-)
+from .moebius import conjectured_mu_symmetric, predicted_mu_symmetric
 from .catalog import CATALOG_SPECS, catalog_groups
 from .verify import run_verification
 

@@ -1,12 +1,13 @@
 """Counting formulas and exact lower-bound checkers for lattice degrees.
 
-Every checker follows the same gate-and-report contract: hypotheses are
-verified first, and only when all of them hold is the inequality asserted.
-A failed hypothesis never raises; it yields ``hypothesis_satisfied = False``
-with the reasons spelled out, so catalog sweeps can report qualification
-rates instead of crashing. Hard misuse (invalid node indices, an unknown
-convention or reading, calling the factor-condition checker on a
-non-normal N) still raises ``ValueError``.
+Every checker of the paper's claims lives here, the Moebius-phrased mu
+claim (:func:`mu_matching_bound_check`) included, and follows the same
+gate-and-report contract: hypotheses are verified first, and only when all
+of them hold is the inequality asserted. A failed hypothesis never raises;
+it yields ``hypothesis_satisfied = False`` with the reasons spelled out, so
+catalog sweeps can report qualification rates instead of crashing. Hard
+misuse (invalid node indices, an unknown convention or reading, calling the
+factor-condition checker on a non-normal N) still raises ``ValueError``.
 
 Square-root bounds are compared by cross-squaring in integers; the stored
 ``bound``/``actual`` fields for those claims are the squared quantities so
@@ -94,6 +95,7 @@ from .lattice import (
     SubgroupLattice,
     closed_maximal,
     maximal_subgroups,
+    moebius_table,
     node_maximal,
     node_subnormal,
     normal_subgroups,
@@ -739,8 +741,8 @@ def fitting_centralizer_check(lat: SubgroupLattice, convention: str = RAW,
     ``reading`` picks whether a cyclic centralizer (rank 1) qualifies:
     "strict" demands two nontrivial factors, "relaxed" absorbs a trivial one.
     The check is kept in the lattice's memo, once per convention and
-    reading, so the mu claim (:func:`permlat.moebius.mu_matching_bound_check`)
-    reads theorem1's decision instead of deciding it again.
+    reading, so the mu claim (:func:`mu_matching_bound_check`) reads
+    theorem1's decision instead of deciding it again.
     """
     _check_choice("convention", convention, CONVENTIONS)
     _check_choice("reading", reading, READINGS)
@@ -776,6 +778,28 @@ def _theorem1(lat, convention, reading) -> CentralizerShapeCheck:
         part_ii = _lemma2(lat, c_idx, allow_rank1)
         return CentralizerShapeCheck(g.name, True, (), c_idx, shape, part_i, part_ii)
     return lat.memo(("theorem1", convention, reading), compute)
+
+
+def mu_matching_bound_check(lat: SubgroupLattice, convention: str = RAW,
+                            reading: str = "strict") -> BoundCheckResult:
+    """sd(G) >= g / (2 mu(1,G)^2) when the Fitting-centralizer hypotheses
+    hold and |L(G)| equals the bottom Moebius number. Claim key: mu-bound.
+
+    The |L(G)| = mu(1,G) gate is expected to fail on ordinary groups; the
+    checker reports non-qualification rather than asserting anything.
+    """
+    claim = "mu-bound"
+    mu = moebius_table(lat).bottom_value
+    context = {"group": lat.group.name, "mu_bottom": str(mu),
+               "lattice_size": str(len(lat))}
+    base = fitting_centralizer_check(lat, convention, reading)
+    reasons = list(base.reasons)
+    if len(lat) != mu:
+        reasons.append(f"|L| = {len(lat)} differs from mu(1,G) = {mu}")
+    if reasons:
+        return _not_satisfied(claim, reasons, convention, context)
+    bound = sd_bound_poly(base.shape).derivation / (2 * mu * mu)
+    return _satisfied(claim, bound, sd(lat), convention, context)
 
 
 # -- the bound driver --------------------------------------------------------
@@ -943,7 +967,6 @@ def _bound_stream(lat, claim, convention, reading, n_node, h_node) -> Iterator[B
             yield _not_satisfied("theorem1", check.reasons, convention,
                                  {"group": g.name})
     if claim in ("all", "mu"):
-        from .moebius import mu_matching_bound_check  # moebius imports bounds
         yield mu_matching_bound_check(lat, convention, reading)
 
 

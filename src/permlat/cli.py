@@ -42,6 +42,7 @@ from .lattice import (
     is_modular_lattice,
     is_quasihamiltonian,
     maximal_subgroups,
+    moebius_table,
     normal_subgroups,
     perp,
     selection_meet_join_closed,
@@ -49,7 +50,7 @@ from .lattice import (
     sylow_subgroups,
     sylow_subset_of_maximal,
 )
-from .moebius import conjectured_mu_symmetric, moebius_table, predicted_mu_symmetric
+from .moebius import conjectured_mu_symmetric, predicted_mu_symmetric
 from .verify import run_verification
 
 

@@ -34,9 +34,11 @@ every node, read off the containment columns (the nodes holding each
 element) in the same pass that builds the order masks. Conjugation by y is an
 automorphism, so y<S>y⁻¹ = <ySy⁻¹> for any set S: the conjugate of a node
 X = <x1> v ... v <xm> is the join of the cyclic nodes of the yxiy⁻¹, a few
-ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality and
-subnormality are class invariants and are decided once per conjugacy class
-(:attr:`SubgroupLattice.class_of`). The classes and their conjugators are
+ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality,
+subnormality and the Moebius function mu(X, G) are class invariants and are
+decided once per conjugacy class (:attr:`SubgroupLattice.class_of`), each
+from the classes above it (:func:`subnormal_subgroups`,
+:func:`moebius_table`). The classes and their conjugators are
 orbits under the group's generators, each member conjugated that way inside
 the walk itself; a node that every generator maps its own generators into
 is normal, and its class is that node alone, found without a walk. The
@@ -48,9 +50,10 @@ normalizer intervals [Y, N_G(Y)] (Wielandt; Schmidt, *Subgroup Lattices of
 Groups*, 1994). No read of a built lattice conjugates an element mask or
 computes a closure; the mask-level class orbit is used only by
 :func:`enumerate_subgroups`, before there is a lattice. The normal,
-subnormal and maximal selections and the permutability rows are built once
-per lattice, in the lattice's memo (:meth:`SubgroupLattice.memo`), which
-also holds the other per-lattice values the degrees and bounds read.
+subnormal and maximal selections, the Moebius table and the permutability
+rows are built once per lattice, in the lattice's memo
+(:meth:`SubgroupLattice.memo`), which also holds the other per-lattice
+values the degrees and bounds read.
 
 The lattice of a node X is the interval [1, X], so each selection is defined
 once, for any node, and G's is the value at the top node: M(X) is the lower
@@ -94,6 +97,7 @@ lattice (:func:`check_lattice`).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import FiniteGroup, _bits, prime_signature, subgroup_group
@@ -860,20 +864,24 @@ def maximal_subgroups(lat: SubgroupLattice, convention: str = RAW) -> Sublattice
     lattice, and read by :func:`node_maximal` at the top, which adds any
     other convention to it. No down mask is read: the lowest bit of
     ``up_masks[i]`` is i itself, so node i is a cover of G exactly when the
-    rest of its up mask is G alone."""
+    rest of its up mask is G alone. The memo is read first: a refused call
+    keeps nothing, so the arguments are checked on every miss."""
+    key = ("maximal", convention)
+    hit = lat._memo.get(key)
+    if hit is not None:
+        return hit
     if convention not in CONVENTIONS:
         raise ValueError(f"maximal-subgroup convention must be one of {CONVENTIONS}")
     if len(lat) == 1:
         raise ValueError("the trivial group has no maximal subgroups")
-
-    def compute():
-        if convention != RAW:
-            return node_maximal(lat, lat.top, convention)
+    if convention != RAW:
+        mask = node_maximal(lat, lat.top, convention)
+    else:
         top_bit = 1 << lat.top
-        return sum(1 << i for i, above in enumerate(lat.up_masks[:lat.top])
+        mask = sum(1 << i for i, above in enumerate(lat.up_masks[:lat.top])
                    if above & (above - 1) == top_bit)
-    kind = f"maximal-{convention}"
-    return lat.memo(kind, lambda: SublatticeSelection(lat, kind, compute()))
+    hit = lat._memo[key] = SublatticeSelection(lat, f"maximal-{convention}", mask)
+    return hit
 
 
 def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
@@ -881,6 +889,44 @@ def sylow_subgroups(lat: SubgroupLattice) -> SublatticeSelection:
     return lat.memo("sylow", lambda: SublatticeSelection(lat, "sylow", sum(
         lat.nodes_of_order.get(p ** e, 0)
         for p, e in prime_signature(lat.group.order).factors)))
+
+
+@dataclass(frozen=True)
+class MoebiusTable:
+    """mu(K, G) for every node K of a lattice, indexed like the node list."""
+
+    values: tuple[int, ...]
+    bottom_value: int
+
+    def __getitem__(self, i: int) -> int:
+        return self.values[i]
+
+
+def moebius_table(lat: SubgroupLattice) -> MoebiusTable:
+    """mu(K, G) of every node K, by the interval recursion mu(G, G) = 1 and
+    mu(K, G) = - the sum of mu(J, G) over K < J <= G, decided once per
+    conjugacy class and kept in the lattice's memo.
+
+    Conjugation by g is a lattice automorphism that fixes G, so it maps
+    [K, G] onto [K^g, G] and mu(K^g, G) = mu(K, G). Every J > K has a larger
+    order than K, and so has every member of J's class, the lowest of which
+    is J's representative; so walking the representatives R in descending
+    order decides every class above R before R. The nodes decided so far
+    are kept as one mask per nonzero value v, so the sum over J > R is the
+    sum of v times the popcount of R's up mask AND v's mask (R itself is not
+    in them yet), and R's whole class mask gets the value."""
+    def compute():
+        up, class_masks = lat.up_masks, lat.class_masks
+        of_value = {1: 1 << lat.top}  # the nodes decided so far, by value
+        value_of = {lat.top: 1}  # by representative
+        for r in sorted(class_masks, reverse=True)[1:]:
+            value_of[r] = v = -sum(value * (up[r] & nodes).bit_count()
+                                   for value, nodes in of_value.items())
+            if v:
+                of_value[v] = of_value.get(v, 0) | class_masks[r]
+        values = tuple(value_of[r] for r in lat.class_of)
+        return MoebiusTable(values, values[lat.bottom])
+    return lat.memo("moebius", compute)
 
 
 def perp(lat: SubgroupLattice, s: SublatticeSelection) -> SublatticeSelection:

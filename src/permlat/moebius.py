@@ -1,55 +1,20 @@
-"""Moebius function of a subgroup lattice and symmetric-group predictions.
+"""Symmetric-group predictions for the bottom Moebius number mu(1, G).
 
-mu is computed top-down by the interval recursion
-mu(K, G) = - sum of mu(J, G) over K < J <= G, with mu(G, G) = 1.
-A proper supergroup is strictly larger, and nodes are sorted by cardinality,
-so walking them by descending index visits every J before it is needed.
-mu(K, G) = 0 unless K is an intersection of maximal subgroups (P. Hall,
-1936), so many terms are zero (322 of 389 nodes of D4xD4), and the sum
-reads only the nodes above K with a nonzero value: the AND of K's up mask
-with a mask of those nodes. With the precomputed containment rows this is
-O(|L|^2) integer arithmetic at worst.
+The Moebius table is a class invariant of the lattice, decided once per
+conjugacy class in :mod:`permlat.lattice` (:func:`moebius_table`), and the
+Moebius-phrased bound is a checker in :mod:`permlat.bounds`
+(:func:`mu_matching_bound_check`). Both, and :class:`MoebiusTable`, are
+re-exported here as the same objects.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .groups import is_prime
-from .lattice import RAW, SubgroupLattice
-from .bounds import (BoundCheckResult, _not_satisfied, _satisfied,
-                     fitting_centralizer_check, sd_bound_poly)
-from .degrees import sd
-
-
-@dataclass(frozen=True)
-class MoebiusTable:
-    """mu(K, G) for every node K of a lattice, indexed like the node list."""
-
-    values: tuple[int, ...]
-    bottom_value: int
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
-def moebius_table(lat: SubgroupLattice) -> MoebiusTable:
-    up = lat.up_masks
-    values = [0] * len(lat)
-    values[lat.top] = 1
-    nonzero = 1 << lat.top  # the nodes visited so far with mu != 0
-    for i in range(lat.top - 1, -1, -1):
-        rest, v = up[i] & nonzero, 0
-        while rest:
-            low = rest & -rest
-            v -= values[low.bit_length() - 1]
-            rest ^= low
-        if v:
-            values[i] = v
-            nonzero |= 1 << i
-    return MoebiusTable(tuple(values), values[lat.bottom])
+from .lattice import MoebiusTable, moebius_table
+from .bounds import mu_matching_bound_check
 
 
 def predicted_mu_symmetric(n: int) -> Optional[int]:
@@ -90,25 +55,3 @@ def conjectured_mu_symmetric(n: int) -> Fraction:
     else:
         aut = math.factorial(n)
     return Fraction((-1) ** (n - 1) * aut, 2)
-
-
-def mu_matching_bound_check(lat: SubgroupLattice, convention: str = RAW,
-                            reading: str = "strict") -> BoundCheckResult:
-    """sd(G) >= g / (2 mu(1,G)^2) when the Fitting-centralizer hypotheses
-    hold and |L(G)| equals the bottom Moebius number. Claim key: mu-bound.
-
-    The |L(G)| = mu(1,G) gate is expected to fail on ordinary groups; the
-    checker reports non-qualification rather than asserting anything.
-    """
-    claim = "mu-bound"
-    mu = moebius_table(lat).bottom_value
-    context = {"group": lat.group.name, "mu_bottom": str(mu),
-               "lattice_size": str(len(lat))}
-    base = fitting_centralizer_check(lat, convention, reading)
-    reasons = list(base.reasons)
-    if len(lat) != mu:
-        reasons.append(f"|L| = {len(lat)} differs from mu(1,G) = {mu}")
-    if reasons:
-        return _not_satisfied(claim, reasons, convention, context)
-    bound = sd_bound_poly(base.shape).derivation / (2 * mu * mu)
-    return _satisfied(claim, bound, sd(lat), convention, context)

@@ -38,8 +38,8 @@ from .degrees import (
     spd_naive,
 )
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, make_named
-from .lattice import CONVENTIONS, SubgroupLattice
-from .moebius import moebius_table, predicted_mu_symmetric
+from .lattice import CONVENTIONS, SubgroupLattice, moebius_table
+from .moebius import predicted_mu_symmetric
 
 PASS = "PASS"
 FAIL = "FAIL"

@@ -752,12 +752,23 @@ class TestSelections:
             assert (lat.bottom in raw) == expected
 
     def test_maximal_trivial_group_errors(self):
-        with pytest.raises(ValueError):
-            L.maximal_subgroups(lat_of("C1"), "raw")
+        lat = lat_of("C1")
+        for _ in range(2):  # a refused call keeps nothing
+            for conv in L.CONVENTIONS:
+                with pytest.raises(ValueError, match="no maximal subgroups"):
+                    L.maximal_subgroups(lat, conv)
 
     def test_bad_convention(self):
         with pytest.raises(ValueError):
             L.maximal_subgroups(lat_of("S3"), "open")
+
+    def test_bad_convention_after_both_are_kept(self):
+        lat = lat_of("S3")
+        for conv in L.CONVENTIONS:
+            L.maximal_subgroups(lat, conv)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="convention must be one of"):
+                L.maximal_subgroups(lat, "bogus")
 
     def test_sylow(self):
         lat = lat_of("S3")

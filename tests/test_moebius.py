@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permlat import bounds as B
 from permlat import groups as G
 from permlat import lattice as L
 from permlat import moebius as M
 from permlat.groups import _bits
+from test_classwise import relabelled
 
 
 def lat_of(spec):
@@ -62,23 +65,34 @@ class TestMoebiusTable:
                             ("S4", -12), ("Z:2,2", 2), ("Z:3,3", 3)]:
             assert M.moebius_table(lat_of(spec)).bottom_value == value, spec
 
-    @pytest.mark.parametrize("spec", ["C12", "Z:2,4", "S3", "D4", "Q8", "A4",
-                                      "D6", "S4", "S3xC5"])
-    def test_interval_sum_recursion(self, spec):
+    # the relabelled groups have large classes, and their node order differs
+    # from the catalog labelling's; the interval sums determine mu and share
+    # no code with the class walk
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("spec, relabel", [
+        *[(spec, False) for spec in ["C12", "Z:2,4", "S3", "D4", "Q8", "A4",
+                                     "D6", "S4", "S3xC5"]],
+        ("S4xS3", True), ("A4xA4", True), ("S5", True)])
+    def test_interval_sum_recursion(self, spec, relabel, data):
         # for every proper H: the mu values over [H, G] sum to zero
-        lat = lat_of(spec)
+        g = G.make_named(spec)
+        lat = L.enumerate_subgroups(relabelled(g, data) if relabel else g)
         mt = M.moebius_table(lat)
         for h in range(len(lat)):
             if h == lat.top:
                 continue
             assert sum(mt[k] for k in _bits(lat.up_masks[h])) == 0
 
-    # sha256 of the full mu tuples: the recursion sums only nonzero terms,
-    # so a term it wrongly skips changes them
+    # sha256 of the full mu tuples, recorded from the node-by-node recursion:
+    # a class given a wrong value, or a term the sum skips, changes them
     @pytest.mark.parametrize("spec, digest", [
         ("S5xC2", "55679c66d7df980c06b3aa081a4e76f6975059400ec6fc741a98bdcaf0dbff2e"),
         ("D4xD4", "ab032414568c855abafca7068a8d072918a0999b9acbe4d9f273e2cc210d3da1"),
         ("S4xS3", "ee6ffb4d53752af785aad71404a4e93456c7a4b1f7038881cb3bde176a74e126"),
+        ("S6", "d7270f89e5e72a1cc15a814d9d6f1e87598fb140eddf64175a95e5ca07081bc4"),
+        ("S4xS4", "9683fe4f2fcf709bcbe8c8ed556f812714a61409d14eabc1be3f1b4d528c3383"),
+        ("D4xD4xC2", "2919359ec6eae8448942c5fcbef122436f1c76b2e4d175d8fdc39162f5331e1b"),
     ])
     def test_values_pinned(self, spec, digest):
         values = M.moebius_table(lat_of(spec)).values
@@ -87,6 +101,22 @@ class TestMoebiusTable:
     def test_deterministic(self):
         assert M.moebius_table(lat_of("S4")).values == \
             M.moebius_table(lat_of("S4")).values
+
+    def test_built_once_per_lattice(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return table(*args)
+
+        table = L.MoebiusTable
+        monkeypatch.setattr(L, "MoebiusTable", counted)
+        lat = lat_of("D4xS3")
+        for conv in L.CONVENTIONS:
+            M.mu_matching_bound_check(lat, conv, "strict")
+        B.bound_results(lat, "all")
+        assert len(built) == 1
+        assert M.moebius_table(lat) is M.moebius_table(lat)
 
 
 class TestSymmetricPredictions:

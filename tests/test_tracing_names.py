@@ -26,3 +26,17 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_moebius_names_are_the_defining_objects():
+    # the tracer patches permlat.moebius's objects wherever they are held;
+    # a wrapper there would leave the calls that lattice and bounds make to
+    # the defining objects untraced
+    import permlat.bounds
+    import permlat.lattice
+    import permlat.moebius
+
+    assert permlat.moebius.moebius_table is permlat.lattice.moebius_table
+    assert permlat.moebius.MoebiusTable is permlat.lattice.MoebiusTable
+    assert (permlat.moebius.mu_matching_bound_check
+            is permlat.bounds.mu_matching_bound_check)
