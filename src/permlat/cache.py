@@ -109,7 +109,7 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
     try:
         with open(_entry_path(cache_dir, digest), "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):  # unreadable, undecodable, too deep
         return None
     try:
         if payload["format"] != CACHE_FORMAT:

@@ -784,6 +784,6 @@ def load_group_file(path, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable or too deep
             raise GroupSpecError(f"bad group file {path}: {exc}") from None
     return group_from_json_dict(obj, max_order)

@@ -439,46 +439,49 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def _conjugation_tables(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """The maps x -> s x s⁻¹ as tables, one for each generator s of the group."""
-    t, inv = group.table, group.inverse
-    return [tuple(t[y][inv[s]] for y in t[s]) for s in group.generating_set]
-
-
-def _conjugacy_class(group: FiniteGroup, tables, mask: int,
+def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int], mask: int,
                      gens) -> tuple[list[int], int]:
     """The conjugacy class of the subgroup A = <gens> = ``mask``, as masks,
-    and Schreier elements of N(A) as an element mask.
+    and Schreier elements of N(A) as an element mask; ``cyclic_of[x]`` is
+    the mask of <x>.
 
-    The class is A's orbit under the conjugation ``tables`` of the group's
-    generators s (:func:`_conjugation_tables`). The walk keeps a conjugator
-    g_i with A_i = g_i A g_i⁻¹ for each member, g = 1 for A itself and
-    s·g_i for a member first found as s A_i s⁻¹. An edge that finds a member
-    A_j already seen gives g_j⁻¹·s·g_i, which maps A to A_i, A_j and back to
-    A, so it lies in N(A); together they generate N(A) (proof in
-    :func:`enumerate_subgroups`). When every table maps ``gens`` into A, A
-    is normal, its class is itself and no element is returned."""
-    if all(mask >> tab[x] & 1 for tab in tables for x in gens):
+    The class is A's orbit under conjugation by the group's generators s.
+    When s x s⁻¹ lies in A for every s and every x of ``gens``, A is normal,
+    its class is itself and no element is returned. Otherwise A is
+    conjugated through a cyclic cover: A's elements x by descending order of
+    <x>, keeping each x not yet covered, so A is the union of <x> over the
+    cover (any walk order gives a cover; this one keeps it small). Since
+    y<x>y⁻¹ = <yxy⁻¹> (:meth:`SubgroupLattice.conjugates`), yAy⁻¹ is the
+    union of ``cyclic_of[y x y⁻¹]`` over the cover. The walk keeps a
+    conjugator g_i with A_i = g_i A g_i⁻¹ for each member, g = 1 for A
+    itself, and conjugates A_i by s as A by y = s·g_i, the conjugator of a
+    member first found that way. An edge that finds a member A_j already
+    seen gives g_j⁻¹·y, which maps A to A_j and back to A, so it lies in
+    N(A); together they generate N(A) (proof in
+    :func:`enumerate_subgroups`)."""
+    t, inv, gs = group.table, group.inverse, group.generating_set
+    if all(mask >> t[t[s][x]][inv[s]] & 1 for s in gs for x in gens):
         return [mask], 0
-    t, inv = group.table, group.inverse
-    orbit = [mask]
-    conj = {mask: 0}
-    schreier = 0
+    cover, covered = [], 0
+    for x in sorted(_bits(mask), key=lambda x: -cyclic_of[x].bit_count()):
+        if not covered >> x & 1:
+            cover.append(x)
+            covered |= cyclic_of[x]
+    orbit, conj, schreier = [mask], {mask: 0}, 0
     for m in orbit:  # orbit grows while we iterate
         gi = conj[m]
-        for s, tab in zip(group.generating_set, tables):
+        for s in gs:
+            y = t[s][gi]
+            row, yi = t[y], inv[y]
             c = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                c |= 1 << tab[low.bit_length() - 1]
-                rest ^= low
+            for x in cover:
+                c |= cyclic_of[t[row[x]][yi]]
             gj = conj.get(c)
             if gj is None:
-                conj[c] = t[s][gi]
+                conj[c] = y
                 orbit.append(c)
             else:
-                schreier |= 1 << t[t[inv[gj]][s]][gi]
+                schreier |= 1 << t[inv[gj]][y]
     return orbit, schreier
 
 
@@ -585,11 +588,15 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       The table rows of A's elements, which every coset reads, are built
       once per representative, with N(A), and passed to each closure.
     - Normality by generators. Classes are orbits under conjugation by the
-      generators s of G, read off one table x -> s x s⁻¹ per s, built once
-      per call. J = <jgens> is normal iff every table maps each of jgens
-      into J: then sJs⁻¹ = <s jgens s⁻¹> lies in J and has its order, so
-      each generator of G, and hence all of G, normalizes J. Such a J's
-      class is [J], found without conjugating J's elements.
+      generators s of G. J = <jgens> is normal iff s x s⁻¹ lies in J for
+      every s and every x of jgens: then sJs⁻¹ = <s jgens s⁻¹> lies in J
+      and has its order, so each generator of G, and hence all of G,
+      normalizes J. Such a J's class is [J], found without conjugating J.
+      Any other J is conjugated through a cyclic cover, elements x of J
+      with J the union of the <x>: since y<x>y⁻¹ = <yxy⁻¹>, yJy⁻¹ is the
+      union of the cyclic subgroups of the yxy⁻¹, one conjugation and one
+      lookup each (:func:`_conjugacy_class`), and no element of J is moved
+      on its own.
 
     :class:`LatticeCapError` is raised as soon as more than
     ``DEFAULT_LATTICE_CAP`` subgroups are known, that is exactly when |L(G)|
@@ -597,7 +604,6 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """
     g = group
     t, inv = g.table, g.inverse
-    tables = _conjugation_tables(g)
     # generators of what gets joined: the cyclic subgroups and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
     cyclic_of = [1] * g.order
@@ -622,7 +628,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     orbit_of: dict[int, tuple[int, int]] = {}
 
     def add_class(am: int) -> list[int]:
-        members, schreier = _conjugacy_class(g, tables, am, gens_of[am])
+        members, schreier = _conjugacy_class(g, cyclic_of, am, gens_of[am])
         seen.update(members)
         of_order.setdefault(am.bit_count(), []).extend(members)
         if len(members) > 1:

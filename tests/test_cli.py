@@ -753,13 +753,15 @@ class TestCache:
         cache = tmp_path / "cache"
         _, fresh, _ = run_cli(capsys, "lattice", "--group", "D6",
                               "--cache", str(cache), "--format", "json")
-        for entry in cache.iterdir():
-            entry.write_text("{broken")
-        code, out, err = run_cli(capsys, "lattice", "--group", "D6",
-                                 "--cache", str(cache), "--format", "json")
-        assert code == 0
-        assert out == fresh
-        assert "corrupt" in err
+        # bad JSON, a byte that is not UTF-8, and nesting too deep to decode
+        for payload in (b"{broken", b'{"format": "\xff"}', b"[" * 100_000):
+            for entry in cache.iterdir():
+                entry.write_bytes(payload)
+            code, out, err = run_cli(capsys, "lattice", "--group", "D6",
+                                     "--cache", str(cache), "--format", "json")
+            assert code == 0, payload[:20]
+            assert out == fresh
+            assert "corrupt" in err
 
     @pytest.mark.parametrize("dropped", [1, 3])
     def test_cache_with_dropped_nodes_recovers(self, capsys, tmp_path, dropped):

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,9 +321,12 @@ class TestFileFormats:
         path.write_text(json.dumps({"kind": "named", "spec": "S3"}))
         assert G.load_group_file(path).order == 6
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(G.GroupSpecError):
-            G.load_group_file(bad)
+        # bad JSON, a byte that is not UTF-8, and nesting too deep to decode
+        for payload in (b"{not json", b'{"kind": "named", "spec": "S3\xff"}',
+                        b"[" * 100_000):
+            bad.write_bytes(payload)
+            with pytest.raises(G.GroupSpecError, match=re.escape(f"bad group file {bad}: ")):
+                G.load_group_file(bad)
 
 
 @settings(max_examples=40, deadline=None)

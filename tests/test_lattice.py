@@ -530,10 +530,10 @@ class TestConjugacyClasses:
     def test_table_classes_match_element_conjugation(self, spec, data):
         g = relabelled(shared_lat(spec).group, data)
         lat = L.enumerate_subgroups(g)
-        tables = L._conjugation_tables(g)
+        cyclic_of = [g.cyclic_mask(x) for x in range(g.order)]
         normal = L.normal_subgroups(lat)
         for i, m in enumerate(lat.masks):
-            members, schreier = L._conjugacy_class(g, tables, m, lat.node_gens[i])
+            members, schreier = L._conjugacy_class(g, cyclic_of, m, lat.node_gens[i])
             assert len(set(members)) == len(members), (spec, i)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
@@ -550,10 +550,12 @@ class TestConjugacyClasses:
     def test_orbit_normalizers_match_element_conjugation(self, spec, data):
         g = relabelled(named_group(spec), data)
         lat = L.enumerate_subgroups(g)
-        tables = L._conjugation_tables(g)
+        cyclic_of = [g.cyclic_mask(x) for x in range(g.order)]
         for r in lat.class_masks:
             m, gens = lat.masks[r], lat.node_gens[r]
-            members, schreier = L._conjugacy_class(g, tables, m, gens)
+            members, schreier = L._conjugacy_class(g, cyclic_of, m, gens)
+            assert set(members) == {
+                g.conjugate_mask(m, x) for x in range(g.order)}, (spec, r)
             oracle = sum(1 << y for y in range(g.order) if g.conjugate_mask(m, y) == m)
             assert oracle.bit_count() * len(members) == g.order, (spec, r)
             if len(members) == 1:
