@@ -92,8 +92,9 @@ def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
         "nodes_sha256": _nodes_digest(lat.masks),
     }
     tmp = path + ".tmp"
+    # json.dumps is the C encoder; json.dump streams through the Python one
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
     return path
 

@@ -8,11 +8,14 @@ order, after Neubüser's cyclic-extension method. A join is skipped when
 its result is known or is reached by another join. Outside the solvable
 residual R = G^(∞) only the normal extensions AC of prime index over A are
 joined, since every subgroup that is not perfect has a normal subgroup of
-prime index; every
-subgroup of prime index over A already found absorbs the seeds it holds
-outside A, and seeds conjugate under N(A) to a joined seed give conjugate
-joins. A normal representative's normalizer is the whole group, found
-without a closure, and a seed inside N(A) is joined as the product of A
+prime index; every subgroup of prime index over A already found absorbs
+the seeds it holds outside A, and seeds conjugate under N(A) to a joined
+seed give conjugate joins. The seeds left for A are one element mask of
+their lowest generators c, cut by these rules and, once N(A) is known, to
+N(A) (to N(A) u R when A lies in R); the index of C = <c> over C n A is
+prime iff c^p lies in A, p the prime of |C|, one table read per seed. A
+normal representative's normalizer is the whole group, found without a
+closure, and a seed inside N(A) is joined as the product of A
 with its one generator. Any other N(A) is read off the walk that finds A's
 class A_i = g_i A g_i⁻¹: G acts on the class, N(A) is the stabilizer of A,
 so by orbit-stabilizer |N(A)| = |G| / |cls A|, and by Schreier's lemma it is
@@ -439,18 +442,30 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int], mask: int,
+def _by_descending_order(cyclic_of: Sequence[int]) -> list[int]:
+    """Element masks of the x with one order of <x>, by descending order;
+    ``cyclic_of[x]`` is the mask of <x>."""
+    of: dict[int, int] = {}
+    for x, m in enumerate(cyclic_of):
+        k = m.bit_count()
+        of[k] = of.get(k, 0) | 1 << x
+    return [of[k] for k in sorted(of, reverse=True)]
+
+
+def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int],
+                     by_order: Sequence[int], mask: int,
                      gens) -> tuple[list[int], int]:
     """The conjugacy class of the subgroup A = <gens> = ``mask``, as masks,
     and Schreier elements of N(A) as an element mask; ``cyclic_of[x]`` is
-    the mask of <x>.
+    the mask of <x>, and ``by_order`` is :func:`_by_descending_order` of it.
 
     The class is A's orbit under conjugation by the group's generators s.
     When s x s⁻¹ lies in A for every s and every x of ``gens``, A is normal,
     its class is itself and no element is returned. Otherwise A is
     conjugated through a cyclic cover: A's elements x by descending order of
-    <x>, keeping each x not yet covered, so A is the union of <x> over the
-    cover (any walk order gives a cover; this one keeps it small). Since
+    <x>, the lowest first within one order, keeping each x not yet covered,
+    so A is the union of <x> over the cover (any walk order gives a cover;
+    this one keeps it small). Since
     y<x>y⁻¹ = <yxy⁻¹> (:meth:`SubgroupLattice.conjugates`), yAy⁻¹ is the
     union of ``cyclic_of[y x y⁻¹]`` over the cover. The walk keeps a
     conjugator g_i with A_i = g_i A g_i⁻¹ for each member, g = 1 for A
@@ -463,8 +478,10 @@ def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int], mask: int,
     if all(mask >> t[t[s][x]][inv[s]] & 1 for s in gs for x in gens):
         return [mask], 0
     cover, covered = [], 0
-    for x in sorted(_bits(mask), key=lambda x: -cyclic_of[x].bit_count()):
-        if not covered >> x & 1:
+    for om in by_order:
+        rest = mask & om
+        while rest := rest & ~covered:
+            x = (rest & -rest).bit_length() - 1
             cover.append(x)
             covered |= cyclic_of[x]
     orbit, conj, schreier = [mask], {mask: 0}, 0
@@ -558,6 +575,26 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       into ``tried``. A join J of prime index needs none: C^n lies in J^n,
       a member of J's class that contains A, hence in the cover.
 
+    Seed mask. Each seed C is named by its lowest generator c, and the
+    seeds left for A are one element mask, walked by ascending c, so they
+    are met in the order of their lowest generators. The rules above read
+    C through c alone:
+
+    - C lies in a union of subgroups iff c does: if c lies in one of them,
+      K, then so does <c> <= K, and c lies in <c>. The cover and A are
+      such unions, so one AND drops the seeds inside them, and ``tried``,
+      a mask of lowest generators, drops the tried orbits. An N(A)-orbit is
+      walked on generators: nCn⁻¹ = <ncn⁻¹>, named by its lowest generator.
+    - For c outside A, |C : C n A| is prime iff c^p lies in A, p the prime
+      of |C| = p^k. The subgroups of the cyclic p-group C are the chain
+      <c^(p^j)>, j = 0..k, of index p^j in C. C n A is one of them, with
+      j >= 1 since c is outside A, so the index is prime iff j = 1, that is
+      iff <c^p> <= A, iff c^p lies in A: one table read per seed.
+    - C <= N(A) iff c lies in N(A), and A u C lies in R iff A does and c
+      does, since N(A) and R are subgroups. Once N(A) is found, every seed
+      outside N(A), and outside R when A lies in R, is dropped from the mask
+      at once, since neither rule lets it through.
+
     The cost of each join is cut by more exact rules:
 
     - Normalizer from the class orbit. N(A) is found once per
@@ -596,7 +633,9 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       with J the union of the <x>: since y<x>y⁻¹ = <yxy⁻¹>, yJy⁻¹ is the
       union of the cyclic subgroups of the yxy⁻¹, one conjugation and one
       lookup each (:func:`_conjugacy_class`), and no element of J is moved
-      on its own.
+      on its own. The cover is read off per-group element masks, one per
+      order of <x> (:func:`_by_descending_order`), so J's elements are not
+      sorted.
 
     :class:`LatticeCapError` is raised as soon as more than
     ``DEFAULT_LATTICE_CAP`` subgroups are known, that is exactly when |L(G)|
@@ -607,6 +646,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     # generators of what gets joined: the cyclic subgroups and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
     cyclic_of = [1] * g.order
+    lowest = [0] * g.order  # the lowest generator of each <x>, which names it
     cyclic_masks: list[int] = [1]
     for x in range(1, g.order):
         m = g.cyclic_mask(x)
@@ -614,10 +654,21 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
         if m not in gens_of:
             gens_of[m] = (x,)
             cyclic_masks.append(m)
+        lowest[x] = gens_of[m][0]
     if len(cyclic_masks) > DEFAULT_LATTICE_CAP:
         raise LatticeCapError(f"{g.name}: more than {DEFAULT_LATTICE_CAP} subgroups")
-    seeds = [m for m in cyclic_masks[1:]
-             if len(prime_signature(m.bit_count()).factors) == 1]
+    by_order = _by_descending_order(cyclic_of)
+    # one bit per seed, at its lowest generator c, and c^p for p the prime of |<c>|
+    seed_gens = 0
+    power = [0] * g.order
+    for m in cyclic_masks[1:]:
+        factors = prime_signature(m.bit_count()).factors
+        if len(factors) == 1:
+            c = y = gens_of[m][0]
+            seed_gens |= 1 << c
+            for _ in range(factors[0][0] - 1):
+                y = t[y][c]
+            power[c] = y
     primes = set(prime_signature(g.order).primes)
     rm = g.solvable_residual
     frontier: list[int] = []
@@ -628,7 +679,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     orbit_of: dict[int, tuple[int, int]] = {}
 
     def add_class(am: int) -> list[int]:
-        members, schreier = _conjugacy_class(g, cyclic_of, am, gens_of[am])
+        members, schreier = _conjugacy_class(g, cyclic_of, by_order, am, gens_of[am])
         seen.update(members)
         of_order.setdefault(am.bit_count(), []).extend(members)
         if len(members) > 1:
@@ -644,12 +695,13 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
         for am in frontier:
             agens = gens_of[am]
             a_order = am.bit_count()
+            a_in_r = not am & ~rm
             # N(A), its generators and A's element rows, found before the
             # first join
             nm = 0
             ngens: tuple[int, ...] = ()
             arows: list[tuple[int, ...]] = []
-            tried: set[int] = set()  # seeds whose join with A is known
+            tried = 0  # generators of the seeds whose join with A is known
             # A and the seen subgroups of prime index over A, each of which is
             # the join of A with every seed it holds outside A
             cover = am
@@ -657,12 +709,16 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
                 for km in of_order.get(a_order * p, ()):
                     if km & am == am:
                         cover |= km
-            for cm in seeds:
-                if cm & cover == cm or am & cm == am or cm in tried:
+            todo = seed_gens
+            while todo := todo & ~(cover | tried):
+                bit = todo & -todo
+                todo ^= bit
+                c = bit.bit_length() - 1
+                if am & cyclic_of[c] == am:
                     continue
                 # outside R, only a C in N(A) with |C : C n A| prime is joined
-                in_r = not (am | cm) & ~rm
-                if not in_r and cm.bit_count() // (cm & am).bit_count() not in primes:
+                in_r = a_in_r and rm >> c & 1
+                if not (in_r or am >> power[c] & 1):
                     continue
                 if not nm:
                     arows = [t[b] for b in _bits(am)]
@@ -671,12 +727,12 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
                         ngens = agens + tuple(used)
                     else:
                         nm, ngens = g.full_mask, g.generating_set
-                c_normalizes = cm & nm == cm
-                if not (in_r or c_normalizes):
-                    continue
-                c = gens_of[cm][0]
+                    # from here on only seeds in N(A), or in R when A is, are joined
+                    todo &= nm | (rm if a_in_r else 0)
+                    if not (in_r or nm >> c & 1):
+                        continue
                 jgens = agens + (c,)
-                jm = g.closure_mask((c,) if c_normalizes else jgens, am, arows)
+                jm = g.closure_mask((c,) if nm >> c & 1 else jgens, am, arows)
                 if jm not in seen:
                     gens_of[jm] = jgens
                     members = add_class(jm)
@@ -692,14 +748,13 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
                                 cover |= km
                         continue
                 # the seeds of C's N(A)-orbit join A to N(A)-conjugates of J
-                orbit = [cm]
-                tried.add(cm)
-                for e in orbit:  # orbit grows while we iterate
-                    x = gens_of[e][0]
+                orbit = [c]
+                tried |= bit
+                for x in orbit:  # orbit grows while we iterate
                     for y in ngens:
-                        f = cyclic_of[t[t[y][x]][inv[y]]]
-                        if f not in tried:
-                            tried.add(f)
+                        f = lowest[t[t[y][x]][inv[y]]]
+                        if not tried >> f & 1:
+                            tried |= 1 << f
                             orbit.append(f)
         frontier = fresh
     return SubgroupLattice(g, list(seen))

@@ -68,9 +68,10 @@ PINNED_MASK_DIGESTS = {
 # several conjugates of a prime-index join, so theirs rise if a new join's
 # conjugates over the representative are not all absorbed too. S5 and S5xC2
 # have a nontrivial solvable residual A5, so theirs rise if a join inside it
-# no longer tries its seed's whole N(A)-orbit
+# no longer tries its seed's whole N(A)-orbit. S4xS3, A4xA4 and A5xC3
+# complete the benchmark's lattice pool
 PINNED_JOIN_CLOSURES = {"Z:2,2,2,2,2": 342, "S5": 32, "D4xD4": 189,
-                        "S5xC2": 63}
+                        "S5xC2": 63, "S4xS3": 55, "A4xA4": 31, "A5xC3": 43}
 
 # The normalizers: one closure per Schreier element that N(A) is closed with.
 # Every count rises if a Schreier element inside the closure so far is
@@ -78,7 +79,8 @@ PINNED_JOIN_CLOSURES = {"Z:2,2,2,2,2": 342, "S5": 32, "D4xD4": 189,
 # |G| / |cls A|; Z:2,2,2,2,2 is abelian, so every representative is normal
 # and none is closed
 PINNED_NORMALIZER_CLOSURES = {"Z:2,2,2,2,2": 0, "S5": 16, "D4xD4": 260,
-                              "S5xC2": 77}
+                              "S5xC2": 77, "S4xS3": 88, "A4xA4": 42,
+                              "A5xC3": 18}
 
 # sha256 of "class_of;conjugators" (each comma-separated) of the group
 # relabelled by random.Random(3); the order in which the class walk visits
@@ -475,6 +477,41 @@ def test_node_tables_match_closures(spec, relabel, data):
         lat.index_of[g.cyclic_mask(x)] for x in range(g.order)), spec
 
 
+def assert_prime_index_is_one_power(g, masks):
+    """For every subgroup A in ``masks`` and every element c of prime-power
+    order p^k outside A: |<c> : <c> n A| is prime iff c^p lies in A. Both
+    sides come from cyclic_mask and the table alone."""
+    seeds = []
+    for c in range(1, g.order):
+        cm = g.cyclic_mask(c)
+        factors = G.prime_signature(cm.bit_count()).factors
+        if len(factors) == 1:
+            cp = c
+            for _ in range(factors[0][0] - 1):
+                cp = g.table[cp][c]
+            seeds.append((c, cm, cp))
+    for am in masks:
+        for c, cm, cp in seeds:
+            if am >> c & 1:
+                continue
+            index = cm.bit_count() // (cm & am).bit_count()
+            is_prime = index > 1 and all(index % d for d in range(2, index))
+            assert is_prime == bool(am >> cp & 1), (g.name, am, c)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_prime_index_over_a_node_is_one_power(spec):
+    lat = shared_lat(spec)
+    assert_prime_index_is_one_power(lat.group, lat.masks)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_relabelled_prime_index_over_a_node_is_one_power(spec, data):
+    g = relabelled(shared_lat(spec).group, data)
+    assert_prime_index_is_one_power(g, L.enumerate_subgroups(g).masks)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(CATALOG_SPECS), st.data())
 def test_closure_from_given_base_rows_matches_closure(spec, data):
@@ -531,9 +568,11 @@ class TestConjugacyClasses:
         g = relabelled(shared_lat(spec).group, data)
         lat = L.enumerate_subgroups(g)
         cyclic_of = [g.cyclic_mask(x) for x in range(g.order)]
+        by_order = L._by_descending_order(cyclic_of)
         normal = L.normal_subgroups(lat)
         for i, m in enumerate(lat.masks):
-            members, schreier = L._conjugacy_class(g, cyclic_of, m, lat.node_gens[i])
+            members, schreier = L._conjugacy_class(
+                g, cyclic_of, by_order, m, lat.node_gens[i])
             assert len(set(members)) == len(members), (spec, i)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
@@ -551,9 +590,10 @@ class TestConjugacyClasses:
         g = relabelled(named_group(spec), data)
         lat = L.enumerate_subgroups(g)
         cyclic_of = [g.cyclic_mask(x) for x in range(g.order)]
+        by_order = L._by_descending_order(cyclic_of)
         for r in lat.class_masks:
             m, gens = lat.masks[r], lat.node_gens[r]
-            members, schreier = L._conjugacy_class(g, cyclic_of, m, gens)
+            members, schreier = L._conjugacy_class(g, cyclic_of, by_order, m, gens)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, r)
             oracle = sum(1 << y for y in range(g.order) if g.conjugate_mask(m, y) == m)
