@@ -11,25 +11,25 @@ joined, since every subgroup that is not perfect has a normal subgroup of
 prime index; every subgroup of prime index over A already found absorbs
 the seeds it holds outside A, and seeds conjugate under N(A) to a joined
 seed give conjugate joins. The seeds left for A are one element mask of
-their lowest generators c, cut by these rules and, once N(A) is known, to
-N(A) (to N(A) u R when A lies in R); the index of C = <c> over C n A is
-prime iff c^p lies in A, p the prime of |C|, one table read per seed. A
-normal representative's normalizer is the whole group, found without a
-closure, and a seed inside N(A) is joined as the product of A
-with its one generator. Any other N(A) is read off the walk that finds A's
-class A_i = g_i A g_i⁻¹: G acts on the class, N(A) is the stabilizer of A,
-so by orbit-stabilizer |N(A)| = |G| / |cls A|, and by Schreier's lemma it is
-generated by the elements g_j⁻¹ s g_i of the walk's edges s A_i s⁻¹ = A_j.
-It is closed from A with those elements one at a time until it has that
-order. :func:`enumerate_subgroups` proves each of these rules. The masks
-are then frozen: nodes are sorted by (cardinality, membership-vector lex
-order), so two runs of the same table index the nodes identically. The
-lattice of a subgroup H is the interval [1, H] of the parent's lattice, so
-:meth:`SubgroupLattice.rerooted` reads it off the parent instead of
-enumerating it again. Every node set (normal, subnormal, maximal, Sylow,
-perp, ...) is a node mask over that fixed node list, bit i for node i; a
-:class:`SublatticeSelection` is such a mask with a name, and no node set
-copies subgroups.
+their lowest generators c, cut to N(A) (to N(A) u R when A lies in R)
+before A's first seed and then by these rules; the index of C = <c> over
+C n A is prime iff c^p lies in A, p the prime of |C|, one table read per
+seed. N(A) comes with A's class. A normal representative's normalizer is
+the whole group, found without a closure, and a seed inside N(A) is joined
+as the product of A with its one generator. Any other N(A) is found by the
+walk that finds A's class A_i = g_i A g_i⁻¹: G acts on the class, N(A) is
+the stabilizer of A, and by Schreier's lemma A and the elements
+g_j⁻¹ s g_i of the walk's edges s A_i s⁻¹ = A_j generate it. Each of them
+normalizes A, so N(A) is one closure from A over those outside A, and none
+when all lie in A. :func:`enumerate_subgroups` proves each of these rules.
+The masks are then frozen: nodes are sorted by (cardinality,
+membership-vector lex order), so two runs of the same table index the nodes
+identically. The lattice of a subgroup H is the interval [1, H] of the
+parent's lattice, so :meth:`SubgroupLattice.rerooted` reads it off the
+parent instead of enumerating it again. Every node set (normal,
+subnormal, maximal, Sylow, perp, ...) is a node mask over that fixed node
+list, bit i for node i; a :class:`SublatticeSelection` is such a mask with
+a name, and no node set copies subgroups.
 
 Conjugation works on node indices, not element masks. Each lattice keeps
 two tables: the node of every cyclic subgroup <x>, and greedy generators of
@@ -453,30 +453,33 @@ def _by_descending_order(cyclic_of: Sequence[int]) -> list[int]:
 
 
 def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int],
-                     by_order: Sequence[int], mask: int,
-                     gens) -> tuple[list[int], int]:
+                     by_order: Sequence[int], mask: int, gens: tuple[int, ...]
+                     ) -> tuple[list[int], int, tuple[int, ...]]:
     """The conjugacy class of the subgroup A = <gens> = ``mask``, as masks,
-    and Schreier elements of N(A) as an element mask; ``cyclic_of[x]`` is
-    the mask of <x>, and ``by_order`` is :func:`_by_descending_order` of it.
+    with N(A) as a mask and generators of N(A): ``gens``, then the Schreier
+    elements outside A. ``cyclic_of[x]`` is the mask of <x>, and
+    ``by_order`` is :func:`_by_descending_order` of it.
 
     The class is A's orbit under conjugation by the group's generators s.
-    When s x s⁻¹ lies in A for every s and every x of ``gens``, A is normal,
-    its class is itself and no element is returned. Otherwise A is
-    conjugated through a cyclic cover: A's elements x by descending order of
-    <x>, the lowest first within one order, keeping each x not yet covered,
-    so A is the union of <x> over the cover (any walk order gives a cover;
-    this one keeps it small). Since
+    When s x s⁻¹ lies in A for every s and every x of ``gens``, A is normal:
+    its class is itself and N(A) = G, with G's generators, found without a
+    closure. Otherwise A is conjugated through a cyclic cover: A's elements
+    x by descending order of <x>, the lowest first within one order, keeping
+    each x not yet covered, so A is the union of <x> over the cover (any
+    walk order gives a cover; this one keeps it small). Since
     y<x>y⁻¹ = <yxy⁻¹> (:meth:`SubgroupLattice.conjugates`), yAy⁻¹ is the
     union of ``cyclic_of[y x y⁻¹]`` over the cover. The walk keeps a
     conjugator g_i with A_i = g_i A g_i⁻¹ for each member, g = 1 for A
     itself, and conjugates A_i by s as A by y = s·g_i, the conjugator of a
     member first found that way. An edge that finds a member A_j already
     seen gives g_j⁻¹·y, which maps A to A_j and back to A, so it lies in
-    N(A); together they generate N(A) (proof in
-    :func:`enumerate_subgroups`)."""
+    N(A); A and these Schreier elements generate N(A) (proof in
+    :func:`enumerate_subgroups`). Each of them normalizes A, so N(A) = A<S>
+    for S the Schreier elements outside A: one closure from A over S, and
+    none when S is empty, where N(A) = A."""
     t, inv, gs = group.table, group.inverse, group.generating_set
     if all(mask >> t[t[s][x]][inv[s]] & 1 for s in gs for x in gens):
-        return [mask], 0
+        return [mask], group.full_mask, gs
     cover, covered = [], 0
     for om in by_order:
         rest = mask & om
@@ -499,22 +502,9 @@ def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int],
                 orbit.append(c)
             else:
                 schreier |= 1 << t[inv[gj]][y]
-    return orbit, schreier
-
-
-def _normalizer(group: FiniteGroup, am: int, arows, class_size: int,
-                schreier: int) -> tuple[int, list[int]]:
-    """N(A) of a non-normal A = ``am``, closed from A, and the Schreier
-    elements (:func:`_conjugacy_class`) it was closed with. By
-    orbit-stabilizer |N(A)| = |G| / ``class_size``, so elements are added
-    until the closure has that order; none is added when N(A) = A."""
-    target = group.order // class_size
-    nm, used = am, []
-    while nm.bit_count() < target:
-        rest = schreier & ~nm
-        used.append((rest & -rest).bit_length() - 1)
-        nm = group.closure_mask(used, am, arows)
-    return nm, used
+    used = tuple(_bits(schreier & ~mask))
+    nm = group.closure_mask(used, mask) if used else mask
+    return orbit, nm, gens + used
 
 
 def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
@@ -591,20 +581,21 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       j >= 1 since c is outside A, so the index is prime iff j = 1, that is
       iff <c^p> <= A, iff c^p lies in A: one table read per seed.
     - C <= N(A) iff c lies in N(A), and A u C lies in R iff A does and c
-      does, since N(A) and R are subgroups. Once N(A) is found, every seed
-      outside N(A), and outside R when A lies in R, is dropped from the mask
-      at once, since neither rule lets it through.
+      does, since N(A) and R are subgroups. N(A) comes with A's class, so
+      the mask starts cut to N(A), or to N(A) u R when A lies in R, and no
+      seed outside it is met: neither rule lets one through.
 
     The cost of each join is cut by more exact rules:
 
-    - Normalizer from the class orbit. N(A) is found once per
-      representative, before its first join. A representative whose class
-      has one member is normal, so N(A) = G, with G's generators, found
-      without a closure. Otherwise G acts on A's class by conjugation, and
-      N(A) is the stabilizer of A. The walk that finds the class keeps a
-      conjugator g_i with A_i = g_i A g_i⁻¹ for each member (g = 1 for A),
-      and each edge s A_i s⁻¹ = A_j over a generator s of G gives the
-      Schreier element g_j⁻¹ s g_i, which fixes A (:func:`_conjugacy_class`).
+    - Normalizer from the class orbit. N(A) is found once per class, by
+      the walk that finds the class, so it is known before A's first seed.
+      A representative whose class has one member is normal, so N(A) = G,
+      with G's generators, found without a closure. Otherwise G acts on
+      A's class by conjugation, and N(A) is the stabilizer of A. The walk
+      that finds the class keeps a conjugator g_i with A_i = g_i A g_i⁻¹
+      for each member (g = 1 for A), and each edge s A_i s⁻¹ = A_j over a
+      generator s of G gives the Schreier element g_j⁻¹ s g_i, which fixes
+      A (:func:`_conjugacy_class`).
       These generate N(A) (Schreier's lemma; Seress, *Permutation Group
       Algorithms*, 2003, §4.1): write n in N(A) as a word s_k ... s_1 in
       the generators (G is finite, so no inverses are needed) and follow A
@@ -612,18 +603,18 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       A. Then n is the product of g_(i_l)⁻¹ s_l g_(i_(l-1)) over l = k
       down to 1, since the inner conjugators cancel and g_(i_0) = g_(i_k) =
       1, and each factor is a Schreier element (one on an edge that found
-      a new member is 1). By orbit-stabilizer |N(A)| = |G| / |cls A|, so N(A)
-      is closed from A (:func:`_normalizer`) with one Schreier element
-      outside it at a time until it has that order, with no closure when
-      N(A) = A. Every Schreier element normalizes A, so the closure from A
-      with them alone is A<used> = <A, used>. A's generators and the
-      elements used generate N(A), and the N(A)-orbits read those.
+      a new member is 1). So A and the set S of Schreier elements outside A
+      generate N(A). Each of them normalizes A, so the closure from A with S
+      alone is A<S> = <A, S> = N(A): one closure per class, and none when S
+      is empty, where N(A) = A. A's generators and S generate N(A), and the
+      N(A)-orbits read those.
     - One-generator joins. A join is closed from A by whole cosets, as in
       Dimino's algorithm (:meth:`FiniteGroup.closure_mask` with ``base`` A).
       When the seed C = <c> lies in N(A), <A, C> = AC is the union of the
       cosets A c^k, so it is closed from A with c as the only generator.
       The table rows of A's elements, which every coset reads, are built
-      once per representative, with N(A), and passed to each closure.
+      once per representative, at its first join, and passed to each
+      closure.
     - Normality by generators. Classes are orbits under conjugation by the
       generators s of G. J = <jgens> is normal iff s x s⁻¹ lies in J for
       every s and every x of jgens: then sJs⁻¹ = <s jgens s⁻¹> lies in J
@@ -671,36 +662,28 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
             power[c] = y
     primes = set(prime_signature(g.order).primes)
     rm = g.solvable_residual
-    frontier: list[int] = []
+    # (A, N(A), generators of N(A)) of each representative
+    frontier: list[tuple[int, int, tuple[int, ...]]] = []
     seen: set[int] = set()  # every subgroup found so far
     of_order: dict[int, list[int]] = {}  # the subgroups in seen, by order
-    # (|cls A|, Schreier elements of N(A)) of each non-normal representative
-    # A that has not made its first join yet
-    orbit_of: dict[int, tuple[int, int]] = {}
 
-    def add_class(am: int) -> list[int]:
-        members, schreier = _conjugacy_class(g, cyclic_of, by_order, am, gens_of[am])
+    def add_class(am: int, reps: list) -> list[int]:
+        members, nm, ngens = _conjugacy_class(g, cyclic_of, by_order, am, gens_of[am])
         seen.update(members)
         of_order.setdefault(am.bit_count(), []).extend(members)
-        if len(members) > 1:
-            orbit_of[am] = len(members), schreier
+        reps.append((am, nm, ngens))
         return members
 
     for m in cyclic_masks:
         if m not in seen:
-            frontier.append(m)
-            add_class(m)
+            add_class(m, frontier)
     while frontier:
-        fresh: list[int] = []
-        for am in frontier:
+        fresh: list[tuple[int, int, tuple[int, ...]]] = []
+        for am, nm, ngens in frontier:
             agens = gens_of[am]
             a_order = am.bit_count()
             a_in_r = not am & ~rm
-            # N(A), its generators and A's element rows, found before the
-            # first join
-            nm = 0
-            ngens: tuple[int, ...] = ()
-            arows: list[tuple[int, ...]] = []
+            arows = None  # A's element rows, built at its first join
             tried = 0  # generators of the seeds whose join with A is known
             # A and the seen subgroups of prime index over A, each of which is
             # the join of A with every seed it holds outside A
@@ -709,34 +692,24 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
                 for km in of_order.get(a_order * p, ()):
                     if km & am == am:
                         cover |= km
-            todo = seed_gens
+            # only seeds in N(A), or in R when A is, are joined
+            todo = seed_gens & (nm | (rm if a_in_r else 0))
             while todo := todo & ~(cover | tried):
                 bit = todo & -todo
                 todo ^= bit
                 c = bit.bit_length() - 1
                 if am & cyclic_of[c] == am:
                     continue
-                # outside R, only a C in N(A) with |C : C n A| prime is joined
-                in_r = a_in_r and rm >> c & 1
-                if not (in_r or am >> power[c] & 1):
+                # outside R, C lies in N(A) and is joined iff |C : C n A| is prime
+                if not (a_in_r and rm >> c & 1 or am >> power[c] & 1):
                     continue
-                if not nm:
-                    arows = [t[b] for b in _bits(am)]
-                    if am in orbit_of:
-                        nm, used = _normalizer(g, am, arows, *orbit_of.pop(am))
-                        ngens = agens + tuple(used)
-                    else:
-                        nm, ngens = g.full_mask, g.generating_set
-                    # from here on only seeds in N(A), or in R when A is, are joined
-                    todo &= nm | (rm if a_in_r else 0)
-                    if not (in_r or nm >> c & 1):
-                        continue
                 jgens = agens + (c,)
+                if arows is None:
+                    arows = [t[b] for b in _bits(am)]
                 jm = g.closure_mask((c,) if nm >> c & 1 else jgens, am, arows)
                 if jm not in seen:
                     gens_of[jm] = jgens
-                    members = add_class(jm)
-                    fresh.append(jm)
+                    members = add_class(jm, fresh)
                     if len(seen) > DEFAULT_LATTICE_CAP:
                         raise LatticeCapError(
                             f"{g.name}: more than {DEFAULT_LATTICE_CAP} subgroups")

@@ -69,18 +69,21 @@ PINNED_MASK_DIGESTS = {
 # conjugates over the representative are not all absorbed too. S5 and S5xC2
 # have a nontrivial solvable residual A5, so theirs rise if a join inside it
 # no longer tries its seed's whole N(A)-orbit. S4xS3, A4xA4 and A5xC3
-# complete the benchmark's lattice pool
+# complete the benchmark's lattice pool; S6 and D4xD4xC2 are the README's
+# figures
 PINNED_JOIN_CLOSURES = {"Z:2,2,2,2,2": 342, "S5": 32, "D4xD4": 189,
-                        "S5xC2": 63, "S4xS3": 55, "A4xA4": 31, "A5xC3": 43}
+                        "S5xC2": 63, "S4xS3": 55, "A4xA4": 31, "A5xC3": 43,
+                        "S6": 292, "D4xD4xC2": 1218}
 
-# The normalizers: one closure per Schreier element that N(A) is closed with.
-# Every count rises if a Schreier element inside the closure so far is
-# added, or if adding stops only when none is left rather than at the order
-# |G| / |cls A|; Z:2,2,2,2,2 is abelian, so every representative is normal
-# and none is closed
-PINNED_NORMALIZER_CLOSURES = {"Z:2,2,2,2,2": 0, "S5": 16, "D4xD4": 260,
-                              "S5xC2": 77, "S4xS3": 88, "A4xA4": 42,
-                              "A5xC3": 18}
+# The normalizers: the class walk closes N(A) from A once, over all of its
+# Schreier elements outside A, for each non-normal class with N(A) > A.
+# Every count rises if N(A) is closed one Schreier element at a time, or
+# once per join instead of once per class; a normal class and a class with
+# N(A) = A make none, and Z:2,2,2,2,2 is abelian, so all of its classes are
+# normal
+PINNED_NORMALIZER_CLOSURES = {"Z:2,2,2,2,2": 0, "S5": 12, "D4xD4": 123,
+                              "S5xC2": 46, "S4xS3": 50, "A4xA4": 25,
+                              "A5xC3": 14, "S6": 44, "D4xD4xC2": 784}
 
 # sha256 of "class_of;conjugators" (each comma-separated) of the group
 # relabelled by random.Random(3); the order in which the class walk visits
@@ -346,7 +349,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("spec", sorted(PINNED_NORMALIZER_CLOSURES))
     def test_normalizer_closures_pinned(self, spec, monkeypatch):
-        assert closures_by_call_site(spec, monkeypatch)["_normalizer"] \
+        assert closures_by_call_site(spec, monkeypatch)["_conjugacy_class"] \
             == PINNED_NORMALIZER_CLOSURES[spec]
 
     # |R| for the solvable residual R: 1 for solvable groups (relabelled
@@ -571,13 +574,14 @@ class TestConjugacyClasses:
         by_order = L._by_descending_order(cyclic_of)
         normal = L.normal_subgroups(lat)
         for i, m in enumerate(lat.masks):
-            members, schreier = L._conjugacy_class(
-                g, cyclic_of, by_order, m, lat.node_gens[i])
+            gens = lat.node_gens[i]
+            members, nm, ngens = L._conjugacy_class(g, cyclic_of, by_order, m, gens)
             assert len(set(members)) == len(members), (spec, i)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, i)
             assert (len(members) == 1) == (i in normal), (spec, i)
-            assert all(g.conjugate_mask(m, y) == m for y in G._bits(schreier)), (spec, i)
+            assert nm == lat.masks[lat.normalizers[i]], (spec, i)
+            assert all(g.conjugate_mask(m, y) == m for y in ngens), (spec, i)
         assert_normalizers_match_stabilizers(lat)
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS)
@@ -593,21 +597,23 @@ class TestConjugacyClasses:
         by_order = L._by_descending_order(cyclic_of)
         for r in lat.class_masks:
             m, gens = lat.masks[r], lat.node_gens[r]
-            members, schreier = L._conjugacy_class(g, cyclic_of, by_order, m, gens)
+            members, nm, ngens = L._conjugacy_class(g, cyclic_of, by_order, m, gens)
             assert set(members) == {
                 g.conjugate_mask(m, x) for x in range(g.order)}, (spec, r)
             oracle = sum(1 << y for y in range(g.order) if g.conjugate_mask(m, y) == m)
             assert oracle.bit_count() * len(members) == g.order, (spec, r)
+            assert nm == oracle, (spec, r)
             if len(members) == 1:
                 assert oracle == g.full_mask, (spec, r)
+                assert ngens == g.generating_set, (spec, r)
                 continue
-            rows = [g.table[b] for b in G._bits(m)]
-            nm, used = L._normalizer(g, m, rows, len(members), schreier)
-            assert nm == oracle, (spec, r)
-            # A's generators and the elements used generate N(A), whose
-            # generators the N(A)-orbits of the enumeration read
-            assert all(schreier >> y & 1 for y in used), (spec, r)
-            assert g.closure_mask(gens + tuple(used)) == nm, (spec, r)
+            # A's generators and the Schreier elements outside A generate
+            # N(A), whose generators the N(A)-orbits of the enumeration read
+            used = ngens[len(gens):]
+            assert ngens[:len(gens)] == gens, (spec, r)
+            assert not any(m >> y & 1 for y in used), (spec, r)
+            assert all(g.conjugate_mask(m, y) == m for y in used), (spec, r)
+            assert g.closure_mask(ngens) == nm, (spec, r)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_CLASS_WALKS))
     def test_class_walk_pinned(self, spec):
