@@ -88,16 +88,18 @@ def prime_signature(n: int) -> PrimeSignature:
 class FiniteGroup:
     """Order-n group with multiplication table, inverses and optional labels.
 
-    Invariants enforced at construction, whichever constructor builds the
-    group: the identity is element 0 and each row and column of the table is
-    a permutation of 0..n-1, so each row holds the identity and every element
-    has an inverse. Associativity is checked, by Light's test in O(|S|·n²),
-    only where the table comes from untrusted input (see :meth:`from_table`).
-    The internal constructors build every table with :func:`_cayley_table`,
-    whose row x is left multiplication by x written as a composite of the
-    generators' left multiplications; composition of maps is associative, so
-    those tables are associative by construction. :func:`subgroup_group`
-    alone reads its rows off an existing group's table.
+    Invariants: the identity is element 0 and each row and column of the
+    table is a permutation of 0..n-1, so each row holds the identity and
+    every element has an inverse; the table is associative. Each is checked
+    once, where a table enters the library: :meth:`from_table`, the one way
+    in for an untrusted table, runs :meth:`_check_structure` (the
+    Latin-square and identity check, O(n²)) and then Light's associativity
+    test (:meth:`check_associativity`, O(|S|·n²)). Every other table is a
+    group's by construction, as the docstring of each internal constructor
+    shows in one line: :func:`_cayley_table` (cyclic, permutation, dihedral,
+    Q8 and quotient groups), :func:`_product_table` (direct products) and
+    :func:`subgroup_group`. So ``__init__`` trusts its table and checks only
+    that it is not empty.
 
     The structure flags keep no series: :attr:`is_abelian` tests the
     generators, :attr:`is_nilpotent` counts the elements of p-power order
@@ -107,9 +109,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, name: str, element_labels=None):
-        self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(int, row)) for row in table
-        )
+        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
         self.order: int = len(self.table)
         self.name = name
         self.element_labels: Optional[tuple[str, ...]] = (
@@ -117,23 +117,25 @@ class FiniteGroup:
         )
         if self.order < 1:
             raise GroupSpecError("empty multiplication table")
-        self._check_structure()
-        # every row is a permutation of 0..n-1 now, so each holds the identity
+        # every row of a group's table holds the identity
         self.inverse: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self.full_mask: int = (1 << self.order) - 1
 
-    def _check_structure(self):
-        n = self.order
+    @staticmethod
+    def _check_structure(table: Sequence[Sequence[int]]):
+        """Raise :class:`GroupSpecError` unless the square table of ints
+        ``table`` is a Latin square with the two-sided identity 0."""
+        n = len(table)
         idx = set(range(n))
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(table):
             if len(row) != n or set(row) != idx:
                 raise GroupSpecError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j, col in enumerate(zip(*self.table)):
+        for j, col in enumerate(zip(*table)):
             # every entry is in 0..n-1 now, so n distinct ones are all of them
             if len(set(col)) != n:
                 raise GroupSpecError(f"column {j} is not a permutation of 0..{n - 1}")
         for j in range(n):
-            if self.table[0][j] != j or self.table[j][0] != j:
+            if table[0][j] != j or table[j][0] != j:
                 raise GroupSpecError("element 0 is not a two-sided identity")
 
     def check_associativity(self) -> tuple[int, ...]:
@@ -194,9 +196,19 @@ class FiniteGroup:
     def from_table(cls, table, name: str = "cayley",
                    element_labels=None) -> "FiniteGroup":
         """Build a group from an untrusted table of ints, relocating the
-        identity to 0: a Latin square with a two-sided identity that passes
-        :meth:`check_associativity`."""
+        identity to 0; the one constructor that checks its table.
+
+        The checks run in this order, and the first to fail raises
+        :class:`GroupSpecError`: one label per element when labels are
+        given, square rows, a two-sided identity (swapped to index 0), the
+        entries as ints in a Latin square (:meth:`_check_structure`), and
+        associativity (:meth:`check_associativity`)."""
         n = len(table)
+        if element_labels is not None:
+            element_labels = list(element_labels)
+            if len(element_labels) != n:
+                raise GroupSpecError(
+                    f"{len(element_labels)} element labels for a table of order {n}")
         for i, row in enumerate(table):
             if len(row) != n:
                 raise GroupSpecError(f"row {i} has {len(row)} entries, not {n}")
@@ -216,9 +228,10 @@ class FiniteGroup:
             swap = {0: ident, ident: 0}.get
             table = [list(map(swap, row, row)) for row in map(pick, pick(table))]
             if element_labels is not None:
-                element_labels = list(element_labels)
                 element_labels[0], element_labels[ident] = (
                     element_labels[ident], element_labels[0])
+        table = [tuple(map(int, row)) for row in table]
+        cls._check_structure(table)
         g = cls(table, name, element_labels)
         g.check_associativity()
         return g
@@ -505,6 +518,12 @@ def _cayley_table(gen_rows: Sequence[Sequence[int]], n: int) -> list:
     multiplication by the generators: (s·x)·y = s·(x·y), so the row of s·x
     is the row of x mapped through the row of s. Each element's row is built
     once, from the first edge that reaches it.
+
+    A group by construction, so :class:`FiniteGroup` does not check it:
+    ``gen_rows`` are left multiplications of generators of a group on
+    0..n-1 with identity 0, so row x is left multiplication by x, and a
+    group's table is associative and a Latin square (cancellation) with
+    identity 0.
     """
     if n == 0:
         return []  # for FiniteGroup to reject as empty
@@ -527,7 +546,12 @@ def _cyclic_table(n: int) -> list:
 
 def _product_table(ta: Sequence[Sequence[int]], tb: Sequence[Sequence[int]]) -> list:
     """Table of A x B with (x, y) at index x*|B| + y: row (x, y) is the row
-    y of B repeated as blocks, block x' shifted by |B|·(x·x')."""
+    y of B repeated as blocks, block x' shifted by |B|·(x·x').
+
+    A group by construction, so :class:`FiniteGroup` does not check it:
+    (x, y)·(x', y') = (x·x', y·y') is associative and a Latin square with
+    identity (0, 0) = 0 because the tables of A and B are.
+    """
     nb = len(tb)
     shifted = [[tuple(map((c * nb).__add__, rb)) for c in range(len(ta))] for rb in tb]
     return [tuple(chain.from_iterable(map(shifted[y].__getitem__, ra)))
@@ -653,6 +677,11 @@ def subgroup_group(g: FiniteGroup, mask: int) -> FiniteGroup:
 
     Its elements are renumbered in ascending order, so 0 stays the identity
     and :meth:`permlat.lattice.SubgroupLattice.rerooted` keeps node order.
+
+    A group by construction, so :class:`FiniteGroup` does not check it:
+    :meth:`FiniteGroup.is_subgroup_mask` proves H closed, and G's table
+    restricted to a subgroup is associative and a Latin square
+    (cancellation in G) with identity 0.
     """
     if not g.is_subgroup_mask(mask):
         raise ValueError("set is not a subgroup")

@@ -1,11 +1,15 @@
 import functools
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlat import groups as G
+from permlat import lattice as L
 from permlat.catalog import CATALOG_SPECS
 
 SERIES_SPECS = list(CATALOG_SPECS) + ["S5xC2", "S4xS3", "A5xC3"]
@@ -60,11 +64,7 @@ class TestConstructors:
 
     def test_axioms_exhaustive_small(self):
         for spec in ["C6", "S3", "D4", "Q8", "A4", "Z:2,4", "D6", "S4"]:
-            g = G.make_named(spec)
-            assert first_nonassociative_triple(g.table) is None, spec
-            n = g.order
-            assert all(g.table[0][j] == j == g.table[j][0] for j in range(n))
-            assert all(g.table[i][g.inverse[i]] == 0 for i in range(n))
+            assert_group_table(G.make_named(spec))
 
     def test_unknown_token(self):
         with pytest.raises(G.GroupSpecError):
@@ -366,6 +366,80 @@ def test_named_permutation_tables_match_pairwise_composition(spec):
 def test_cyclic_group_axioms(n):
     g = G.make_named(f"C{n}")
     assert g.is_cyclic
+
+
+class TestLabels:
+    @pytest.mark.parametrize("table", [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+    def test_from_table_rejects_a_label_count_other_than_the_order(self, table):
+        # the second table has its identity at 1, which is swapped to 0
+        with pytest.raises(G.GroupSpecError,
+                           match=re.escape("1 element labels for a table of order 2")):
+            G.FiniteGroup.from_table(table, element_labels=["e"])
+
+    def test_from_table_swaps_the_labels_with_the_identity(self):
+        g = G.FiniteGroup.from_table([[1, 0], [0, 1]], element_labels=["a", "e"])
+        assert [g.label(x) for x in range(2)] == ["e", "a"]
+
+
+# -- from_table's checks, kept as an oracle for the tables built unchecked --
+
+def benchmark_pool_specs():
+    """Every base-group descriptor of the benchmark's workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for the dataclasses it defines
+    spec.loader.exec_module(module)
+    return {s for w in module.WORKLOADS.values() for s in w.pool}
+
+
+BUILT_SPECS = sorted(set(CATALOG_SPECS) | benchmark_pool_specs())
+
+# every catalog group of order up to 24, for products of order up to 576
+SMALL_SPECS = [s for s in CATALOG_SPECS if G.make_named(s).order <= 24]
+
+
+def assert_group_table(g):
+    """The table of ``g``, built without a check, passes the one that
+    ``from_table`` makes: a Latin square with identity 0, so x·x⁻¹ = 0; up
+    to order 24, no triple fails associativity either."""
+    G.FiniteGroup._check_structure(g.table)
+    assert all(g.table[x][g.inverse[x]] == 0 for x in range(g.order))
+    if g.order <= 24:
+        assert first_nonassociative_triple(g.table) is None
+
+
+@pytest.mark.parametrize("spec", BUILT_SPECS)
+def test_named_groups_pass_the_ingestion_check(spec):
+    assert_group_table(G.make_named(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(PERMUTATION_GENERATORS)
+def test_permutation_groups_pass_the_ingestion_check(case):
+    degree, gens = case
+    assert_group_table(G.from_permutations(degree, [list(p) for p in gens]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.sampled_from(SMALL_SPECS))
+def test_direct_products_pass_the_ingestion_check(a, b):
+    assert_group_table(G.direct_product(G.make_named(a), G.make_named(b)))
+
+
+@functools.cache
+def lattice_of(spec):
+    return L.enumerate_subgroups(G.make_named(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["S3", "D4", "Q8", "A4", "D6", "S4", "S3xC5", "S5"]), st.data())
+def test_subgroups_and_quotients_pass_the_ingestion_check(spec, data):
+    lat = lattice_of(spec)
+    node = data.draw(st.integers(0, len(lat) - 1), label="node")
+    assert_group_table(G.subgroup_group(lat.group, lat.masks[node]))
+    normal = data.draw(st.sampled_from(L.normal_subgroups(lat).members), label="normal")
+    assert_group_table(G.quotient_group(lat.group, lat.masks[normal]))
 
 
 def relabelled(g, data):
