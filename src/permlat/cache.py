@@ -75,21 +75,23 @@ def _entry_path(cache_dir: str, digest: str) -> str:
     return os.path.join(cache_dir, f"lattice-{digest}.json")
 
 
-def _nodes_digest(masks) -> str:
-    return hashlib.sha256(",".join(format(m, "x") for m in masks).encode()).hexdigest()
+def _nodes_digest(nodes: list[str]) -> str:
+    """sha256 of the node list as stored: the hex masks joined by commas."""
+    return hashlib.sha256(",".join(nodes).encode()).hexdigest()
 
 
 def store_lattice(cache_dir: str, lat: SubgroupLattice) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     digest = table_digest(lat.group)
     path = _entry_path(cache_dir, digest)
+    nodes = [format(m, "x") for m in lat.masks]
     payload = {
         "format": CACHE_FORMAT,
         "digest": digest,
         "order": lat.group.order,
         "node_count": len(lat),
-        "nodes": [format(m, "x") for m in lat.masks],
-        "nodes_sha256": _nodes_digest(lat.masks),
+        "nodes": nodes,
+        "nodes_sha256": _nodes_digest(nodes),
     }
     tmp = path + ".tmp"
     # json.dumps is the C encoder; json.dump streams through the Python one
@@ -117,10 +119,10 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
             return None
         if payload["digest"] != digest:
             return None
-        # the node list is hashed as stored: store_lattice writes the
-        # canonical hex that _nodes_digest formats, so other text is refused
+        # the node list is hashed as stored: store_lattice writes canonical
+        # hex and hashes that text, so other text is refused
         nodes = payload["nodes"]
-        if payload["nodes_sha256"] != hashlib.sha256(",".join(nodes).encode()).hexdigest():
+        if payload["nodes_sha256"] != _nodes_digest(nodes):
             return None
         masks = [int(v, 16) for v in nodes]
         if len(masks) != payload["node_count"] or len(set(masks)) != len(masks):
@@ -146,7 +148,7 @@ def load_lattice(cache_dir: str, group: FiniteGroup) -> Optional[SubgroupLattice
             rows = base_rows[s] = [t[b] for b in _bits(masks[s])]
         if group.closure_mask(gens, masks[s], rows) != masks[k]:
             return None
-    if any(masks[c] != group.cyclic_mask(x) for x, c in enumerate(lat.cyclic_nodes)):
+    if any(masks[c] != m for c, m in zip(lat.cyclic_nodes, group.cyclic_masks)):
         return None
     return lat
 

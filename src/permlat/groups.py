@@ -105,7 +105,11 @@ class FiniteGroup:
     generators, :attr:`is_nilpotent` counts the elements of p-power order
     for each prime p (the Sylow count), and :attr:`is_solvable` reads the
     residual of the derived series (:attr:`solvable_residual`), which the
-    enumeration reads too.
+    enumeration reads too. The element orders come off
+    :attr:`cyclic_masks`, <x> for every x found once per cyclic subgroup,
+    and the enumeration reads those masks and the conjugacy classes of
+    elements (:attr:`element_classes`) too; all four are group invariants,
+    each computed once per group.
     """
 
     def __init__(self, table, name: str, element_labels=None):
@@ -200,9 +204,10 @@ class FiniteGroup:
 
         The checks run in this order, and the first to fail raises
         :class:`GroupSpecError`: one label per element when labels are
-        given, square rows, a two-sided identity (swapped to index 0), the
-        entries as ints in a Latin square (:meth:`_check_structure`), and
-        associativity (:meth:`check_associativity`)."""
+        given, square rows, a two-sided identity (swapped to index 0), every
+        entry an exact int (``type(v) is int``, so no float, string or bool),
+        a Latin square (:meth:`_check_structure`), and associativity
+        (:meth:`check_associativity`)."""
         n = len(table)
         if element_labels is not None:
             element_labels = list(element_labels)
@@ -219,6 +224,13 @@ class FiniteGroup:
                 break
         if ident is None:
             raise GroupSpecError("table has no two-sided identity")
+        # exact ints only, as json.load yields them: 2.7, '2' and True are
+        # refused rather than read as some element (True == 1 would pass the
+        # relabelling below); the row is named as given
+        for i, row in enumerate(table):
+            if not set(map(type, row)) <= {int}:
+                v = next(v for v in row if type(v) is not int)
+                raise GroupSpecError(f"row {i} holds {v!r}, not an integer")
         if ident != 0:
             # relabel by the transposition 0 <-> ident; an entry outside
             # 0..n-1 is kept as it is, for the Latin-square check to reject
@@ -230,7 +242,6 @@ class FiniteGroup:
             if element_labels is not None:
                 element_labels[0], element_labels[ident] = (
                     element_labels[ident], element_labels[0])
-        table = [tuple(map(int, row)) for row in table]
         cls._check_structure(table)
         g = cls(table, name, element_labels)
         g.check_associativity()
@@ -247,8 +258,36 @@ class FiniteGroup:
     # -- element-level helpers -------------------------------------------
 
     @cached_property
+    def cyclic_masks(self) -> tuple[int, ...]:
+        """The mask of <x> for every element x, found once per cyclic
+        subgroup: with k = |x|, the powers x, x², ..., x^k = 1 are <x>, and
+        x^j generates it too iff gcd(j, k) = 1, so each of those gets the
+        same mask without a walk of its own. :meth:`cyclic_mask` is the
+        one-element oracle."""
+        t = self.table
+        out = [0] * self.order
+        units: dict[int, list[int]] = {}  # k -> the j - 1 with gcd(j, k) = 1
+        for x in range(self.order):
+            if out[x]:
+                continue
+            powers, m, y = [x], 1 << x, x  # powers[j - 1] = x^j
+            while y:
+                y = t[y][x]
+                powers.append(y)
+                m |= 1 << y
+            k = len(powers)
+            js = units.get(k)
+            if js is None:
+                js = units[k] = [j - 1 for j in range(1, k + 1) if math.gcd(j, k) == 1]
+            for j in js:
+                out[powers[j]] = m
+        return tuple(out)
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.cyclic_mask(x).bit_count() for x in range(self.order))
+        """|x| for every element x: the order of <x>, read off
+        :attr:`cyclic_masks`."""
+        return tuple(m.bit_count() for m in self.cyclic_masks)
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
@@ -256,17 +295,17 @@ class FiniteGroup:
         return self.subgroup_gens(self.full_mask)
 
     @cached_property
-    def class_number(self) -> int:
-        """k(G), the number of conjugacy classes of elements: the orbits
-        under conjugation by :attr:`generating_set`."""
+    def element_classes(self) -> tuple[int, ...]:
+        """The mask of the conjugacy class x^G of every element x: the
+        orbits under conjugation by :attr:`generating_set`, one walk per
+        class, whose mask every member gets."""
         t = self.table
         gens = [(t[s], self.inverse[s]) for s in self.generating_set]
+        out = [0] * self.order
         seen = [False] * self.order
-        count = 0
         for x in range(self.order):
             if seen[x]:
                 continue
-            count += 1
             seen[x] = True
             orbit = [x]
             for y in orbit:  # orbit grows while we iterate
@@ -275,7 +314,16 @@ class FiniteGroup:
                     if not seen[z]:
                         seen[z] = True
                         orbit.append(z)
-        return count
+            m = sum(1 << y for y in orbit)
+            for y in orbit:
+                out[y] = m
+        return tuple(out)
+
+    @cached_property
+    def class_number(self) -> int:
+        """k(G), the number of conjugacy classes of elements: the distinct
+        masks of :attr:`element_classes`."""
+        return len(set(self.element_classes))
 
     # -- mask-level set algebra ------------------------------------------
 
@@ -487,13 +535,13 @@ def fitting_subgroup(g: FiniteGroup) -> int:
     """
     fit_gens: list[int] = []
     seen_cyclic: dict[int, bool] = {}
-    orders = g.element_orders
+    cyclic_of, orders = g.cyclic_masks, g.element_orders
     for p in prime_signature(g.order).primes:
         p_power = ((), (p,))
         for x in range(1, g.order):
             if prime_signature(orders[x]).primes not in p_power:
                 continue  # p-elements only
-            cm = g.cyclic_mask(x)
+            cm = cyclic_of[x]
             hit = seen_cyclic.get(cm)
             if hit is None:
                 nc = g.normal_closure_mask(cm, g.full_mask)
@@ -535,7 +583,7 @@ def _cayley_table(gen_rows: Sequence[Sequence[int]], n: int) -> list:
         for row_s in gen_rows:
             y = row_s[x]
             if table[y] is None:
-                table[y] = tuple(map(row_s.__getitem__, row_x))
+                table[y] = itemgetter(*row_x)(row_s)  # n >= 2: a tuple
                 queue.append(y)
     return table
 

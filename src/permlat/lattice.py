@@ -41,9 +41,10 @@ ANDs of order masks (:meth:`SubgroupLattice.conjugates`). Normality,
 subnormality and the Moebius function mu(X, G) are class invariants and are
 decided once per conjugacy class (:attr:`SubgroupLattice.class_of`), each
 from the classes above it (:func:`subnormal_subgroups`,
-:func:`moebius_table`). The classes and their conjugators are
-orbits under the group's generators, each member conjugated that way inside
-the walk itself; a node that every generator maps its own generators into
+:func:`moebius_table`); the cover conditions of modularity are checked
+once per class too (:func:`is_modular_lattice`). The classes and their
+conjugators are orbits under the group's generators, each member
+conjugated that way inside the walk itself; a node that every generator maps its own generators into
 is normal, and its class is that node alone, found without a walk. The
 walk also gives each representative R its normalizer N_G(R), the join of R
 and the Schreier elements of its edges, and N_G(R^g) is N_G(R)^g
@@ -461,10 +462,11 @@ def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int],
     ``by_order`` is :func:`_by_descending_order` of it.
 
     The class is A's orbit under conjugation by the group's generators s.
-    When s x s⁻¹ lies in A for every s and every x of ``gens``, A is normal:
-    its class is itself and N(A) = G, with G's generators, found without a
-    closure. Otherwise A is conjugated through a cyclic cover: A's elements
-    x by descending order of <x>, the lowest first within one order, keeping
+    When the conjugacy class x^G of every x of ``gens``
+    (:attr:`FiniteGroup.element_classes`) lies in A, A is normal: its class
+    is itself and N(A) = G, with G's generators, found without a closure.
+    Otherwise A is conjugated through a cyclic cover: A's elements x by
+    descending order of <x>, the lowest first within one order, keeping
     each x not yet covered, so A is the union of <x> over the cover (any
     walk order gives a cover; this one keeps it small). Since
     y<x>y⁻¹ = <yxy⁻¹> (:meth:`SubgroupLattice.conjugates`), yAy⁻¹ is the
@@ -478,7 +480,10 @@ def _conjugacy_class(group: FiniteGroup, cyclic_of: Sequence[int],
     for S the Schreier elements outside A: one closure from A over S, and
     none when S is empty, where N(A) = A."""
     t, inv, gs = group.table, group.inverse, group.generating_set
-    if all(mask >> t[t[s][x]][inv[s]] & 1 for s in gs for x in gens):
+    classes, conjugates = group.element_classes, 0
+    for x in gens:
+        conjugates |= classes[x]
+    if not conjugates & ~mask:
         return [mask], group.full_mask, gs
     cover, covered = [], 0
     for om in by_order:
@@ -511,12 +516,13 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by class-driven saturation.
 
     This follows the cyclic-extension method of Neubüser (1960), on which
-    GAP's lattice code is built. Every cyclic subgroup starts in the
-    frontier, which holds one representative per conjugacy class. Each
-    representative A is joined with seeds, the cyclic subgroups of
-    prime-power order. A join that yields a new subgroup brings in its whole
-    conjugacy class at once, by conjugation and without further closures,
-    and its representative joins the next frontier.
+    GAP's lattice code is built. Every cyclic subgroup, read off
+    :attr:`FiniteGroup.cyclic_masks`, starts in the frontier, which holds
+    one representative per conjugacy class. Each representative A is
+    joined with seeds, the cyclic subgroups of prime-power order. A join
+    that yields a new subgroup brings in its whole conjugacy class at once,
+    by conjugation and without further closures, and its representative
+    joins the next frontier.
 
     Normal prime-index extensions. Let R = G^(∞), the last term of the
     derived series (:attr:`FiniteGroup.solvable_residual`, walked once per
@@ -615,11 +621,14 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
       The table rows of A's elements, which every coset reads, are built
       once per representative, at its first join, and passed to each
       closure.
-    - Normality by generators. Classes are orbits under conjugation by the
-      generators s of G. J = <jgens> is normal iff s x s⁻¹ lies in J for
-      every s and every x of jgens: then sJs⁻¹ = <s jgens s⁻¹> lies in J
-      and has its order, so each generator of G, and hence all of G,
-      normalizes J. Such a J's class is [J], found without conjugating J.
+    - Normality by generators. J = <jgens> is normal iff the conjugacy
+      class x^G of every x of jgens lies in J: then gJg⁻¹ = <g jgens g⁻¹>
+      lies in J and has its order for every g in G, and conversely a normal
+      J holds every conjugate of its elements. The classes x^G are one
+      element mask each, walked once per group
+      (:attr:`FiniteGroup.element_classes`), so the test is an OR of one
+      mask per generator of J. Such a J's class is [J], found without
+      conjugating J.
       Any other J is conjugated through a cyclic cover, elements x of J
       with J the union of the <x>: since y<x>y⁻¹ = <yxy⁻¹>, yJy⁻¹ is the
       union of the cyclic subgroups of the yxy⁻¹, one conjugation and one
@@ -636,23 +645,22 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     t, inv = g.table, g.inverse
     # generators of what gets joined: the cyclic subgroups and the representatives
     gens_of: dict[int, tuple[int, ...]] = {1: ()}
-    cyclic_of = [1] * g.order
+    cyclic_of = g.cyclic_masks
     lowest = [0] * g.order  # the lowest generator of each <x>, which names it
-    cyclic_masks: list[int] = [1]
+    cyclics: list[int] = [1]
     for x in range(1, g.order):
-        m = g.cyclic_mask(x)
-        cyclic_of[x] = m
+        m = cyclic_of[x]
         if m not in gens_of:
             gens_of[m] = (x,)
-            cyclic_masks.append(m)
+            cyclics.append(m)
         lowest[x] = gens_of[m][0]
-    if len(cyclic_masks) > DEFAULT_LATTICE_CAP:
+    if len(cyclics) > DEFAULT_LATTICE_CAP:
         raise LatticeCapError(f"{g.name}: more than {DEFAULT_LATTICE_CAP} subgroups")
     by_order = _by_descending_order(cyclic_of)
     # one bit per seed, at its lowest generator c, and c^p for p the prime of |<c>|
     seed_gens = 0
     power = [0] * g.order
-    for m in cyclic_masks[1:]:
+    for m in cyclics[1:]:
         factors = prime_signature(m.bit_count()).factors
         if len(factors) == 1:
             c = y = gens_of[m][0]
@@ -674,7 +682,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
         reps.append((am, nm, ngens))
         return members
 
-    for m in cyclic_masks:
+    for m in cyclics:
         if m not in seen:
             add_class(m, frontier)
     while frontier:
@@ -985,23 +993,34 @@ def is_modular_lattice(lat: SubgroupLattice) -> bool:
     semimodular (Birkhoff, *Lattice Theory*), which needs cover pairs only:
     two distinct upper covers of a node must both be covered by their join,
     and two distinct lower covers of a node must both cover their meet.
-    The lower covers of each node are the raw M(X) of :func:`node_maximal`,
-    and the upper covers are those masks transposed.
+    Conjugation by g is a lattice automorphism, so both conditions hold at
+    X^g iff they hold at X, and they are checked at the class
+    representatives alone (:attr:`SubgroupLattice.class_masks`).
+
+    The lower covers of X are the raw M(X) of :func:`node_maximal`, and
+    the upper covers are read off ``up_masks`` the same way, from the
+    bottom: the lowest node left in (X, G] is an upper cover, and clearing
+    the up mask of each cover found leaves the next. B covers A iff the
+    interval [A, B] is {A, B}, that is iff ``up_masks[A] & down_masks[B]``
+    has two bits.
     """
-    down_cov = [node_maximal(lat, x) for x in range(len(lat))]
-    up_cov = _transpose(down_cov)
-    for x in range(len(lat)):
-        ups = list(_bits(up_cov[x]))
+    up, down = lat.up_masks, lat.down_masks
+    for x in lat.class_masks:
+        ups, rest = [], up[x] ^ 1 << x
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            ups.append(a)
+            rest &= ~up[a]
         for k, a in enumerate(ups):
             for b in ups[k + 1:]:
-                j = lat.join(a, b)
-                if not (up_cov[a] >> j & 1 and up_cov[b] >> j & 1):
+                j = down[lat.join(a, b)]
+                if (up[a] & j).bit_count() != 2 or (up[b] & j).bit_count() != 2:
                     return False
-        downs = list(_bits(down_cov[x]))
+        downs = list(_bits(node_maximal(lat, x)))
         for k, a in enumerate(downs):
             for b in downs[k + 1:]:
-                m = lat.meet(a, b)
-                if not (up_cov[m] >> a & 1 and up_cov[m] >> b & 1):
+                m = up[lat.meet(a, b)]
+                if (m & down[a]).bit_count() != 2 or (m & down[b]).bit_count() != 2:
                     return False
     return True
 

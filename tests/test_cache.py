@@ -223,8 +223,8 @@ def write_entry(cache_dir, group, masks):
         "order": group.order,
         "node_count": len(masks),
         "nodes": [format(m, "x") for m in masks],
-        "nodes_sha256": C._nodes_digest(masks),
     }
+    payload["nodes_sha256"] = C._nodes_digest(payload["nodes"])
     with open(C.cache_path(cache_dir, group), "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 

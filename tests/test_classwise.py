@@ -240,7 +240,7 @@ def test_non_subgroup_entry_with_recomputed_digest_loads_as_none(tmp_path):
     assert not g.is_subgroup_mask(bad) and bad not in masks
     masks[2] = bad
     payload["nodes"] = [format(m, "x") for m in masks]
-    payload["nodes_sha256"] = C._nodes_digest(masks)
+    payload["nodes_sha256"] = C._nodes_digest(payload["nodes"])
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     assert C.load_lattice(str(tmp_path), g) is None

@@ -802,7 +802,7 @@ class TestCache:
         masks.remove(dropped)
         payload["nodes"] = [format(m, "x") for m in masks]
         payload["node_count"] = len(masks)
-        payload["nodes_sha256"] = _nodes_digest(masks)
+        payload["nodes_sha256"] = _nodes_digest(payload["nodes"])
         entry.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "degrees", "--group", spec,
                                  "--cache", str(cache), "--format", "json")

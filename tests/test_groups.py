@@ -381,6 +381,18 @@ class TestLabels:
         assert [g.label(x) for x in range(2)] == ["e", "a"]
 
 
+@pytest.mark.parametrize("table, defect", [
+    ([[0, 1, 2], [1, 2.7, 0], [2, 0, 1]], "row 1 holds 2.7, not an integer"),
+    ([[0, 1, 2], [1, "2", 0], [2, 0, 1]], "row 1 holds '2', not an integer"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, True]], "row 2 holds True, not an integer"),
+    # the identity is 1, and swapping it with 0 would read True as 1
+    ([[True, 0], [0, 1]], "row 0 holds True, not an integer"),
+], ids=["float", "str", "bool", "bool-before-the-swap"])
+def test_from_table_refuses_entries_that_are_not_exact_ints(table, defect):
+    with pytest.raises(G.GroupSpecError, match=f"^{re.escape(defect)}$"):
+        G.FiniteGroup.from_table(table)
+
+
 # -- from_table's checks, kept as an oracle for the tables built unchecked --
 
 def benchmark_pool_specs():
@@ -499,6 +511,29 @@ def test_closure_from_a_subgroup_matches_closure_from_identity(spec, data):
     gens = base_gens + data.draw(elements, label="extra")
     base = closure_by_words(g, base_gens)
     assert g.closure_mask(gens, base) == g.closure_mask(gens) == closure_by_words(g, gens)
+
+
+def assert_element_invariants(g):
+    """<x> and x^G of every element against one-element oracles: the powers
+    of x (``cyclic_mask``) and x conjugated by every element of G."""
+    t, inv = g.table, g.inverse
+    assert g.cyclic_masks == tuple(map(g.cyclic_mask, range(g.order)))
+    classes = tuple(functools.reduce(int.__or__, (1 << t[t[y][x]][inv[y]]
+                                                  for y in range(g.order)))
+                    for x in range(g.order))
+    assert g.element_classes == classes
+    assert g.class_number == len(set(classes))
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_cyclic_masks_and_element_classes_match_oracles(spec):
+    assert_element_invariants(G.make_named(spec))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_relabelled_cyclic_masks_and_element_classes_match_oracles(spec, data):
+    assert_element_invariants(relabelled(G.make_named(spec), data))
 
 
 def assert_series_flags(g):

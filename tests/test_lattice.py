@@ -31,6 +31,9 @@ SMALL_PRODUCTS = [(a, b) for a in FACTOR_SPECS for b in FACTOR_SPECS
 
 CLASS_SPECS = ["S4xS3", "D4xD4", "A4xA4", "S5xC2"]
 
+# groups beyond the catalog on which modularity is checked against its oracle
+MODULARITY_SPECS = ["S4xS3", "D4xD4", "Z:2,2,2,2,2", "S6"]
+
 SELECTION_SPECS = list(CATALOG_SPECS) + ["S4xS3", "D4xD4", "S5xC2", "A4xA4", "A5xC3"]
 
 # the catalog and the groups of the benchmark's lattice pool
@@ -192,6 +195,30 @@ def modular_law_holds(lat):
             for y in range(n):
                 if (join_by_closure(lat, x, meet(y, z))
                         != meet(join_by_closure(lat, x, y), z)):
+                    return False
+    return True
+
+
+def modular_by_covers_at_every_node(lat):
+    """Oracle: Birkhoff's cover-pair conditions at every node, not only at
+    class representatives. The lower covers of each node are its raw
+    ``node_maximal``, its upper covers those masks transposed; two upper
+    covers must both be covered by their join, two lower covers must both
+    cover their meet."""
+    down_cov = [L.node_maximal(lat, x) for x in range(len(lat))]
+    up_cov = L._transpose(down_cov)
+    for x in range(len(lat)):
+        ups = list(G._bits(up_cov[x]))
+        for k, a in enumerate(ups):
+            for b in ups[k + 1:]:
+                j = lat.join(a, b)
+                if not (up_cov[a] >> j & 1 and up_cov[b] >> j & 1):
+                    return False
+        downs = list(G._bits(down_cov[x]))
+        for k, a in enumerate(downs):
+            for b in downs[k + 1:]:
+                m = lat.meet(a, b)
+                if not (up_cov[m] >> a & 1 and up_cov[m] >> b & 1):
                     return False
     return True
 
@@ -372,11 +399,13 @@ class TestEnumeration:
     def test_enumeration_keeps_no_state_on_the_group(self):
         # benchmark jobs share a group's attribute values through copy.copy,
         # so per-call tables kept on it would carry over between jobs; the
-        # generators and the solvable residual are invariants of the group
+        # generators, the solvable residual, the cyclic subgroups <x> and the
+        # conjugacy classes of elements are invariants of the group
         g = G.make_named("D4xD4")
         before = set(vars(g))
         L.enumerate_subgroups(g)
-        assert set(vars(g)) - before == {"generating_set", "solvable_residual"}
+        assert set(vars(g)) - before == {"generating_set", "solvable_residual",
+                                         "cyclic_masks", "element_classes"}
 
     def test_every_node_is_subgroup(self):
         g = G.make_named("S4")
@@ -720,6 +749,34 @@ class TestOrderRulesAgainstOracles:
     def test_modularity_matches_modular_law(self, spec):
         lat = shared_lat(spec)
         assert L.is_modular_lattice(lat) is modular_law_holds(lat)
+
+    @pytest.mark.parametrize("spec", list(CATALOG_SPECS) + MODULARITY_SPECS)
+    def test_modularity_matches_covers_at_every_node(self, spec):
+        lat = shared_lat(spec)
+        assert L.is_modular_lattice(lat) is modular_by_covers_at_every_node(lat)
+
+    @pytest.mark.parametrize("spec, modular", [
+        ("S3", True), ("D5xC3", True), ("Q8xC3", True), ("Z:2,2,2,2,2", True),
+        ("S4", False), ("S4xS3", False), ("D4xD4", False)])
+    def test_modularity_reads_lower_covers_once_per_class(self, spec, modular,
+                                                          monkeypatch):
+        # a modular lattice is walked to the end, one node_maximal per class
+        # (S3 and D5xC3 have fewer classes than nodes); any other stops at
+        # its first failing representative
+        lat = lat_of(spec)
+        calls = []
+        node_maximal = L.node_maximal
+
+        def counted(lat, idx, *args):
+            calls.append(idx)
+            return node_maximal(lat, idx, *args)
+
+        monkeypatch.setattr(L, "node_maximal", counted)
+        assert L.is_modular_lattice(lat) is modular
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= set(lat.class_masks)
+        if modular:
+            assert len(calls) == len(lat.class_masks)
 
     def test_upper_semimodular_but_not_modular(self):
         # AGL(1,5) = C5 x| C4, x -> x+1 and x -> 2x: its lattice is upper but
@@ -1091,6 +1148,13 @@ def test_dihedral_subgroup_count_is_tau_plus_sigma():
     for n in range(3, 61):
         ds = divisors(n)
         assert len(lat_of(f"D{n}")) == len(ds) + sum(ds), n
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(list(CATALOG_SPECS) + ["D5xC3", "Q8xC3", "S4xS3"]), st.data())
+def test_relabelled_modularity_matches_covers_at_every_node(spec, data):
+    lat = L.enumerate_subgroups(relabelled(shared_lat(spec).group, data))
+    assert L.is_modular_lattice(lat) is modular_by_covers_at_every_node(lat)
 
 
 @settings(max_examples=20, deadline=None)
